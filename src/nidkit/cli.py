@@ -6,7 +6,7 @@ evaluate, pipeline. Every config field can come from a JSON file
 stderr, machine-readable outputs only to files under --out.
 
 Exit codes: 0 success, 1 internal failure, 2 usage/config error,
-3 data validation error.
+3 data validation error or training that diverges on the data.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields
 
 from .dataset import KddParseError, UnknownLabelError
-from .errors import VersionSkewError
+from .errors import TrainingDivergedError, VersionSkewError
 from .pipeline import (
     BASELINE_NAMES,
     RunConfig,
@@ -146,6 +146,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (KddParseError, UnknownLabelError, VersionSkewError) as exc:
         print(f"nidkit: invalid data: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except TrainingDivergedError as exc:
+        print(f"nidkit: training diverged: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - last-resort exit-code mapping
         logging.getLogger("nidkit").exception("internal failure")

@@ -3,6 +3,11 @@
 A record line has 43 comma-separated fields: 41 features, the attack
 label, and a difficulty score. The difficulty column is parsed and kept
 but never used as a model feature.
+
+Parsing builds columns once: a float block for the 38 numeric features,
+string arrays for the three categorical features and the label, and an
+integer difficulty array. Numeric fields must be ASCII decimal numbers;
+``#`` is an ordinary character, not a comment marker.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -22,6 +27,10 @@ ATTACK_CATEGORIES = ("DoS", "Probe", "R2L", "U2R")
 
 NORMAL = "normal"
 ATTACK = "attack"
+
+N_FIELDS = 43
+LABEL_FIELD = 41
+DIFFICULTY_FIELD = 42
 
 
 class KddParseError(ValueError):
@@ -44,22 +53,58 @@ class ConnectionRecord:
         return ",".join(self.features) + f",{self.label},{self.difficulty}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    records: tuple[ConnectionRecord, ...]
+    """One parsed split, held as columns built at parse time.
+
+    ``lines`` keeps each validated line verbatim (difficulty written as a
+    plain integer) for the outputs that must reproduce raw text. Two
+    datasets are equal when their split and lines are.
+    """
+
+    numeric: np.ndarray      # (n, 38) float64, non-categorical features in schema order
+    categorical: np.ndarray  # (n, 3) str: protocol_type, service, flag
+    label: np.ndarray        # (n,) str attack name
+    difficulty: np.ndarray   # (n,) int64 in 0..21
+    lines: tuple[str, ...]
     split: str  # train | test | fixture
 
     def __post_init__(self) -> None:
-        if not self.records:
+        if not self.lines:
             raise KddParseError("dataset is empty")
         if self.split not in ("train", "test", "fixture"):
             raise ValueError(f"bad split tag: {self.split!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabeledDataset):
+            return NotImplemented
+        return self.split == other.split and self.lines == other.lines
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.lines)
 
     def labels(self) -> np.ndarray:
-        return np.array([r.label for r in self.records], dtype=object)
+        return self.label.astype(object)
+
+    def column(self, index: int, schema: FeatureSchema = DEFAULT_SCHEMA) -> np.ndarray:
+        """Parsed values of feature ``index``: str if categorical, else float64."""
+        if index in schema.categorical_indices:
+            return self.categorical[:, schema.categorical_indices.index(index)]
+        return self.numeric[:, schema.numeric_indices.index(index)]
+
+    def raw_columns(self, indices: tuple[int, ...]) -> np.ndarray:
+        """(n, len(indices)) object array of the fields' raw strings."""
+        return _load_fields(self.lines, indices, object)
+
+    @property
+    def records(self) -> tuple[ConnectionRecord, ...]:
+        """Per-row view, built on each access."""
+        out = []
+        for line, difficulty in zip(self.lines, self.difficulty.tolist()):
+            fields = line.split(",")
+            out.append(ConnectionRecord(tuple(fields[:LABEL_FIELD]), fields[LABEL_FIELD],
+                                        difficulty))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -97,51 +142,116 @@ def load_taxonomy(path: str | Path | None = None) -> AttackTaxonomy:
     return AttackTaxonomy(mapping=mapping)
 
 
-def _validate_numeric(value: str, feature_name: str, lineno: int) -> None:
+def _load_fields(lines: list[str] | tuple[str, ...], indices: tuple[int, ...], dtype) -> np.ndarray:
+    """The given comma-separated fields of every line, in one C pass."""
+    return np.loadtxt(lines, delimiter=",", usecols=indices, dtype=dtype, comments=None,
+                      ndmin=2)
+
+
+def _numeric_error(value: str, feature_name: str) -> str | None:
+    # the ASCII decimal grammar the vectorized parse accepts: Python's
+    # float() without digit-group underscores or non-ASCII digits
+    text = value.strip()
     try:
-        x = float(value)
+        if "_" in text or not text.isascii():
+            raise ValueError
+        x = float(text)
     except ValueError:
-        raise KddParseError(
-            f"line {lineno}: feature {feature_name!r} is not numeric: {value!r}"
-        ) from None
+        return f"feature {feature_name!r} is not numeric: {value!r}"
     if not math.isfinite(x) or x < 0:
-        raise KddParseError(
-            f"line {lineno}: feature {feature_name!r} must be finite and non-negative, got {value!r}"
-        )
+        return f"feature {feature_name!r} must be finite and non-negative, got {value!r}"
+    return None
+
+
+def _difficulty(text: str) -> int | str:
+    """The difficulty score, or the message saying why the field is invalid."""
+    try:
+        difficulty = int(text)
+    except ValueError:
+        return f"difficulty must be an integer, got {text!r}"
+    if not 0 <= difficulty <= 21:
+        return f"difficulty must be in 0..21, got {difficulty}"
+    return difficulty
+
+
+def _line_error(line: str, schema: FeatureSchema) -> str | None:
+    """Why one non-blank line is invalid, checked field by field; None if valid."""
+    fields = line.split(",")
+    if len(fields) != N_FIELDS:
+        return f"expected {N_FIELDS} fields, got {len(fields)}"
+    for j in schema.numeric_indices:
+        message = _numeric_error(fields[j], schema.names[j])
+        if message is not None:
+            return message
+    difficulty = _difficulty(fields[DIFFICULTY_FIELD])
+    if isinstance(difficulty, str):
+        return difficulty
+    if "\r" in line or "\n" in line:
+        return "embedded line break"
+    if "\0" in line:  # string columns would drop a trailing NUL
+        return "NUL character in a text field"
+    return None
+
+
+def _first_error(kept: list[str], blanks: list[int], schema: FeatureSchema,
+                 cause: Exception | None = None) -> KddParseError:
+    """Error naming the first invalid line; line numbers count blank lines."""
+    skipped = set(blanks)
+    lineno = 0
+    for line in kept:
+        lineno += 1
+        while lineno in skipped:
+            lineno += 1
+        message = _line_error(line, schema)
+        if message is not None:
+            return KddParseError(f"line {lineno}: {message}")
+    return KddParseError(f"unparseable input: {cause}")
 
 
 def parse_kdd_lines(
     lines: Iterable[str], split: str, schema: FeatureSchema = DEFAULT_SCHEMA
 ) -> LabeledDataset:
-    categorical = set(schema.categorical_indices)
-    names = schema.names
-    records: list[ConnectionRecord] = []
+    """Validate and parse lines into columns; blank lines are skipped but
+    still counted in the line number that an error names."""
+    kept: list[str] = []
+    blanks: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n").rstrip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 43:
-            raise KddParseError(f"line {lineno}: expected 43 fields, got {len(fields)}")
-        for j in range(41):
-            if j not in categorical:
-                _validate_numeric(fields[j], names[j], lineno)
-        try:
-            difficulty = int(fields[42])
-        except ValueError:
-            raise KddParseError(
-                f"line {lineno}: difficulty must be an integer, got {fields[42]!r}"
-            ) from None
-        if not 0 <= difficulty <= 21:
-            raise KddParseError(
-                f"line {lineno}: difficulty must be in 0..21, got {difficulty}"
-            )
-        records.append(
-            ConnectionRecord(features=tuple(fields[:41]), label=fields[41], difficulty=difficulty)
-        )
-    if not records:
+        line = raw.rstrip()
+        if line:
+            kept.append(line)
+        else:
+            blanks.append(lineno)
+    if not kept:
         raise KddParseError("no records found")
-    return LabeledDataset(records=tuple(records), split=split)
+    if any(line.count(",") != N_FIELDS - 1 or "\0" in line for line in kept):
+        raise _first_error(kept, blanks, schema)
+    text_fields = (*schema.categorical_indices, LABEL_FIELD, DIFFICULTY_FIELD)
+    try:
+        numeric = _load_fields(kept, schema.numeric_indices, np.float64)
+        text = _load_fields(kept, text_fields, object)
+    except ValueError as exc:
+        raise _first_error(kept, blanks, schema, exc) from None
+    if not (np.isfinite(numeric) & (numeric >= 0)).all():
+        raise _first_error(kept, blanks, schema)
+
+    # difficulty holds a few distinct strings: check each once
+    spelled, row_of = np.unique(text[:, -1].astype(str), return_inverse=True)
+    parsed = [_difficulty(s) for s in spelled.tolist()]
+    if any(isinstance(d, str) for d in parsed):
+        raise _first_error(kept, blanks, schema)
+    # keep lines in the canonical form (difficulty as a plain integer)
+    for i, (difficulty, spelling) in enumerate(zip(parsed, spelled.tolist())):
+        if str(difficulty) != spelling:
+            for row in np.nonzero(row_of == i)[0]:
+                kept[row] = kept[row][: kept[row].rfind(",") + 1] + str(difficulty)
+    return LabeledDataset(
+        numeric=numeric,
+        categorical=text[:, :-2].astype(str),
+        label=text[:, -2].astype(str),
+        difficulty=np.array(parsed, dtype=np.int64)[row_of],
+        lines=tuple(kept),
+        split=split,
+    )
 
 
 def parse_kdd_file(
@@ -154,8 +264,8 @@ def parse_kdd_file(
 
 def write_kdd_file(ds: LabeledDataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in ds.records:
-            fh.write(rec.to_line() + "\n")
+        for line in ds.lines:
+            fh.write(line + "\n")
 
 
 def categorize(label: str, taxonomy: AttackTaxonomy) -> str:
@@ -165,15 +275,26 @@ def categorize(label: str, taxonomy: AttackTaxonomy) -> str:
         raise UnknownLabelError(f"attack name not in taxonomy: {label!r}") from None
 
 
+def _per_label(ds: LabeledDataset, fn: Callable[[str], str]) -> np.ndarray:
+    """``fn`` of each row's label, called once per distinct label in order of
+    first appearance, so a failing label is the first one in the data."""
+    names, first, row_of = np.unique(ds.label, return_index=True, return_inverse=True)
+    values = np.empty(len(names), dtype=object)
+    for i in np.argsort(first):
+        values[i] = fn(str(names[i]))
+    return values[row_of]
+
+
 def categories(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
     """Per-record category, in dataset order."""
-    return np.array([categorize(r.label, taxonomy) for r in ds.records], dtype=object)
+    return _per_label(ds, lambda label: categorize(label, taxonomy))
 
 
 def binary_labels(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
     """Collapse categories to the normal-vs-attack label space."""
-    cats = categories(ds, taxonomy)
-    return np.where(cats == "Normal", NORMAL, ATTACK).astype(object)
+    return _per_label(
+        ds, lambda label: NORMAL if categorize(label, taxonomy) == "Normal" else ATTACK
+    )
 
 
 def fourclass_labels(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
@@ -246,7 +367,7 @@ def make_fixture(
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
     binary_names = {e.name for e in schema.entries if e.kind == "binary"}
-    records: list[ConnectionRecord] = []
+    lines: list[str] = []
     for cat in CATEGORIES:
         centers = _FIXTURE_CENTERS[cat]
         proto, service, flag = _FIXTURE_CATEGORICALS[cat]
@@ -269,11 +390,6 @@ def make_fixture(
                     if e.name == "num_outbound_cmds":
                         value = 0.0  # constant column, as in the real dumps
                     fields.append(f"{value:.3f}")
-            records.append(
-                ConnectionRecord(
-                    features=tuple(fields),
-                    label=labels[i % len(labels)],
-                    difficulty=int(rng.integers(0, 22)),
-                )
-            )
-    return LabeledDataset(records=tuple(records), split="fixture")
+            difficulty = int(rng.integers(0, 22))
+            lines.append(",".join(fields) + f",{labels[i % len(labels)]},{difficulty}")
+    return parse_kdd_lines(lines, split="fixture", schema=schema)

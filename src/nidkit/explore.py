@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import CATEGORIES, AttackTaxonomy, LabeledDataset, categories
 from .preprocess import fit_encoder, encode
-from .schema import DEFAULT_SCHEMA, FeatureSchema
+from .schema import CATEGORICAL, DEFAULT_SCHEMA, FeatureSchema
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,14 @@ def _numeric_view(ds: LabeledDataset, schema: FeatureSchema) -> np.ndarray:
     return encode(fit_encoder(ds, schema), ds, schema)
 
 
+def _feature_view(ds: LabeledDataset, feature: str, schema: FeatureSchema) -> np.ndarray:
+    """One column of the encoded matrix, without encoding the others."""
+    values = ds.column(schema.index_of(feature), schema)
+    if values.dtype.kind == "U":
+        values = fit_encoder(ds, schema).encode_column(feature, values)
+    return values
+
+
 def histogram(
     ds: LabeledDataset,
     taxonomy: AttackTaxonomy,
@@ -75,8 +83,7 @@ def histogram(
     """Uniform bins over the pooled [min, max]; the last bin is right-closed."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    j = schema.index_of(feature)
-    values = _numeric_view(ds, schema)[:, j]
+    values = _feature_view(ds, feature, schema)
     if values.size == 0:
         raise ValueError("empty dataset")
     lo, hi = float(values.min()), float(values.max())
@@ -127,13 +134,9 @@ def scatter_rows(
     schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> list[tuple[str, str, str]]:
     """(x, y, category) per record, raw feature values kept verbatim."""
-    jx = schema.index_of(feature_x)
-    jy = schema.index_of(feature_y)
+    xy = ds.raw_columns((schema.index_of(feature_x), schema.index_of(feature_y)))
     cats = categories(ds, taxonomy)
-    return [
-        (rec.features[jx], rec.features[jy], cat)
-        for rec, cat in zip(ds.records, cats)
-    ]
+    return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist(), cats.tolist()))
 
 
 def scatter_csv(rows: list[tuple[str, str, str]], feature_x: str, feature_y: str) -> str:
@@ -148,9 +151,13 @@ def find_constant_features(
     """Features whose raw value never varies across the dataset."""
     found: list[tuple[str, str]] = []
     for e in schema.entries:
-        first = ds.records[0].features[e.index]
-        if all(rec.features[e.index] == first for rec in ds.records):
-            found.append((e.name, first))
+        values = ds.column(e.index, schema)
+        if not (values == values[0]).all():
+            continue  # raw strings that parse to different values differ
+        if e.kind != CATEGORICAL:  # equal numbers may be spelled differently
+            values = ds.raw_columns((e.index,))[:, 0]
+        if (values == values[0]).all():
+            found.append((e.name, str(values[0])))
     return RedundancyReport(constant_features=tuple(found))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VersionSkewError
+from .errors import TrainingDivergedError, VersionSkewError
 
 MODEL_FORMAT_VERSION = 1
 
@@ -479,6 +479,10 @@ def train(
         work.mode = "infer"
         val_value = _dataset_loss(work, cfg.loss, val_x, val_t)
         work.mode = "train"
+        if not math.isfinite(val_value) and best_params is None:
+            raise TrainingDivergedError(
+                f"validation loss is {val_value} at epoch {epoch}, with no finite epoch to keep"
+            )
         history.train_loss.append(float(np.mean(batch_losses)))
         history.val_loss.append(val_value)
         if val_value < best_val:
@@ -489,7 +493,6 @@ def train(
             break
     history.n_epochs = len(history.val_loss)
 
-    assert best_params is not None
     trained = MlpModel(
         layers=list(work.layers),
         weights=[best_params[2 * i] for i in range(len(work.layers))],

@@ -29,7 +29,6 @@ from .dataset import (
     LabeledDataset,
     binary_labels,
     categories,
-    fourclass_labels,
     load_taxonomy,
     parse_kdd_file,
 )
@@ -115,19 +114,6 @@ def _taxonomy(cfg: RunConfig) -> AttackTaxonomy:
     return load_taxonomy(cfg.taxonomy_path)
 
 
-def _binary_stratified_split(
-    labels: np.ndarray, fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    train_parts, val_parts = [], []
-    for cls in np.unique(labels):
-        rows = np.nonzero(labels == cls)[0]
-        perm = rng.permutation(rows.size)
-        n_val = min(int(round(rows.size * fraction)), rows.size - 1)
-        val_parts.append(rows[perm[:n_val]])
-        train_parts.append(rows[perm[n_val:]])
-    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(val_parts))
-
-
 def _load_or_fit_pipeline(cfg: RunConfig, train_ds: LabeledDataset) -> FittedPipeline:
     path = _out(cfg) / "pipeline.json"
     if path.exists():
@@ -137,6 +123,23 @@ def _load_or_fit_pipeline(cfg: RunConfig, train_ds: LabeledDataset) -> FittedPip
     path.write_text(pipe.to_json() + "\n")
     log.info("fitted preprocessing pipeline -> %s", path)
     return pipe
+
+
+@dataclass(frozen=True)
+class TrainingSet:
+    """The parsed training file and its transformed matrix, shared by both
+    training stages of one run."""
+
+    ds: LabeledDataset
+    fm: FeatureMatrix
+    taxonomy: AttackTaxonomy
+
+
+def load_training_set(cfg: RunConfig) -> TrainingSet:
+    train = parse_kdd_file(_require(cfg.train_path, "train"), split="train")
+    taxonomy = _taxonomy(cfg)
+    pipe = _load_or_fit_pipeline(cfg, train)
+    return TrainingSet(ds=train, fm=pipe.transform(train), taxonomy=taxonomy)
 
 
 # --- commands ------------------------------------------------------------
@@ -156,20 +159,18 @@ def run_explore(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def run_train_binary(cfg: RunConfig) -> Path:
+def run_train_binary(cfg: RunConfig, training: TrainingSet | None = None) -> Path:
     t0 = time.perf_counter()
-    train = parse_kdd_file(_require(cfg.train_path, "train"), split="train")
-    taxonomy = _taxonomy(cfg)
-    pipe = _load_or_fit_pipeline(cfg, train)
-    fm = pipe.transform(train)
-    bin_labels = binary_labels(train, taxonomy)
-    fm = FeatureMatrix(values=fm.values, labels=bin_labels, provenance="train")
+    if training is None:
+        training = load_training_set(cfg)
+    bin_labels = binary_labels(training.ds, training.taxonomy)
+    fm = FeatureMatrix(values=training.fm.values, labels=bin_labels, provenance="train")
     if not (bin_labels == NORMAL).any():
         raise ValueError("training data has no normal rows; cannot train the detector")
 
     ss = np.random.SeedSequence(cfg.seed)
     split_rng, ae_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
-    train_idx, val_idx = _binary_stratified_split(bin_labels, cfg.val_fraction, split_rng)
+    train_idx, val_idx = clf_mod._stratified_split(bin_labels, cfg.val_fraction, split_rng)
     train_part = fm.select(train_idx)
     val_part = fm.select(val_idx)
     normals_train = train_part.select(train_part.labels == NORMAL)
@@ -216,18 +217,16 @@ def classifier_filename(variant: str) -> str:
     return f"classifier_{variant}.json"
 
 
-def run_train_multiclass(cfg: RunConfig) -> list[Path]:
+def run_train_multiclass(cfg: RunConfig, training: TrainingSet | None = None) -> list[Path]:
     t0 = time.perf_counter()
-    train = parse_kdd_file(_require(cfg.train_path, "train"), split="train")
-    taxonomy = _taxonomy(cfg)
-    pipe = _load_or_fit_pipeline(cfg, train)
-    cats = categories(train, taxonomy)
+    if training is None:
+        training = load_training_set(cfg)
+    cats = categories(training.ds, training.taxonomy)
     attack_rows = np.nonzero(cats != "Normal")[0]
     if attack_rows.size == 0:
         raise ValueError("training data has no attack rows")
-    fm = pipe.transform(train)
     attacks = FeatureMatrix(
-        values=fm.values[attack_rows], labels=cats[attack_rows], provenance="train"
+        values=training.fm.values[attack_rows], labels=cats[attack_rows], provenance="train"
     )
 
     out = _out(cfg)
@@ -314,12 +313,7 @@ def run_evaluate(cfg: RunConfig) -> Path:
     is_attack_pred = verdicts == ATTACK
     if not is_attack_true.any():
         raise ValueError("test data has no attack rows; cannot evaluate stage 2")
-    attack_labels = fourclass_labels(
-        LabeledDataset(
-            records=tuple(r for r, a in zip(test.records, is_attack_true) if a), split="test"
-        ),
-        taxonomy,
-    )
+    attack_labels = cats[is_attack_true]
     for variant in _variants(cfg):
         path = out / classifier_filename(variant)
         if not path.exists():
@@ -452,6 +446,7 @@ def run_baselines(cfg: RunConfig) -> Path:
 
 
 def run_pipeline(cfg: RunConfig) -> Path:
-    run_train_binary(cfg)
-    run_train_multiclass(cfg)
+    training = load_training_set(cfg)
+    run_train_binary(cfg, training)
+    run_train_multiclass(cfg, training)
     return run_evaluate(cfg)

@@ -62,6 +62,12 @@ class LabelCountEncoder:
     def code(self, feature: str, category: str) -> int:
         return self.tables[feature].get(category, (0, 0))[1]
 
+    def encode_column(self, feature: str, values: np.ndarray) -> np.ndarray:
+        """Codes of a string column, looked up once per distinct category."""
+        distinct, row_of = np.unique(values, return_inverse=True)
+        codes = np.array([self.code(feature, c) for c in distinct.tolist()], dtype=np.float64)
+        return codes[row_of]
+
 
 @dataclass(frozen=True)
 class Standardizer:
@@ -149,14 +155,12 @@ class FittedPipeline:
 def fit_encoder(train: LabeledDataset, schema: FeatureSchema = DEFAULT_SCHEMA) -> LabelCountEncoder:
     """Count categories per categorical feature and assign frequency-ranked codes."""
     tables: dict[str, dict[str, tuple[int, int]]] = {}
-    for j in schema.categorical_indices:
-        counts: dict[str, int] = {}
-        for rec in train.records:
-            counts[rec.features[j]] = counts.get(rec.features[j], 0) + 1
-        # ascending frequency, ties by ascending name -> codes 1..K
-        ordered = sorted(counts.items(), key=lambda kv: (kv[1], kv[0]))
+    for k, j in enumerate(schema.categorical_indices):
+        distinct, counts = np.unique(train.categorical[:, k], return_counts=True)
+        # ascending frequency; the stable sort keeps ties in ascending name order
+        ordered = np.argsort(counts, kind="stable")
         tables[schema.names[j]] = {
-            cat: (count, code) for code, (cat, count) in enumerate(ordered, start=1)
+            str(distinct[i]): (int(counts[i]), code) for code, i in enumerate(ordered, start=1)
         }
     return LabelCountEncoder(tables=tables)
 
@@ -164,18 +168,11 @@ def fit_encoder(train: LabeledDataset, schema: FeatureSchema = DEFAULT_SCHEMA) -
 def encode(
     enc: LabelCountEncoder, ds: LabeledDataset, schema: FeatureSchema = DEFAULT_SCHEMA
 ) -> np.ndarray:
-    """Raw records to a float matrix; unseen categories map to code 0."""
-    categorical = set(schema.categorical_indices)
-    names = schema.names
-    n, d = len(ds.records), len(names)
-    out = np.empty((n, d), dtype=np.float64)
-    for i, rec in enumerate(ds.records):
-        f = rec.features
-        for j in range(d):
-            if j in categorical:
-                out[i, j] = enc.code(names[j], f[j])
-            else:
-                out[i, j] = float(f[j])
+    """Dataset columns to a float matrix; unseen categories map to code 0."""
+    out = np.empty((len(ds), len(schema.names)), dtype=np.float64)
+    out[:, list(schema.numeric_indices)] = ds.numeric
+    for k, j in enumerate(schema.categorical_indices):
+        out[:, j] = enc.encode_column(schema.names[j], ds.categorical[:, k])
     return out
 
 

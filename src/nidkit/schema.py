@@ -58,6 +58,10 @@ class FeatureSchema:
     def categorical_indices(self) -> tuple[int, ...]:
         return tuple(e.index for e in self.entries if e.kind == CATEGORICAL)
 
+    @property
+    def numeric_indices(self) -> tuple[int, ...]:
+        return tuple(e.index for e in self.entries if e.kind != CATEGORICAL)
+
     def index_of(self, name: str) -> int:
         for e in self.entries:
             if e.name == name:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from nidkit import cli, pipeline, preprocess
 from nidkit.cli import build_parser, build_config, main
 from nidkit.dataset import make_fixture, write_kdd_file
+from nidkit.errors import TrainingDivergedError
 from nidkit.pipeline import RunConfig
 
 
@@ -208,3 +210,41 @@ def test_default_runconfig_matches_paper_settings():
     assert tc.val_fraction == 0.15
     assert tc.patience == 6
     assert tc.learning_rate == 0.001
+
+
+def test_training_divergence_exits_3_with_one_line(monkeypatch, capsys):
+    def diverge(cfg):
+        raise TrainingDivergedError("validation loss is nan at epoch 0")
+
+    monkeypatch.setitem(cli.COMMANDS, "train-binary", diverge)
+    assert main(["train-binary"]) == 3
+    assert capsys.readouterr().err == (
+        "nidkit: training diverged: validation loss is nan at epoch 0\n")
+
+
+def test_pipeline_parses_and_transforms_each_file_once(tmp_path, data_files, monkeypatch):
+    train, test = data_files
+    parsed, transformed = [], []
+    parse = pipeline.parse_kdd_file
+    transform = preprocess.FittedPipeline.transform
+    monkeypatch.setattr(pipeline, "parse_kdd_file",
+                        lambda path, split: parsed.append(split) or parse(path, split=split))
+    monkeypatch.setattr(preprocess.FittedPipeline, "transform",
+                        lambda self, ds: transformed.append(ds.split) or transform(self, ds))
+    assert _run("pipeline", "--train", train, "--test", test, "--out", tmp_path / "one",
+                "--oversample", "both", *FAST) == 0
+    assert parsed == ["train", "test"]
+    assert transformed == ["train", "test"]
+
+
+def test_pipeline_matches_the_stages_run_one_by_one(tmp_path, data_files):
+    train, test = data_files
+    common = ["--oversample", "both", "--seed", 2, *FAST]
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    assert _run("pipeline", "--train", train, "--test", test, "--out", whole, *common) == 0
+    assert _run("train-binary", "--train", train, "--out", staged, *common) == 0
+    assert _run("train-multiclass", "--train", train, "--out", staged, *common) == 0
+    assert _run("evaluate", "--test", test, "--out", staged, *common) == 0
+    for name in ("pipeline.json", "detector.json", "classifier_plain.json",
+                 "classifier_oversampled.json", "scores.csv"):
+        assert (whole / name).read_bytes() == (staged / name).read_bytes(), name

@@ -183,3 +183,64 @@ def test_taxonomy_file_roundtrip(tmp_path):
     bad.write_text("normal,Normal\nfoo,NotACategory\n")
     with pytest.raises(ValueError):
         load_taxonomy(bad)
+
+
+def test_columns_hold_the_parsed_fields():
+    ds = parse_kdd_lines([_line("normal", 3), _line("smurf", 21)], split="test")
+    assert ds.numeric.shape == (2, 38) and ds.numeric.dtype == np.float64
+    assert ds.categorical.tolist() == [["tcp", "http", "SF"]] * 2
+    assert ds.label.tolist() == ["normal", "smurf"]
+    assert ds.difficulty.tolist() == [3, 21]
+
+
+def test_blank_lines_count_in_error_line_numbers():
+    with pytest.raises(KddParseError, match=r"^line 4: difficulty must be in 0\.\.21, got 30$"):
+        parse_kdd_lines([_line(), "", "  \n", _line(difficulty=30)], split="train")
+
+
+def test_hash_is_an_ordinary_character():
+    fields = _line().split(",")
+    fields[2] = "#http"
+    ds = parse_kdd_lines([",".join(fields)], split="train")
+    assert ds.records[0].features[2] == "#http"
+    fields[0] = "#1"
+    with pytest.raises(KddParseError, match="line 1: feature 'duration' is not numeric: '#1'"):
+        parse_kdd_lines([",".join(fields)], split="train")
+
+
+def test_parse_rejects_digit_group_underscores():
+    fields = _line().split(",")
+    fields[0] = "1_000"
+    with pytest.raises(KddParseError, match="feature 'duration' is not numeric: '1_000'"):
+        parse_kdd_lines([",".join(fields)], split="train")
+
+
+def test_difficulty_line_is_kept_as_a_plain_integer(tmp_path):
+    ds = parse_kdd_lines([_line().rsplit(",", 1)[0] + ",+07"], split="train")
+    assert ds.difficulty.tolist() == [7]
+    assert ds.lines == (_line(difficulty=7),)
+    write_kdd_file(ds, tmp_path / "out.txt")
+    assert (tmp_path / "out.txt").read_text() == _line(difficulty=7) + "\n"
+
+
+def test_dataset_equality_compares_split_and_lines():
+    a = parse_kdd_lines([_line()], split="train")
+    assert a == parse_kdd_lines(["", _line()], split="train")
+    assert a != parse_kdd_lines([_line()], split="test")
+    assert a != parse_kdd_lines([_line(difficulty=3)], split="train")
+
+
+def test_categories_name_the_first_unknown_label_in_file_order(taxonomy):
+    ds = parse_kdd_lines([_line("normal"), _line("zzz_new"), _line("aaa_new")], split="train")
+    with pytest.raises(UnknownLabelError, match="zzz_new"):
+        categories(ds, taxonomy)
+
+
+def test_parse_rejects_nul_and_embedded_line_breaks_in_text_fields():
+    fields = _line().split(",")
+    fields[1] = "tcp\0"
+    with pytest.raises(KddParseError, match="^line 1: NUL character in a text field$"):
+        parse_kdd_lines([",".join(fields)], split="train")
+    fields[1] = "t\rcp"
+    with pytest.raises(KddParseError, match="^line 1: embedded line break$"):
+        parse_kdd_lines([",".join(fields)], split="train")

@@ -139,3 +139,22 @@ def test_write_exploration_outputs(tmp_path, taxonomy, fixture_ds):
     write_exploration(fixture_ds, taxonomy, tmp_path / "explore")
     for p, content in before.items():
         assert p.read_bytes() == content
+
+
+def test_feature_view_matches_the_encoded_matrix(fixture_ds):
+    from nidkit import explore
+
+    full = explore._numeric_view(fixture_ds, DEFAULT_SCHEMA)
+    for j, name in enumerate(DEFAULT_SCHEMA.names):
+        assert explore._feature_view(fixture_ds, name, DEFAULT_SCHEMA).tobytes() == (
+            full[:, j].tobytes()), name
+
+
+def test_write_exploration_encodes_at_most_once(tmp_path, taxonomy, fixture_ds, monkeypatch):
+    from nidkit import explore
+
+    calls = []
+    encode = explore.encode
+    monkeypatch.setattr(explore, "encode", lambda *a, **k: calls.append(1) or encode(*a, **k))
+    write_exploration(fixture_ds, taxonomy, tmp_path / "explore")
+    assert len(calls) == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nidkit import neural
+from nidkit.errors import TrainingDivergedError
 from nidkit.neural import (
     AdamState,
     EarlyStopper,
@@ -348,3 +349,13 @@ def test_model_json_version_guard():
     doc["format_version"] = 42
     with pytest.raises(ValueError, match="version"):
         MlpModel.from_json(json.dumps(doc))
+
+
+def test_train_diverging_before_any_finite_epoch_raises_typed_error():
+    # one huge cell overflows the first updates, so no epoch has a finite loss
+    rng = np.random.default_rng(0)
+    model = init_model([LayerSpec(4, 3, "selu"), LayerSpec(3, 4, "selu")], rng)
+    x = rng.normal(size=(40, 4))
+    x[5, 2] = 1e200
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch 0"):
+        train(model, x, x, TrainConfig(max_epochs=5), rng)
