@@ -10,17 +10,15 @@ consecutive distinct sorted values.
 
 The linear SVM doubles as the borderline detector for SVM-SMOTE via
 its ``margin_violators`` (training rows with positive hinge loss at
-the final iterate).
+the final iterate). The MLP baseline is the stage-2 network, trained
+through ``classifier.train_network``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from . import neural
 
 
 # --- decision trees -------------------------------------------------------
@@ -51,28 +49,6 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.feature < 0
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"leaf": True, "value": self.value}
-        return {
-            "leaf": False,
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "_Node":
-        if doc["leaf"]:
-            return cls(value=doc["value"])
-        return cls(
-            feature=doc["feature"],
-            threshold=doc["threshold"],
-            left=cls.from_dict(doc["left"]),
-            right=cls.from_dict(doc["right"]),
-        )
 
 
 def gini_impurity(counts: np.ndarray) -> float:
@@ -256,36 +232,6 @@ class DecisionTree:
             out[rows] = node.leaf_id
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": "decision_tree", "classes": list(self.classes),
-             "max_depth": self.config.max_depth, "root": self.root.to_dict()},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecisionTree":
-        doc = json.loads(text)
-        tree = cls(
-            root=_Node.from_dict(doc["root"]),
-            classes=tuple(doc["classes"]),
-            config=DecisionTreeConfig(max_depth=doc["max_depth"]),
-        )
-        _renumber_leaves(tree.root)
-        return tree
-
-
-def _renumber_leaves(root: _Node) -> None:
-    counter = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            node.leaf_id = counter
-            counter += 1
-        else:
-            stack.extend([node.right, node.left])
-
 
 def fit_tree(
     data: np.ndarray,
@@ -322,7 +268,6 @@ def _fit_tree_on_orders(data, class_ids, weights, n_classes, orders, cfg,
 class ForestConfig:
     n_trees: int = 100
     bootstrap: bool = True
-    bootstrap_fraction: float = 1.0
     max_features: int | None = None  # None -> round(sqrt(n_features))
     tree: DecisionTreeConfig = field(default_factory=DecisionTreeConfig)
     seed: int = 0
@@ -330,8 +275,6 @@ class ForestConfig:
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if not 0.0 < self.bootstrap_fraction <= 1.0:
-            raise ValueError("bootstrap_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -351,13 +294,6 @@ class RandomForest:
         winners = np.argmax(votes, axis=1)  # ties -> lower class index
         return np.array([self.classes[i] for i in winners], dtype=object)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": "random_forest", "classes": list(self.classes),
-             "trees": [json.loads(t.to_json()) for t in self.trees]},
-            sort_keys=True,
-        )
-
 
 def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> RandomForest:
     data = np.asarray(data, dtype=np.float64)
@@ -371,8 +307,7 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
     trees = []
     for rng in streams:
         if cfg.bootstrap:
-            n_draw = max(1, int(round(cfg.bootstrap_fraction * n)))
-            draw = rng.integers(0, n, size=n_draw)
+            draw = rng.integers(0, n, size=n)
             weights = np.bincount(draw, minlength=n).astype(np.float64)
             keep = weights > 0
             orders = [o[keep[o]] for o in base_orders]
@@ -414,14 +349,6 @@ class GaussianNB:
     def predict(self, data: np.ndarray) -> np.ndarray:
         winners = np.argmax(self.log_posteriors(data), axis=1)
         return np.array([self.classes[i] for i in winners], dtype=object)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": "gaussian_nb", "classes": list(self.classes),
-             "priors": self.priors.tolist(), "means": self.means.tolist(),
-             "variances": self.variances.tolist()},
-            sort_keys=True,
-        )
 
 
 def fit_gnb(data: np.ndarray, labels) -> GaussianNB:
@@ -472,13 +399,6 @@ class LinearSvm:
         """Signs in {-1, +1}; the boundary itself goes to -1."""
         return np.where(self.decision(data) > 0, 1, -1)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": "linear_svm", "w": self.w.tolist(), "b": self.b,
-             "margin_violators": self.margin_violators.tolist()},
-            sort_keys=True,
-        )
-
 
 def fit_linear_svm(data: np.ndarray, labels, cfg: LinearSvmConfig = LinearSvmConfig()) -> LinearSvm:
     """Primal hinge loss + lam*||w||^2, minibatch subgradient, epoch-decayed step.
@@ -523,7 +443,6 @@ def fit_linear_svm(data: np.ndarray, labels, cfg: LinearSvmConfig = LinearSvmCon
 @dataclass(frozen=True)
 class AdaBoostConfig:
     n_rounds: int = 100
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_rounds < 1:
@@ -535,7 +454,6 @@ class AdaBoost:
     stumps: list[DecisionTree]
     alphas: list[float]
     classes: tuple  # classes[0] -> -1, classes[1] -> +1
-    weight_sums: list[float]  # sample-weight total after each round
 
     def decision(self, data: np.ndarray) -> np.ndarray:
         score = np.zeros(np.asarray(data).shape[0])
@@ -548,13 +466,6 @@ class AdaBoost:
         score = self.decision(data)
         return np.array(
             [self.classes[1] if s > 0 else self.classes[0] for s in score], dtype=object
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": "adaboost", "classes": list(self.classes), "alphas": self.alphas,
-             "stumps": [json.loads(s.to_json()) for s in self.stumps]},
-            sort_keys=True,
         )
 
 
@@ -577,7 +488,6 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
     weights = np.full(n, 1.0 / n)
     stumps: list[DecisionTree] = []
     alphas: list[float] = []
-    weight_sums: list[float] = []
     for _ in range(cfg.n_rounds):
         root = _fit_tree_on_orders(
             data, class_ids, weights, 2, [o.copy() for o in base_orders], stump_cfg
@@ -591,11 +501,9 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
         stumps.append(stump)
         alphas.append(alpha)
         if err == 0.0:
-            weight_sums.append(float(weights.sum()))
             break
         weights = weights * np.exp(-alpha * y * pred)
         weights = weights / weights.sum()
-        weight_sums.append(float(weights.sum()))
     if not stumps:
         # degenerate data: fall back to the single best stump regardless of err
         root = _fit_tree_on_orders(
@@ -603,8 +511,7 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
         )
         stumps = [DecisionTree(root=root, classes=tuple(classes), config=stump_cfg)]
         alphas = [0.0]
-        weight_sums = [float(weights.sum())]
-    return AdaBoost(stumps=stumps, alphas=alphas, classes=tuple(classes), weight_sums=weight_sums)
+    return AdaBoost(stumps=stumps, alphas=alphas, classes=tuple(classes))
 
 
 # --- gradient boosting --------------------------------------------------------
@@ -614,7 +521,6 @@ class GradientBoostConfig:
     n_rounds: int = 100
     learning_rate: float = 0.1
     max_depth: int = 3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_rounds < 0:
@@ -652,17 +558,6 @@ class GradientBoost:
             [self.classes[1] if s > 0 else self.classes[0] for s in score], dtype=object
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": "gradient_boost", "classes": list(self.classes), "f0": self.f0,
-             "learning_rate": self.learning_rate,
-             "trees": [
-                 {"tree": json.loads(t.to_json()), "leaf_values": lv.tolist()}
-                 for t, lv in self.trees
-             ]},
-            sort_keys=True,
-        )
-
 
 def fit_gradient_boost(
     data: np.ndarray, labels, cfg: GradientBoostConfig = GradientBoostConfig()
@@ -694,43 +589,3 @@ def fit_gradient_boost(
         trees.append((tree, leaf_values))
         scores = scores + cfg.learning_rate * leaf_values[leaf_of_row]
     return GradientBoost(f0=f0, trees=trees, learning_rate=cfg.learning_rate, classes=tuple(classes))
-
-
-# --- MLP baseline (reuses the neural engine) -----------------------------------
-
-@dataclass
-class MlpBaseline:
-    model: neural.MlpModel
-    classes: tuple
-
-    def predict(self, data: np.ndarray) -> np.ndarray:
-        probs, _ = neural.forward(self.model, np.asarray(data, dtype=np.float64))
-        winners = np.argmax(probs, axis=1)
-        return np.array([self.classes[i] for i in winners], dtype=object)
-
-
-def fit_mlp_baseline(
-    data: np.ndarray,
-    labels,
-    tcfg: neural.TrainConfig | None = None,
-    hidden_dim: int = 80,
-    rng: np.random.Generator | None = None,
-) -> MlpBaseline:
-    data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels, dtype=object)
-    classes, class_ids = np.unique(labels, return_inverse=True)
-    if tcfg is None:
-        tcfg = neural.TrainConfig(loss="cross_entropy")
-    elif tcfg.loss != "cross_entropy":
-        raise ValueError("MLP baseline trains with cross-entropy")
-    if rng is None:
-        rng = np.random.default_rng(tcfg.seed)
-    onehot = np.zeros((len(labels), len(classes)))
-    onehot[np.arange(len(labels)), class_ids] = 1.0
-    layers = [
-        neural.LayerSpec(data.shape[1], hidden_dim, "relu"),
-        neural.LayerSpec(hidden_dim, len(classes), "softmax"),
-    ]
-    model = neural.init_model(layers, rng)
-    trained, _ = neural.train(model, data, onehot, tcfg, rng)
-    return MlpBaseline(model=trained, classes=tuple(classes))

@@ -3,7 +3,8 @@
 The network is 41 -> 80 (ReLU) -> 4 (softmax) with cross-entropy loss.
 Class indices are fixed as DoS=0, Probe=1, R2L=2, U2R=3. Oversampling,
 when requested, happens strictly after the train/validation split and
-only on the training rows.
+only on the training rows. The MLP baseline trains through the same
+``train_network`` path, as a 41 -> 80 -> 2 network over the binary labels.
 """
 
 from __future__ import annotations
@@ -90,18 +91,32 @@ def _stratified_split(
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(val_parts))
 
 
+def train_network(
+    data: np.ndarray,
+    labels: np.ndarray,
+    class_order: tuple[str, ...],
+    dnn: DnnConfig,
+    tcfg: neural.TrainConfig,
+    rng: np.random.Generator,
+    validation: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[neural.MlpModel, neural.TrainHistory]:
+    """Initialize the ``dnn`` network from ``rng`` and train it on one-hot
+    targets over ``class_order``. ``validation`` is a (values, labels)
+    pair; without it ``neural.train`` splits off its own validation rows."""
+    model = neural.init_model(dnn.layers(), rng)
+    val = None if validation is None else (validation[0], _one_hot(validation[1], class_order))
+    return neural.train(model, data, _one_hot(labels, class_order), tcfg, rng, validation=val)
+
+
 def train_fourclass(
     attacks: FeatureMatrix,
-    labels: np.ndarray | None = None,
     oversample: SvmSmoteConfig | None = None,
     tcfg: neural.TrainConfig | None = None,
     rng: np.random.Generator | None = None,
     dnn: DnnConfig = DnnConfig(),
 ) -> tuple[AttackClassifier, dict]:
     """Train on ground-truth attack rows; returns (classifier, training info)."""
-    labels = attacks.labels if labels is None else np.asarray(labels, dtype=object)
-    if len(labels) != attacks.n_rows:
-        raise ValueError("label vector does not match matrix rows")
+    labels = attacks.labels
     unknown = set(np.unique(labels)) - set(CLASS_ORDER)
     if unknown:
         raise ValueError(f"labels outside the four attack categories: {sorted(unknown)}")
@@ -136,14 +151,8 @@ def train_fourclass(
         info["class_counts_after"] = resampled.class_counts()
         info["resample_log"] = list(resampled.log)
 
-    model = neural.init_model(dnn.layers(), rng)
-    trained, history = neural.train(
-        model,
-        train_x,
-        _one_hot(train_labels, CLASS_ORDER),
-        tcfg,
-        rng,
-        validation=(val_x, _one_hot(val_labels, CLASS_ORDER)),
+    trained, history = train_network(
+        train_x, train_labels, CLASS_ORDER, dnn, tcfg, rng, validation=(val_x, val_labels)
     )
     info["epochs"] = history.n_epochs
     info["best_epoch"] = history.best_epoch
@@ -162,12 +171,3 @@ def predict(clf: AttackClassifier, batch: FeatureMatrix | np.ndarray) -> tuple[n
     winners = np.argmax(probs, axis=1)
     cats = np.array([clf.class_order[i] for i in winners], dtype=object)
     return cats, probs
-
-
-def evaluate_fourclass(clf: AttackClassifier, test: FeatureMatrix, labels: np.ndarray | None = None):
-    """Multiclass report against ground-truth attack labels."""
-    from . import metrics
-
-    labels = test.labels if labels is None else np.asarray(labels, dtype=object)
-    predicted, _ = predict(clf, test)
-    return metrics.multiclass_report(labels, predicted, clf.class_order)

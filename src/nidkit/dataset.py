@@ -40,6 +40,9 @@ class KddParseError(ValueError):
 class UnknownLabelError(KeyError):
     """Raised when an attack name is missing from the taxonomy."""
 
+    def __str__(self) -> str:
+        return Exception.__str__(self)  # KeyError's would wrap the message in quotes
+
 
 @dataclass(frozen=True)
 class ConnectionRecord:

@@ -46,12 +46,6 @@ class AutoencoderConfig:
         ]
 
 
-@dataclass(frozen=True)
-class ScoredSample:
-    reconstruction_error: float
-    verdict: str  # normal | attack
-
-
 @dataclass
 class AnomalyDetector:
     model: neural.MlpModel
@@ -118,13 +112,6 @@ def reconstruction_errors(model: neural.MlpModel, batch: np.ndarray) -> np.ndarr
     recon, _ = neural.forward(infer, batch)
     diff = batch - recon
     return (diff * diff).sum(axis=1)
-
-
-def reconstruction_error(model: neural.MlpModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a single row")
-    return float(reconstruction_errors(model, x[None, :])[0])
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -194,21 +181,8 @@ def calibrate_threshold(
     raise ValueError(f"unknown calibration method {method!r}")
 
 
-def detect(det: AnomalyDetector, batch: FeatureMatrix | np.ndarray) -> list[ScoredSample]:
-    """Score rows; strict inequality: error > alpha means attack."""
-    values = batch.values if isinstance(batch, FeatureMatrix) else np.asarray(batch)
-    errors = reconstruction_errors(det.model, values)
-    return [
-        ScoredSample(
-            reconstruction_error=float(e),
-            verdict=ATTACK if e > det.alpha else NORMAL,
-        )
-        for e in errors
-    ]
-
-
 def verdict_array(det: AnomalyDetector, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(errors, verdicts) as arrays; same rule as :func:`detect`."""
+    """(errors, verdicts) per row; strict inequality: error > alpha means attack."""
     errors = reconstruction_errors(det.model, values)
     verdicts = np.where(errors > det.alpha, ATTACK, NORMAL).astype(object)
     return errors, verdicts

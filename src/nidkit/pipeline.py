@@ -367,7 +367,8 @@ def run_evaluate(cfg: RunConfig) -> Path:
 
 
 def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfig):
-    """Returns a predict(values) -> label array callable."""
+    """Returns a predict(values) -> label array callable; ``name`` is one of
+    BASELINE_NAMES (``run_baselines`` checks)."""
     if name == "decision_tree":
         model = bl.fit_tree(data, labels)
         return model.predict
@@ -386,20 +387,21 @@ def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfi
 
         return svm_predict
     if name == "adaboost":
-        model = bl.fit_adaboost(data, labels, bl.AdaBoostConfig(seed=cfg.seed))
+        model = bl.fit_adaboost(data, labels)
         return model.predict
     if name == "gradient_boosting":
-        model = bl.fit_gradient_boost(data, labels, bl.GradientBoostConfig(seed=cfg.seed))
+        model = bl.fit_gradient_boost(data, labels)
         return model.predict
     if name == "mlp":
-        model = bl.fit_mlp_baseline(
-            data, labels, cfg.train_config("cross_entropy"),
-            rng=np.random.default_rng(cfg.seed + 29),
+        # the stage-2 network, 41-80-2 over the sorted binary labels
+        classes = tuple(np.unique(labels))
+        model, _ = clf_mod.train_network(
+            data, labels, classes,
+            clf_mod.DnnConfig(input_dim=data.shape[1], output_dim=len(classes)),
+            cfg.train_config("cross_entropy"), np.random.default_rng(cfg.seed + 29),
         )
-        return model.predict
-    raise UnknownBaselineError(
-        f"unknown baseline {name!r}; valid names: {', '.join(BASELINE_NAMES)}"
-    )
+        net = clf_mod.AttackClassifier(model=model, class_order=classes)
+        return lambda values: clf_mod.predict(net, values)[0]
 
 
 def run_baselines(cfg: RunConfig) -> Path:

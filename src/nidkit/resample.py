@@ -12,7 +12,6 @@ per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .preprocess import FeatureMatrix
 @dataclass(frozen=True)
 class SmoteConfig:
     k_neighbors: int = 5
-    target_counts: dict[str, int] | None = None  # None -> fill to the largest class
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -56,23 +54,6 @@ class ResampledSet:
         return {str(v): int(c) for v, c in zip(values, counts)}
 
 
-def knn(query: np.ndarray, pool: np.ndarray, k: int, exclude: int | None = None) -> np.ndarray:
-    """Indices of the k nearest pool rows by Euclidean distance.
-
-    Ties break toward the lower index. ``exclude`` removes one pool row
-    (the query itself, when it belongs to the pool).
-    """
-    query = np.asarray(query, dtype=np.float64)
-    pool = np.asarray(pool, dtype=np.float64)
-    available = pool.shape[0] - (1 if exclude is not None else 0)
-    if k < 1 or available < k:
-        raise ValueError(f"pool has only {available} usable rows, need {k}")
-    d2 = ((pool - query) ** 2).sum(axis=1)
-    if exclude is not None:
-        d2[exclude] = np.inf
-    return np.argsort(d2, kind="stable")[:k]
-
-
 def _batch_knn(
     queries: np.ndarray,
     pool: np.ndarray,
@@ -80,7 +61,10 @@ def _batch_knn(
     exclude: np.ndarray | None = None,
     chunk: int = 256,
 ) -> np.ndarray:
-    """k-NN for many queries; same distance/tie semantics as :func:`knn`."""
+    """Indices of the k nearest pool rows of each query by squared Euclidean
+    distance; ties break toward the lower pool index. ``exclude[i]``, when
+    given, is a pool row query i may not return (itself, when it belongs to
+    the pool)."""
     n_q = queries.shape[0]
     out = np.empty((n_q, k), dtype=np.int64)
     pool_sq = (pool * pool).sum(axis=1)
@@ -144,21 +128,8 @@ def smote_generate(minority: np.ndarray, n_new: int, cfg: SmoteConfig) -> np.nda
     return _synthesize(minority, neighbors, minority, n_new, rng)
 
 
-def _resolve_targets(counts: dict[str, int], cfg: SmoteConfig) -> dict[str, int]:
-    if cfg.target_counts is None:
-        top = max(counts.values())
-        return {c: top for c in counts}
-    targets = dict(cfg.target_counts)
-    for c, t in targets.items():
-        if c not in counts:
-            raise ValueError(f"target_counts names unknown class {c!r}")
-        if t < counts[c]:
-            raise ValueError(f"target for {c!r} ({t}) is below current count ({counts[c]})")
-    return targets
-
-
 def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
-    """Oversample each minority class up to its target count.
+    """Oversample every class up to the count of the largest class.
 
     Per class: a one-vs-rest linear SVM picks the borderline rows
     (positive hinge loss); those seed the generation. A seed with a
@@ -172,7 +143,7 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
     if len(classes) < 2:
         raise ValueError("svm_smote needs at least 2 classes present")
     counts = {str(c): int(n) for c, n in zip(classes, class_counts)}
-    targets = _resolve_targets(counts, cfg.smote)
+    target = max(counts.values())
 
     synth_blocks: list[np.ndarray] = []
     synth_labels: list[np.ndarray] = []
@@ -180,7 +151,7 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
     children = np.random.SeedSequence(cfg.smote.seed).spawn(len(classes))
     for cls, child in zip(classes, children):
         cls = str(cls)
-        need = targets.get(cls, counts[cls]) - counts[cls]
+        need = target - counts[cls]
         if need == 0:
             continue
         n_cls = counts[cls]
@@ -228,12 +199,3 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
     mask[values.shape[0]:] = True
     out = FeatureMatrix(values=all_values, labels=all_labels, provenance=fm.provenance)
     return ResampledSet(matrix=out, synthetic_mask=mask, log=tuple(log))
-
-
-def export_resampled(rs: ResampledSet, path: str | Path) -> None:
-    """Write the 43-field text form; synthetic rows are labeled synthetic:<class>."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row, label, synthetic in zip(rs.matrix.values, rs.matrix.labels, rs.synthetic_mask):
-            name = f"synthetic:{label}" if synthetic else str(label)
-            fields = [repr(float(v)) for v in row]
-            fh.write(",".join(fields) + f",{name},0\n")

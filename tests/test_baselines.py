@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nidkit.baselines import (
-    AdaBoost,
     AdaBoostConfig,
     DecisionTree,
     DecisionTreeConfig,
@@ -16,11 +15,11 @@ from nidkit.baselines import (
     fit_gnb,
     fit_gradient_boost,
     fit_linear_svm,
-    fit_mlp_baseline,
     fit_tree,
     gini_impurity,
     stump_weight,
 )
+from nidkit.classifier import AttackClassifier, DnnConfig, predict, train_network
 from nidkit.neural import TrainConfig
 
 
@@ -114,14 +113,6 @@ def test_tree_separable_perfect_fit():
     data, labels = _two_blobs()
     tree = fit_tree(data, labels)
     assert (tree.predict(data) == labels).all()
-
-
-def test_tree_json_roundtrip():
-    data, labels = _two_blobs(seed=2)
-    tree = fit_tree(data, labels)
-    loaded = DecisionTree.from_json(tree.to_json())
-    probe = np.random.default_rng(1).normal(size=(20, 3))
-    assert (tree.predict(probe) == loaded.predict(probe)).all()
 
 
 # --- random forest ------------------------------------------------------------
@@ -238,13 +229,21 @@ def test_adaboost_one_round_equals_best_stump():
 
 
 def test_adaboost_weights_stay_distribution():
+    # replay: weights start uniform and are renormalized to sum 1 after each
+    # round; each round's weighted error must then give exactly its alpha
     rng = np.random.default_rng(10)
     data = rng.normal(size=(50, 3))
     labels = np.array(rng.choice(["a", "b"], size=50), dtype=object)
     boost = fit_adaboost(data, labels, AdaBoostConfig(n_rounds=12))
-    assert len(boost.weight_sums) >= 1
-    for total in boost.weight_sums:
-        assert total == pytest.approx(1.0, abs=1e-9)
+    assert len(boost.stumps) > 1
+    y = np.where(labels == boost.classes[1], 1.0, -1.0)
+    weights = np.full(len(labels), 1.0 / len(labels))
+    for stump, alpha in zip(boost.stumps, boost.alphas):
+        pred = np.where(stump.predict(data) == boost.classes[1], 1.0, -1.0)
+        err = float(weights[pred != y].sum())
+        assert alpha == stump_weight(err)
+        weights = weights * np.exp(-alpha * y * pred)
+        weights = weights / weights.sum()
 
 
 def test_adaboost_stops_when_no_stump_beats_chance():
@@ -294,8 +293,13 @@ def test_mlp_baseline_separable():
     data = (data - data.mean(axis=0)) / data.std(axis=0)  # production path standardizes
     # few batches per epoch at this scale; a larger step keeps the test quick
     cfg = TrainConfig(loss="cross_entropy", max_epochs=100, seed=0, learning_rate=0.02)
-    model = fit_mlp_baseline(data, labels, cfg, hidden_dim=8)
-    assert (model.predict(data) == labels).mean() > 0.95
+    classes = tuple(np.unique(labels))
+    model, _ = train_network(
+        data, labels, classes, DnnConfig(input_dim=3, hidden_dim=8, output_dim=2),
+        cfg, np.random.default_rng(cfg.seed),
+    )
+    predicted, _ = predict(AttackClassifier(model=model, class_order=classes), data)
+    assert (predicted == labels).mean() > 0.95
 
 
 # --- shared invariant --------------------------------------------------------------------

@@ -5,10 +5,10 @@ from nidkit.classifier import (
     CLASS_ORDER,
     AttackClassifier,
     DnnConfig,
-    evaluate_fourclass,
     predict,
     train_fourclass,
 )
+from nidkit.metrics import multiclass_report
 from nidkit.neural import LayerSpec, MlpModel, TrainConfig
 from nidkit.preprocess import FeatureMatrix
 from nidkit.resample import SmoteConfig, SvmSmoteConfig
@@ -64,8 +64,9 @@ def test_train_fourclass_rejects_foreign_labels():
     fm = _four_blobs()
     labels = fm.labels.copy()
     labels[0] = "Normal"
+    foreign = FeatureMatrix(values=fm.values, labels=labels, provenance="fixture")
     with pytest.raises(ValueError, match="outside"):
-        train_fourclass(fm, labels=labels, tcfg=_tcfg(), dnn=DnnConfig(input_dim=6, hidden_dim=8))
+        train_fourclass(foreign, tcfg=_tcfg(), dnn=DnnConfig(input_dim=6, hidden_dim=8))
 
 
 def test_train_fourclass_with_oversampling_balances_counts():
@@ -106,6 +107,10 @@ def test_train_fourclass_deterministic():
         assert (w1 == w2).all()
 
 
+def _evaluate(clf, fm):
+    return multiclass_report(fm.labels, predict(clf, fm)[0], clf.class_order)
+
+
 def _uniform_classifier(d=4):
     # zero weights -> uniform softmax everywhere
     model = MlpModel(
@@ -140,7 +145,7 @@ def test_evaluate_perfect_predictions():
     fm = _four_blobs(counts=(5, 5, 5, 5))
     clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=60, seed=3),
                              dnn=DnnConfig(input_dim=6, hidden_dim=16))
-    report = evaluate_fourclass(clf, fm)
+    report = _evaluate(clf, fm)
     if (predict(clf, fm)[0] == fm.labels).all():
         assert np.trace(report.confusion.counts) == 20
         assert all(v == 1.0 for v in report.per_class_f1.values())
@@ -150,7 +155,7 @@ def test_evaluate_row_sums_match_true_counts():
     fm = _four_blobs(counts=(12, 9, 7, 5), seed=4)
     clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=5, seed=4),
                              dnn=DnnConfig(input_dim=6, hidden_dim=8))
-    report = evaluate_fourclass(clf, fm)
+    report = _evaluate(clf, fm)
     sums = report.confusion.counts.sum(axis=1).tolist()
     assert sums == [12, 9, 7, 5]
     assert report.confusion.total == fm.n_rows

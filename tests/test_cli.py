@@ -248,3 +248,17 @@ def test_pipeline_matches_the_stages_run_one_by_one(tmp_path, data_files):
     for name in ("pipeline.json", "detector.json", "classifier_plain.json",
                  "classifier_oversampled.json", "scores.csv"):
         assert (whole / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["pipeline", "baselines", "explore"])
+def test_unknown_attack_name_exits_3_with_one_line(tmp_path, data_files, command, capsys):
+    train, test = data_files
+    lines = train.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[41] = "zeroday"
+    lines[5] = ",".join(fields)
+    bad = tmp_path / "train.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert _run(command, "--train", bad, "--test", test, "--out", tmp_path / "out", *FAST) == 3
+    assert capsys.readouterr().err == (
+        "nidkit: invalid data: attack name not in taxonomy: 'zeroday'\n")

@@ -7,9 +7,7 @@ from nidkit.detector import (
     AnomalyDetector,
     AutoencoderConfig,
     calibrate_threshold,
-    detect,
     nearest_rank_quantile,
-    reconstruction_error,
     reconstruction_errors,
     scores_to_csv,
     train_on_normal,
@@ -35,6 +33,10 @@ def _normal_blob(n=80, d=8, seed=0):
 
 def _small_ae_cfg(d=8, hidden=3):
     return AutoencoderConfig(input_dim=d, hidden_dim=hidden)
+
+
+def _row_error(model, x):
+    return float(reconstruction_errors(model, x[None, :])[0])
 
 
 def test_autoencoder_config_shape():
@@ -71,7 +73,7 @@ def test_train_on_normal_improves_and_separates():
 def test_reconstruction_error_identity_model():
     model = MlpModel([LayerSpec(4, 4, "identity")], [np.eye(4)], [np.zeros(4)], mode="infer")
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert reconstruction_error(model, x) == 0.0
+    assert _row_error(model, x) == 0.0
 
 
 def test_reconstruction_error_deterministic():
@@ -79,7 +81,7 @@ def test_reconstruction_error_deterministic():
     model = neural.init_model(_small_ae_cfg().layers(), rng)
     model.mode = "infer"
     x = rng.normal(size=8)
-    assert reconstruction_error(model, x) == reconstruction_error(model, x)
+    assert _row_error(model, x) == _row_error(model, x)
 
 
 def test_reconstruction_error_width_mismatch():
@@ -106,7 +108,7 @@ def test_reconstruction_error_against_manual_forward():
 
     for delta in (0.0, 0.25):
         x = rng.normal(size=6) + delta
-        assert abs(reconstruction_error(model, x) - manual_error(x)) < 1e-9
+        assert abs(_row_error(model, x) - manual_error(x)) < 1e-9
 
 
 def test_quantile_nearest_rank():
@@ -163,9 +165,9 @@ def _zero_model(d=1):
 def test_detect_boundary_is_normal():
     det = AnomalyDetector(model=_zero_model(), alpha=4.0, calibration={"method": "quantile"})
     # errors are x^2: 4.0 sits exactly on alpha -> normal; above -> attack
-    samples = detect(det, np.array([[2.0], [2.0001], [1.0]]))
-    assert [s.verdict for s in samples] == [NORMAL, ATTACK, NORMAL]
-    assert samples[0].reconstruction_error == 4.0
+    errors, verdicts = verdict_array(det, np.array([[2.0], [2.0001], [1.0]]))
+    assert verdicts.tolist() == [NORMAL, ATTACK, NORMAL]
+    assert errors[0] == 4.0
 
 
 def test_detect_monotone_in_alpha():
@@ -178,7 +180,7 @@ def test_detect_monotone_in_alpha():
     previous = None
     for alpha in ladder:
         det = AnomalyDetector(model=model, alpha=float(alpha), calibration={})
-        flagged = {i for i, s in enumerate(detect(det, values)) if s.verdict == ATTACK}
+        flagged = set(np.nonzero(verdict_array(det, values)[1] == ATTACK)[0].tolist())
         if previous is not None:
             assert flagged <= previous
         previous = flagged
@@ -187,8 +189,8 @@ def test_detect_monotone_in_alpha():
 def test_verdict_consistent_with_stored_error():
     det = AnomalyDetector(model=_zero_model(3), alpha=1.5, calibration={})
     values = np.random.default_rng(8).normal(size=(30, 3))
-    for s in detect(det, values):
-        assert s.verdict == (ATTACK if s.reconstruction_error > det.alpha else NORMAL)
+    for e, v in zip(*verdict_array(det, values)):
+        assert v == (ATTACK if e > det.alpha else NORMAL)
 
 
 def test_detector_json_roundtrip_identical_verdicts():

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nidkit.baselines import LinearSvmConfig
 from nidkit.preprocess import FeatureMatrix
 from nidkit.resample import (
     SmoteConfig,
     SvmSmoteConfig,
+    _batch_knn,
     _interpolate,
-    export_resampled,
-    knn,
     smote_generate,
     svm_smote,
 )
+
+from .knn_oracle import knn
 
 
 def _labelled(values, labels):
@@ -64,6 +67,38 @@ def test_knn_pool_too_small():
 def test_knn_exclude_self():
     pool = np.array([[0.0], [1.0], [9.0]])
     assert knn(pool[0], pool, k=1, exclude=0).tolist() == [1]
+
+
+def _grid(draw, rows, d):
+    # small integers: many equal distances, all computed exactly
+    cells = draw(st.lists(st.integers(-2, 2), min_size=rows * d, max_size=rows * d))
+    return np.array(cells, dtype=np.float64).reshape(rows, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_batch_knn_matches_single_query_oracle(data):
+    draw = data.draw
+    d = draw(st.integers(1, 3))
+    n_pool = draw(st.integers(2, 12))
+    pool = _grid(draw, n_pool, d)
+    mode = draw(st.sampled_from(["none", "self", "other"]))
+    if mode == "self":
+        # queries are pool rows, each excluding itself, as SMOTE calls it
+        exclude = np.array(draw(st.lists(st.integers(0, n_pool - 1), min_size=1, max_size=8)))
+        queries = pool[exclude]
+    else:
+        queries = _grid(draw, draw(st.integers(1, 8)), d)
+        exclude = None
+        if mode == "other":
+            exclude = np.array(draw(st.lists(st.integers(0, n_pool - 1),
+                                             min_size=len(queries), max_size=len(queries))))
+    k = draw(st.integers(1, n_pool - (exclude is not None)))
+    chunk = draw(st.integers(1, 4))
+    got = _batch_knn(queries, pool, k, exclude=exclude, chunk=chunk)
+    for i, query in enumerate(queries):
+        skip = None if exclude is None else int(exclude[i])
+        assert got[i].tolist() == knn(query, pool, k, exclude=skip).tolist()
 
 
 # --- plain SMOTE -----------------------------------------------------------
@@ -154,16 +189,6 @@ def test_svm_smote_deterministic():
     assert r1.log == r2.log
 
 
-def test_svm_smote_explicit_targets_validated():
-    fm = _blobs({"A": 10, "B": 5})
-    cfg = SvmSmoteConfig(smote=SmoteConfig(k_neighbors=2, target_counts={"B": 3}))
-    with pytest.raises(ValueError, match="below current count"):
-        svm_smote(fm, cfg)
-    cfg = SvmSmoteConfig(smote=SmoteConfig(k_neighbors=2, target_counts={"Z": 10}))
-    with pytest.raises(ValueError, match="unknown class"):
-        svm_smote(fm, cfg)
-
-
 def test_svm_smote_single_class_rejected():
     fm = _labelled(np.ones((5, 2)), ["A"] * 5)
     with pytest.raises(ValueError, match="2 classes"):
@@ -208,16 +233,3 @@ def test_config_invariants():
         SvmSmoteConfig(smote=SmoteConfig(k_neighbors=5), m_neighbors=3)
     with pytest.raises(ValueError):
         SvmSmoteConfig(out_step=0.0)
-
-
-def test_export_labels_synthetics(tmp_path):
-    fm = _blobs({"A": 10, "B": 4})
-    rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=2)))
-    path = tmp_path / "resampled.txt"
-    export_resampled(rs, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == rs.matrix.n_rows
-    originals = [l for l in lines if ",A," in l or ",B," in l]
-    synthetics = [l for l in lines if ",synthetic:B," in l]
-    assert len(originals) == 14
-    assert len(synthetics) == 6
