@@ -3,10 +3,17 @@
 All models are trained from scratch on numpy: CART-style decision
 trees (Gini), bagged forests, Gaussian naive Bayes, a primal
 hinge-loss linear SVM, AdaBoost over stumps, and gradient boosting
-with depth-3 regression trees on logistic-loss gradients. Split
-tie-breaking is deterministic everywhere: lower feature index first,
-then lower threshold; candidate thresholds are midpoints between
-consecutive distinct sorted values.
+with depth-3 regression trees on logistic-loss gradients.
+
+One engine grows every tree. Columns are presorted once into a (d, n)
+row order; at each node a single split search sums a per-row
+statistics block on both sides of every boundary (the weighted class
+one-hot for Gini, y, y^2 and 1 for squared error), a score function
+turns the sums into the child cost, and a leaf rule reads a node's value
+and purity from its rows of the block. Split tie-breaking is
+deterministic everywhere: lower feature index first, then lower
+threshold; candidate thresholds are midpoints between consecutive
+distinct sorted values.
 
 The linear SVM doubles as the borderline detector for SVM-SMOTE via
 its ``margin_violators`` (training rows with positive hinge loss at
@@ -60,12 +67,52 @@ def gini_impurity(counts: np.ndarray) -> float:
     return float(1.0 - (p * p).sum())
 
 
-def _presort_columns(data: np.ndarray) -> list[np.ndarray]:
-    return [np.argsort(data[:, j], kind="stable").astype(np.int64) for j in range(data.shape[1])]
+def _presort(data: np.ndarray) -> np.ndarray:
+    """(d, n) row order: row j lists the rows by ascending column j, stable."""
+    return np.ascontiguousarray(np.argsort(data, axis=0, kind="stable").T)
 
 
-def _best_split_cls(data, class_ids, weights, orders, candidates, n_classes):
-    """Best weighted-Gini split over candidate features.
+def _gini_scores(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Weighted child Gini per boundary; columns are per-class weight sums."""
+    wl = left.sum(axis=1)
+    wr = right.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gini_l = 1.0 - ((left / wl[:, None]) ** 2).sum(axis=1)
+        gini_r = 1.0 - ((right / wr[:, None]) ** 2).sum(axis=1)
+    gini_l = np.where(wl > 0, gini_l, 0.0)
+    gini_r = np.where(wr > 0, gini_r, 0.0)
+    return (wl * gini_l + wr * gini_r) / (wl + wr)
+
+
+def _sse_scores(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Summed child squared error per boundary; columns are sums of y, y^2, 1."""
+    sse_l = left[:, 1] - left[:, 0] ** 2 / left[:, 2]
+    sse_r = right[:, 1] - right[:, 0] ** 2 / right[:, 2]
+    return sse_l + sse_r
+
+
+def _class_stats(class_ids: np.ndarray, weights: np.ndarray, n_classes: int) -> np.ndarray:
+    """Gini statistics block: each row's weight in its class column."""
+    stats = np.zeros((len(class_ids), n_classes))
+    stats[np.arange(len(class_ids)), class_ids] = weights
+    return stats
+
+
+def _gini_leaf(stats: np.ndarray) -> tuple[int, bool]:
+    """(weighted majority class, pure) of a node's Gini statistics rows."""
+    totals = stats.sum(axis=0)
+    return int(np.argmax(totals)), int((totals > 0).sum()) <= 1
+
+
+def _sse_leaf(stats: np.ndarray) -> tuple[None, bool]:
+    """(no value, pure) of a node's squared-error statistics rows."""
+    t = stats[:, 0]
+    return None, bool((t == t[0]).all())
+
+
+def _best_split(data, stats, orders, candidates, score):
+    """Best split over candidate features by ``score`` of the summed
+    ``stats`` rows on each side of every boundary.
 
     Returns (feature, threshold, n_left_in_feature_order) or None. Ties
     resolve to the lower feature index, then the lower threshold (the
@@ -78,48 +125,10 @@ def _best_split_cls(data, class_ids, weights, orders, candidates, n_classes):
         xs = data[o, j]
         if xs[0] == xs[-1]:
             continue
-        onehot = np.zeros((len(o), n_classes))
-        onehot[np.arange(len(o)), class_ids[o]] = weights[o]
-        cum = np.cumsum(onehot, axis=0)
-        total = cum[-1]
+        cum = np.cumsum(np.take(stats, o, axis=0), axis=0)
         valid = np.nonzero(xs[:-1] != xs[1:])[0]
         left = cum[valid]
-        right = total - left
-        wl = left.sum(axis=1)
-        wr = right.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gini_l = 1.0 - ((left / wl[:, None]) ** 2).sum(axis=1)
-            gini_r = 1.0 - ((right / wr[:, None]) ** 2).sum(axis=1)
-        gini_l = np.where(wl > 0, gini_l, 0.0)
-        gini_r = np.where(wr > 0, gini_r, 0.0)
-        scores = (wl * gini_l + wr * gini_r) / (wl + wr)
-        pos = int(np.argmin(scores))
-        if scores[pos] < best_score:
-            i = valid[pos]
-            best_score = scores[pos]
-            best = (j, (xs[i] + xs[i + 1]) / 2.0, i + 1)
-    return best
-
-
-def _best_split_reg(data, targets, orders, candidates):
-    """Best split by weighted sum of child squared errors."""
-    best = None
-    best_score = np.inf
-    for j in candidates:
-        o = orders[j]
-        xs = data[o, j]
-        if xs[0] == xs[-1]:
-            continue
-        y = targets[o]
-        cum_y = np.cumsum(y)
-        cum_y2 = np.cumsum(y * y)
-        n = len(o)
-        valid = np.nonzero(xs[:-1] != xs[1:])[0]
-        nl = valid + 1.0
-        nr = n - nl
-        sse_l = cum_y2[valid] - cum_y[valid] ** 2 / nl
-        sse_r = (cum_y2[-1] - cum_y2[valid]) - (cum_y[-1] - cum_y[valid]) ** 2 / nr
-        scores = sse_l + sse_r
+        scores = score(left, cum[-1] - left)
         pos = int(np.argmin(scores))
         if scores[pos] < best_score:
             i = valid[pos]
@@ -129,72 +138,39 @@ def _best_split_reg(data, targets, orders, candidates):
 
 
 class _TreeGrower:
-    """Shared recursive grower over presorted column orders."""
+    """The one recursive grower over a per-row ``stats`` block; ``score``
+    rates the boundaries and ``leaf`` gives a node's (value, pure)."""
 
-    def __init__(self, data, cfg, *, class_ids=None, weights=None, n_classes=0,
-                 targets=None, max_features=None, rng=None):
+    def __init__(self, data, cfg, stats, score, leaf, max_features=None, rng=None):
         self.data = data
         self.cfg = cfg
-        self.class_ids = class_ids
-        self.weights = weights
-        self.n_classes = n_classes
-        self.targets = targets
+        self.stats = stats
+        self.score = score
+        self.leaf = leaf
         self.max_features = max_features
         self.rng = rng
         self.n_leaves = 0
-        self.regression = targets is not None
 
-    def _leaf(self, rows) -> _Node:
-        if self.regression:
-            value = float(self.targets[rows].mean())
-        else:
-            totals = np.bincount(
-                self.class_ids[rows], weights=self.weights[rows], minlength=self.n_classes
-            )
-            value = int(np.argmax(totals))
-        node = _Node(value=value, leaf_id=self.n_leaves)
-        self.n_leaves += 1
-        return node
-
-    def _pure(self, rows) -> bool:
-        if self.regression:
-            t = self.targets[rows]
-            return bool((t == t[0]).all())
-        present = np.bincount(
-            self.class_ids[rows], weights=self.weights[rows], minlength=self.n_classes
-        ) > 0
-        return int(present.sum()) <= 1
-
-    def grow(self, orders, depth) -> _Node:
-        rows = orders[0]
-        if (
-            depth >= self.cfg.max_depth
-            or len(rows) < self.cfg.min_samples_split
-            or self._pure(rows)
-        ):
-            return self._leaf(rows)
-        d = self.data.shape[1]
-        if self.max_features is not None and self.max_features < d:
-            candidates = np.sort(self.rng.choice(d, size=self.max_features, replace=False))
-        else:
-            candidates = range(d)
-        if self.regression:
-            split = _best_split_reg(self.data, self.targets, orders, candidates)
-        else:
-            split = _best_split_cls(
-                self.data, self.class_ids, self.weights, orders, candidates, self.n_classes
-            )
+    def grow(self, orders: np.ndarray, depth: int = 0) -> _Node:
+        value, pure = self.leaf(np.take(self.stats, orders[0], axis=0))
+        d, n_rows = orders.shape
+        split = None
+        if depth < self.cfg.max_depth and n_rows >= self.cfg.min_samples_split and not pure:
+            if self.max_features is not None and self.max_features < d:
+                candidates = np.sort(self.rng.choice(d, size=self.max_features, replace=False))
+            else:
+                candidates = range(d)
+            split = _best_split(self.data, self.stats, orders, candidates, self.score)
         if split is None:
-            return self._leaf(rows)
+            self.n_leaves += 1
+            return _Node(value=value, leaf_id=self.n_leaves - 1)
         feature, threshold, n_left = split
-        left_rows = orders[feature][:n_left]
         in_left = np.zeros(self.data.shape[0], dtype=bool)
-        in_left[left_rows] = True
-        left_orders = [o[in_left[o]] for o in orders]
-        right_orders = [o[~in_left[o]] for o in orders]
+        in_left[orders[feature, :n_left]] = True
+        go_left = in_left[orders]
         node = _Node(feature=feature, threshold=threshold)
-        node.left = self.grow(left_orders, depth + 1)
-        node.right = self.grow(right_orders, depth + 1)
+        node.left = self.grow(orders[go_left].reshape(d, n_left), depth + 1)
+        node.right = self.grow(orders[~go_left].reshape(d, -1), depth + 1)
         return node
 
 
@@ -216,7 +192,6 @@ def _route_leaves(root: _Node, data: np.ndarray) -> list[tuple[_Node, np.ndarray
 class DecisionTree:
     root: _Node
     classes: tuple
-    config: DecisionTreeConfig
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
@@ -246,20 +221,9 @@ def fit_tree(
         raise ValueError("need at least one row")
     classes, class_ids = np.unique(labels, return_inverse=True)
     weights = np.ones(len(labels)) if sample_weight is None else np.asarray(sample_weight, float)
-    grower = _TreeGrower(
-        data, cfg, class_ids=class_ids, weights=weights, n_classes=len(classes)
-    )
-    root = grower.grow(_presort_columns(data), depth=0)
-    return DecisionTree(root=root, classes=tuple(classes), config=cfg)
-
-
-def _fit_tree_on_orders(data, class_ids, weights, n_classes, orders, cfg,
-                        max_features=None, rng=None) -> _Node:
-    grower = _TreeGrower(
-        data, cfg, class_ids=class_ids, weights=weights, n_classes=n_classes,
-        max_features=max_features, rng=rng,
-    )
-    return grower.grow(orders, depth=0)
+    stats = _class_stats(class_ids, weights, len(classes))
+    grower = _TreeGrower(data, cfg, stats, _gini_scores, _gini_leaf)
+    return DecisionTree(root=grower.grow(_presort(data)), classes=tuple(classes))
 
 
 # --- random forest --------------------------------------------------------
@@ -281,7 +245,6 @@ class ForestConfig:
 class RandomForest:
     trees: list[DecisionTree]
     classes: tuple
-    config: ForestConfig
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
@@ -302,24 +265,19 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
     classes, class_ids = np.unique(labels, return_inverse=True)
     max_features = cfg.max_features if cfg.max_features is not None else int(round(np.sqrt(d)))
     max_features = min(max_features, d)
-    base_orders = _presort_columns(data)
+    base_orders = _presort(data)
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
     trees = []
     for rng in streams:
         if cfg.bootstrap:
-            draw = rng.integers(0, n, size=n)
-            weights = np.bincount(draw, minlength=n).astype(np.float64)
-            keep = weights > 0
-            orders = [o[keep[o]] for o in base_orders]
+            weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+            orders = base_orders[(weights > 0)[base_orders]].reshape(d, -1)
         else:
-            weights = np.ones(n)
-            orders = [o.copy() for o in base_orders]
-        root = _fit_tree_on_orders(
-            data, class_ids, weights, len(classes), orders, cfg.tree,
-            max_features=max_features, rng=rng,
-        )
-        trees.append(DecisionTree(root=root, classes=tuple(classes), config=cfg.tree))
-    return RandomForest(trees=trees, classes=tuple(classes), config=cfg)
+            weights, orders = np.ones(n), base_orders
+        grower = _TreeGrower(data, cfg.tree, _class_stats(class_ids, weights, len(classes)),
+                             _gini_scores, _gini_leaf, max_features, rng)
+        trees.append(DecisionTree(root=grower.grow(orders), classes=tuple(classes)))
+    return RandomForest(trees=trees, classes=tuple(classes))
 
 
 # --- Gaussian naive Bayes ---------------------------------------------------
@@ -483,16 +441,19 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
         raise ValueError("AdaBoost needs binary labels")
     y = np.where(class_ids == 1, 1.0, -1.0)
     n = data.shape[0]
-    base_orders = _presort_columns(data)
+    orders = _presort(data)
     stump_cfg = DecisionTreeConfig(max_depth=1, min_samples_split=2)
+
+    def fit_stump(weights):
+        grower = _TreeGrower(data, stump_cfg, _class_stats(class_ids, weights, 2),
+                             _gini_scores, _gini_leaf)
+        return DecisionTree(root=grower.grow(orders), classes=tuple(classes))
+
     weights = np.full(n, 1.0 / n)
     stumps: list[DecisionTree] = []
     alphas: list[float] = []
     for _ in range(cfg.n_rounds):
-        root = _fit_tree_on_orders(
-            data, class_ids, weights, 2, [o.copy() for o in base_orders], stump_cfg
-        )
-        stump = DecisionTree(root=root, classes=tuple(classes), config=stump_cfg)
+        stump = fit_stump(weights)
         pred = np.where(stump.predict(data) == classes[1], 1.0, -1.0)
         err = float(weights[pred != y].sum())
         if err >= 0.5:
@@ -506,10 +467,7 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
         weights = weights / weights.sum()
     if not stumps:
         # degenerate data: fall back to the single best stump regardless of err
-        root = _fit_tree_on_orders(
-            data, class_ids, weights, 2, [o.copy() for o in base_orders], stump_cfg
-        )
-        stumps = [DecisionTree(root=root, classes=tuple(classes), config=stump_cfg)]
+        stumps = [fit_stump(weights)]
         alphas = [0.0]
     return AdaBoost(stumps=stumps, alphas=alphas, classes=tuple(classes))
 
@@ -572,15 +530,15 @@ def fit_gradient_boost(
     p0 = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
     f0 = float(np.log(p0 / (1.0 - p0)))
     scores = np.full(data.shape[0], f0)
-    base_orders = _presort_columns(data)
+    orders = _presort(data)
     tree_cfg = DecisionTreeConfig(max_depth=cfg.max_depth, min_samples_split=2)
     trees: list[tuple[DecisionTree, np.ndarray]] = []
     for _ in range(cfg.n_rounds):
         prob = _sigmoid(scores)
         residual = y - prob
-        grower = _TreeGrower(data, tree_cfg, targets=residual)
-        root = grower.grow([o.copy() for o in base_orders], depth=0)
-        tree = DecisionTree(root=root, classes=tuple(classes), config=tree_cfg)
+        stats = np.column_stack((residual, residual * residual, np.ones_like(residual)))
+        grower = _TreeGrower(data, tree_cfg, stats, _sse_scores, _sse_leaf)
+        tree = DecisionTree(root=grower.grow(orders), classes=tuple(classes))
         leaf_of_row = tree.apply(data)
         n_leaves = grower.n_leaves
         num = np.bincount(leaf_of_row, weights=residual, minlength=n_leaves)

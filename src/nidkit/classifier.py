@@ -142,10 +142,7 @@ def train_fourclass(
         "oversampled": oversample is not None,
     }
     if oversample is not None:
-        resampled = svm_smote(
-            FeatureMatrix(values=train_x, labels=train_labels, provenance="train"),
-            oversample,
-        )
+        resampled = svm_smote(FeatureMatrix(values=train_x, labels=train_labels), oversample)
         train_x = resampled.matrix.values
         train_labels = resampled.matrix.labels
         info["class_counts_after"] = resampled.class_counts()

@@ -293,11 +293,14 @@ def categories(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
     return _per_label(ds, lambda label: categorize(label, taxonomy))
 
 
+def binary_of(cats: np.ndarray) -> np.ndarray:
+    """Collapse per-record categories to the normal-vs-attack label space."""
+    return np.array((ATTACK, NORMAL), dtype=object)[(cats == "Normal").astype(np.intp)]
+
+
 def binary_labels(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
-    """Collapse categories to the normal-vs-attack label space."""
-    return _per_label(
-        ds, lambda label: NORMAL if categorize(label, taxonomy) == "Normal" else ATTACK
-    )
+    """Normal-vs-attack label per record, in dataset order."""
+    return binary_of(categories(ds, taxonomy))
 
 
 def fourclass_labels(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:

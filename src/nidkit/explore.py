@@ -75,12 +75,13 @@ def _feature_view(ds: LabeledDataset, feature: str, schema: FeatureSchema) -> np
 
 def histogram(
     ds: LabeledDataset,
-    taxonomy: AttackTaxonomy,
+    cats: np.ndarray,
     feature: str,
     bins: int = 40,
     schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> HistogramReport:
-    """Uniform bins over the pooled [min, max]; the last bin is right-closed."""
+    """Uniform bins over the pooled [min, max]; the last bin is right-closed.
+    ``cats`` is the per-row category, as from ``dataset.categories``."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     values = _feature_view(ds, feature, schema)
@@ -92,7 +93,6 @@ def histogram(
     edges = np.linspace(lo, hi, bins + 1)
     scaled = (values - lo) / (hi - lo) * bins
     idx = np.minimum(scaled.astype(np.int64), bins - 1)
-    cats = categories(ds, taxonomy)
     counts = {
         cat: np.bincount(idx[cats == cat], minlength=bins).astype(np.int64)
         for cat in CATEGORIES
@@ -130,12 +130,12 @@ def scatter_rows(
     ds: LabeledDataset,
     feature_x: str,
     feature_y: str,
-    taxonomy: AttackTaxonomy,
+    cats: np.ndarray,
     schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> list[tuple[str, str, str]]:
-    """(x, y, category) per record, raw feature values kept verbatim."""
+    """(x, y, category) per record, raw feature values kept verbatim;
+    ``cats`` is the per-row category."""
     xy = ds.raw_columns((schema.index_of(feature_x), schema.index_of(feature_y)))
-    cats = categories(ds, taxonomy)
     return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist(), cats.tolist()))
 
 
@@ -180,11 +180,12 @@ def write_exploration(
     schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> list[Path]:
     """Emit histograms/, correlation.csv, scatter_*.csv and redundancy.json."""
+    cats = categories(ds, taxonomy)
     out = Path(out_dir)
     (out / "histograms").mkdir(parents=True, exist_ok=True)
     written = []
     for feature in features:
-        report = histogram(ds, taxonomy, feature, bins=bins, schema=schema)
+        report = histogram(ds, cats, feature, bins=bins, schema=schema)
         path = out / "histograms" / f"{feature}.csv"
         path.write_text(report.to_csv())
         written.append(path)
@@ -193,7 +194,7 @@ def write_exploration(
     path.write_text(corr.to_csv(schema.names))
     written.append(path)
     for fx, fy in scatter_pairs:
-        rows = scatter_rows(ds, fx, fy, taxonomy, schema)
+        rows = scatter_rows(ds, fx, fy, cats, schema)
         path = out / f"scatter_{fx}_{fy}.csv"
         path.write_text(scatter_csv(rows, fx, fy))
         written.append(path)

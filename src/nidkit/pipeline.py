@@ -28,6 +28,7 @@ from .dataset import (
     AttackTaxonomy,
     LabeledDataset,
     binary_labels,
+    binary_of,
     categories,
     load_taxonomy,
     parse_kdd_file,
@@ -127,19 +128,21 @@ def _load_or_fit_pipeline(cfg: RunConfig, train_ds: LabeledDataset) -> FittedPip
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """The parsed training file and its transformed matrix, shared by both
-    training stages of one run."""
+    """The parsed training file, its per-row categories and its transformed
+    matrix, shared by both training stages of one run."""
 
     ds: LabeledDataset
+    categories: np.ndarray
     fm: FeatureMatrix
-    taxonomy: AttackTaxonomy
 
 
 def load_training_set(cfg: RunConfig) -> TrainingSet:
     train = parse_kdd_file(_require(cfg.train_path, "train"), split="train")
-    taxonomy = _taxonomy(cfg)
+    # labels are checked before pipeline.json is written, so a rejected
+    # file leaves no fitted state behind
+    cats = categories(train, _taxonomy(cfg))
     pipe = _load_or_fit_pipeline(cfg, train)
-    return TrainingSet(ds=train, fm=pipe.transform(train), taxonomy=taxonomy)
+    return TrainingSet(ds=train, categories=cats, fm=pipe.transform(train))
 
 
 # --- commands ------------------------------------------------------------
@@ -163,8 +166,8 @@ def run_train_binary(cfg: RunConfig, training: TrainingSet | None = None) -> Pat
     t0 = time.perf_counter()
     if training is None:
         training = load_training_set(cfg)
-    bin_labels = binary_labels(training.ds, training.taxonomy)
-    fm = FeatureMatrix(values=training.fm.values, labels=bin_labels, provenance="train")
+    bin_labels = binary_of(training.categories)
+    fm = FeatureMatrix(values=training.fm.values, labels=bin_labels)
     if not (bin_labels == NORMAL).any():
         raise ValueError("training data has no normal rows; cannot train the detector")
 
@@ -221,13 +224,11 @@ def run_train_multiclass(cfg: RunConfig, training: TrainingSet | None = None) ->
     t0 = time.perf_counter()
     if training is None:
         training = load_training_set(cfg)
-    cats = categories(training.ds, training.taxonomy)
+    cats = training.categories
     attack_rows = np.nonzero(cats != "Normal")[0]
     if attack_rows.size == 0:
         raise ValueError("training data has no attack rows")
-    attacks = FeatureMatrix(
-        values=training.fm.values[attack_rows], labels=cats[attack_rows], provenance="train"
-    )
+    attacks = FeatureMatrix(values=training.fm.values[attack_rows], labels=cats[attack_rows])
 
     out = _out(cfg)
     written: list[Path] = []
@@ -286,7 +287,7 @@ def run_evaluate(cfg: RunConfig) -> Path:
     t0 = time.perf_counter()
     fm = pipe.transform(test)
     cats = categories(test, taxonomy)
-    true_bin = binary_labels(test, taxonomy)
+    true_bin = binary_of(cats)
     timings["preprocess"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

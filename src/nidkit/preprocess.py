@@ -26,7 +26,6 @@ class FeatureMatrix:
 
     values: np.ndarray           # (n, d) float64
     labels: np.ndarray           # (n,) object
-    provenance: str = "unknown"
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
@@ -40,12 +39,8 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    def select(self, mask: np.ndarray, provenance: str | None = None) -> "FeatureMatrix":
-        return FeatureMatrix(
-            values=self.values[mask],
-            labels=self.labels[mask],
-            provenance=provenance or self.provenance,
-        )
+    def select(self, mask: np.ndarray) -> "FeatureMatrix":
+        return FeatureMatrix(values=self.values[mask], labels=self.labels[mask])
 
 
 @dataclass(frozen=True)
@@ -103,11 +98,11 @@ class FittedPipeline:
     def transform(self, ds: LabeledDataset) -> FeatureMatrix:
         """Encode then standardize; pure, never mutates fitted state."""
         raw = encode(self.encoder, ds, self.schema)
-        fm = standardize(self.standardizer, raw, labels=ds.labels(), provenance=ds.split)
+        fm = standardize(self.standardizer, raw, labels=ds.labels())
         if not self.dropped:
             return fm
         keep = [j for j, n in enumerate(self.schema.names) if n not in self.dropped]
-        return FeatureMatrix(values=fm.values[:, keep], labels=fm.labels, provenance=fm.provenance)
+        return FeatureMatrix(values=fm.values[:, keep], labels=fm.labels)
 
     def to_json(self) -> str:
         doc = {
@@ -191,7 +186,6 @@ def standardize(
     s: Standardizer,
     matrix: np.ndarray,
     labels: np.ndarray | None = None,
-    provenance: str = "unknown",
 ) -> FeatureMatrix:
     """Z = (x - mu) / sigma per cell; sigma=0 columns map to 0 everywhere."""
     if matrix.ndim != 2 or matrix.shape[1] != s.mu.shape[0]:
@@ -204,7 +198,7 @@ def standardize(
     z[:, s.sigma == 0] = 0.0
     if labels is None:
         labels = np.array([""] * matrix.shape[0], dtype=object)
-    return FeatureMatrix(values=z, labels=np.asarray(labels, dtype=object), provenance=provenance)
+    return FeatureMatrix(values=z, labels=np.asarray(labels, dtype=object))
 
 
 def fit_pipeline(

@@ -197,5 +197,5 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
         all_labels = labels.copy()
     mask = np.zeros(all_values.shape[0], dtype=bool)
     mask[values.shape[0]:] = True
-    out = FeatureMatrix(values=all_values, labels=all_labels, provenance=fm.provenance)
+    out = FeatureMatrix(values=all_values, labels=all_labels)
     return ResampledSet(matrix=out, synthetic_mask=mask, log=tuple(log))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,62 @@ def test_tree_separable_perfect_fit():
     assert (tree.predict(data) == labels).all()
 
 
+# --- golden trees ---------------------------------------------------------------
+
+def _golden_data():
+    """Fixed-seed, tie-heavy set: five features on a 4-value grid, noisy
+    labels, and binary labels that are pure outside one value of feature 0."""
+    rng = np.random.default_rng(20240)
+    data = rng.integers(0, 4, size=(160, 5)).astype(np.float64) / 2.0
+    score = data[:, 0] - data[:, 1] + 0.5 * data[:, 2] + rng.normal(0.0, 0.6, size=160)
+    three = np.array(["a", "b", "c"], dtype=object)[np.digitize(score, [-0.5, 0.5])]
+    two = np.where(score > 0.0, "p", "n").astype(object)
+    step = np.where((data[:, 0] > 1.0) | ((data[:, 0] == 1.0) & (score > 0.5)), "p", "n")
+    return data, three, two, step.astype(object)
+
+
+def _tree_digest(roots, with_value=True, extra=()):
+    """SHA-256 of a preorder walk (feature, threshold, class value, leaf id)
+    over ``roots``, then of the float64 bytes of each array in ``extra``."""
+    h = hashlib.sha256()
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            value = node.value if with_value and node.is_leaf else None
+            h.update(repr((int(node.feature), float(node.threshold).hex(), value,
+                           int(node.leaf_id))).encode())
+            if not node.is_leaf:
+                stack.extend((node.right, node.left))
+    for values in extra:
+        h.update(np.asarray(values, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_golden_tree_digests():
+    # any change to split choice, tie rule, leaf numbering, leaf value or
+    # boosting weight changes a digest
+    data, three, two, step = _golden_data()
+    tree = fit_tree(data, three)
+    assert _tree_digest([tree.root]) == (
+        "5ce2f33d4c3f044eaa700fc2ba92c0390a036e62aee5bacccb3f60e2f4232272")
+    forest = fit_forest(data, three, ForestConfig(n_trees=6, seed=5))
+    assert _tree_digest([t.root for t in forest.trees]) == (
+        "6243352b4d2a2a32862bebba9142f3c54b70bbd1e2181407ddca0af41ab68a08")
+    boost = fit_adaboost(data, two, AdaBoostConfig(n_rounds=15))
+    assert _tree_digest([s.root for s in boost.stumps], extra=[boost.alphas]) == (
+        "a83a5021bcbbb97be6d5bac39b8f0c9a9c88dc594e271ddc7500efb87759e9d0")
+    # regression leaves carry no class; their Newton steps are hashed instead.
+    # ``step`` makes pure nodes above the depth limit, which must stay leaves
+    for labels, want in (
+        (two, "01039bad91e44038436933b80eecc44068171c0d12bd6999af63a929d0a05d4c"),
+        (step, "d42490bc93034913bbb6da5d99044566ea52d1ccd1ee5b6625184b24a2610857"),
+    ):
+        gb = fit_gradient_boost(data, labels, GradientBoostConfig(n_rounds=8))
+        assert _tree_digest([t.root for t, _ in gb.trees], with_value=False,
+                            extra=[v for _, v in gb.trees]) == want
+
+
 # --- random forest ------------------------------------------------------------
 
 def test_forest_degenerate_equals_tree():
@@ -131,13 +189,10 @@ def test_forest_degenerate_equals_tree():
 def test_forest_majority_vote_with_tie_rule():
     leaf_a = _Node(value=0)
     leaf_b = _Node(value=1)
-    cfg = DecisionTreeConfig(max_depth=1)
-    mk = lambda leaf: DecisionTree(root=leaf, classes=("A", "B"), config=cfg)
-    forest = RandomForest(trees=[mk(leaf_a), mk(leaf_a), mk(leaf_b)],
-                          classes=("A", "B"), config=ForestConfig(n_trees=3))
+    mk = lambda leaf: DecisionTree(root=leaf, classes=("A", "B"))
+    forest = RandomForest(trees=[mk(leaf_a), mk(leaf_a), mk(leaf_b)], classes=("A", "B"))
     assert forest.predict(np.zeros((2, 1))).tolist() == ["A", "A"]
-    tied = RandomForest(trees=[mk(leaf_a), mk(leaf_b)], classes=("A", "B"),
-                        config=ForestConfig(n_trees=2))
+    tied = RandomForest(trees=[mk(leaf_a), mk(leaf_b)], classes=("A", "B"))
     assert tied.predict(np.zeros((1, 1))).tolist() == ["A"]  # tie -> lower index
 
 

@@ -25,7 +25,6 @@ def _four_blobs(counts=(30, 20, 12, 8), d=6, seed=0, spread=0.3):
     return FeatureMatrix(
         values=np.vstack(values),
         labels=np.array(labels, dtype=object),
-        provenance="fixture",
     )
 
 
@@ -55,7 +54,7 @@ def test_train_fourclass_separable_fixture():
 def test_train_fourclass_missing_class_rejected():
     fm = _four_blobs()
     keep = fm.labels != "U2R"
-    fm2 = FeatureMatrix(values=fm.values[keep], labels=fm.labels[keep], provenance="fixture")
+    fm2 = FeatureMatrix(values=fm.values[keep], labels=fm.labels[keep])
     with pytest.raises(ValueError, match="U2R"):
         train_fourclass(fm2, tcfg=_tcfg(), dnn=DnnConfig(input_dim=6, hidden_dim=8))
 
@@ -64,7 +63,7 @@ def test_train_fourclass_rejects_foreign_labels():
     fm = _four_blobs()
     labels = fm.labels.copy()
     labels[0] = "Normal"
-    foreign = FeatureMatrix(values=fm.values, labels=labels, provenance="fixture")
+    foreign = FeatureMatrix(values=fm.values, labels=labels)
     with pytest.raises(ValueError, match="outside"):
         train_fourclass(foreign, tcfg=_tcfg(), dnn=DnnConfig(input_dim=6, hidden_dim=8))
 

@@ -262,3 +262,6 @@ def test_unknown_attack_name_exits_3_with_one_line(tmp_path, data_files, command
     assert _run(command, "--train", bad, "--test", test, "--out", tmp_path / "out", *FAST) == 3
     assert capsys.readouterr().err == (
         "nidkit: invalid data: attack name not in taxonomy: 'zeroday'\n")
+    if command == "pipeline":
+        # no fitted state from the rejected file for a rerun to reuse
+        assert not (tmp_path / "out" / "pipeline.json").exists()

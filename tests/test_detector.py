@@ -22,7 +22,6 @@ def _fm(values, label=NORMAL):
     return FeatureMatrix(
         values=values,
         labels=np.array([label] * values.shape[0], dtype=object),
-        provenance="fixture",
     )
 
 
@@ -134,7 +133,7 @@ def test_calibrate_labeled_f1_separated():
                      mode="infer")
     values = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
     labels = np.array([NORMAL] * 3 + [ATTACK] * 3, dtype=object)
-    fm = FeatureMatrix(values=values, labels=labels, provenance="fixture")
+    fm = FeatureMatrix(values=values, labels=labels)
     alpha, info = calibrate_threshold(model, fm, method="labeled_f1")
     assert info["validation_f1"] == 1.0
     assert 9.0 <= alpha < 100.0  # any threshold between the populations
@@ -151,8 +150,7 @@ def test_calibrate_labeled_f1_needs_both_classes():
 
 def test_calibrate_empty_validation():
     model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)], mode="infer")
-    empty = FeatureMatrix(values=np.empty((0, 1)), labels=np.array([], dtype=object),
-                          provenance="fixture")
+    empty = FeatureMatrix(values=np.empty((0, 1)), labels=np.array([], dtype=object))
     with pytest.raises(ValueError, match="empty"):
         calibrate_threshold(model, empty)
 

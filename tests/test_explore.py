@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nidkit.dataset import parse_kdd_lines
+from nidkit.dataset import categories, parse_kdd_lines
 from nidkit.explore import (
     find_constant_features,
     histogram,
@@ -31,7 +31,7 @@ def _ds(duration_values, labels=None):
 
 def test_histogram_single_value_one_bin(taxonomy):
     ds = _ds([5, 5, 5, 5])
-    report = histogram(ds, taxonomy, "duration", bins=3)
+    report = histogram(ds, categories(ds, taxonomy), "duration", bins=3)
     total = sum(c.sum() for c in report.counts.values())
     per_bin = sum(report.counts.values())
     assert total == 4
@@ -41,19 +41,19 @@ def test_histogram_single_value_one_bin(taxonomy):
 
 def test_histogram_hand_binning(taxonomy):
     ds = _ds([0, 1, 2, 3])
-    report = histogram(ds, taxonomy, "duration", bins=2)
+    report = histogram(ds, categories(ds, taxonomy), "duration", bins=2)
     assert report.edges.tolist() == [0.0, 1.5, 3.0]
     assert report.counts["Normal"].tolist() == [2, 2]
 
 
 def test_histogram_last_bin_right_closed(taxonomy):
     ds = _ds([0, 10])
-    report = histogram(ds, taxonomy, "duration", bins=5)
+    report = histogram(ds, categories(ds, taxonomy), "duration", bins=5)
     assert report.counts["Normal"][-1] == 1  # the max lands inside, not past, the last bin
 
 
 def test_histogram_per_class_conservation(taxonomy, fixture_ds):
-    report = histogram(fixture_ds, taxonomy, "count", bins=7)
+    report = histogram(fixture_ds, categories(fixture_ds, taxonomy), "count", bins=7)
     for cat, counts in report.counts.items():
         assert counts.sum() == 30  # fixture rows per category
 
@@ -61,9 +61,9 @@ def test_histogram_per_class_conservation(taxonomy, fixture_ds):
 def test_histogram_rejects_bad_args(taxonomy):
     ds = _ds([1, 2])
     with pytest.raises(ValueError):
-        histogram(ds, taxonomy, "duration", bins=0)
+        histogram(ds, categories(ds, taxonomy), "duration", bins=0)
     with pytest.raises(KeyError):
-        histogram(ds, taxonomy, "no_such_feature")
+        histogram(ds, categories(ds, taxonomy), "no_such_feature")
 
 
 def test_pearson_self_and_linear():
@@ -91,7 +91,7 @@ def test_pearson_symmetric_exact_and_masked():
 
 
 def test_scatter_rows_roundtrip(taxonomy, small_ds):
-    rows = scatter_rows(small_ds, "count", "serror_rate", taxonomy)
+    rows = scatter_rows(small_ds, "count", "serror_rate", categories(small_ds, taxonomy))
     assert len(rows) == len(small_ds)
     jx = DEFAULT_SCHEMA.index_of("count")
     jy = DEFAULT_SCHEMA.index_of("serror_rate")
@@ -105,7 +105,7 @@ def test_scatter_rows_roundtrip(taxonomy, small_ds):
 
 def test_scatter_unknown_feature(taxonomy, small_ds):
     with pytest.raises(KeyError):
-        scatter_rows(small_ds, "bogus", "count", taxonomy)
+        scatter_rows(small_ds, "bogus", "count", categories(small_ds, taxonomy))
 
 
 def test_constant_features_flagged(fixture_ds):

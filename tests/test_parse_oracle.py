@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nidkit.dataset import (
     KddParseError,
+    categories,
     categorize,
     load_taxonomy,
     parse_kdd_file,
@@ -87,7 +88,7 @@ def test_columnar_parse_encode_transform_match_oracle(train_lines, test_lines, p
         train_records)
     jx, jy = pair
     names = DEFAULT_SCHEMA.names
-    assert scatter_rows(train, names[jx], names[jy], TAXONOMY) == [
+    assert scatter_rows(train, names[jx], names[jy], categories(train, TAXONOMY)) == [
         (r.features[jx], r.features[jy], categorize(r.label, TAXONOMY)) for r in train_records]
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -21,7 +21,6 @@ def _labelled(values, labels):
     return FeatureMatrix(
         values=np.asarray(values, dtype=np.float64),
         labels=np.asarray(labels, dtype=object),
-        provenance="fixture",
     )
 
 

@@ -21,3 +21,34 @@ def test_tracer_installs_on_an_empty_plan(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(spans.read_text()) == {"exit_codes": [], "spans": []}
+
+
+def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
+    # the tracer walks each tree container it knows (root, trees, stumps,
+    # (tree, leaf_values) pairs), so a reshaped container fails here
+    from nidkit.dataset import make_fixture, write_kdd_file
+
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    write_kdd_file(make_fixture(20, seed=3), train)
+    write_kdd_file(make_fixture(6, seed=4), test)
+    models = ("decision_tree", "random_forest", "adaboost", "gradient_boosting")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([[
+        "baselines", "--train", str(train), "--test", str(test),
+        "--out", str(tmp_path / "out"), "--baselines", ",".join(models)]]))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--plan", str(plan),
+         "--out", str(spans), "--src", str(ROOT / "src")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    fits = {s["name"]: s["counts"] for s in json.loads(spans.read_text())["spans"]
+            if s["name"].startswith("baselines.fit.")}
+    assert sorted(fits) == sorted(f"baselines.fit.{m}" for m in models)
+    for counts in fits.values():
+        assert counts["leaves"] > 0
+    assert fits["baselines.fit.decision_tree"]["trees"] == 1
+    assert fits["baselines.fit.random_forest"]["trees"] == 100
+    assert fits["baselines.fit.adaboost"]["trees"] >= 1
+    assert fits["baselines.fit.gradient_boosting"]["trees"] == 100
