@@ -249,13 +249,11 @@ class RandomForest:
     def predict(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
         votes = np.zeros((data.shape[0], len(self.classes)), dtype=np.int64)
-        index = {c: i for i, c in enumerate(self.classes)}
-        for tree in self.trees:
-            pred = tree.predict(data)
-            for c, i in index.items():
-                votes[:, i] += pred == c
+        for tree in self.trees:  # every tree indexes the forest's classes
+            for node, rows in _route_leaves(tree.root, data):
+                votes[rows, node.value] += 1
         winners = np.argmax(votes, axis=1)  # ties -> lower class index
-        return np.array([self.classes[i] for i in winners], dtype=object)
+        return np.array(self.classes, dtype=object)[winners]
 
 
 def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> RandomForest:

@@ -124,9 +124,7 @@ def train_fourclass(
     if missing:
         raise ValueError(f"attack categories absent from training data: {missing}")
     if tcfg is None:
-        tcfg = neural.TrainConfig(loss="cross_entropy")
-    elif tcfg.loss != "cross_entropy":
-        raise ValueError("four-class training uses cross-entropy loss")
+        tcfg = neural.TrainConfig()
     if rng is None:
         rng = np.random.default_rng(tcfg.seed)
 

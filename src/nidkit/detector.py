@@ -94,8 +94,6 @@ def train_on_normal(
         bad = np.nonzero(fm.labels != NORMAL)[0]
         if bad.size:
             raise ValueError(f"non-normal row at index {bad[0]} (label {fm.labels[bad[0]]!r})")
-    if tcfg.loss != "mse":
-        raise ValueError("autoencoder trains with mse loss")
     if rng is None:
         rng = np.random.default_rng(tcfg.seed)
     model = neural.init_model(cfg.layers(), rng)
@@ -104,12 +102,11 @@ def train_on_normal(
 
 
 def reconstruction_errors(model: neural.MlpModel, batch: np.ndarray) -> np.ndarray:
-    """Per-row squared L2 distance to the (deterministic) reconstruction."""
+    """Per-row squared L2 distance to the (noise- and dropout-free) reconstruction."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.in_dim:
         raise ValueError(f"batch width {batch.shape} does not match model input {model.in_dim}")
-    infer = model if model.mode == "infer" else model.copy(mode="infer")
-    recon, _ = neural.forward(infer, batch)
+    recon, _ = neural.forward(model, batch)
     diff = batch - recon
     return (diff * diff).sum(axis=1)
 

@@ -1,12 +1,14 @@
 """Minimal dense neural-network engine built on numpy.
 
 Supports exactly what the two networks in this toolkit need: ReLU /
-SeLU / softmax / identity activations, MSE and cross-entropy losses,
-additive Gaussian input noise and inverted dropout (training mode
-only), bias-corrected Adam, shuffled mini-batches, and early stopping
-on a validation split. Everything is float64 and deterministic given a
-seed: all randomness flows through an explicit ``numpy.random.Generator``
-and the draw order is fixed by the layer configuration.
+SeLU / softmax / identity activations, additive Gaussian input noise
+and inverted dropout (applied only when the forward pass is given an
+rng), bias-corrected Adam over one flat parameter buffer, shuffled
+mini-batches, and early stopping on a validation split. The output
+layer picks the loss: cross-entropy after a softmax, MSE otherwise.
+Everything is float64 and deterministic given a seed: all randomness
+flows through an explicit ``numpy.random.Generator`` and the draw order
+is fixed by the layer configuration.
 """
 
 from __future__ import annotations
@@ -26,13 +28,17 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
 ACTIVATIONS = ("relu", "selu", "softmax", "identity")
-LOSSES = ("mse", "cross_entropy")
+
+# Adam moment decay rates and denominator guard (Kingma & Ba, 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class LayerSpec:
     """One dense layer. Noise and dropout act on the layer *input* and
-    only in training mode; inference is deterministic."""
+    only in a forward pass given an rng; without one it is deterministic."""
 
     in_dim: int
     out_dim: int
@@ -54,8 +60,9 @@ class LayerSpec:
 class MlpModel:
     """Dense MLP: ordered layers with (out x in) weight matrices.
 
-    ``mode`` is "train" or "infer"; trained models returned by
-    :func:`train` are frozen in inference mode with read-only arrays.
+    All parameters live in one flat float64 vector ``params`` (W0, b0,
+    W1, b1, ...); ``weights[i]`` and ``biases[i]`` are views into it.
+    Models returned by :func:`train` are frozen with read-only arrays.
     """
 
     def __init__(
@@ -63,12 +70,11 @@ class MlpModel:
         layers: list[LayerSpec],
         weights: list[np.ndarray],
         biases: list[np.ndarray],
-        mode: str = "infer",
     ) -> None:
-        if mode not in ("train", "infer"):
-            raise ValueError(f"bad mode {mode!r}")
         if not layers:
             raise ValueError("model needs at least one layer")
+        if any(spec.activation == "softmax" for spec in layers[:-1]):
+            raise ValueError("softmax is only supported on the output layer")
         if len(weights) != len(layers) or len(biases) != len(layers):
             raise ValueError("weights/biases count must match layer count")
         for i, (spec, w, b) in enumerate(zip(layers, weights, biases)):
@@ -79,9 +85,16 @@ class MlpModel:
             if i > 0 and spec.in_dim != layers[i - 1].out_dim:
                 raise ValueError(f"layer {i} in_dim {spec.in_dim} != previous out_dim")
         self.layers = list(layers)
-        self.weights = weights
-        self.biases = biases
-        self.mode = mode
+        self.params = np.concatenate(
+            [np.ravel(a) for pair in zip(weights, biases) for a in pair], dtype=np.float64
+        )
+        self.weights, self.biases = [], []
+        start = 0
+        for spec in self.layers:
+            end = start + spec.out_dim * spec.in_dim
+            self.weights.append(self.params[start:end].reshape(spec.out_dim, spec.in_dim))
+            self.biases.append(self.params[end : end + spec.out_dim])
+            start = end + spec.out_dim
 
     @property
     def in_dim(self) -> int:
@@ -92,20 +105,14 @@ class MlpModel:
         return self.layers[-1].out_dim
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
-    def copy(self, mode: str | None = None) -> "MlpModel":
-        return MlpModel(
-            layers=list(self.layers),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            mode=mode or self.mode,
-        )
+    def copy(self) -> "MlpModel":
+        return MlpModel(self.layers, self.weights, self.biases)
 
     def freeze(self) -> "MlpModel":
-        for arr in (*self.weights, *self.biases):
+        for arr in (self.params, *self.weights, *self.biases):
             arr.flags.writeable = False
-        self.mode = "infer"
         return self
 
     def to_json(self) -> str:
@@ -142,7 +149,7 @@ class MlpModel:
             for flat, s in zip(doc["weights"], layers)
         ]
         biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-        return cls(layers=layers, weights=weights, biases=biases, mode="infer").freeze()
+        return cls(layers=layers, weights=weights, biases=biases).freeze()
 
 
 def init_model(layers: list[LayerSpec], rng: np.random.Generator) -> MlpModel:
@@ -160,7 +167,7 @@ def init_model(layers: list[LayerSpec], rng: np.random.Generator) -> MlpModel:
             w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         weights.append(w)
         biases.append(np.zeros(fan_out))
-    return MlpModel(layers=layers, weights=weights, biases=biases, mode="train")
+    return MlpModel(layers=layers, weights=weights, biases=biases)
 
 
 # --- activations --------------------------------------------------------
@@ -189,26 +196,23 @@ def activation(kind: str, x: np.ndarray) -> np.ndarray:
     return _apply_activation(kind, x)
 
 
-def _activation_backward(kind: str, z: np.ndarray, a: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """dL/dz given dL/da, the pre-activations z, and the outputs a."""
+def _activation_backward(kind: str, z: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """dL/dz given dL/da and the pre-activations z."""
     if kind == "relu":
         return upstream * (z > 0)
     if kind == "selu":
         deriv = np.where(z > 0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(np.minimum(z, 0.0)))
         return upstream * deriv
-    if kind == "softmax":
-        # dz_i = a_i * (up_i - sum_j up_j a_j), row-wise
-        dot = (upstream * a).sum(axis=-1, keepdims=True)
-        return a * (upstream - dot)
-    if kind == "identity":
-        return upstream
-    raise ValueError(f"unknown activation {kind!r}")
+    # identity; a softmax output receives its loss gradient at z already
+    return upstream
 
 
 # --- losses -------------------------------------------------------------
 
 def loss(kind: str, prediction: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Return (scalar loss, gradient w.r.t. prediction)."""
+    """Return (scalar loss, gradient). For mse the gradient is w.r.t. the
+    prediction; for cross_entropy the prediction holds softmax outputs and
+    the gradient is w.r.t. the softmax preactivations."""
     prediction = np.asarray(prediction, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if prediction.shape != target.shape:
@@ -218,17 +222,9 @@ def loss(kind: str, prediction: np.ndarray, target: np.ndarray) -> tuple[float, 
         return float((diff * diff).mean()), 2.0 * diff / diff.size
     if kind == "cross_entropy":
         rows = prediction.shape[0] if prediction.ndim == 2 else 1
-        clamped = np.maximum(prediction, 1e-12)
-        value = float(-(target * np.log(clamped)).sum() / rows)
-        return value, -(target / clamped) / rows
+        value = float(-(target * np.log(np.maximum(prediction, 1e-12))).sum() / rows)
+        return value, (prediction - target) / rows
     raise ValueError(f"unknown loss {kind!r}")
-
-
-def softmax_ce_grad(probs: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Fused softmax + cross-entropy: loss value and gradient at the preactivations."""
-    rows = probs.shape[0] if probs.ndim == 2 else 1
-    value = float(-(target * np.log(np.maximum(probs, 1e-12))).sum() / rows)
-    return value, (probs - target) / rows
 
 
 # --- forward / backward -------------------------------------------------
@@ -238,28 +234,21 @@ class ForwardCache:
     model: MlpModel
     inputs: list[np.ndarray]   # per layer: input after noise/dropout
     preacts: list[np.ndarray]  # per layer: z = x W^T + b
-    outputs: list[np.ndarray]  # per layer: activation(z)
     masks: list[np.ndarray | None]
-    n_rows: int
 
 
 def forward(
     model: MlpModel, batch: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; in train mode applies noise then dropout per layer."""
+    """Run the network; with an rng, applies each layer's noise then dropout."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.in_dim:
         raise ValueError(f"batch width {batch.shape} does not match input dim {model.in_dim}")
-    training = model.mode == "train"
-    stochastic = any(s.noise_sigma > 0 or s.dropout_rate > 0 for s in model.layers)
-    if training and stochastic and rng is None:
-        raise ValueError("training-mode forward with noise/dropout needs an rng")
-
     x = batch
-    inputs, preacts, outputs, masks = [], [], [], []
+    inputs, preacts, masks = [], [], []
     for spec, w, b in zip(model.layers, model.weights, model.biases):
         mask = None
-        if training:
+        if rng is not None:
             if spec.noise_sigma > 0:
                 x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
             if spec.dropout_rate > 0:
@@ -267,40 +256,24 @@ def forward(
                 x = x * mask / (1.0 - spec.dropout_rate)
         inputs.append(x)
         z = x @ w.T + b
-        a = _apply_activation(spec.activation, z)
         preacts.append(z)
-        outputs.append(a)
         masks.append(mask)
-        x = a
-    cache = ForwardCache(
-        model=model, inputs=inputs, preacts=preacts, outputs=outputs, masks=masks,
-        n_rows=batch.shape[0],
-    )
-    return x, cache
+        x = _apply_activation(spec.activation, z)
+    return x, ForwardCache(model=model, inputs=inputs, preacts=preacts, masks=masks)
 
 
 def backward(
-    model: MlpModel,
-    cache: ForwardCache,
-    loss_grad: np.ndarray,
-    fused_softmax_ce: bool = False,
+    model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Backpropagate: returns per-layer (dW, db), reusing the forward masks.
-
-    With ``fused_softmax_ce`` the incoming gradient is taken w.r.t. the
-    last layer's preactivations (the numerically stable softmax +
-    cross-entropy form) instead of its outputs.
-    """
+    """Backpropagate the gradient :func:`loss` returns: per-layer (dW, db),
+    reusing the forward masks."""
     if cache.model is not model:
         raise ValueError("stale cache: forward pass came from a different model")
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)  # type: ignore[list-item]
     upstream = np.asarray(loss_grad, dtype=np.float64)
     for i in range(len(model.layers) - 1, -1, -1):
         spec = model.layers[i]
-        if i == len(model.layers) - 1 and fused_softmax_ce:
-            dz = upstream
-        else:
-            dz = _activation_backward(spec.activation, cache.preacts[i], cache.outputs[i], upstream)
+        dz = _activation_backward(spec.activation, cache.preacts[i], upstream)
         grads[i] = (dz.T @ cache.inputs[i], dz.sum(axis=0))
         if i > 0:
             dx = dz @ model.weights[i]
@@ -313,45 +286,26 @@ def backward(
 # --- Adam ---------------------------------------------------------------
 
 class AdamState:
-    """First/second-moment accumulators for one parameter list."""
+    """First/second-moment accumulators for one flat parameter vector."""
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    def __init__(self, size: int, lr: float = 0.001) -> None:
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-
-def adam_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
-) -> list[np.ndarray]:
-    """One bias-corrected Adam update; returns new parameter arrays."""
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ValueError("parameter/gradient count mismatch")
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ValueError(f"shape mismatch: param {p.shape}, grad {g.shape}")
-    state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """One bias-corrected Adam update of ``params`` in place."""
+        if params.shape != self.m.shape or grad.shape != self.m.shape:
+            raise ValueError(f"shape mismatch: param {params.shape}, grad {grad.shape}")
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * (grad * grad)
+        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 # --- training loop ------------------------------------------------------
@@ -382,7 +336,6 @@ class TrainConfig:
     patience: int = 6
     max_epochs: int = 200
     seed: int = 0
-    loss: str = "mse"
     learning_rate: float = 0.001
 
     def __post_init__(self) -> None:
@@ -392,8 +345,6 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ValueError("batch_size and max_epochs must be >= 1")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
 
 
 @dataclass
@@ -402,12 +353,6 @@ class TrainHistory:
     val_loss: list[float] = field(default_factory=list)
     best_epoch: int = -1
     n_epochs: int = 0
-
-
-def _dataset_loss(model: MlpModel, kind: str, data: np.ndarray, targets: np.ndarray) -> float:
-    out, _ = forward(model, data)
-    value, _ = loss(kind, out, targets)
-    return value
 
 
 def train(
@@ -422,8 +367,8 @@ def train(
 
     Without an explicit ``validation`` pair, ``cfg.val_fraction`` of the
     rows is split off (shuffled, seeded). The input model is left
-    untouched; the returned model is frozen in inference mode with the
-    parameters of the best validation epoch.
+    untouched; the returned model is frozen with the parameters of the
+    best validation epoch.
     """
     data = np.asarray(data, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -448,55 +393,37 @@ def train(
         train_x, train_t = data[train_idx], targets[train_idx]
         val_x, val_t = data[val_idx], targets[val_idx]
 
-    work = model.copy(mode="train")
-    params = [arr for pair in zip(work.weights, work.biases) for arr in pair]
-    adam = AdamState(params, lr=cfg.learning_rate)
+    work = model.copy()
+    kind = "cross_entropy" if work.layers[-1].activation == "softmax" else "mse"
+    adam = AdamState(work.params.size, lr=cfg.learning_rate)
     stopper = EarlyStopper(cfg.patience)
     history = TrainHistory()
-    fused = cfg.loss == "cross_entropy" and work.layers[-1].activation == "softmax"
 
-    best_val = math.inf
-    best_params: list[np.ndarray] | None = None
     n_train = train_x.shape[0]
     for epoch in range(cfg.max_epochs):
         order = rng.permutation(n_train)
         batch_losses = []
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, tb = train_x[idx], train_t[idx]
-            out, cache = forward(work, xb, rng)
-            if fused:
-                value, grad = softmax_ce_grad(out, tb)
-            else:
-                value, grad = loss(cfg.loss, out, tb)
-            layer_grads = backward(work, cache, grad, fused_softmax_ce=fused)
-            flat_grads = [arr for pair in layer_grads for arr in pair]
-            params = adam_step(adam, params, flat_grads)
-            for i in range(len(work.layers)):
-                work.weights[i] = params[2 * i]
-                work.biases[i] = params[2 * i + 1]
+            out, cache = forward(work, train_x[idx], rng)
+            value, grad = loss(kind, out, train_t[idx])
+            layer_grads = backward(work, cache, grad)
+            adam.step(work.params, np.concatenate([g.ravel() for pair in layer_grads for g in pair]))
             batch_losses.append(value)
-        work.mode = "infer"
-        val_value = _dataset_loss(work, cfg.loss, val_x, val_t)
-        work.mode = "train"
-        if not math.isfinite(val_value) and best_params is None:
+        val_out, _ = forward(work, val_x)
+        val_value, _ = loss(kind, val_out, val_t)
+        if not math.isfinite(val_value) and stopper.best is None:
             raise TrainingDivergedError(
                 f"validation loss is {val_value} at epoch {epoch}, with no finite epoch to keep"
             )
         history.train_loss.append(float(np.mean(batch_losses)))
         history.val_loss.append(val_value)
-        if val_value < best_val:
-            best_val = val_value
-            best_params = [p.copy() for p in params]
+        stop = stopper.update(val_value)
+        if stopper.counter == 0:  # a new best epoch
+            best = work.params.copy()
             history.best_epoch = epoch
-        if stopper.update(val_value):
+        if stop:
             break
     history.n_epochs = len(history.val_loss)
-
-    trained = MlpModel(
-        layers=list(work.layers),
-        weights=[best_params[2 * i] for i in range(len(work.layers))],
-        biases=[best_params[2 * i + 1] for i in range(len(work.layers))],
-        mode="infer",
-    ).freeze()
-    return trained, history
+    work.params[:] = best
+    return work.freeze(), history

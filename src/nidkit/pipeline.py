@@ -85,14 +85,13 @@ class RunConfig:
     histogram_features: tuple[str, ...] = explore_mod.DEFAULT_HISTOGRAM_FEATURES
     scatter_pairs: tuple[tuple[str, str], ...] = explore_mod.DEFAULT_SCATTER_PAIRS
 
-    def train_config(self, loss: str, seed_offset: int = 0) -> neural.TrainConfig:
+    def train_config(self) -> neural.TrainConfig:
         return neural.TrainConfig(
             batch_size=self.batch_size,
             val_fraction=self.val_fraction,
             patience=self.patience,
             max_epochs=self.max_epochs,
-            seed=self.seed + seed_offset,
-            loss=loss,
+            seed=self.seed,
         )
 
 
@@ -184,9 +183,9 @@ def run_train_binary(cfg: RunConfig, training: TrainingSet | None = None) -> Pat
         log.warning("validation split holds no normal rows; calibrating on training normals")
         normals_val = normals_train
 
-    tcfg = cfg.train_config("mse")
     model, history = det_mod.train_on_normal(
-        normals_train, det_mod.AutoencoderConfig(), tcfg, ae_rng, validation=normals_val
+        normals_train, det_mod.AutoencoderConfig(), cfg.train_config(), ae_rng,
+        validation=normals_val,
     )
     calib_set = normals_val if cfg.calibration == "quantile" else val_part
     alpha, calib = det_mod.calibrate_threshold(
@@ -246,7 +245,7 @@ def run_train_multiclass(cfg: RunConfig, training: TrainingSet | None = None) ->
         clf, info = clf_mod.train_fourclass(
             attacks,
             oversample=oversample,
-            tcfg=cfg.train_config("cross_entropy"),
+            tcfg=cfg.train_config(),
             rng=rng,
         )
         path = out / classifier_filename(variant)
@@ -399,7 +398,7 @@ def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfi
         model, _ = clf_mod.train_network(
             data, labels, classes,
             clf_mod.DnnConfig(input_dim=data.shape[1], output_dim=len(classes)),
-            cfg.train_config("cross_entropy"), np.random.default_rng(cfg.seed + 29),
+            cfg.train_config(), np.random.default_rng(cfg.seed + 29),
         )
         net = clf_mod.AttackClassifier(model=model, class_order=classes)
         return lambda values: clf_mod.predict(net, values)[0]

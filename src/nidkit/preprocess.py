@@ -79,30 +79,16 @@ class Standardizer:
 @dataclass(frozen=True)
 class FittedPipeline:
     """Frozen preprocessing state; encoder and standardizer must come
-    from the same training dataset (use :func:`fit_pipeline`).
-
-    ``dropped`` lists train-constant features removed from the output
-    matrix; it stays empty unless fitting asked for constant-column
-    dropping, keeping the full 41-wide layout by default.
-    """
+    from the same training dataset (use :func:`fit_pipeline`)."""
 
     schema: FeatureSchema
     encoder: LabelCountEncoder
     standardizer: Standardizer
-    dropped: tuple[str, ...] = ()
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(n for n in self.schema.names if n not in self.dropped)
 
     def transform(self, ds: LabeledDataset) -> FeatureMatrix:
         """Encode then standardize; pure, never mutates fitted state."""
         raw = encode(self.encoder, ds, self.schema)
-        fm = standardize(self.standardizer, raw, labels=ds.labels())
-        if not self.dropped:
-            return fm
-        keep = [j for j, n in enumerate(self.schema.names) if n not in self.dropped]
-        return FeatureMatrix(values=fm.values[:, keep], labels=fm.labels)
+        return standardize(self.standardizer, raw, labels=ds.labels())
 
     def to_json(self) -> str:
         doc = {
@@ -118,7 +104,6 @@ class FittedPipeline:
                 feature: {cat: [int(count), int(code)] for cat, (count, code) in table.items()}
                 for feature, table in self.encoder.tables.items()
             },
-            "dropped_features": list(self.dropped),
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -143,7 +128,6 @@ class FittedPipeline:
             schema=schema,
             encoder=LabelCountEncoder(tables=tables),
             standardizer=Standardizer(mu=mu, sigma=sigma),
-            dropped=tuple(doc.get("dropped_features", [])),
         )
 
 
@@ -201,21 +185,9 @@ def standardize(
     return FeatureMatrix(values=z, labels=np.asarray(labels, dtype=object))
 
 
-def fit_pipeline(
-    train: LabeledDataset,
-    schema: FeatureSchema = DEFAULT_SCHEMA,
-    drop_constant: bool = False,
-) -> FittedPipeline:
-    """Fit encoder and standardizer on the same training dataset.
-
-    With ``drop_constant`` the train-constant (sigma = 0) columns are
-    removed from transformed output; off by default so the feature
-    count stays at 41.
-    """
+def fit_pipeline(train: LabeledDataset, schema: FeatureSchema = DEFAULT_SCHEMA) -> FittedPipeline:
+    """Fit encoder and standardizer on the same training dataset; every
+    feature is kept, train-constant ones standardize to 0."""
     enc = fit_encoder(train, schema)
     raw = encode(enc, train, schema)
-    std = fit_standardizer(raw)
-    dropped: tuple[str, ...] = ()
-    if drop_constant:
-        dropped = tuple(n for n, s in zip(schema.names, std.sigma) if s == 0)
-    return FittedPipeline(schema=schema, encoder=enc, standardizer=std, dropped=dropped)
+    return FittedPipeline(schema=schema, encoder=enc, standardizer=fit_standardizer(raw))

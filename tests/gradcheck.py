@@ -51,7 +51,6 @@ def random_small_model(rng, max_params=50):
             # exactly on the selu/relu kinks where FD is one-sided
             for b in model.biases:
                 b += rng.normal(0.0, 0.5, size=b.shape)
-            model.mode = "infer"
             return model
 
 

@@ -234,8 +234,7 @@ def test_criterion_6e_confusion_conservation_macro_micro():
 
 def test_criterion_6f_threshold_monotonicity():
     rng = np.random.default_rng(10)
-    model = MlpModel([LayerSpec(3, 3, "identity")], [np.zeros((3, 3))], [np.zeros(3)],
-                     mode="infer")
+    model = MlpModel([LayerSpec(3, 3, "identity")], [np.zeros((3, 3))], [np.zeros(3)])
     values = rng.normal(size=(100, 3))
     errors = reconstruction_errors(model, values)
     violations = 0

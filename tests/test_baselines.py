@@ -347,7 +347,7 @@ def test_mlp_baseline_separable():
     data, labels = _two_blobs(n=80, seed=15)
     data = (data - data.mean(axis=0)) / data.std(axis=0)  # production path standardizes
     # few batches per epoch at this scale; a larger step keeps the test quick
-    cfg = TrainConfig(loss="cross_entropy", max_epochs=100, seed=0, learning_rate=0.02)
+    cfg = TrainConfig(max_epochs=100, seed=0, learning_rate=0.02)
     classes = tuple(np.unique(labels))
     model, _ = train_network(
         data, labels, classes, DnnConfig(input_dim=3, hidden_dim=8, output_dim=2),

@@ -29,7 +29,7 @@ def _four_blobs(counts=(30, 20, 12, 8), d=6, seed=0, spread=0.3):
 
 
 def _tcfg(**kw):
-    defaults = dict(loss="cross_entropy", max_epochs=30, seed=0)
+    defaults = dict(max_epochs=30, seed=0)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -113,7 +113,7 @@ def _evaluate(clf, fm):
 def _uniform_classifier(d=4):
     # zero weights -> uniform softmax everywhere
     model = MlpModel(
-        [LayerSpec(d, 4, "softmax")], [np.zeros((4, d))], [np.zeros(4)], mode="infer"
+        [LayerSpec(d, 4, "softmax")], [np.zeros((4, d))], [np.zeros(4)]
     )
     return AttackClassifier(model=model)
 

@@ -205,7 +205,7 @@ def test_calibration_flag_parsing():
 
 def test_default_runconfig_matches_paper_settings():
     cfg = RunConfig()
-    tc = cfg.train_config("mse")
+    tc = cfg.train_config()
     assert tc.batch_size == 32
     assert tc.val_fraction == 0.15
     assert tc.patience == 6

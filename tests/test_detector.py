@@ -70,7 +70,7 @@ def test_train_on_normal_improves_and_separates():
 
 
 def test_reconstruction_error_identity_model():
-    model = MlpModel([LayerSpec(4, 4, "identity")], [np.eye(4)], [np.zeros(4)], mode="infer")
+    model = MlpModel([LayerSpec(4, 4, "identity")], [np.eye(4)], [np.zeros(4)])
     x = np.array([1.0, 2.0, 3.0, 4.0])
     assert _row_error(model, x) == 0.0
 
@@ -78,13 +78,12 @@ def test_reconstruction_error_identity_model():
 def test_reconstruction_error_deterministic():
     rng = np.random.default_rng(3)
     model = neural.init_model(_small_ae_cfg().layers(), rng)
-    model.mode = "infer"
     x = rng.normal(size=8)
     assert _row_error(model, x) == _row_error(model, x)
 
 
 def test_reconstruction_error_width_mismatch():
-    model = MlpModel([LayerSpec(4, 4)], [np.eye(4)], [np.zeros(4)], mode="infer")
+    model = MlpModel([LayerSpec(4, 4)], [np.eye(4)], [np.zeros(4)])
     with pytest.raises(ValueError):
         reconstruction_errors(model, np.ones((2, 5)))
 
@@ -94,7 +93,6 @@ def test_reconstruction_error_against_manual_forward():
     rng = np.random.default_rng(4)
     cfg = _small_ae_cfg(d=6, hidden=2)
     model = neural.init_model(cfg.layers(), rng)
-    model.mode = "infer"
     w1, w2 = model.weights
     b1, b2 = model.biases
     lam, alpha = 1.0507009873554805, 1.6732632423543772
@@ -118,8 +116,7 @@ def test_quantile_nearest_rank():
 
 
 def test_calibrate_quantile_uses_normal_rows():
-    model = MlpModel([LayerSpec(1, 1, "identity")], [np.zeros((1, 1))], [np.zeros(1)],
-                     mode="infer")
+    model = MlpModel([LayerSpec(1, 1, "identity")], [np.zeros((1, 1))], [np.zeros(1)])
     # reconstruction of 0 -> error = x^2
     values = np.array([[float(i)] for i in range(1, 11)])
     fm = _fm(values)
@@ -129,8 +126,7 @@ def test_calibrate_quantile_uses_normal_rows():
 
 
 def test_calibrate_labeled_f1_separated():
-    model = MlpModel([LayerSpec(1, 1, "identity")], [np.zeros((1, 1))], [np.zeros(1)],
-                     mode="infer")
+    model = MlpModel([LayerSpec(1, 1, "identity")], [np.zeros((1, 1))], [np.zeros(1)])
     values = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
     labels = np.array([NORMAL] * 3 + [ATTACK] * 3, dtype=object)
     fm = FeatureMatrix(values=values, labels=labels)
@@ -143,21 +139,20 @@ def test_calibrate_labeled_f1_separated():
 
 
 def test_calibrate_labeled_f1_needs_both_classes():
-    model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)], mode="infer")
+    model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)])
     with pytest.raises(ValueError, match="both"):
         calibrate_threshold(model, _fm(np.ones((3, 1))), method="labeled_f1")
 
 
 def test_calibrate_empty_validation():
-    model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)], mode="infer")
+    model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)])
     empty = FeatureMatrix(values=np.empty((0, 1)), labels=np.array([], dtype=object))
     with pytest.raises(ValueError, match="empty"):
         calibrate_threshold(model, empty)
 
 
 def _zero_model(d=1):
-    return MlpModel([LayerSpec(d, d, "identity")], [np.zeros((d, d))], [np.zeros(d)],
-                    mode="infer")
+    return MlpModel([LayerSpec(d, d, "identity")], [np.zeros((d, d))], [np.zeros(d)])
 
 
 def test_detect_boundary_is_normal():
@@ -171,8 +166,7 @@ def test_detect_boundary_is_normal():
 def test_detect_monotone_in_alpha():
     rng = np.random.default_rng(7)
     values = rng.normal(size=(50, 3))
-    model = MlpModel([LayerSpec(3, 3, "identity")], [np.zeros((3, 3))], [np.zeros(3)],
-                     mode="infer")
+    model = MlpModel([LayerSpec(3, 3, "identity")], [np.zeros((3, 3))], [np.zeros(3)])
     errors = reconstruction_errors(model, values)
     ladder = np.sort(rng.uniform(errors.min(), errors.max(), size=12))
     previous = None
@@ -194,7 +188,6 @@ def test_verdict_consistent_with_stored_error():
 def test_detector_json_roundtrip_identical_verdicts():
     rng = np.random.default_rng(9)
     model = neural.init_model(_small_ae_cfg().layers(), rng)
-    model.mode = "infer"
     det = AnomalyDetector(model=model, alpha=2.5, calibration={"method": "quantile", "q": 0.95})
     loaded = AnomalyDetector.from_json(det.to_json())
     values = rng.normal(size=(20, 8))

@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from nidkit import neural
+from nidkit import classifier, neural
+from nidkit.classifier import CLASS_ORDER, DnnConfig, train_fourclass
+from nidkit.dataset import ATTACK, NORMAL
+from nidkit.detector import AutoencoderConfig, train_on_normal
 from nidkit.errors import TrainingDivergedError
 from nidkit.neural import (
     AdamState,
@@ -10,14 +15,16 @@ from nidkit.neural import (
     MlpModel,
     TrainConfig,
     activation,
-    adam_step,
     backward,
     forward,
     init_model,
     loss,
-    softmax_ce_grad,
     train,
 )
+
+from nidkit.pipeline import RunConfig, _fit_baseline
+from nidkit.preprocess import FeatureMatrix
+from nidkit.resample import SmoteConfig, SvmSmoteConfig
 
 from .gradcheck import check_model_gradients, random_small_model
 
@@ -74,22 +81,11 @@ def test_loss_length_mismatch():
         loss("mse", np.array([1.0]), np.array([1.0, 2.0]))
 
 
-def test_fused_softmax_ce_matches_generic():
-    rng = np.random.default_rng(1)
-    z = rng.normal(size=(4, 3))
-    p = activation("softmax", z)
-    t = np.zeros((4, 3))
-    t[np.arange(4), rng.integers(0, 3, 4)] = 1.0
-    v1, _ = loss("cross_entropy", p, t)
-    v2, _ = softmax_ce_grad(p, t)
-    assert v1 == pytest.approx(v2, abs=1e-12)
-
-
 # --- forward ------------------------------------------------------------------
 
 def _identity_model(d=3, dropout=0.0, noise=0.0):
     spec = LayerSpec(d, d, "identity", dropout_rate=dropout, noise_sigma=noise)
-    return MlpModel([spec], [np.eye(d)], [np.zeros(d)], mode="infer")
+    return MlpModel([spec], [np.eye(d)], [np.zeros(d)])
 
 
 def test_forward_identity_passthrough():
@@ -100,7 +96,7 @@ def test_forward_identity_passthrough():
 
 
 def test_forward_infer_deterministic():
-    model = _identity_model(dropout=0.5, noise=0.1)  # stochastic only in train mode
+    model = _identity_model(dropout=0.5, noise=0.1)  # stochastic only with an rng
     x = np.random.default_rng(0).normal(size=(5, 3))
     a, _ = forward(model, x)
     b, _ = forward(model, x)
@@ -109,7 +105,6 @@ def test_forward_infer_deterministic():
 
 def test_forward_train_dropout_reproducible():
     model = _identity_model(dropout=0.5)
-    model.mode = "train"
     x = np.ones((4, 3))
     a, _ = forward(model, x, np.random.default_rng(42))
     b, _ = forward(model, x, np.random.default_rng(42))
@@ -123,11 +118,21 @@ def test_forward_width_mismatch():
         forward(_identity_model(3), np.ones((2, 4)))
 
 
-def test_forward_train_mode_needs_rng():
-    model = _identity_model(dropout=0.5)
-    model.mode = "train"
-    with pytest.raises(ValueError, match="rng"):
-        forward(model, np.ones((1, 3)))
+def test_softmax_only_on_the_output_layer():
+    layers = [LayerSpec(2, 3, "softmax"), LayerSpec(3, 2, "identity")]
+    with pytest.raises(ValueError, match="softmax"):
+        MlpModel(layers, [np.zeros((3, 2)), np.zeros((2, 3))], [np.zeros(3), np.zeros(2)])
+    with pytest.raises(ValueError, match="softmax"):
+        init_model(layers, np.random.default_rng(0))
+
+
+def test_weights_and_biases_are_views_into_params():
+    model = init_model([LayerSpec(3, 2, "relu"), LayerSpec(2, 4)], np.random.default_rng(0))
+    assert model.params.shape == (model.n_params(),) == (3 * 2 + 2 + 2 * 4 + 4,)
+    model.params[:] = np.arange(model.params.size)
+    assert model.weights[0].tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert model.biases[0].tolist() == [6, 7]
+    assert model.biases[1].tolist() == [16, 17, 18, 19]
 
 
 def test_dropout_preserves_expectation():
@@ -135,10 +140,9 @@ def test_dropout_preserves_expectation():
     rng = np.random.default_rng(7)
     w = rng.uniform(0.5, 1.5, size=(d, d))
     spec = LayerSpec(d, d, "identity", dropout_rate=0.5)
-    model = MlpModel([spec], [w], [np.zeros(d)], mode="infer")
+    model = MlpModel([spec], [w], [np.zeros(d)])
     x = rng.uniform(1.0, 2.0, size=(1, d))
     clean, _ = forward(model, x)
-    model.mode = "train"
     # 2e4 masks at once: each batch row draws its own mask
     big, _ = forward(model, np.repeat(x, 20000, axis=0), np.random.default_rng(3))
     averaged = big.mean(axis=0)
@@ -163,7 +167,7 @@ def test_backward_linear_mse_closed_form():
     x = rng.normal(size=(n, d))
     y = rng.normal(size=(n, 1))
     w = rng.normal(size=(1, d))
-    model = MlpModel([LayerSpec(d, 1, "identity")], [w.copy()], [np.zeros(1)], mode="infer")
+    model = MlpModel([LayerSpec(d, 1, "identity")], [w.copy()], [np.zeros(1)])
     out, cache = forward(model, x)
     _, grad = loss("mse", out, y)
     (dw, db), = backward(model, cache, grad)
@@ -196,7 +200,7 @@ def test_gradient_check_with_dropout_masks_reused():
     d = 4
     w = rng.normal(size=(2, d))
     spec = LayerSpec(d, 2, "identity", dropout_rate=0.5)
-    model = MlpModel([spec], [w.copy()], [np.zeros(2)], mode="train")
+    model = MlpModel([spec], [w.copy()], [np.zeros(2)])
     x = rng.normal(size=(5, d))
     out, cache = forward(model, x, np.random.default_rng(11))
     t = rng.normal(size=out.shape)
@@ -209,35 +213,35 @@ def test_gradient_check_with_dropout_masks_reused():
 # --- adam ---------------------------------------------------------------------
 
 def test_adam_zero_gradient_is_identity():
-    p = [np.array([1.0, -2.0])]
-    state = AdamState(p)
-    out = adam_step(state, p, [np.zeros(2)])
-    assert (out[0] == p[0]).all()
+    p = np.array([1.0, -2.0])
+    state = AdamState(p.size)
+    state.step(p, np.zeros(2))
+    assert p.tolist() == [1.0, -2.0]
     assert state.t == 1
 
 
 def test_adam_first_step_magnitude():
-    p = [np.array([0.0])]
-    state = AdamState(p)
-    out = adam_step(state, p, [np.array([1.0])])
-    assert abs(-out[0][0] - 0.001) < 1e-9  # m_hat = v_hat = 1 at t=1
+    p = np.array([0.0])
+    state = AdamState(p.size)
+    state.step(p, np.array([1.0]))
+    assert abs(-p[0] - 0.001) < 1e-9  # m_hat = v_hat = 1 at t=1
 
 
 def test_adam_decreases_quadratic():
-    w = [np.array([1.0])]
-    state = AdamState(w)
-    losses = [w[0][0] ** 2]
+    w = np.array([1.0])
+    state = AdamState(w.size)
+    losses = [w[0] ** 2]
     for _ in range(2):
-        w = adam_step(state, w, [2.0 * w[0]])
-        losses.append(w[0][0] ** 2)
+        state.step(w, 2.0 * w)
+        losses.append(w[0] ** 2)
     assert losses[1] < losses[0] and losses[2] < losses[1]
 
 
 def test_adam_shape_mismatch():
-    p = [np.zeros(3)]
-    state = AdamState(p)
+    p = np.zeros(3)
+    state = AdamState(p.size)
     with pytest.raises(ValueError):
-        adam_step(state, p, [np.zeros(4)])
+        state.step(p, np.zeros(4))
 
 
 # --- training loop --------------------------------------------------------------
@@ -273,10 +277,9 @@ def test_train_reduces_loss_and_freezes():
     x, t = _blob_data()
     rng = np.random.default_rng(0)
     model = init_model([LayerSpec(3, 8, "relu"), LayerSpec(8, 2, "softmax")], rng)
-    cfg = TrainConfig(loss="cross_entropy", max_epochs=30, seed=0)
+    cfg = TrainConfig(max_epochs=30, seed=0)
     trained, history = train(model, x, t, cfg, rng)
     assert history.train_loss[-1] < history.train_loss[0]
-    assert trained.mode == "infer"
     with pytest.raises(ValueError):
         trained.weights[0][0, 0] = 99.0  # frozen arrays are read-only
 
@@ -285,7 +288,7 @@ def test_train_returns_best_validation_params():
     x, t = _blob_data(n=40, seed=3)
     rng = np.random.default_rng(1)
     model = init_model([LayerSpec(3, 16, "relu"), LayerSpec(16, 2, "softmax")], rng)
-    cfg = TrainConfig(loss="cross_entropy", max_epochs=40, seed=1, patience=6)
+    cfg = TrainConfig(max_epochs=40, seed=1, patience=6)
     trained, history = train(model, x, t, cfg, rng)
     assert history.best_epoch == int(np.argmin(history.val_loss))
     # patience: after the best epoch, at most `patience` more epochs ran
@@ -299,7 +302,7 @@ def test_train_deterministic_per_seed():
         rng = np.random.default_rng(9)
         model = init_model([LayerSpec(3, 5, "selu"), LayerSpec(5, 2, "softmax")], rng)
         trained, _ = train(
-            model, x, t, TrainConfig(loss="cross_entropy", max_epochs=8, seed=9), rng
+            model, x, t, TrainConfig(max_epochs=8, seed=9), rng
         )
         results.append(trained)
     for w1, w2 in zip(results[0].weights, results[1].weights):
@@ -319,7 +322,7 @@ def test_train_does_not_mutate_input_model():
     rng = np.random.default_rng(4)
     model = init_model([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "softmax")], rng)
     snapshot = [w.copy() for w in model.weights]
-    train(model, x, t, TrainConfig(loss="cross_entropy", max_epochs=3, seed=4), rng)
+    train(model, x, t, TrainConfig(max_epochs=3, seed=4), rng)
     for w, s in zip(model.weights, snapshot):
         assert (w == s).all()
 
@@ -333,7 +336,6 @@ def test_model_json_roundtrip():
     )
     loaded = MlpModel.from_json(model.to_json())
     x = rng.normal(size=(6, 4))
-    model.mode = "infer"
     a, _ = forward(model, x)
     b, _ = forward(loaded, x)
     assert (a == b).all()
@@ -359,3 +361,75 @@ def test_train_diverging_before_any_finite_epoch_raises_typed_error():
     x[5, 2] = 1e200
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch 0"):
         train(model, x, x, TrainConfig(max_epochs=5), rng)
+
+
+# --- golden networks --------------------------------------------------------------
+
+def _net_digest(model, n_epochs, best_epoch):
+    """(SHA-256 of the float64 bytes of each layer's weights then biases,
+    in layer order, n_epochs, best_epoch)."""
+    h = hashlib.sha256()
+    for w, b in zip(model.weights, model.biases):
+        h.update(np.ascontiguousarray(w, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(b, dtype=np.float64).tobytes())
+    return h.hexdigest(), n_epochs, best_epoch
+
+
+def _golden_attacks():
+    """Imbalanced, overlapping four-class set, so SVM-SMOTE adds rows."""
+    rng = np.random.default_rng(20241)
+    values, labels = [], []
+    for i, (cls, n) in enumerate(zip(CLASS_ORDER, (60, 24, 10, 6))):
+        center = np.zeros(5)
+        center[i] = 2.0
+        values.append(center + rng.normal(0.0, 1.0, size=(n, 5)))
+        labels += [cls] * n
+    return FeatureMatrix(values=np.vstack(values), labels=np.array(labels, dtype=object))
+
+
+def test_golden_network_digests(monkeypatch):
+    # any change to init, noise/dropout draws, batching, the loss gradient,
+    # the Adam arithmetic or the kept epoch changes a digest
+    rng = np.random.default_rng(20240)
+    normals = FeatureMatrix(values=rng.normal(size=(120, 8)),
+                            labels=np.full(120, NORMAL, dtype=object))
+    model, history = train_on_normal(
+        normals.select(np.arange(96)), AutoencoderConfig(input_dim=8, hidden_dim=3),
+        TrainConfig(max_epochs=12, patience=3, seed=0), np.random.default_rng(1),
+        validation=normals.select(np.arange(96, 120)),
+    )
+    assert _net_digest(model, history.n_epochs, history.best_epoch) == (
+        "bc7c7225e4efbca6103c4c9fd4206899436bc03ae6233f8d1d704bfd2e5da103", 12, 11)
+
+    attacks = _golden_attacks()
+    dnn = DnnConfig(input_dim=5, hidden_dim=12)
+    oversample = SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3, seed=1), m_neighbors=5)
+    for variant, smote, want in (
+        ("plain", None,
+         ("0bed2cbc7328c28583cdd40843e3a246119a58a58d12d387d064ba863613de79", 181, 174)),
+        ("oversampled", oversample,
+         ("7b6ba00c49c1317dd26a0751b5693589c2b85b5dd4b6f1c2a8e5c969cfc85124", 128, 121)),
+    ):
+        clf, info = train_fourclass(attacks, oversample=smote, rng=np.random.default_rng(17),
+                                    dnn=dnn)
+        if smote is not None:
+            assert (sum(info["class_counts_after"].values())
+                    > sum(info["class_counts_before"].values()))
+        assert _net_digest(clf.model, info["epochs"], info["best_epoch"]) == want, variant
+
+    # the MLP baseline: train_network without a validation pair
+    trained = []
+
+    def recording_train_network(*args, **kwargs):
+        assert kwargs.get("validation") is None
+        trained.append(real_train_network(*args, **kwargs))
+        return trained[-1]
+
+    real_train_network = classifier.train_network
+    monkeypatch.setattr(classifier, "train_network", recording_train_network)
+    data = attacks.values
+    labels = np.where(attacks.labels == "DoS", NORMAL, ATTACK).astype(object)
+    _fit_baseline("mlp", data, labels, RunConfig(max_epochs=15, seed=4))
+    (mlp, mlp_history), = trained
+    assert _net_digest(mlp, mlp_history.n_epochs, mlp_history.best_epoch) == (
+        "06629946f2ee17173c3fd29b10838823551c14ee8a62bfee1da2ca26bbbb66e1", 15, 14)

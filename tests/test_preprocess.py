@@ -166,6 +166,7 @@ def test_pipeline_json_golden_fields():
     ds = _ds_with_protocols(["tcp", "tcp", "udp"])
     pipe = fit_pipeline(ds)
     doc = json.loads(pipe.to_json())
+    assert set(doc) == {"format_version", "kind", "features", "encoders"}
     assert doc["format_version"] == 1
     assert [f["name"] for f in doc["features"]] == list(DEFAULT_SCHEMA.names)
     assert set(doc["features"][0]) == {"name", "mu", "sigma"}
@@ -176,10 +177,14 @@ def test_pipeline_json_golden_fields():
 
 def test_pipeline_json_roundtrip(fixture_ds):
     pipe = fit_pipeline(fixture_ds)
-    loaded = FittedPipeline.from_json(pipe.to_json())
     a = pipe.transform(fixture_ds).values
-    b = loaded.transform(fixture_ds).values
-    assert (a == b).all()
+    assert a.shape[1] == 41
+    doc = json.loads(pipe.to_json())
+    # files from before constant-column dropping was removed carry an
+    # empty "dropped_features" list; they load the same
+    for text in (pipe.to_json(), json.dumps({**doc, "dropped_features": []})):
+        b = FittedPipeline.from_json(text).transform(fixture_ds).values
+        assert (a == b).all()
 
 
 def test_pipeline_json_version_guard(fixture_ds):
@@ -187,21 +192,6 @@ def test_pipeline_json_version_guard(fixture_ds):
     doc["format_version"] = 99
     with pytest.raises(ValueError, match="version"):
         FittedPipeline.from_json(json.dumps(doc))
-
-
-def test_drop_constant_flag_off_by_default(fixture_ds):
-    default = fit_pipeline(fixture_ds)
-    assert default.dropped == ()
-    assert default.transform(fixture_ds).values.shape[1] == 41
-
-    dropping = fit_pipeline(fixture_ds, drop_constant=True)
-    assert "num_outbound_cmds" in dropping.dropped
-    z = dropping.transform(fixture_ds)
-    assert z.values.shape[1] == 41 - len(dropping.dropped)
-    assert len(dropping.feature_names) == z.values.shape[1]
-    loaded = FittedPipeline.from_json(dropping.to_json())
-    assert loaded.dropped == dropping.dropped
-    assert (loaded.transform(fixture_ds).values == z.values).all()
 
 
 def test_unseen_code_zero_is_reserved():

@@ -52,3 +52,41 @@ def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
     assert fits["baselines.fit.random_forest"]["trees"] == 100
     assert fits["baselines.fit.adaboost"]["trees"] >= 1
     assert fits["baselines.fit.gradient_boosting"]["trees"] == 100
+
+
+def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
+    # the tracer binds neural.train's arguments by name, reads TrainConfig
+    # fields, and puts the untraced neural.forward back while neural.train
+    # runs; a renamed parameter or field, or a caller that holds its own
+    # reference to neural.train (so per-batch forward calls are traced
+    # and no train span is recorded), fails here
+    from nidkit.dataset import make_fixture, write_kdd_file
+
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    write_kdd_file(make_fixture(20, seed=3), train)
+    write_kdd_file(make_fixture(6, seed=4), test)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([[
+        "pipeline", "--train", str(train), "--test", str(test), "--out", str(tmp_path / "out"),
+        "--max-epochs", "2", "--patience", "3", "--oversample", "both"]]))
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--plan", str(plan),
+         "--out", str(spans), "--src", str(ROOT / "src")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    recorded = json.loads(spans.read_text())["spans"]
+    by_id = {s["id"]: s for s in recorded}
+    trains = [s for s in recorded if s["name"] == "neural.train"]
+    assert len(trains) == 3  # autoencoder, plain and oversampled classifiers
+    for span in trains:
+        assert span["counts"]["epochs"] == 2
+        assert span["counts"]["batches"] > 0
+    forwards = [s for s in recorded if s["name"] == "neural.forward"]
+    assert forwards
+    for span in forwards:
+        parent = span["parent"]
+        while parent >= 0:
+            assert by_id[parent]["name"] != "neural.train"
+            parent = by_id[parent]["parent"]
