@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reproduce the headline result tables on the real NSL-KDD data.
+"""Reproduce the headline result tables on NSL-KDD train and test files.
 
 Runs the full two-stage pipeline (labeled-F1 threshold calibration,
 classifier trained with and without oversampling) plus all seven
@@ -8,7 +8,8 @@ comparison assembled from the emitted reports.
 
 Usage:
     python scripts/fetch_nsl_kdd.py --dest data
-    python scripts/run_paper_tables.py --data data --out runs/paper --seed 0
+    python scripts/run_paper_tables.py --train data/KDDTrain+.txt \
+        --test data/KDDTest+.txt --out runs/paper --seed 0
 """
 
 import argparse
@@ -16,29 +17,27 @@ import json
 import sys
 from pathlib import Path
 
-from nidkit.pipeline import RunConfig, run_baselines, run_evaluate, run_train_binary, run_train_multiclass
+from nidkit.pipeline import RunConfig, run_baselines, run_pipeline
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--data", default="data", help="directory with KDDTrain+.txt / KDDTest+.txt")
+    parser.add_argument("--train", default="data/KDDTrain+.txt", help="KDDTrain+ style file")
+    parser.add_argument("--test", default="data/KDDTest+.txt", help="KDDTest+ style file")
     parser.add_argument("--out", default="runs/paper", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--skip-baselines", action="store_true")
     args = parser.parse_args()
 
-    data = Path(args.data)
     cfg = RunConfig(
-        train_path=str(data / "KDDTrain+.txt"),
-        test_path=str(data / "KDDTest+.txt"),
+        train_path=args.train,
+        test_path=args.test,
         out_dir=args.out,
         seed=args.seed,
         calibration="labeled_f1",
         oversample="both",
     )
-    run_train_binary(cfg)
-    run_train_multiclass(cfg)
-    run_evaluate(cfg)
+    run_pipeline(cfg)
     if not args.skip_baselines:
         run_baselines(cfg)
 

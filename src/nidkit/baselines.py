@@ -58,15 +58,6 @@ class _Node:
         return self.feature < 0
 
 
-def gini_impurity(counts: np.ndarray) -> float:
-    """1 - sum(p^2) over class shares; 0 for empty or pure nodes."""
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
-
-
 def _presort(data: np.ndarray) -> np.ndarray:
     """(d, n) row order: row j lists the rows by ascending column j, stable."""
     return np.ascontiguousarray(np.argsort(data, axis=0, kind="stable").T)
@@ -303,8 +294,7 @@ class GaussianNB:
         return out
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        winners = np.argmax(self.log_posteriors(data), axis=1)
-        return np.array([self.classes[i] for i in winners], dtype=object)
+        return np.array(self.classes, dtype=object)[np.argmax(self.log_posteriors(data), axis=1)]
 
 
 def fit_gnb(data: np.ndarray, labels) -> GaussianNB:
@@ -419,10 +409,7 @@ class AdaBoost:
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        score = self.decision(data)
-        return np.array(
-            [self.classes[1] if s > 0 else self.classes[0] for s in score], dtype=object
-        )
+        return np.array(self.classes, dtype=object)[(self.decision(data) > 0).astype(np.intp)]
 
 
 def stump_weight(err: float) -> float:
@@ -509,10 +496,7 @@ class GradientBoost:
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        score = self.decision(data)
-        return np.array(
-            [self.classes[1] if s > 0 else self.classes[0] for s in score], dtype=object
-        )
+        return np.array(self.classes, dtype=object)[(self.decision(data) > 0).astype(np.intp)]
 
 
 def fit_gradient_boost(

@@ -69,11 +69,11 @@ class AttackClassifier:
 
 
 def _one_hot(labels: np.ndarray, class_order: tuple[str, ...]) -> np.ndarray:
-    index = {c: i for i, c in enumerate(class_order)}
-    out = np.zeros((len(labels), len(class_order)))
-    for i, lab in enumerate(labels):
-        out[i, index[lab]] = 1.0
-    return out
+    """(n, k) float64 indicator of each row's class in ``class_order``."""
+    hits = np.asarray(labels, dtype=object)[:, None] == np.array(class_order, dtype=object)
+    if not hits.any(axis=1).all():
+        raise KeyError(f"label outside {class_order}")
+    return hits.astype(np.float64)
 
 
 def _stratified_split(
@@ -159,10 +159,8 @@ def train_fourclass(
     return clf, info
 
 
-def predict(clf: AttackClassifier, batch: FeatureMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict(clf: AttackClassifier, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(categories, probability matrix); argmax ties go to the lower class index."""
-    values = batch.values if isinstance(batch, FeatureMatrix) else np.asarray(batch, dtype=np.float64)
     probs, _ = neural.forward(clf.model, values)
-    winners = np.argmax(probs, axis=1)
-    cats = np.array([clf.class_order[i] for i in winners], dtype=object)
+    cats = np.array(clf.class_order, dtype=object)[np.argmax(probs, axis=1)]
     return cats, probs

@@ -1,4 +1,4 @@
-"""NSL-KDD file parsing, attack taxonomy, and synthetic fixtures.
+"""NSL-KDD file parsing and attack taxonomy.
 
 A record line has 43 comma-separated fields: 41 features, the attack
 label, and a difficulty score. The difficulty column is parsed and kept
@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .schema import CATEGORICAL, DEFAULT_SCHEMA, FeatureSchema
+from .schema import DEFAULT_SCHEMA
 
 CATEGORIES = ("Normal", "DoS", "Probe", "R2L", "U2R")
 ATTACK_CATEGORIES = ("DoS", "Probe", "R2L", "U2R")
@@ -89,11 +89,11 @@ class LabeledDataset:
     def labels(self) -> np.ndarray:
         return self.label.astype(object)
 
-    def column(self, index: int, schema: FeatureSchema = DEFAULT_SCHEMA) -> np.ndarray:
+    def column(self, index: int) -> np.ndarray:
         """Parsed values of feature ``index``: str if categorical, else float64."""
-        if index in schema.categorical_indices:
-            return self.categorical[:, schema.categorical_indices.index(index)]
-        return self.numeric[:, schema.numeric_indices.index(index)]
+        if index in DEFAULT_SCHEMA.categorical_indices:
+            return self.categorical[:, DEFAULT_SCHEMA.categorical_indices.index(index)]
+        return self.numeric[:, DEFAULT_SCHEMA.numeric_indices.index(index)]
 
     def raw_columns(self, indices: tuple[int, ...]) -> np.ndarray:
         """(n, len(indices)) object array of the fields' raw strings."""
@@ -177,13 +177,13 @@ def _difficulty(text: str) -> int | str:
     return difficulty
 
 
-def _line_error(line: str, schema: FeatureSchema) -> str | None:
+def _line_error(line: str) -> str | None:
     """Why one non-blank line is invalid, checked field by field; None if valid."""
     fields = line.split(",")
     if len(fields) != N_FIELDS:
         return f"expected {N_FIELDS} fields, got {len(fields)}"
-    for j in schema.numeric_indices:
-        message = _numeric_error(fields[j], schema.names[j])
+    for j in DEFAULT_SCHEMA.numeric_indices:
+        message = _numeric_error(fields[j], DEFAULT_SCHEMA.names[j])
         if message is not None:
             return message
     difficulty = _difficulty(fields[DIFFICULTY_FIELD])
@@ -196,7 +196,7 @@ def _line_error(line: str, schema: FeatureSchema) -> str | None:
     return None
 
 
-def _first_error(kept: list[str], blanks: list[int], schema: FeatureSchema,
+def _first_error(kept: list[str], blanks: list[int],
                  cause: Exception | None = None) -> KddParseError:
     """Error naming the first invalid line; line numbers count blank lines."""
     skipped = set(blanks)
@@ -205,15 +205,13 @@ def _first_error(kept: list[str], blanks: list[int], schema: FeatureSchema,
         lineno += 1
         while lineno in skipped:
             lineno += 1
-        message = _line_error(line, schema)
+        message = _line_error(line)
         if message is not None:
             return KddParseError(f"line {lineno}: {message}")
     return KddParseError(f"unparseable input: {cause}")
 
 
-def parse_kdd_lines(
-    lines: Iterable[str], split: str, schema: FeatureSchema = DEFAULT_SCHEMA
-) -> LabeledDataset:
+def parse_kdd_lines(lines: Iterable[str], split: str) -> LabeledDataset:
     """Validate and parse lines into columns; blank lines are skipped but
     still counted in the line number that an error names."""
     kept: list[str] = []
@@ -227,21 +225,21 @@ def parse_kdd_lines(
     if not kept:
         raise KddParseError("no records found")
     if any(line.count(",") != N_FIELDS - 1 or "\0" in line for line in kept):
-        raise _first_error(kept, blanks, schema)
-    text_fields = (*schema.categorical_indices, LABEL_FIELD, DIFFICULTY_FIELD)
+        raise _first_error(kept, blanks)
+    text_fields = (*DEFAULT_SCHEMA.categorical_indices, LABEL_FIELD, DIFFICULTY_FIELD)
     try:
-        numeric = _load_fields(kept, schema.numeric_indices, np.float64)
+        numeric = _load_fields(kept, DEFAULT_SCHEMA.numeric_indices, np.float64)
         text = _load_fields(kept, text_fields, object)
     except ValueError as exc:
-        raise _first_error(kept, blanks, schema, exc) from None
+        raise _first_error(kept, blanks, exc) from None
     if not (np.isfinite(numeric) & (numeric >= 0)).all():
-        raise _first_error(kept, blanks, schema)
+        raise _first_error(kept, blanks)
 
     # difficulty holds a few distinct strings: check each once
     spelled, row_of = np.unique(text[:, -1].astype(str), return_inverse=True)
     parsed = [_difficulty(s) for s in spelled.tolist()]
     if any(isinstance(d, str) for d in parsed):
-        raise _first_error(kept, blanks, schema)
+        raise _first_error(kept, blanks)
     # keep lines in the canonical form (difficulty as a plain integer)
     for i, (difficulty, spelling) in enumerate(zip(parsed, spelled.tolist())):
         if str(difficulty) != spelling:
@@ -257,18 +255,10 @@ def parse_kdd_lines(
     )
 
 
-def parse_kdd_file(
-    path: str | Path, split: str = "train", schema: FeatureSchema = DEFAULT_SCHEMA
-) -> LabeledDataset:
+def parse_kdd_file(path: str | Path, split: str = "train") -> LabeledDataset:
     """Parse an NSL-KDD text file (43 comma-separated fields per line)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_kdd_lines(fh, split=split, schema=schema)
-
-
-def write_kdd_file(ds: LabeledDataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in ds.lines:
-            fh.write(line + "\n")
+        return parse_kdd_lines(fh, split=split)
 
 
 def categorize(label: str, taxonomy: AttackTaxonomy) -> str:
@@ -311,91 +301,3 @@ def fourclass_labels(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray
         raise ValueError(f"normal record at row {bad[0]}; four-class labels need attacks only")
     return cats
 
-
-# --- synthetic fixture -------------------------------------------------
-
-# Per-category blob centers on a handful of discriminative features; all
-# other continuous features sit near zero. Values chosen so the five
-# blobs stay well separated after z-scoring.
-_FIXTURE_CENTERS: dict[str, dict[str, float]] = {
-    "Normal": {"duration": 50, "src_bytes": 1000, "dst_bytes": 2000, "count": 5,
-               "srv_count": 6, "serror_rate": 0.01, "rerror_rate": 0.02,
-               "dst_host_count": 30, "same_srv_rate": 0.9},
-    "DoS": {"duration": 2, "src_bytes": 200, "dst_bytes": 0, "count": 400,
-            "srv_count": 300, "serror_rate": 0.95, "rerror_rate": 0.02,
-            "dst_host_count": 250, "same_srv_rate": 0.05},
-    "Probe": {"duration": 8, "src_bytes": 40, "dst_bytes": 10, "count": 150,
-              "srv_count": 20, "serror_rate": 0.3, "rerror_rate": 0.7,
-              "dst_host_count": 180, "same_srv_rate": 0.2,
-              "dst_host_srv_diff_host_rate": 0.8, "diff_srv_rate": 0.6},
-    "R2L": {"duration": 400, "src_bytes": 3000, "dst_bytes": 500, "count": 3,
-            "srv_count": 3, "serror_rate": 0.02, "rerror_rate": 0.05,
-            "dst_host_count": 10, "hot": 20, "num_failed_logins": 4,
-            "same_srv_rate": 0.8},
-    "U2R": {"duration": 800, "src_bytes": 500, "dst_bytes": 300, "count": 2,
-            "srv_count": 2, "serror_rate": 0.02, "rerror_rate": 0.02,
-            "dst_host_count": 5, "hot": 8, "num_root": 8,
-            "num_file_creations": 5, "same_srv_rate": 0.85},
-}
-
-_FIXTURE_CATEGORICALS: dict[str, tuple[str, str, str]] = {
-    "Normal": ("tcp", "http", "SF"),
-    "DoS": ("icmp", "ecr_i", "S0"),
-    "Probe": ("tcp", "private", "REJ"),
-    "R2L": ("tcp", "ftp", "SF"),
-    "U2R": ("tcp", "telnet", "SF"),
-}
-
-_FIXTURE_ALT_CATEGORICALS = ("udp", "domain_u", "RSTR")
-
-_FIXTURE_LABELS: dict[str, tuple[str, ...]] = {
-    "Normal": ("normal",),
-    "DoS": ("neptune", "smurf", "back"),
-    "Probe": ("satan", "nmap", "portsweep"),
-    "R2L": ("guess_passwd", "warezclient"),
-    "U2R": ("rootkit", "buffer_overflow"),
-}
-
-_FIXTURE_BINARY_ON: dict[str, tuple[str, ...]] = {
-    "Normal": ("logged_in",),
-    "DoS": (),
-    "Probe": (),
-    "R2L": ("logged_in", "is_guest_login"),
-    "U2R": ("logged_in", "root_shell"),
-}
-
-
-def make_fixture(
-    n_per_class: int, seed: int, schema: FeatureSchema = DEFAULT_SCHEMA
-) -> LabeledDataset:
-    """Deterministic schema-valid dataset: one Gaussian blob per category."""
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
-    rng = np.random.default_rng(seed)
-    binary_names = {e.name for e in schema.entries if e.kind == "binary"}
-    lines: list[str] = []
-    for cat in CATEGORIES:
-        centers = _FIXTURE_CENTERS[cat]
-        proto, service, flag = _FIXTURE_CATEGORICALS[cat]
-        labels = _FIXTURE_LABELS[cat]
-        on = set(_FIXTURE_BINARY_ON[cat])
-        for i in range(n_per_class):
-            fields: list[str] = []
-            use_alt = rng.random() < 0.15
-            for e in schema.entries:
-                if e.kind == CATEGORICAL:
-                    typical = {"protocol_type": proto, "service": service, "flag": flag}[e.name]
-                    alt = _FIXTURE_ALT_CATEGORICALS[schema.categorical_indices.index(e.index)]
-                    fields.append(alt if use_alt else typical)
-                elif e.name in binary_names:
-                    fields.append("1" if e.name in on else "0")
-                else:
-                    center = centers.get(e.name, 0.0)
-                    sigma = max(0.02 * center, 0.01) if center else 0.0
-                    value = max(0.0, center + sigma * rng.standard_normal())
-                    if e.name == "num_outbound_cmds":
-                        value = 0.0  # constant column, as in the real dumps
-                    fields.append(f"{value:.3f}")
-            difficulty = int(rng.integers(0, 22))
-            lines.append(",".join(fields) + f",{labels[i % len(labels)]},{difficulty}")
-    return parse_kdd_lines(lines, split="fixture", schema=schema)

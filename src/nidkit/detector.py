@@ -186,7 +186,7 @@ def verdict_array(det: AnomalyDetector, values: np.ndarray) -> tuple[np.ndarray,
 
 
 def scores_to_csv(errors: np.ndarray, verdicts: np.ndarray) -> str:
-    lines = ["row_index,reconstruction_error,verdict"]
-    for i, (e, v) in enumerate(zip(errors, verdicts)):
-        lines.append(f"{i},{e!r},{v}")
-    return "\n".join(lines) + "\n"
+    """One CSV row per error; Python float reprs are the shortest decimal
+    strings that read back to the same float64."""
+    rows = map("{},{!r},{}".format, range(len(errors)), errors.tolist(), verdicts.tolist())
+    return "\n".join(["row_index,reconstruction_error,verdict", *rows]) + "\n"

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import CATEGORIES, AttackTaxonomy, LabeledDataset, categories
 from .preprocess import fit_encoder, encode
-from .schema import CATEGORICAL, DEFAULT_SCHEMA, FeatureSchema
+from .schema import CATEGORICAL, DEFAULT_SCHEMA
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,16 @@ class RedundancyReport:
         )
 
 
-def _numeric_view(ds: LabeledDataset, schema: FeatureSchema) -> np.ndarray:
+def _numeric_view(ds: LabeledDataset) -> np.ndarray:
     """Encoded matrix for exploration; codes are fit on this dataset."""
-    return encode(fit_encoder(ds, schema), ds, schema)
+    return encode(fit_encoder(ds), ds)
 
 
-def _feature_view(ds: LabeledDataset, feature: str, schema: FeatureSchema) -> np.ndarray:
+def _feature_view(ds: LabeledDataset, feature: str) -> np.ndarray:
     """One column of the encoded matrix, without encoding the others."""
-    values = ds.column(schema.index_of(feature), schema)
+    values = ds.column(DEFAULT_SCHEMA.index_of(feature))
     if values.dtype.kind == "U":
-        values = fit_encoder(ds, schema).encode_column(feature, values)
+        values = fit_encoder(ds).encode_column(feature, values)
     return values
 
 
@@ -78,13 +78,12 @@ def histogram(
     cats: np.ndarray,
     feature: str,
     bins: int = 40,
-    schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> HistogramReport:
     """Uniform bins over the pooled [min, max]; the last bin is right-closed.
     ``cats`` is the per-row category, as from ``dataset.categories``."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    values = _feature_view(ds, feature, schema)
+    values = _feature_view(ds, feature)
     if values.size == 0:
         raise ValueError("empty dataset")
     lo, hi = float(values.min()), float(values.max())
@@ -131,11 +130,10 @@ def scatter_rows(
     feature_x: str,
     feature_y: str,
     cats: np.ndarray,
-    schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> list[tuple[str, str, str]]:
     """(x, y, category) per record, raw feature values kept verbatim;
     ``cats`` is the per-row category."""
-    xy = ds.raw_columns((schema.index_of(feature_x), schema.index_of(feature_y)))
+    xy = ds.raw_columns((DEFAULT_SCHEMA.index_of(feature_x), DEFAULT_SCHEMA.index_of(feature_y)))
     return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist(), cats.tolist()))
 
 
@@ -145,13 +143,11 @@ def scatter_csv(rows: list[tuple[str, str, str]], feature_x: str, feature_y: str
     return "\n".join(lines) + "\n"
 
 
-def find_constant_features(
-    ds: LabeledDataset, schema: FeatureSchema = DEFAULT_SCHEMA
-) -> RedundancyReport:
+def find_constant_features(ds: LabeledDataset) -> RedundancyReport:
     """Features whose raw value never varies across the dataset."""
     found: list[tuple[str, str]] = []
-    for e in schema.entries:
-        values = ds.column(e.index, schema)
+    for e in DEFAULT_SCHEMA.entries:
+        values = ds.column(e.index)
         if not (values == values[0]).all():
             continue  # raw strings that parse to different values differ
         if e.kind != CATEGORICAL:  # equal numbers may be spelled differently
@@ -177,7 +173,6 @@ def write_exploration(
     features: tuple[str, ...] = DEFAULT_HISTOGRAM_FEATURES,
     scatter_pairs: tuple[tuple[str, str], ...] = DEFAULT_SCATTER_PAIRS,
     bins: int = 40,
-    schema: FeatureSchema = DEFAULT_SCHEMA,
 ) -> list[Path]:
     """Emit histograms/, correlation.csv, scatter_*.csv and redundancy.json."""
     cats = categories(ds, taxonomy)
@@ -185,20 +180,20 @@ def write_exploration(
     (out / "histograms").mkdir(parents=True, exist_ok=True)
     written = []
     for feature in features:
-        report = histogram(ds, cats, feature, bins=bins, schema=schema)
+        report = histogram(ds, cats, feature, bins=bins)
         path = out / "histograms" / f"{feature}.csv"
         path.write_text(report.to_csv())
         written.append(path)
-    corr = pearson_matrix(_numeric_view(ds, schema))
+    corr = pearson_matrix(_numeric_view(ds))
     path = out / "correlation.csv"
-    path.write_text(corr.to_csv(schema.names))
+    path.write_text(corr.to_csv(DEFAULT_SCHEMA.names))
     written.append(path)
     for fx, fy in scatter_pairs:
-        rows = scatter_rows(ds, fx, fy, cats, schema)
+        rows = scatter_rows(ds, fx, fy, cats)
         path = out / f"scatter_{fx}_{fy}.csv"
         path.write_text(scatter_csv(rows, fx, fy))
         written.append(path)
     path = out / "redundancy.json"
-    path.write_text(find_constant_features(ds, schema).to_json() + "\n")
+    path.write_text(find_constant_features(ds).to_json() + "\n")
     written.append(path)
     return written

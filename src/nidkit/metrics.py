@@ -2,8 +2,8 @@
 
 Degenerate 0/0 ratios resolve to 0 throughout, so absent classes never
 inflate a score. ``micro_f1`` here is the support-weighted mean of
-per-class F1 scores; the conventional pooled-counts quantity is exposed
-separately as :func:`pooled_f1`.
+per-class F1 scores; for single-label data the conventional pooled-counts
+micro-F1 equals :func:`accuracy`.
 """
 
 from __future__ import annotations
@@ -87,15 +87,18 @@ def confusion(true_labels, predicted_labels, class_order) -> ConfusionMatrix:
         raise ValueError("label vectors differ in length")
     if len(true_labels) == 0:
         raise ValueError("empty input")
-    index = {c: i for i, c in enumerate(class_order)}
+    classes = np.array(class_order, dtype=object)
+    true_hits = true_labels[:, None] == classes
+    pred_hits = predicted_labels[:, None] == classes
+    bad = ~(true_hits.any(axis=1) & pred_hits.any(axis=1))
+    if bad.any():
+        row = int(np.argmax(bad))
+        if not true_hits[row].any():
+            raise ValueError(f"unknown true label {true_labels[row]!r}")
+        raise ValueError(f"unknown predicted label {predicted_labels[row]!r}")
     k = len(class_order)
-    counts = np.zeros((k, k), dtype=np.int64)
-    for t, p in zip(true_labels, predicted_labels):
-        if t not in index:
-            raise ValueError(f"unknown true label {t!r}")
-        if p not in index:
-            raise ValueError(f"unknown predicted label {p!r}")
-        counts[index[t], index[p]] += 1
+    cells = true_hits.argmax(axis=1) * k + pred_hits.argmax(axis=1)
+    counts = np.bincount(cells, minlength=k * k).astype(np.int64).reshape(k, k)
     return ConfusionMatrix(counts=counts, classes=tuple(class_order))
 
 
@@ -153,14 +156,6 @@ def macro_micro(per_class: dict[str, float], supports: dict[str, int]) -> tuple[
     macro = sum(per_class.values()) / len(per_class)
     micro = sum(per_class[c] * supports[c] for c in per_class) / total
     return macro, micro
-
-
-def pooled_f1(cm: ConfusionMatrix) -> float:
-    """Conventional micro-F1 from globally pooled TP/FP/FN counts."""
-    tp = int(np.trace(cm.counts))
-    fp = int(cm.counts.sum() - np.trace(cm.counts))
-    fn = fp  # single-label: every off-diagonal is one FP and one FN
-    return f1_score(_ratio(tp, tp + fp), _ratio(tp, tp + fn))
 
 
 def accuracy(cm: ConfusionMatrix) -> float:

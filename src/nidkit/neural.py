@@ -104,9 +104,6 @@ class MlpModel:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def n_params(self) -> int:
-        return self.params.size
-
     def copy(self) -> "MlpModel":
         return MlpModel(self.layers, self.weights, self.biases)
 
@@ -184,16 +181,6 @@ def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "identity":
         return z
     raise ValueError(f"unknown activation {kind!r}")
-
-
-def activation(kind: str, x: np.ndarray) -> np.ndarray:
-    """Apply an activation to a vector or batch; rejects non-finite input."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite activation input")
-    if kind == "softmax" and x.shape[-1] < 1:
-        raise ValueError("softmax needs length >= 1")
-    return _apply_activation(kind, x)
 
 
 def _activation_backward(kind: str, z: np.ndarray, upstream: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .dataset import (
     load_taxonomy,
     parse_kdd_file,
 )
-from .preprocess import FeatureMatrix, FittedPipeline, fit_pipeline
+from .preprocess import FeatureMatrix, FittedPipeline, fit_transform
 from .resample import SmoteConfig, SvmSmoteConfig
 
 log = logging.getLogger("nidkit")
@@ -114,25 +114,27 @@ def _taxonomy(cfg: RunConfig) -> AttackTaxonomy:
     return load_taxonomy(cfg.taxonomy_path)
 
 
-def _load_or_fit_pipeline(cfg: RunConfig, train_ds: LabeledDataset) -> FittedPipeline:
+def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset) -> np.ndarray:
+    """The training matrix through the pipeline.json in the output directory,
+    fitting and writing that file first when it is absent."""
     path = _out(cfg) / "pipeline.json"
     if path.exists():
         log.info("reusing fitted pipeline at %s", path)
-        return FittedPipeline.from_json(path.read_text())
-    pipe = fit_pipeline(train_ds)
+        return FittedPipeline.from_json(path.read_text()).transform(train_ds)
+    pipe, values = fit_transform(train_ds)
     path.write_text(pipe.to_json() + "\n")
     log.info("fitted preprocessing pipeline -> %s", path)
-    return pipe
+    return values
 
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """The parsed training file, its per-row categories and its transformed
+    """The parsed training file, its per-row categories and its standardized
     matrix, shared by both training stages of one run."""
 
     ds: LabeledDataset
     categories: np.ndarray
-    fm: FeatureMatrix
+    values: np.ndarray
 
 
 def load_training_set(cfg: RunConfig) -> TrainingSet:
@@ -140,8 +142,7 @@ def load_training_set(cfg: RunConfig) -> TrainingSet:
     # labels are checked before pipeline.json is written, so a rejected
     # file leaves no fitted state behind
     cats = categories(train, _taxonomy(cfg))
-    pipe = _load_or_fit_pipeline(cfg, train)
-    return TrainingSet(ds=train, categories=cats, fm=pipe.transform(train))
+    return TrainingSet(ds=train, categories=cats, values=_standardized_train(cfg, train))
 
 
 # --- commands ------------------------------------------------------------
@@ -166,7 +167,7 @@ def run_train_binary(cfg: RunConfig, training: TrainingSet | None = None) -> Pat
     if training is None:
         training = load_training_set(cfg)
     bin_labels = binary_of(training.categories)
-    fm = FeatureMatrix(values=training.fm.values, labels=bin_labels)
+    fm = FeatureMatrix(values=training.values, labels=bin_labels)
     if not (bin_labels == NORMAL).any():
         raise ValueError("training data has no normal rows; cannot train the detector")
 
@@ -227,7 +228,7 @@ def run_train_multiclass(cfg: RunConfig, training: TrainingSet | None = None) ->
     attack_rows = np.nonzero(cats != "Normal")[0]
     if attack_rows.size == 0:
         raise ValueError("training data has no attack rows")
-    attacks = FeatureMatrix(values=training.fm.values[attack_rows], labels=cats[attack_rows])
+    attacks = FeatureMatrix(values=training.values[attack_rows], labels=cats[attack_rows])
 
     out = _out(cfg)
     written: list[Path] = []
@@ -284,13 +285,13 @@ def run_evaluate(cfg: RunConfig) -> Path:
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    fm = pipe.transform(test)
+    values = pipe.transform(test)
     cats = categories(test, taxonomy)
     true_bin = binary_of(cats)
     timings["preprocess"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    errors, verdicts = det_mod.verdict_array(det, fm.values)
+    errors, verdicts = det_mod.verdict_array(det, values)
     timings["stage1"] = time.perf_counter() - t0
     (out / "scores.csv").write_text(det_mod.scores_to_csv(errors, verdicts))
     cm1 = metrics_mod.confusion(true_bin, verdicts, BINARY_CLASS_ORDER)
@@ -304,7 +305,7 @@ def run_evaluate(cfg: RunConfig) -> Path:
         "stage1": stage1,
         "stage2": {},
         "counts": {
-            "test_rows": int(fm.n_rows),
+            "test_rows": len(values),
             "stage1_predicted_attacks": int((verdicts == ATTACK).sum()),
         },
     }
@@ -322,8 +323,7 @@ def run_evaluate(cfg: RunConfig) -> Path:
         t0 = time.perf_counter()
         section: dict = {"trained_with_oversampling": clf.trained_with_oversampling}
 
-        gt_values = fm.values[is_attack_true]
-        predicted, _ = clf_mod.predict(clf, gt_values)
+        predicted, _ = clf_mod.predict(clf, values[is_attack_true])
         gt_report = metrics_mod.multiclass_report(attack_labels, predicted, clf.class_order)
         section["ground_truth"] = gt_report.to_dict()
         (out / f"stage2_{variant}_groundtruth_confusion.csv").write_text(
@@ -335,7 +335,7 @@ def run_evaluate(cfg: RunConfig) -> Path:
         section["false_positive_normals"] = false_positive_normals
         surv_labels = attack_labels[is_attack_pred[is_attack_true]]
         if surv_labels.size:
-            surv_pred, _ = clf_mod.predict(clf, fm.values[survivors])
+            surv_pred, _ = clf_mod.predict(clf, values[survivors])
             surv_report = metrics_mod.multiclass_report(surv_labels, surv_pred, clf.class_order)
             section["survivors"] = surv_report.to_dict()
             (out / f"stage2_{variant}_survivors_confusion.csv").write_text(
@@ -350,7 +350,7 @@ def run_evaluate(cfg: RunConfig) -> Path:
         dispositions = {"normal": int((verdicts == NORMAL).sum()),
                         "false_positive_normal": false_positive_normals, **surv_counts}
         section["dispositions"] = dispositions
-        if sum(dispositions.values()) != fm.n_rows:
+        if sum(dispositions.values()) != len(values):
             raise RuntimeError("disposition counts do not conserve the test rows")
         timings[f"stage2_{variant}"] = time.perf_counter() - t0
         report["stage2"][variant] = section
@@ -361,7 +361,7 @@ def run_evaluate(cfg: RunConfig) -> Path:
     log.info(
         "stage1 accuracy %.4f / f1 %.4f; %d predicted attacks of %d rows",
         stage1["attack_positive"]["accuracy"], stage1["attack_positive"]["f1"],
-        report["counts"]["stage1_predicted_attacks"], fm.n_rows,
+        report["counts"]["stage1_predicted_attacks"], len(values),
     )
     return path
 
@@ -413,9 +413,8 @@ def run_baselines(cfg: RunConfig) -> Path:
     train = parse_kdd_file(_require(cfg.train_path, "train"), split="train")
     test = parse_kdd_file(_require(cfg.test_path, "test"), split="test")
     taxonomy = _taxonomy(cfg)
-    pipe = fit_pipeline(train)
-    train_fm = pipe.transform(train)
-    test_fm = pipe.transform(test)
+    pipe, train_values = fit_transform(train)
+    test_values = pipe.transform(test)
     y_train = binary_labels(train, taxonomy)
     y_test = binary_labels(test, taxonomy)
 
@@ -423,8 +422,8 @@ def run_baselines(cfg: RunConfig) -> Path:
     details: dict[str, dict] = {}
     for name in cfg.baselines:
         t0 = time.perf_counter()
-        predictor = _fit_baseline(name, train_fm.values, y_train, cfg)
-        predicted = predictor(test_fm.values)
+        predictor = _fit_baseline(name, train_values, y_train, cfg)
+        predicted = predictor(test_values)
         seconds = time.perf_counter() - t0
         cm = metrics_mod.confusion(y_test, predicted, BINARY_CLASS_ORDER)
         attack_pos = metrics_mod.binary_metrics(cm, positive_class=ATTACK)

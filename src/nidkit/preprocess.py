@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import VersionSkewError
-from .schema import DEFAULT_SCHEMA, FeatureSchema
+from .schema import DEFAULT_SCHEMA
 
 PIPELINE_FORMAT_VERSION = 1
 
@@ -79,16 +79,14 @@ class Standardizer:
 @dataclass(frozen=True)
 class FittedPipeline:
     """Frozen preprocessing state; encoder and standardizer must come
-    from the same training dataset (use :func:`fit_pipeline`)."""
+    from the same training dataset (use :func:`fit_transform`)."""
 
-    schema: FeatureSchema
     encoder: LabelCountEncoder
     standardizer: Standardizer
 
-    def transform(self, ds: LabeledDataset) -> FeatureMatrix:
+    def transform(self, ds: LabeledDataset) -> np.ndarray:
         """Encode then standardize; pure, never mutates fitted state."""
-        raw = encode(self.encoder, ds, self.schema)
-        return standardize(self.standardizer, raw, labels=ds.labels())
+        return standardize(self.standardizer, encode(self.encoder, ds))
 
     def to_json(self) -> str:
         doc = {
@@ -97,7 +95,7 @@ class FittedPipeline:
             "features": [
                 {"name": name, "mu": float(m), "sigma": float(s)}
                 for name, m, s in zip(
-                    self.schema.names, self.standardizer.mu, self.standardizer.sigma
+                    DEFAULT_SCHEMA.names, self.standardizer.mu, self.standardizer.sigma
                 )
             ],
             "encoders": {
@@ -108,7 +106,7 @@ class FittedPipeline:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, schema: FeatureSchema = DEFAULT_SCHEMA) -> "FittedPipeline":
+    def from_json(cls, text: str) -> "FittedPipeline":
         doc = json.loads(text)
         version = doc.get("format_version")
         if version != PIPELINE_FORMAT_VERSION:
@@ -116,7 +114,7 @@ class FittedPipeline:
                 f"pipeline format version {version!r} unsupported (expected {PIPELINE_FORMAT_VERSION})"
             )
         names = [f["name"] for f in doc["features"]]
-        if list(schema.names) != names:
+        if list(DEFAULT_SCHEMA.names) != names:
             raise ValueError("pipeline feature names do not match schema")
         mu = np.array([f["mu"] for f in doc["features"]], dtype=np.float64)
         sigma = np.array([f["sigma"] for f in doc["features"]], dtype=np.float64)
@@ -125,33 +123,30 @@ class FittedPipeline:
             for feature, table in doc["encoders"].items()
         }
         return cls(
-            schema=schema,
             encoder=LabelCountEncoder(tables=tables),
             standardizer=Standardizer(mu=mu, sigma=sigma),
         )
 
 
-def fit_encoder(train: LabeledDataset, schema: FeatureSchema = DEFAULT_SCHEMA) -> LabelCountEncoder:
+def fit_encoder(train: LabeledDataset) -> LabelCountEncoder:
     """Count categories per categorical feature and assign frequency-ranked codes."""
     tables: dict[str, dict[str, tuple[int, int]]] = {}
-    for k, j in enumerate(schema.categorical_indices):
+    for k, j in enumerate(DEFAULT_SCHEMA.categorical_indices):
         distinct, counts = np.unique(train.categorical[:, k], return_counts=True)
         # ascending frequency; the stable sort keeps ties in ascending name order
         ordered = np.argsort(counts, kind="stable")
-        tables[schema.names[j]] = {
+        tables[DEFAULT_SCHEMA.names[j]] = {
             str(distinct[i]): (int(counts[i]), code) for code, i in enumerate(ordered, start=1)
         }
     return LabelCountEncoder(tables=tables)
 
 
-def encode(
-    enc: LabelCountEncoder, ds: LabeledDataset, schema: FeatureSchema = DEFAULT_SCHEMA
-) -> np.ndarray:
+def encode(enc: LabelCountEncoder, ds: LabeledDataset) -> np.ndarray:
     """Dataset columns to a float matrix; unseen categories map to code 0."""
-    out = np.empty((len(ds), len(schema.names)), dtype=np.float64)
-    out[:, list(schema.numeric_indices)] = ds.numeric
-    for k, j in enumerate(schema.categorical_indices):
-        out[:, j] = enc.encode_column(schema.names[j], ds.categorical[:, k])
+    out = np.empty((len(ds), len(DEFAULT_SCHEMA.names)), dtype=np.float64)
+    out[:, list(DEFAULT_SCHEMA.numeric_indices)] = ds.numeric
+    for k, j in enumerate(DEFAULT_SCHEMA.categorical_indices):
+        out[:, j] = enc.encode_column(DEFAULT_SCHEMA.names[j], ds.categorical[:, k])
     return out
 
 
@@ -166,12 +161,9 @@ def fit_standardizer(matrix: np.ndarray) -> Standardizer:
     return Standardizer(mu=mu, sigma=sigma)
 
 
-def standardize(
-    s: Standardizer,
-    matrix: np.ndarray,
-    labels: np.ndarray | None = None,
-) -> FeatureMatrix:
-    """Z = (x - mu) / sigma per cell; sigma=0 columns map to 0 everywhere."""
+def standardize(s: Standardizer, matrix: np.ndarray) -> np.ndarray:
+    """Z = (x - mu) / sigma per cell; sigma=0 columns map to 0 everywhere.
+    Raises ValueError when a cell of the result is not finite."""
     if matrix.ndim != 2 or matrix.shape[1] != s.mu.shape[0]:
         raise ValueError(
             f"column mismatch: matrix has {matrix.shape[1] if matrix.ndim == 2 else '?'} columns, "
@@ -180,14 +172,21 @@ def standardize(
     safe = np.where(s.sigma > 0, s.sigma, 1.0)
     z = (matrix - s.mu) / safe
     z[:, s.sigma == 0] = 0.0
-    if labels is None:
-        labels = np.array([""] * matrix.shape[0], dtype=object)
-    return FeatureMatrix(values=z, labels=np.asarray(labels, dtype=object))
+    if not np.isfinite(z).all():
+        raise ValueError("matrix contains non-finite entries")
+    return z
 
 
-def fit_pipeline(train: LabeledDataset, schema: FeatureSchema = DEFAULT_SCHEMA) -> FittedPipeline:
-    """Fit encoder and standardizer on the same training dataset; every
-    feature is kept, train-constant ones standardize to 0."""
-    enc = fit_encoder(train, schema)
-    raw = encode(enc, train, schema)
-    return FittedPipeline(schema=schema, encoder=enc, standardizer=fit_standardizer(raw))
+def fit_transform(train: LabeledDataset) -> tuple[FittedPipeline, np.ndarray]:
+    """Fit encoder and standardizer on the same training dataset and return
+    them with its standardized matrix, encoding the dataset once. Every
+    feature is kept; train-constant ones standardize to 0."""
+    enc = fit_encoder(train)
+    raw = encode(enc, train)
+    pipe = FittedPipeline(encoder=enc, standardizer=fit_standardizer(raw))
+    return pipe, standardize(pipe.standardizer, raw)
+
+
+def fit_pipeline(train: LabeledDataset) -> FittedPipeline:
+    """The fitted state of :func:`fit_transform` alone."""
+    return fit_transform(train)[0]

@@ -1,4 +1,4 @@
-"""Synthetic minority oversampling: plain SMOTE and an SVM-guided variant.
+"""Synthetic minority oversampling: SVM-SMOTE, with plain SMOTE as its fallback.
 
 Synthetics interpolate between a seed row and one of its k nearest
 minority neighbours. The SVM variant seeds generation at borderline
@@ -105,27 +105,6 @@ def _synthesize(seeds, seed_neighbors, pool, n_new, rng, *, out_step=None, extra
         _interpolate(a, b, lam),
     )
     return out
-
-
-def smote_generate(minority: np.ndarray, n_new: int, cfg: SmoteConfig) -> np.ndarray:
-    """Plain SMOTE rows from a single-class matrix; deterministic per cfg.seed."""
-    minority = np.asarray(minority, dtype=np.float64)
-    if n_new < 0:
-        raise ValueError("n_new must be >= 0")
-    if n_new == 0:
-        return np.empty((0, minority.shape[1]))
-    if minority.shape[0] < 2:
-        raise ValueError("SMOTE needs at least 2 minority rows")
-    if minority.shape[0] < cfg.k_neighbors + 1:
-        raise ValueError(
-            f"SMOTE with k={cfg.k_neighbors} needs >= {cfg.k_neighbors + 1} rows, "
-            f"got {minority.shape[0]}"
-        )
-    rng = np.random.default_rng(cfg.seed)
-    neighbors = _batch_knn(
-        minority, minority, cfg.k_neighbors, exclude=np.arange(minority.shape[0])
-    )
-    return _synthesize(minority, neighbors, minority, n_new, rng)
 
 
 def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:

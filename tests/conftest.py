@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from nidkit.dataset import load_taxonomy, make_fixture
+from nidkit.dataset import load_taxonomy
+
+from .fixtures import make_fixture
 
 
 def real_data_dir() -> Path:

@@ -46,7 +46,7 @@ def random_small_model(rng, max_params=50):
                 act = "selu"  # keep softmax terminal: that is how it is used
             layers.append(neural.LayerSpec(dims[i], dims[i + 1], act))
         model = neural.init_model(layers, rng)
-        if model.n_params() <= max_params:
+        if model.params.size <= max_params:
             # generic parameter point: zero biases park dead-relu paths
             # exactly on the selu/relu kinks where FD is one-sided
             for b in model.biases:

@@ -18,7 +18,6 @@ from nidkit.dataset import (
     binary_labels,
     categories,
     load_taxonomy,
-    make_fixture,
     parse_kdd_file,
 )
 from nidkit.detector import AnomalyDetector, reconstruction_errors, verdict_array
@@ -32,10 +31,11 @@ from nidkit.pipeline import (
     run_train_multiclass,
 )
 from nidkit.preprocess import fit_pipeline
-from nidkit.resample import SmoteConfig, smote_generate
+from nidkit.resample import _batch_knn, _synthesize
 from nidkit.neural import LayerSpec, MlpModel
 
 from .conftest import require_real_data
+from .fixtures import make_fixture
 from .gradcheck import check_model_gradients, random_small_model
 
 # Attack-type counts for KDDTrain+ (the training-attack census; the
@@ -181,7 +181,9 @@ def test_criterion_6b_smote_segment_1000_seeds():
     bad = 0
     for seed in range(1000):
         a, b = rng.normal(size=(2, 4))
-        out = smote_generate(np.vstack([a, b]), 3, SmoteConfig(k_neighbors=1, seed=seed))
+        minority = np.vstack([a, b])
+        near = _batch_knn(minority, minority, 1, exclude=np.arange(2))
+        out = _synthesize(minority, near, minority, 3, np.random.default_rng(seed))
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         if not ((out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()):
             bad += 1
@@ -192,7 +194,7 @@ def test_criterion_6b_smote_segment_1000_seeds():
 def test_criterion_6c_standardizer_invariant():
     ds = make_fixture(50, seed=2)
     pipe = fit_pipeline(ds)
-    z = pipe.transform(ds).values
+    z = pipe.transform(ds)
     live = pipe.standardizer.sigma > 0
     mean_gap = np.abs(z[:, live].mean(axis=0)).max()
     std_gap = np.abs(z[:, live].std(axis=0) - 1.0).max()
@@ -204,8 +206,8 @@ def test_criterion_6c_standardizer_invariant():
 def test_criterion_6d_softmax_invariants():
     rng = np.random.default_rng(8)
     z = rng.normal(scale=3.0, size=(500, 9))
-    p = neural.activation("softmax", z)
-    shift = neural.activation("softmax", z + rng.normal(scale=50.0))
+    p = neural._apply_activation("softmax", z)
+    shift = neural._apply_activation("softmax", z + rng.normal(scale=50.0))
     sum_gap = np.abs(p.sum(axis=1) - 1.0).max()
     shift_gap = np.abs(p - shift).max()
     ok = sum_gap < 1e-9 and shift_gap < 1e-9 and ((p > 0) & (p < 1)).all()
@@ -253,7 +255,7 @@ def test_criterion_6f_threshold_monotonicity():
 
 
 def test_criterion_6g_end_to_end_determinism(tmp_path):
-    from nidkit.dataset import write_kdd_file
+    from .fixtures import write_kdd_file
 
     train = tmp_path / "train.txt"
     test = tmp_path / "test.txt"

@@ -18,11 +18,19 @@ from nidkit.baselines import (
     fit_gradient_boost,
     fit_linear_svm,
     fit_tree,
-    gini_impurity,
     stump_weight,
 )
 from nidkit.classifier import AttackClassifier, DnnConfig, predict, train_network
 from nidkit.neural import TrainConfig
+
+
+def gini_impurity(counts: np.ndarray) -> float:
+    """1 - sum(p^2) over class shares; 0 for empty or pure nodes."""
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - (p * p).sum())
 
 
 def _two_blobs(n=40, d=3, gap=6.0, seed=0):

@@ -45,7 +45,7 @@ def test_train_fourclass_separable_fixture():
     clf, info = train_fourclass(
         fm, tcfg=_tcfg(max_epochs=200), dnn=DnnConfig(input_dim=6, hidden_dim=16)
     )
-    predicted, _ = predict(clf, fm)
+    predicted, _ = predict(clf, fm.values)
     assert (predicted == fm.labels).mean() > 0.9
     assert info["oversampled"] is False
     assert clf.trained_with_oversampling is False
@@ -107,7 +107,7 @@ def test_train_fourclass_deterministic():
 
 
 def _evaluate(clf, fm):
-    return multiclass_report(fm.labels, predict(clf, fm)[0], clf.class_order)
+    return multiclass_report(fm.labels, predict(clf, fm.values)[0], clf.class_order)
 
 
 def _uniform_classifier(d=4):
@@ -145,7 +145,7 @@ def test_evaluate_perfect_predictions():
     clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=60, seed=3),
                              dnn=DnnConfig(input_dim=6, hidden_dim=16))
     report = _evaluate(clf, fm)
-    if (predict(clf, fm)[0] == fm.labels).all():
+    if (predict(clf, fm.values)[0] == fm.labels).all():
         assert np.trace(report.confusion.counts) == 20
         assert all(v == 1.0 for v in report.per_class_f1.values())
 

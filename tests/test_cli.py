@@ -5,9 +5,10 @@ import pytest
 
 from nidkit import cli, pipeline, preprocess
 from nidkit.cli import build_parser, build_config, main
-from nidkit.dataset import make_fixture, write_kdd_file
 from nidkit.errors import TrainingDivergedError
 from nidkit.pipeline import RunConfig
+
+from .fixtures import make_fixture, write_kdd_file
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ def test_train_binary_detector_roundtrip(tmp_path, data_files):
     det1 = AnomalyDetector.from_json((out / "detector.json").read_text())
     det2 = AnomalyDetector.from_json((out / "detector.json").read_text())
     pipe = FittedPipeline.from_json((out / "pipeline.json").read_text())
-    values = pipe.transform(parse_kdd_file(test, split="test")).values
+    values = pipe.transform(parse_kdd_file(test, split="test"))
     e1, v1 = verdict_array(det1, values)
     e2, v2 = verdict_array(det2, values)
     assert (e1 == e2).all() and (v1 == v2).all()
@@ -224,17 +225,32 @@ def test_training_divergence_exits_3_with_one_line(monkeypatch, capsys):
 
 def test_pipeline_parses_and_transforms_each_file_once(tmp_path, data_files, monkeypatch):
     train, test = data_files
-    parsed, transformed = [], []
+    parsed, transformed, encoded = [], [], []
     parse = pipeline.parse_kdd_file
     transform = preprocess.FittedPipeline.transform
+    encode = preprocess.encode
     monkeypatch.setattr(pipeline, "parse_kdd_file",
                         lambda path, split: parsed.append(split) or parse(path, split=split))
     monkeypatch.setattr(preprocess.FittedPipeline, "transform",
                         lambda self, ds: transformed.append(ds.split) or transform(self, ds))
-    assert _run("pipeline", "--train", train, "--test", test, "--out", tmp_path / "one",
-                "--oversample", "both", *FAST) == 0
-    assert parsed == ["train", "test"]
+    monkeypatch.setattr(preprocess, "encode",
+                        lambda enc, ds: encoded.append(ds.split) or encode(enc, ds))
+
+    def run(*argv):
+        for calls in (parsed, transformed, encoded):
+            calls.clear()
+        assert _run(*argv, "--train", train, "--test", test, "--oversample", "both", *FAST) == 0
+        assert parsed == ["train", "test"]
+        assert encoded == ["train", "test"]
+
+    # a fresh fit standardizes the train matrix it encoded
+    run("pipeline", "--out", tmp_path / "one")
+    assert transformed == ["test"]
+    # a reused pipeline.json transforms the train file
+    run("pipeline", "--out", tmp_path / "one")
     assert transformed == ["train", "test"]
+    run("baselines", "--baselines", "naive_bayes", "--out", tmp_path / "two")
+    assert transformed == ["test"]
 
 
 def test_pipeline_matches_the_stages_run_one_by_one(tmp_path, data_files):

@@ -11,12 +11,12 @@ from nidkit.dataset import (
     categories,
     fourclass_labels,
     load_taxonomy,
-    make_fixture,
     parse_kdd_file,
     parse_kdd_lines,
-    write_kdd_file,
 )
 from nidkit.schema import DEFAULT_SCHEMA
+
+from .fixtures import make_fixture, write_kdd_file
 
 
 def _line(label="neptune", difficulty=17):

@@ -217,6 +217,17 @@ def test_scores_csv_shape():
     assert lines[2].startswith("1,") and lines[2].endswith(",attack")
 
 
+def test_scores_csv_errors_read_back_bit_for_bit():
+    rng = np.random.default_rng(10)
+    model = neural.init_model(_small_ae_cfg().layers(), rng)
+    det = AnomalyDetector(model=model, alpha=8.0, calibration={})
+    errors, verdicts = verdict_array(det, rng.normal(size=(200, 8)) * rng.exponential(size=(200, 1)))
+    rows = [line.split(",") for line in scores_to_csv(errors, verdicts).splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(200))
+    assert np.array([float(r[1]) for r in rows]).tobytes() == errors.tobytes()
+    assert [r[2] for r in rows] == verdicts.tolist()
+
+
 def test_alpha_must_be_positive():
     with pytest.raises(ValueError):
         AnomalyDetector(model=_zero_model(), alpha=0.0, calibration={})

@@ -144,9 +144,9 @@ def test_write_exploration_outputs(tmp_path, taxonomy, fixture_ds):
 def test_feature_view_matches_the_encoded_matrix(fixture_ds):
     from nidkit import explore
 
-    full = explore._numeric_view(fixture_ds, DEFAULT_SCHEMA)
+    full = explore._numeric_view(fixture_ds)
     for j, name in enumerate(DEFAULT_SCHEMA.names):
-        assert explore._feature_view(fixture_ds, name, DEFAULT_SCHEMA).tobytes() == (
+        assert explore._feature_view(fixture_ds, name).tobytes() == (
             full[:, j].tobytes()), name
 
 

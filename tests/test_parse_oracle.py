@@ -15,13 +15,13 @@ from nidkit.dataset import (
     load_taxonomy,
     parse_kdd_file,
     parse_kdd_lines,
-    write_kdd_file,
 )
 from nidkit.explore import find_constant_features, scatter_rows
 from nidkit.preprocess import encode, fit_encoder, fit_pipeline, fit_standardizer, standardize
 from nidkit.schema import DEFAULT_SCHEMA
 
 from . import kdd_oracle as oracle
+from .fixtures import write_kdd_file
 
 TAXONOMY = load_taxonomy()
 NUMERIC = DEFAULT_SCHEMA.numeric_indices
@@ -59,7 +59,7 @@ def valid_lines() -> st.SearchStrategy[list[str]]:
 def _codes_from_oracle(train_records, test_records):
     enc = oracle.fit_encoder(train_records)
     std = fit_standardizer(oracle.encode(enc, train_records))
-    return enc, std, standardize(std, oracle.encode(enc, test_records)).values
+    return enc, std, standardize(std, oracle.encode(enc, test_records))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -82,7 +82,7 @@ def test_columnar_parse_encode_transform_match_oracle(train_lines, test_lines, p
     pipe = fit_pipeline(train)
     assert pipe.standardizer.mu.tobytes() == oracle_std.mu.tobytes()
     assert pipe.standardizer.sigma.tobytes() == oracle_std.sigma.tobytes()
-    assert pipe.transform(test).values.tobytes() == oracle_z.tobytes()
+    assert pipe.transform(test).tobytes() == oracle_z.tobytes()
 
     assert find_constant_features(train).constant_features == oracle.constant_features(
         train_records)

@@ -99,15 +99,15 @@ def test_fit_standardizer_rejects_nonfinite():
 def test_standardize_hand_values():
     matrix = np.array([[2.0], [4.0], [6.0]])
     s = fit_standardizer(matrix)
-    z = standardize(s, matrix).values[:, 0]
+    z = standardize(s, matrix)[:, 0]
     assert z == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-4)
-    assert standardize(s, np.array([[4.0]])).values[0, 0] == 0.0
+    assert standardize(s, np.array([[4.0]]))[0, 0] == 0.0
 
 
 def test_standardize_zero_sigma_maps_to_zero():
     s = fit_standardizer(np.array([[5.0], [5.0]]))
     z = standardize(s, np.array([[123.0], [5.0]]))
-    assert (z.values == 0).all()
+    assert (z == 0).all()
 
 
 def test_standardize_column_mismatch():
@@ -118,7 +118,7 @@ def test_standardize_column_mismatch():
 
 def test_standardized_train_has_unit_moments(fixture_ds):
     pipe = fit_pipeline(fixture_ds)
-    z = pipe.transform(fixture_ds).values
+    z = pipe.transform(fixture_ds)
     sigma = pipe.standardizer.sigma
     nonconstant = sigma > 0
     assert np.abs(z[:, nonconstant].mean(axis=0)).max() < 1e-9
@@ -154,6 +154,17 @@ def test_refit_on_train_is_idempotent():
     assert enc1.tables == enc2.tables
 
 
+def test_transform_returns_the_matrix_and_rejects_a_non_finite_result(fixture_ds):
+    pipe = fit_pipeline(fixture_ds)
+    z = pipe.transform(fixture_ds)
+    assert isinstance(z, np.ndarray) and z.dtype == np.float64 and z.shape == (len(fixture_ds), 41)
+    fields = fixture_ds.lines[0].split(",")
+    fields[DEFAULT_SCHEMA.index_of("serror_rate")] = "1.7e308"  # overflows once divided by sigma
+    huge = parse_kdd_lines([",".join(fields)], split="test")
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        pipe.transform(huge)
+
+
 def test_transform_never_mutates_pipeline(fixture_ds, small_ds):
     pipe = fit_pipeline(fixture_ds)
     before = pipe.to_json()
@@ -177,13 +188,13 @@ def test_pipeline_json_golden_fields():
 
 def test_pipeline_json_roundtrip(fixture_ds):
     pipe = fit_pipeline(fixture_ds)
-    a = pipe.transform(fixture_ds).values
+    a = pipe.transform(fixture_ds)
     assert a.shape[1] == 41
     doc = json.loads(pipe.to_json())
     # files from before constant-column dropping was removed carry an
     # empty "dropped_features" list; they load the same
     for text in (pipe.to_json(), json.dumps({**doc, "dropped_features": []})):
-        b = FittedPipeline.from_json(text).transform(fixture_ds).values
+        b = FittedPipeline.from_json(text).transform(fixture_ds)
         assert (a == b).all()
 
 

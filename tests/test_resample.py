@@ -10,7 +10,7 @@ from nidkit.resample import (
     SvmSmoteConfig,
     _batch_knn,
     _interpolate,
-    smote_generate,
+    _synthesize,
     svm_smote,
 )
 
@@ -107,32 +107,24 @@ def test_interpolate_midpoint():
     assert out.tolist() == [1.0, 1.0]
 
 
+def _smote(minority, n_new, k, seed):
+    """Plain SMOTE as svm_smote's fallback runs it: each row's k nearest
+    other rows, then seeded round-robin synthesis."""
+    near = _batch_knn(minority, minority, k, exclude=np.arange(minority.shape[0]))
+    return _synthesize(minority, near, minority, n_new, np.random.default_rng(seed))
+
+
 def test_smote_zero_new_rows():
     minority = np.array([[0.0, 0.0], [1.0, 1.0]])
-    out = smote_generate(minority, 0, SmoteConfig(k_neighbors=1))
+    out = _smote(minority, 0, k=1, seed=0)
     assert out.shape == (0, 2)
-
-
-def test_smote_negative_rejected():
-    with pytest.raises(ValueError):
-        smote_generate(np.ones((3, 2)), -1, SmoteConfig(k_neighbors=1))
-
-
-def test_smote_single_row_rejected():
-    with pytest.raises(ValueError):
-        smote_generate(np.ones((1, 2)), 1, SmoteConfig(k_neighbors=1))
-
-
-def test_smote_needs_k_plus_one_rows():
-    with pytest.raises(ValueError, match="k=5"):
-        smote_generate(np.ones((4, 2)), 1, SmoteConfig(k_neighbors=5))
 
 
 def test_smote_segment_property():
     rng = np.random.default_rng(123)
     for seed in range(200):
         a, b = rng.normal(size=(2, 3))
-        out = smote_generate(np.vstack([a, b]), 5, SmoteConfig(k_neighbors=1, seed=seed))
+        out = _smote(np.vstack([a, b]), 5, k=1, seed=seed)
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         assert (out >= lo - 1e-12).all() and (out <= hi + 1e-12).all()
@@ -140,8 +132,7 @@ def test_smote_segment_property():
 
 def test_smote_deterministic():
     minority = np.random.default_rng(0).normal(size=(10, 4))
-    cfg = SmoteConfig(k_neighbors=3, seed=99)
-    assert (smote_generate(minority, 7, cfg) == smote_generate(minority, 7, cfg)).all()
+    assert (_smote(minority, 7, k=3, seed=99) == _smote(minority, 7, k=3, seed=99)).all()
 
 
 # --- SVM-SMOTE ----------------------------------------------------------------

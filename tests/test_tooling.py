@@ -26,7 +26,7 @@ def test_tracer_installs_on_an_empty_plan(tmp_path):
 def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
     # the tracer walks each tree container it knows (root, trees, stumps,
     # (tree, leaf_values) pairs), so a reshaped container fails here
-    from nidkit.dataset import make_fixture, write_kdd_file
+    from .fixtures import make_fixture, write_kdd_file
 
     train, test = tmp_path / "train.txt", tmp_path / "test.txt"
     write_kdd_file(make_fixture(20, seed=3), train)
@@ -60,7 +60,7 @@ def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
     # runs; a renamed parameter or field, or a caller that holds its own
     # reference to neural.train (so per-batch forward calls are traced
     # and no train span is recorded), fails here
-    from nidkit.dataset import make_fixture, write_kdd_file
+    from .fixtures import make_fixture, write_kdd_file
 
     train, test = tmp_path / "train.txt", tmp_path / "test.txt"
     write_kdd_file(make_fixture(20, seed=3), train)
