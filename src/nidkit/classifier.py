@@ -151,6 +151,8 @@ def train_fourclass(
     )
     info["epochs"] = history.n_epochs
     info["best_epoch"] = history.best_epoch
+    info["train_loss"] = history.train_loss
+    info["val_loss"] = history.val_loss
     clf = AttackClassifier(
         model=trained,
         class_order=CLASS_ORDER,

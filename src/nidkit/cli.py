@@ -5,8 +5,9 @@ evaluate, pipeline. Every config field can come from a JSON file
 (--config) or a flag; precedence is flag > file > default. Logs go to
 stderr, machine-readable outputs only to files under --out.
 
-Exit codes: 0 success, 1 internal failure, 2 usage/config error,
-3 data validation error or training that diverges on the data.
+Exit codes: 0 success, 1 internal failure, 2 usage/config error (including
+an --out whose pipeline.json was fitted on another train file), 3 data
+validation error or training that diverges on the data.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from dataclasses import fields
 
 from .dataset import KddParseError, UnknownLabelError
-from .errors import TrainingDivergedError, VersionSkewError
+from .errors import StaleArtifactError, TrainingDivergedError, VersionSkewError
 from .pipeline import (
     BASELINE_NAMES,
     RunConfig,
@@ -143,6 +144,9 @@ def main(argv: list[str] | None = None) -> int:
         COMMANDS[args.command](cfg)
     except (FileNotFoundError, NotADirectoryError, UnknownBaselineError) as exc:
         print(f"nidkit: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except StaleArtifactError as exc:
+        print(f"nidkit: stale artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (KddParseError, UnknownLabelError, VersionSkewError) as exc:
         print(f"nidkit: invalid data: {exc}", file=sys.stderr)

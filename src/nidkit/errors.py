@@ -7,3 +7,7 @@ class VersionSkewError(ValueError):
 
 class TrainingDivergedError(ArithmeticError):
     """Training produced a non-finite validation loss before any finite epoch."""
+
+
+class StaleArtifactError(ValueError):
+    """A fitted artifact in the output directory came from a different input file."""

@@ -8,6 +8,7 @@ are deterministic given (config, seed).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import time
@@ -33,6 +34,7 @@ from .dataset import (
     load_taxonomy,
     parse_kdd_file,
 )
+from .errors import StaleArtifactError
 from .preprocess import FeatureMatrix, FittedPipeline, fit_transform
 from .resample import SmoteConfig, SvmSmoteConfig
 
@@ -114,14 +116,40 @@ def _taxonomy(cfg: RunConfig) -> AttackTaxonomy:
     return load_taxonomy(cfg.taxonomy_path)
 
 
-def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset) -> np.ndarray:
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _standardized_train(cfg: RunConfig, train_path: Path, train_ds: LabeledDataset) -> np.ndarray:
     """The training matrix through the pipeline.json in the output directory,
-    fitting and writing that file first when it is absent."""
-    path = _out(cfg) / "pipeline.json"
+    fitting and writing that file first when it is absent.
+
+    ``manifest.json`` beside it records the SHA-256 and row count of the
+    train file it was fitted on; a pipeline.json whose manifest is missing
+    or names another file is refused, never reused."""
+    out = _out(cfg)
+    path = out / "pipeline.json"
+    manifest = {"train_rows": len(train_ds), "train_sha256": _sha256(train_path)}
     if path.exists():
+        try:
+            fitted_on = json.loads((out / "manifest.json").read_text())["train_sha256"]
+        except (OSError, ValueError, KeyError, TypeError):
+            fitted_on = None
+        if fitted_on != manifest["train_sha256"]:
+            why = "has no readable manifest.json" if fitted_on is None else (
+                f"was fitted on a file with sha256 {fitted_on}")
+            raise StaleArtifactError(
+                f"{path} {why}, not on {train_path} (sha256 {manifest['train_sha256']}); "
+                "use a fresh --out"
+            )
         log.info("reusing fitted pipeline at %s", path)
         return FittedPipeline.from_json(path.read_text()).transform(train_ds)
     pipe, values = fit_transform(train_ds)
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     path.write_text(pipe.to_json() + "\n")
     log.info("fitted preprocessing pipeline -> %s", path)
     return values
@@ -138,11 +166,13 @@ class TrainingSet:
 
 
 def load_training_set(cfg: RunConfig) -> TrainingSet:
-    train = parse_kdd_file(_require(cfg.train_path, "train"), split="train")
+    train_path = _require(cfg.train_path, "train")
+    train = parse_kdd_file(train_path, split="train")
     # labels are checked before pipeline.json is written, so a rejected
     # file leaves no fitted state behind
     cats = categories(train, _taxonomy(cfg))
-    return TrainingSet(ds=train, categories=cats, values=_standardized_train(cfg, train))
+    return TrainingSet(ds=train, categories=cats,
+                       values=_standardized_train(cfg, train_path, train))
 
 
 # --- commands ------------------------------------------------------------
@@ -201,6 +231,8 @@ def run_train_binary(cfg: RunConfig, training: TrainingSet | None = None) -> Pat
         "epochs": history.n_epochs,
         "best_epoch": history.best_epoch,
         "final_val_loss": history.val_loss[history.best_epoch],
+        "train_loss": history.train_loss,
+        "val_loss": history.val_loss,
         "n_train_normals": int(normals_train.n_rows),
         "n_val_rows": int(val_part.n_rows),
         "seconds": time.perf_counter() - t0,

@@ -54,56 +54,85 @@ class ResampledSet:
         return {str(v): int(c) for v, c in zip(values, counts)}
 
 
+# Query rows per distance block come from this cell budget (2 MB of float64),
+# so the search's working memory stays flat however many seeds a class has.
+CELLS = 1 << 18
+
+
 def _batch_knn(
     queries: np.ndarray,
     pool: np.ndarray,
     k: int,
     exclude: np.ndarray | None = None,
-    chunk: int = 256,
+    cells: int = CELLS,
 ) -> np.ndarray:
     """Indices of the k nearest pool rows of each query by squared Euclidean
     distance; ties break toward the lower pool index. ``exclude[i]``, when
     given, is a pool row query i may not return (itself, when it belongs to
-    the pool)."""
-    n_q = queries.shape[0]
+    the pool). Queries go in blocks of ``cells // len(pool)`` rows (at least
+    one), and the result does not depend on the block size.
+
+    A matrix product screens the pool. Its last bits depend on how BLAS
+    tiles the block, so it only keeps every row it cannot rule out of the
+    k nearest; those candidates are ranked by their distance summed
+    directly, which each (query, row) pair computes the same way."""
+    n_q, d = queries.shape
+    n_pool = pool.shape[0]
     out = np.empty((n_q, k), dtype=np.int64)
     pool_sq = (pool * pool).sum(axis=1)
-    for start in range(0, n_q, chunk):
-        stop = min(start + chunk, n_q)
+    # rounding keeps the screen and the direct sum within
+    # 2 (d + 2) eps (|q|^2 + |p|^2) of each other, so a row among the k
+    # nearest by the direct sum screens within twice that of the k-th
+    # screened row; the slack doubles that margin again
+    slack = 8 * (d + 2) * np.finfo(np.float64).eps
+    pool_sq_max = pool_sq.max()
+    block = max(1, cells // n_pool)
+    buffer = np.empty((min(block, n_q), n_pool))
+    for start in range(0, n_q, block):
+        stop = min(start + block, n_q)
         q = queries[start:stop]
-        d2 = pool_sq[None, :] - 2.0 * (q @ pool.T) + (q * q).sum(axis=1)[:, None]
-        np.maximum(d2, 0.0, out=d2)
+        # |p|^2 - 2 q.p: the squared distance less the query's own |q|^2
+        screen = np.matmul(-2.0 * q, pool.T, out=buffer[: stop - start])
+        screen += pool_sq
         if exclude is not None:
-            rows = np.arange(start, stop)
-            d2[np.arange(stop - start), exclude[rows]] = np.inf
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        dmax = np.take_along_axis(d2, part, axis=1).max(axis=1)
-        for r in range(stop - start):
-            cand = np.nonzero(d2[r] <= dmax[r])[0]  # ascending index
-            order = np.argsort(d2[r, cand], kind="stable")
-            out[start + r] = cand[order[:k]]
+            screen[np.arange(stop - start), exclude[start:stop]] = np.inf
+        limit = slack * ((q * q).sum(axis=1) + pool_sq_max)
+        limit += np.partition(screen, k - 1, axis=1)[:, k - 1]
+        row, col = np.divmod(np.flatnonzero(screen <= limit[:, None]), n_pool)
+        diff = q[row] - pool[col]
+        direct = (diff * diff).sum(axis=1)
+        # sorted by (query, distance, pool index); each query has >= k rows
+        order = np.lexsort((col, direct, row))
+        counts = np.bincount(row, minlength=stop - start)
+        first = np.cumsum(counts) - counts
+        out[start:stop] = col[order[first[:, None] + np.arange(k)]]
     return out
 
 
-def _interpolate(a: np.ndarray, b: np.ndarray, lam) -> np.ndarray:
-    return a + np.asarray(lam) * (b - a)
+def _synthesize(seeds, seed_neighbors, pool, n_new, rng, *, out_step=None, extrapolate=None,
+                out=None):
+    """Round-robin over seeds; one synthetic per draw pair (neighbor, lambda).
 
-
-def _synthesize(seeds, seed_neighbors, pool, n_new, rng, *, out_step=None, extrapolate=None):
-    """Round-robin over seeds; one synthetic per draw pair (neighbor, lambda)."""
+    A seed flagged in ``extrapolate`` gives a + lam * out_step * (a - b),
+    any other seed a + lam * (b - a), for seed a and neighbour b; each row
+    computes its own branch only. Rows are written into ``out`` (n_new, d)
+    when given, else into a new array."""
     n_seeds, k = seed_neighbors.shape
     which = np.arange(n_new) % n_seeds
     choice = rng.integers(0, k, size=n_new)
     lam = rng.random(n_new)[:, None]
     a = seeds[which]
-    b = pool[seed_neighbors[which, choice]]
-    if extrapolate is None:
-        return _interpolate(a, b, lam)
-    out = np.where(
-        extrapolate[which, None],
-        a + lam * out_step * (a - b),
-        _interpolate(a, b, lam),
-    )
+    # the neighbours b, then each row's step, computed in place (the indices
+    # are valid, so "clip" changes none; unlike "raise" it needs no buffer)
+    out = np.take(pool, seed_neighbors[which, choice], axis=0, out=out, mode="clip")
+    outward, coef = np.False_, lam
+    if extrapolate is not None:
+        outward = extrapolate[which, None]
+        coef = np.where(outward, lam * out_step, lam)
+    np.subtract(out, a, out=out, where=~outward)
+    np.subtract(a, out, out=out, where=outward)
+    out *= coef
+    out += a
     return out
 
 
@@ -121,21 +150,26 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
     classes, class_counts = np.unique(labels, return_counts=True)
     if len(classes) < 2:
         raise ValueError("svm_smote needs at least 2 classes present")
-    counts = {str(c): int(n) for c, n in zip(classes, class_counts)}
-    target = max(counts.values())
+    target = int(class_counts.max())
 
-    synth_blocks: list[np.ndarray] = []
-    synth_labels: list[np.ndarray] = []
+    # originals first, then each class's synthetics written into its slice
+    n = values.shape[0]
+    all_values = np.empty((n + int((target - class_counts).sum()), values.shape[1]))
+    all_values[:n] = values
+    all_labels = np.empty(all_values.shape[0], dtype=object)
+    all_labels[:n] = labels
+    stop = n
     log: list[str] = []
     children = np.random.SeedSequence(cfg.smote.seed).spawn(len(classes))
-    for cls, child in zip(classes, children):
+    for cls, n_cls, child in zip(classes, class_counts.tolist(), children):
         cls = str(cls)
-        need = target - counts[cls]
+        need = target - n_cls
         if need == 0:
             continue
-        n_cls = counts[cls]
         if n_cls < 2:
             raise ValueError(f"class {cls!r} has {n_cls} row(s); need >= 2 to oversample")
+        start, stop = stop, stop + need
+        all_labels[start:stop] = cls
         rng = np.random.default_rng(child)
         member_idx = np.nonzero(labels == cls)[0]
         members = values[member_idx]
@@ -146,10 +180,10 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
         if seed_rows.size == 0:
             log.append(f"class {cls}: no margin violators, plain SMOTE fallback over {n_cls} rows")
             neighbors = _batch_knn(members, members, k_eff, exclude=np.arange(n_cls))
-            new = _synthesize(members, neighbors, members, need, rng)
+            _synthesize(members, neighbors, members, need, rng, out=all_values[start:stop])
         else:
             seeds = values[seed_rows]
-            m_eff = min(cfg.m_neighbors, values.shape[0] - 1)
+            m_eff = min(cfg.m_neighbors, n - 1)
             wide = _batch_knn(seeds, values, m_eff, exclude=seed_rows)
             majority = (labels[wide] != cls).sum(axis=1)
             interpolate_seed = majority > m_eff / 2.0
@@ -157,24 +191,16 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
             # their position among members to exclude self-matches
             pos_in_class = np.searchsorted(member_idx, seed_rows)
             near = _batch_knn(seeds, members, k_eff, exclude=pos_in_class)
-            new = _synthesize(
+            _synthesize(
                 seeds, near, members, need, rng,
-                out_step=cfg.out_step, extrapolate=~interpolate_seed,
+                out_step=cfg.out_step, extrapolate=~interpolate_seed, out=all_values[start:stop],
             )
             log.append(
                 f"class {cls}: {seed_rows.size} borderline seeds "
                 f"({int(interpolate_seed.sum())} interpolating), {need} synthetics"
             )
-        synth_blocks.append(new)
-        synth_labels.append(np.full(need, cls, dtype=object))
 
-    if synth_blocks:
-        all_values = np.vstack([values, *synth_blocks])
-        all_labels = np.concatenate([labels, *synth_labels])
-    else:
-        all_values = values.copy()
-        all_labels = labels.copy()
     mask = np.zeros(all_values.shape[0], dtype=bool)
-    mask[values.shape[0]:] = True
+    mask[n:] = True
     out = FeatureMatrix(values=all_values, labels=all_labels)
     return ResampledSet(matrix=out, synthetic_mask=mask, log=tuple(log))

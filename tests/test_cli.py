@@ -281,3 +281,62 @@ def test_unknown_attack_name_exits_3_with_one_line(tmp_path, data_files, command
     if command == "pipeline":
         # no fitted state from the rejected file for a rerun to reuse
         assert not (tmp_path / "out" / "pipeline.json").exists()
+
+
+def _other_train_file(tmp_path):
+    path = tmp_path / "other_train.txt"
+    write_kdd_file(make_fixture(40, seed=9), path)
+    return path
+
+
+def test_stale_pipeline_from_another_train_file_exits_2(tmp_path, data_files, capsys):
+    train, _ = data_files
+    out = tmp_path / "out"
+    assert _run("train-binary", "--train", train, "--out", out, *FAST) == 0
+    fitted = (out / "pipeline.json").read_bytes()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["train_rows"] == len(train.read_text().splitlines())
+    assert sorted(manifest) == ["train_rows", "train_sha256"]
+    capsys.readouterr()
+    assert _run("train-binary", "--train", _other_train_file(tmp_path), "--out", out, *FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nidkit: stale artifact: ") and err.count("\n") == 1
+    assert (out / "pipeline.json").read_bytes() == fitted
+
+
+def test_pipeline_without_manifest_is_not_reused(tmp_path, data_files, capsys):
+    train, _ = data_files
+    out = tmp_path / "out"
+    assert _run("train-binary", "--train", train, "--out", out, *FAST) == 0
+    (out / "manifest.json").unlink()
+    capsys.readouterr()
+    assert _run("train-binary", "--train", train, "--out", out, *FAST) == 2
+    assert "no readable manifest.json" in capsys.readouterr().err
+
+
+def test_same_train_file_reuses_pipeline(tmp_path, data_files, caplog):
+    train, _ = data_files
+    out = tmp_path / "out"
+    assert _run("train-binary", "--train", train, "--out", out, *FAST) == 0
+    fitted = (out / "pipeline.json").read_bytes()
+    caplog.clear()
+    with caplog.at_level("INFO", logger="nidkit"):
+        assert _run("train-binary", "--train", train, "--out", out, *FAST) == 0
+        assert any("reusing fitted pipeline" in r.message for r in caplog.records)
+        caplog.clear()
+        assert _run("train-multiclass", "--train", train, "--out", out, *FAST) == 0
+        assert any("reusing fitted pipeline" in r.message for r in caplog.records)
+    assert (out / "pipeline.json").read_bytes() == fitted
+
+
+def test_reports_hold_per_epoch_loss_curves(tmp_path, data_files):
+    train, _ = data_files
+    out = tmp_path / "out"
+    assert _run("train-binary", "--train", train, "--out", out, *FAST) == 0
+    assert _run("train-multiclass", "--train", train, "--out", out,
+                "--oversample", "both", *FAST) == 0
+    binary = json.loads((out / "train_binary_report.json").read_text())
+    multi = json.loads((out / "train_multiclass_report.json").read_text())
+    for report in (binary, multi["plain"], multi["oversampled"]):
+        assert len(report["train_loss"]) == len(report["val_loss"]) == report["epochs"]
+        assert report["val_loss"][report["best_epoch"]] == min(report["val_loss"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from nidkit.resample import (
     SmoteConfig,
     SvmSmoteConfig,
     _batch_knn,
-    _interpolate,
     _synthesize,
     svm_smote,
 )
@@ -93,19 +94,54 @@ def test_batch_knn_matches_single_query_oracle(data):
             exclude = np.array(draw(st.lists(st.integers(0, n_pool - 1),
                                              min_size=len(queries), max_size=len(queries))))
     k = draw(st.integers(1, n_pool - (exclude is not None)))
-    chunk = draw(st.integers(1, 4))
-    got = _batch_knn(queries, pool, k, exclude=exclude, chunk=chunk)
+    rows = draw(st.integers(1, 4))
+    got = _batch_knn(queries, pool, k, exclude=exclude, cells=rows * n_pool)
     for i, query in enumerate(queries):
         skip = None if exclude is None else int(exclude[i])
         assert got[i].tolist() == knn(query, pool, k, exclude=skip).tolist()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batch_knn_same_indices_for_every_block_size(data):
+    # float rows, some duplicated so exact distance ties occur: the
+    # neighbours must not depend on how many queries share a block
+    draw = data.draw
+    d = draw(st.integers(1, 12))
+    coord = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    base = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                                  min_size=1, max_size=20)))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=40))
+    pool = base[picks]
+    n_pool = len(pool)
+    if draw(st.booleans()):
+        exclude = np.array(draw(st.lists(st.integers(0, n_pool - 1), min_size=1, max_size=30)))
+        queries = pool[exclude]
+    else:
+        extra = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=0, max_size=10))
+        queries = np.vstack([pool, np.array(extra).reshape(-1, d)])
+        exclude = None
+    k = draw(st.integers(1, n_pool - (exclude is not None)))
+    whole = _batch_knn(queries, pool, k, exclude=exclude, cells=len(queries) * n_pool)
+    for i, query in enumerate(queries):
+        skip = None if exclude is None else int(exclude[i])
+        assert whole[i].tolist() == knn(query, pool, k, exclude=skip).tolist()
+    for rows in range(1, len(queries)):
+        got = _batch_knn(queries, pool, k, exclude=exclude, cells=rows * n_pool)
+        assert (got == whole).all(), rows
+
+
+def test_batch_knn_duplicate_rows_tie_to_lower_index_in_any_block():
+    # found by the property above: ranked by the matrix product alone, a
+    # one-row block put the duplicate at index 13 ahead of index 11
+    pool = np.zeros((14, 8))
+    pool[[11, 13]] = [0.0, 0.0, 0.0, 53.81460337389311, 0.0, 56.0, 0.0, 1e-09]
+    queries = np.vstack([pool, np.zeros((4, 8)), [[0.0, 0.0, 0.0, 73.0, 0.0, 3.0, 0.0, 1.0]]])
+    for rows in range(1, len(queries) + 1):
+        assert _batch_knn(queries, pool, 1, cells=rows * len(pool))[-1].tolist() == [11]
+
+
 # --- plain SMOTE -----------------------------------------------------------
-
-def test_interpolate_midpoint():
-    out = _interpolate(np.array([0.0, 0.0]), np.array([2.0, 2.0]), 0.5)
-    assert out.tolist() == [1.0, 1.0]
-
 
 def _smote(minority, n_new, k, seed):
     """Plain SMOTE as svm_smote's fallback runs it: each row's k nearest
@@ -214,6 +250,26 @@ def test_svm_smote_interpolated_synthetics_stay_in_class_box():
     # extrapolation can leave the box by at most out_step * box span
     assert (synth >= lo - 0.5 * span - 1e-9).all()
     assert (synth <= hi + 0.5 * span + 1e-9).all()
+
+
+def test_svm_smote_working_memory_is_bounded_by_its_result():
+    # 4,000 overlapping minority rows against 12,000: the neighbour search
+    # runs over hundreds of borderline seeds, yet the traced peak above
+    # entry stays within a few copies of the returned matrix
+    rng = np.random.default_rng(0)
+    values = np.vstack([rng.normal(0.0, 1.0, size=(8000, 41)),
+                        rng.normal(0.3, 1.0, size=(4000, 41))])
+    fm = _labelled(values, ["A"] * 8000 + ["B"] * 4000)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(seed=1),
+                                          svm=LinearSvmConfig(epochs=3)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert int(rs.log[0].split()[2]) >= 256  # "class B: <n> borderline seeds ..."
+    assert peak - entry <= 3 * rs.matrix.values.nbytes
 
 
 def test_config_invariants():
