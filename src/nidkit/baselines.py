@@ -8,12 +8,16 @@ with depth-3 regression trees on logistic-loss gradients.
 One engine grows every tree. Columns are presorted once into a (d, n)
 row order; at each node a single split search sums a per-row
 statistics block on both sides of every boundary (the weighted class
-one-hot for Gini, y, y^2 and 1 for squared error), a score function
-turns the sums into the child cost, and a leaf rule reads a node's value
-and purity from its rows of the block. Split tie-breaking is
-deterministic everywhere: lower feature index first, then lower
-threshold; candidate thresholds are midpoints between consecutive
-distinct sorted values.
+one-hot for Gini, y and y^2 for squared error), a score function turns
+the sums and the row counts of both sides into the child cost, and a
+leaf rule reads a node's value and purity from its rows of the block. The search scores all candidate
+features of a node together, in blocks bounded by ``CELLS``. Split
+tie-breaking is deterministic everywhere: lower feature index first,
+then lower threshold; candidate thresholds are midpoints between
+consecutive distinct sorted values. A forest's trees are independent
+(each draws from its own ``SeedSequence`` child), so they grow in a
+process pool, one worker per usable CPU, and come out the same for any
+worker count.
 
 The linear SVM doubles as the borderline detector for SVM-SMOTE via
 its ``margin_violators`` (training rows with positive hinge loss at
@@ -23,9 +27,17 @@ through ``classifier.train_network``.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Working-memory budget, in float64 cells (2 MB), of one block of the split
+# search here and of the neighbour search in ``resample``: a block never
+# grows with the row count.
+CELLS = 1 << 18
 
 
 # --- decision trees -------------------------------------------------------
@@ -63,22 +75,25 @@ def _presort(data: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(data, axis=0, kind="stable").T)
 
 
-def _gini_scores(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Weighted child Gini per boundary; columns are per-class weight sums."""
-    wl = left.sum(axis=1)
-    wr = right.sum(axis=1)
+def _gini_scores(left, right, n_left, n_right) -> np.ndarray:
+    """Weighted child Gini per boundary; ``left`` and ``right`` are (k, m)
+    per-class weight sums, which weigh the sides in place of the row
+    counts. Classes are added in class order, which is also the order in
+    which numpy sums a row of fewer than eight values."""
+    wl = left.sum(axis=0)
+    wr = right.sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        gini_l = 1.0 - ((left / wl[:, None]) ** 2).sum(axis=1)
-        gini_r = 1.0 - ((right / wr[:, None]) ** 2).sum(axis=1)
+        gini_l = 1.0 - ((left / wl) ** 2).sum(axis=0)
+        gini_r = 1.0 - ((right / wr) ** 2).sum(axis=0)
     gini_l = np.where(wl > 0, gini_l, 0.0)
     gini_r = np.where(wr > 0, gini_r, 0.0)
     return (wl * gini_l + wr * gini_r) / (wl + wr)
 
 
-def _sse_scores(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Summed child squared error per boundary; columns are sums of y, y^2, 1."""
-    sse_l = left[:, 1] - left[:, 0] ** 2 / left[:, 2]
-    sse_r = right[:, 1] - right[:, 0] ** 2 / right[:, 2]
+def _sse_scores(left, right, n_left, n_right) -> np.ndarray:
+    """Summed child squared error per boundary; rows are sums of y and y^2."""
+    sse_l = left[1] - left[0] ** 2 / n_left
+    sse_r = right[1] - right[0] ** 2 / n_right
     return sse_l + sse_r
 
 
@@ -101,68 +116,114 @@ def _sse_leaf(stats: np.ndarray) -> tuple[None, bool]:
     return None, bool((t == t[0]).all())
 
 
-def _best_split(data, stats, orders, candidates, score):
-    """Best split over candidate features by ``score`` of the summed
-    ``stats`` rows on each side of every boundary.
+def _best_split(data_t, stats_t, orders, candidates, score, cells: int = CELLS):
+    """Best split of a node by ``score`` of the summed statistics on each
+    side of every boundary.
+
+    ``data_t`` is the (d, N) feature-major data, ``stats_t`` the (k, N)
+    class-major statistics block, ``orders`` the node's (d, n) row order
+    and ``candidates`` an ascending array of feature indices. Features go
+    in blocks of ``cells // (k * n)`` (at least one): one gather and one
+    cumsum per block, then only the boundaries between two distinct values
+    are scored. Each feature's sums run over its rows in ascending value
+    order, so the result does not depend on the block size. Row counts
+    come from the boundary positions, exact as float64.
 
     Returns (feature, threshold, n_left_in_feature_order) or None. Ties
     resolve to the lower feature index, then the lower threshold (the
-    first minimal boundary in ascending value order).
+    first minimal boundary in (feature, ascending value) order).
     """
+    k, n_all = stats_t.shape
+    n = orders.shape[1]
+    step = max(1, cells // (k * n))
     best = None
     best_score = np.inf
-    for j in candidates:
-        o = orders[j]
-        xs = data[o, j]
-        if xs[0] == xs[-1]:
+    for start in range(0, len(candidates), step):
+        feats = candidates[start : start + step]
+        rows = orders[feats]
+        xs = np.take(data_t, rows + (feats * n_all)[:, None])
+        # a boundary follows flat position p of the (f, n) block when the
+        # value changes there; the last column never starts one
+        changes = np.zeros(rows.shape, dtype=bool)
+        np.not_equal(xs[:, :-1], xs[:, 1:], out=changes[:, :-1])
+        at = np.flatnonzero(changes)
+        if at.size == 0:
             continue
-        cum = np.cumsum(np.take(stats, o, axis=0), axis=0)
-        valid = np.nonzero(xs[:-1] != xs[1:])[0]
-        left = cum[valid]
-        scores = score(left, cum[-1] - left)
+        cum = np.cumsum(np.take(stats_t, rows, axis=1), axis=2).reshape(k, -1)
+        left = np.take(cum, at, axis=1)
+        totals = np.take(cum, at - at % n + (n - 1), axis=1)
+        n_left = (at % n + 1).astype(np.float64)
+        scores = score(left, totals - left, n_left, n - n_left)
         pos = int(np.argmin(scores))
         if scores[pos] < best_score:
-            i = valid[pos]
+            f, i = divmod(int(at[pos]), n)
             best_score = scores[pos]
-            best = (j, (xs[i] + xs[i + 1]) / 2.0, i + 1)
+            best = (int(feats[f]), (xs[f, i] + xs[f, i + 1]) / 2.0, i + 1)
     return best
 
 
 class _TreeGrower:
-    """The one recursive grower over a per-row ``stats`` block; ``score``
-    rates the boundaries and ``leaf`` gives a node's (value, pure)."""
+    """The one grower over a per-row ``stats`` block; ``score`` rates the
+    boundaries and ``leaf`` gives a node's (value, pure)."""
 
-    def __init__(self, data, cfg, stats, score, leaf, max_features=None, rng=None):
-        self.data = data
+    def __init__(self, data_t, cfg, stats, score, leaf, max_features=None, rng=None):
+        self.data_t = data_t
         self.cfg = cfg
         self.stats = stats
+        self.stats_t = np.ascontiguousarray(stats.T)
         self.score = score
         self.leaf = leaf
         self.max_features = max_features
         self.rng = rng
+        self.features = np.arange(data_t.shape[0])
         self.n_leaves = 0
 
-    def grow(self, orders: np.ndarray, depth: int = 0) -> _Node:
-        value, pure = self.leaf(np.take(self.stats, orders[0], axis=0))
-        d, n_rows = orders.shape
-        split = None
-        if depth < self.cfg.max_depth and n_rows >= self.cfg.min_samples_split and not pure:
-            if self.max_features is not None and self.max_features < d:
-                candidates = np.sort(self.rng.choice(d, size=self.max_features, replace=False))
-            else:
-                candidates = range(d)
-            split = _best_split(self.data, self.stats, orders, candidates, self.score)
-        if split is None:
-            self.n_leaves += 1
-            return _Node(value=value, leaf_id=self.n_leaves - 1)
-        feature, threshold, n_left = split
-        in_left = np.zeros(self.data.shape[0], dtype=bool)
-        in_left[orders[feature, :n_left]] = True
-        go_left = in_left[orders]
-        node = _Node(feature=feature, threshold=threshold)
-        node.left = self.grow(orders[go_left].reshape(d, n_left), depth + 1)
-        node.right = self.grow(orders[~go_left].reshape(d, -1), depth + 1)
-        return node
+    def grow(self, orders: np.ndarray) -> _Node:
+        """Tree over the (d, n) row order ``orders``, grown depth first:
+        nodes are visited in preorder, which fixes the order of candidate
+        draws and leaf ids. Only the pending right siblings' row orders stay
+        alive, not every ancestor's."""
+        root = _Node()
+        pending = [(root, orders, 0)]
+        del orders
+        while pending:
+            node, orders, depth = pending.pop()
+            value, pure = self.leaf(np.take(self.stats, orders[0], axis=0))
+            d, n_rows = orders.shape
+            split = None
+            if depth < self.cfg.max_depth and n_rows >= self.cfg.min_samples_split and not pure:
+                if self.max_features is not None and self.max_features < d:
+                    candidates = np.sort(self.rng.choice(d, size=self.max_features,
+                                                         replace=False))
+                else:
+                    candidates = self.features
+                split = _best_split(self.data_t, self.stats_t, orders, candidates, self.score)
+            if split is None:
+                node.value, node.leaf_id = value, self.n_leaves
+                self.n_leaves += 1
+                continue
+            node.feature, node.threshold, n_left = split
+            # children at the depth limit are leaves, which read only the
+            # first feature's order
+            kept = orders if depth + 1 < self.cfg.max_depth else orders[:1]
+            left, right = _partition(kept, orders[node.feature, :n_left], self.data_t.shape[1])
+            node.left, node.right = _Node(), _Node()
+            pending.append((node.right, right, depth + 1))
+            pending.append((node.left, left, depth + 1))
+        return root
+
+
+def _partition(orders: np.ndarray, left_rows: np.ndarray, n_all: int):
+    """(left, right) row orders of a split: each row of ``orders`` keeps its
+    order on both sides. Positions from ``flatnonzero`` gather faster than
+    a boolean mask selects."""
+    in_left = np.zeros(n_all, dtype=bool)
+    in_left[left_rows] = True
+    go_left = in_left[orders]
+    flat = orders.ravel()
+    d = orders.shape[0]
+    return (flat[np.flatnonzero(go_left)].reshape(d, len(left_rows)),
+            flat[np.flatnonzero(~go_left)].reshape(d, -1))
 
 
 def _route_leaves(root: _Node, data: np.ndarray) -> list[tuple[_Node, np.ndarray]]:
@@ -213,7 +274,7 @@ def fit_tree(
     classes, class_ids = np.unique(labels, return_inverse=True)
     weights = np.ones(len(labels)) if sample_weight is None else np.asarray(sample_weight, float)
     stats = _class_stats(class_ids, weights, len(classes))
-    grower = _TreeGrower(data, cfg, stats, _gini_scores, _gini_leaf)
+    grower = _TreeGrower(np.ascontiguousarray(data.T), cfg, stats, _gini_scores, _gini_leaf)
     return DecisionTree(root=grower.grow(_presort(data)), classes=tuple(classes))
 
 
@@ -247,26 +308,84 @@ class RandomForest:
         return np.array(self.classes, dtype=object)[winners]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@dataclass(frozen=True)
+class _ForestJob:
+    """What every tree of one forest shares; sent once to each worker."""
+
+    data_t: np.ndarray       # (d, n) feature-major data
+    orders: np.ndarray       # (d, n) presorted row order
+    class_ids: np.ndarray
+    n_classes: int
+    tree: DecisionTreeConfig
+    max_features: int
+    bootstrap: bool
+
+    def grow(self, seed: np.random.SeedSequence) -> _Node:
+        """Root of the tree drawn from ``seed``'s stream."""
+        rng = np.random.default_rng(seed)
+        d, n = self.data_t.shape
+        if self.bootstrap:
+            weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+            drawn = np.flatnonzero((weights > 0)[self.orders])
+            orders = self.orders.ravel()[drawn].reshape(d, -1)
+        else:
+            weights, orders = np.ones(n), self.orders
+        grower = _TreeGrower(self.data_t, self.tree,
+                             _class_stats(self.class_ids, weights, self.n_classes),
+                             _gini_scores, _gini_leaf, self.max_features, rng)
+        return grower.grow(orders)
+
+
+# The job of the forest a worker process serves; set once per worker by
+# the pool initializer, never in the process that calls ``fit_forest``.
+_worker_job: _ForestJob | None = None
+
+
+def _start_forest_worker(job: _ForestJob) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _grow_forest_tree(seed: np.random.SeedSequence) -> _Node:
+    return _worker_job.grow(seed)
+
+
 def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> RandomForest:
+    """Bagged Gini trees with ``max_features`` candidates per node.
+
+    Tree i draws its bootstrap and candidates from the i-th child of
+    ``SeedSequence(cfg.seed)``, so the trees are independent: they grow in
+    a pool of ``min(usable CPUs, n_trees)`` spawned worker processes and
+    are the same for any worker count. An exception in a worker is raised
+    here with its own type, and a worker that dies raises
+    ``BrokenProcessPool``; either way the workers are gone on return.
+    Spawned workers import the caller's main module, so a script that
+    calls this must start under an ``if __name__ == "__main__"`` guard.
+    """
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels, dtype=object)
-    n, d = data.shape
+    d = data.shape[1]
     classes, class_ids = np.unique(labels, return_inverse=True)
     max_features = cfg.max_features if cfg.max_features is not None else int(round(np.sqrt(d)))
-    max_features = min(max_features, d)
-    base_orders = _presort(data)
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
-    trees = []
-    for rng in streams:
-        if cfg.bootstrap:
-            weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-            orders = base_orders[(weights > 0)[base_orders]].reshape(d, -1)
-        else:
-            weights, orders = np.ones(n), base_orders
-        grower = _TreeGrower(data, cfg.tree, _class_stats(class_ids, weights, len(classes)),
-                             _gini_scores, _gini_leaf, max_features, rng)
-        trees.append(DecisionTree(root=grower.grow(orders), classes=tuple(classes)))
-    return RandomForest(trees=trees, classes=tuple(classes))
+    job = _ForestJob(np.ascontiguousarray(data.T), _presort(data), class_ids, len(classes),
+                     cfg.tree, min(max_features, d), cfg.bootstrap)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
+    pool = ProcessPoolExecutor(min(_usable_cpus(), cfg.n_trees),
+                               mp_context=multiprocessing.get_context("spawn"),
+                               initializer=_start_forest_worker, initargs=(job,))
+    try:
+        roots = list(pool.map(_grow_forest_tree, seeds))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return RandomForest(trees=[DecisionTree(root=r, classes=tuple(classes)) for r in roots],
+                        classes=tuple(classes))
 
 
 # --- Gaussian naive Bayes ---------------------------------------------------
@@ -402,14 +521,22 @@ class AdaBoost:
     classes: tuple  # classes[0] -> -1, classes[1] -> +1
 
     def decision(self, data: np.ndarray) -> np.ndarray:
-        score = np.zeros(np.asarray(data).shape[0])
+        data = np.asarray(data, dtype=np.float64)
+        score = np.zeros(data.shape[0])
         for stump, alpha in zip(self.stumps, self.alphas):
-            pred = stump.predict(data)
-            score += alpha * np.where(pred == self.classes[1], 1.0, -1.0)
+            score += alpha * _stump_votes(stump, data)
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         return np.array(self.classes, dtype=object)[(self.decision(data) > 0).astype(np.intp)]
+
+
+def _stump_votes(stump: DecisionTree, data: np.ndarray) -> np.ndarray:
+    """+1 on rows whose leaf holds class index 1, -1 elsewhere."""
+    votes = np.empty(data.shape[0])
+    for node, rows in _route_leaves(stump.root, data):
+        votes[rows] = 1.0 if node.value == 1 else -1.0
+    return votes
 
 
 def stump_weight(err: float) -> float:
@@ -427,10 +554,11 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
     y = np.where(class_ids == 1, 1.0, -1.0)
     n = data.shape[0]
     orders = _presort(data)
+    data_t = np.ascontiguousarray(data.T)
     stump_cfg = DecisionTreeConfig(max_depth=1, min_samples_split=2)
 
     def fit_stump(weights):
-        grower = _TreeGrower(data, stump_cfg, _class_stats(class_ids, weights, 2),
+        grower = _TreeGrower(data_t, stump_cfg, _class_stats(class_ids, weights, 2),
                              _gini_scores, _gini_leaf)
         return DecisionTree(root=grower.grow(orders), classes=tuple(classes))
 
@@ -439,7 +567,7 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
     alphas: list[float] = []
     for _ in range(cfg.n_rounds):
         stump = fit_stump(weights)
-        pred = np.where(stump.predict(data) == classes[1], 1.0, -1.0)
+        pred = _stump_votes(stump, data)
         err = float(weights[pred != y].sum())
         if err >= 0.5:
             break  # weak learner no better than chance; keep prior rounds
@@ -513,13 +641,14 @@ def fit_gradient_boost(
     f0 = float(np.log(p0 / (1.0 - p0)))
     scores = np.full(data.shape[0], f0)
     orders = _presort(data)
+    data_t = np.ascontiguousarray(data.T)
     tree_cfg = DecisionTreeConfig(max_depth=cfg.max_depth, min_samples_split=2)
     trees: list[tuple[DecisionTree, np.ndarray]] = []
     for _ in range(cfg.n_rounds):
         prob = _sigmoid(scores)
         residual = y - prob
-        stats = np.column_stack((residual, residual * residual, np.ones_like(residual)))
-        grower = _TreeGrower(data, tree_cfg, stats, _sse_scores, _sse_leaf)
+        stats = np.column_stack((residual, residual * residual))
+        grower = _TreeGrower(data_t, tree_cfg, stats, _sse_scores, _sse_leaf)
         tree = DecisionTree(root=grower.grow(orders), classes=tuple(classes))
         leaf_of_row = tree.apply(data)
         n_leaves = grower.n_leaves

@@ -128,23 +128,18 @@ def _best_f1_threshold(errors: np.ndarray, labels: np.ndarray) -> tuple[float, f
     e = errors[order]
     is_attack = (labels[order] == ATTACK).astype(np.int64)
     total_attack = int(is_attack.sum())
-    # after cutting at position i (alpha = e[i]): predictions are rows > i
-    attack_up_to = np.cumsum(is_attack)
-    n = e.size
-    best_alpha, best_f1 = float(e[-1]), -1.0
+    # cutting at the last position i of each distinct value (alpha = e[i])
+    # predicts attack for the rows after i
     last_of_value = np.nonzero(np.r_[e[:-1] != e[1:], True])[0]
-    for i in last_of_value:
-        alpha = float(e[i])
-        pred_attack = n - (i + 1)
-        tp = total_attack - int(attack_up_to[i])
-        fp = pred_attack - tp
-        fn = total_attack - tp
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        if f1 > best_f1:
-            best_f1, best_alpha = f1, alpha
-    return best_alpha, best_f1
+    tp = total_attack - np.cumsum(is_attack)[last_of_value]
+    fp = (e.size - (last_of_value + 1)) - tp
+    fn = total_attack - tp
+    precision = np.divide(tp, tp + fp, out=np.zeros(tp.size), where=tp + fp > 0)
+    recall = np.divide(tp, tp + fn, out=np.zeros(tp.size), where=tp + fn > 0)
+    f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(tp.size),
+                   where=precision + recall > 0)
+    best = int(np.argmax(f1))  # first maximum: the smallest alpha
+    return float(e[last_of_value[best]]), float(f1[best])
 
 
 def calibrate_threshold(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import LinearSvmConfig, fit_linear_svm
+from .baselines import CELLS, LinearSvmConfig, fit_linear_svm
 from .preprocess import FeatureMatrix
 
 
@@ -52,11 +52,6 @@ class ResampledSet:
     def class_counts(self) -> dict[str, int]:
         values, counts = np.unique(self.matrix.labels, return_counts=True)
         return {str(v): int(c) for v, c in zip(values, counts)}
-
-
-# Query rows per distance block come from this cell budget (2 MB of float64),
-# so the search's working memory stays flat however many seeds a class has.
-CELLS = 1 << 18
 
 
 def _batch_knn(

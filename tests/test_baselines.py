@@ -1,8 +1,12 @@
 import hashlib
+import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nidkit import baselines
 from nidkit.baselines import (
     AdaBoostConfig,
     DecisionTree,
@@ -12,6 +16,11 @@ from nidkit.baselines import (
     LinearSvmConfig,
     RandomForest,
     _Node,
+    _best_split,
+    _class_stats,
+    _gini_scores,
+    _presort,
+    _sse_scores,
     fit_adaboost,
     fit_forest,
     fit_gnb,
@@ -22,6 +31,8 @@ from nidkit.baselines import (
 )
 from nidkit.classifier import AttackClassifier, DnnConfig, predict, train_network
 from nidkit.neural import TrainConfig
+
+from . import split_oracle
 
 
 def gini_impurity(counts: np.ndarray) -> float:
@@ -125,6 +136,86 @@ def test_tree_separable_perfect_fit():
     assert (tree.predict(data) == labels).all()
 
 
+# --- batched split search -------------------------------------------------------
+
+def _node_block(draw, n_all, d):
+    """Tie-heavy integer grid or float values with duplicated rows."""
+    if draw(st.booleans()):
+        top = draw(st.integers(0, 3))
+        cells = draw(st.lists(st.integers(0, top), min_size=n_all * d, max_size=n_all * d))
+        return np.array(cells, dtype=np.float64).reshape(n_all, d) / 2.0
+    value = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    base = np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                  min_size=1, max_size=n_all)))
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=n_all, max_size=n_all))
+    return base[picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_batched_split_search_matches_per_feature_oracle(data):
+    # every statistics block a tree builds, any sorted candidate subset,
+    # and every block size from one feature to all: the batched search must
+    # return the oracle's (feature, threshold, n_left) bit for bit
+    draw = data.draw
+    n_all = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    values = _node_block(draw, n_all, d)
+    kind = draw(st.sampled_from(["unit", "bootstrap", "float", "sse"]))
+    if kind == "sse":
+        unit = st.floats(-1.0, 1.0, allow_nan=False)
+        y = np.array(draw(st.lists(unit, min_size=n_all, max_size=n_all)))
+        stats = np.column_stack((y, y * y, np.ones_like(y)))
+        score, oracle_score = _sse_scores, split_oracle.sse_scores
+    else:
+        k = draw(st.integers(2, 7))
+        class_ids = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n_all,
+                                           max_size=n_all)))
+        if kind == "unit":
+            weights = np.ones(n_all)
+        elif kind == "bootstrap":  # rows drawn 0 times are in no node
+            weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n_all,
+                                             max_size=n_all)), dtype=np.float64)
+        else:  # AdaBoost-like: positive floats summing to one
+            raw = draw(st.lists(st.floats(1e-3, 1.0), min_size=n_all, max_size=n_all))
+            weights = np.array(raw) / np.sum(raw)
+        stats = _class_stats(class_ids, weights, k)
+        score, oracle_score = _gini_scores, split_oracle.gini_scores
+    # a node holds a subset of the rows, in the presorted order
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n_all, max_size=n_all)))
+    keep[draw(st.integers(0, n_all - 1))] = True
+    orders = _presort(values)
+    orders = orders[keep[orders]].reshape(d, -1)
+    chosen = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+    candidates = np.array(sorted(chosen))
+    want = split_oracle.best_split(values, stats, orders, candidates, oracle_score)
+    # the oracle sums a column of ones for the row counts; the search takes
+    # them from the boundary positions
+    stats_t = np.ascontiguousarray((stats[:, :2] if kind == "sse" else stats).T)
+    k, n = stats_t.shape[0], orders.shape[1]
+    for step in range(1, len(candidates) + 1):
+        got = _best_split(np.ascontiguousarray(values.T), stats_t, orders, candidates, score,
+                          cells=step * k * n)
+        if want is None:
+            assert got is None, step
+        else:
+            assert got is not None, step
+            assert (got[0], float(got[1]).hex(), got[2]) == (
+                int(want[0]), float(want[1]).hex(), int(want[2])), step
+
+
+def test_split_search_on_constant_candidates_returns_none():
+    # features 0 and 2 vary, but the node only offers the constant feature 1
+    values = np.array([[0.0, 5.0, 1.0], [1.0, 5.0, 0.0], [2.0, 5.0, 1.0], [3.0, 5.0, 0.0]])
+    stats = _class_stats(np.array([0, 1, 0, 1]), np.ones(4), 2)
+    orders = _presort(values)
+    candidates = np.array([1])
+    assert split_oracle.best_split(values, stats, orders, candidates,
+                                   split_oracle.gini_scores) is None
+    assert _best_split(np.ascontiguousarray(values.T), np.ascontiguousarray(stats.T),
+                       orders, candidates, _gini_scores) is None
+
+
 # --- golden trees ---------------------------------------------------------------
 
 def _golden_data():
@@ -210,6 +301,54 @@ def test_forest_deterministic_per_seed():
     p1 = fit_forest(data, labels, ForestConfig(n_trees=7, seed=11)).predict(probe)
     p2 = fit_forest(data, labels, ForestConfig(n_trees=7, seed=11)).predict(probe)
     assert (p1 == p2).all()
+
+
+def _spy_pool_sizes(monkeypatch, limit: int) -> list:
+    """Worker count of each forest pool; a pool above ``limit`` is refused."""
+    sizes = []
+
+    class Spy(baselines.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            if max_workers > limit:
+                raise AssertionError(f"{max_workers} workers, at most {limit} wanted")
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(baselines, "ProcessPoolExecutor", Spy)
+    return sizes
+
+
+def test_forest_pool_never_has_more_workers_than_trees(monkeypatch):
+    data, three, _, _ = _golden_data()
+    monkeypatch.setattr(baselines, "_usable_cpus", lambda: 8)
+    sizes = _spy_pool_sizes(monkeypatch, limit=2)
+    forest = fit_forest(data, three, ForestConfig(n_trees=2, seed=5))
+    assert sizes == [2]
+    assert len(forest.trees) == 2
+
+
+def test_forest_with_one_worker_equals_the_default_pool(monkeypatch):
+    # trees draw from their own seed streams, so the worker count and the
+    # order in which workers finish cannot change any tree
+    data, three, _, _ = _golden_data()
+    cfg = ForestConfig(n_trees=6, seed=5)
+    default = _tree_digest([t.root for t in fit_forest(data, three, cfg).trees])
+    monkeypatch.setattr(baselines, "_usable_cpus", lambda: 1)
+    sizes = _spy_pool_sizes(monkeypatch, limit=1)
+    single = _tree_digest([t.root for t in fit_forest(data, three, cfg).trees])
+    assert sizes == [1]
+    assert single == default
+    assert not multiprocessing.active_children()
+
+
+def test_forest_worker_exception_reaches_the_caller_with_its_type():
+    # a negative max_features passes the parent and fails in each worker's
+    # candidate draw; the caller sees numpy's ValueError, raised remotely
+    data, labels = _two_blobs(seed=4)
+    with pytest.raises(ValueError) as caught:
+        fit_forest(data, labels, ForestConfig(n_trees=3, max_features=-1))
+    assert "_grow_forest_tree" in str(caught.value.__cause__)  # the worker's traceback
+    assert not multiprocessing.active_children()
 
 
 # --- Gaussian naive Bayes -------------------------------------------------------

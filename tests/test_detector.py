@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nidkit import neural
 from nidkit.dataset import ATTACK, NORMAL
 from nidkit.detector import (
     AnomalyDetector,
+    _best_f1_threshold,
     AutoencoderConfig,
     calibrate_threshold,
     nearest_rank_quantile,
@@ -15,6 +18,8 @@ from nidkit.detector import (
 )
 from nidkit.neural import LayerSpec, MlpModel, TrainConfig
 from nidkit.preprocess import FeatureMatrix
+
+from .f1_oracle import best_f1_threshold
 
 
 def _fm(values, label=NORMAL):
@@ -136,6 +141,29 @@ def test_calibrate_labeled_f1_separated():
     errors = reconstruction_errors(model, values)
     verdicts = np.where(errors > alpha, ATTACK, NORMAL)
     assert (verdicts == labels).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_best_f1_threshold_matches_the_per_cut_oracle(data):
+    # few distinct errors among many rows, so most cuts share a value and
+    # many cuts tie on F1: alpha and F1 must equal the loop's bit for bit
+    draw = data.draw
+    n = draw(st.integers(1, 80))
+    levels = draw(st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=6))
+    errors = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.sampled_from([NORMAL, ATTACK]), min_size=n, max_size=n)),
+                      dtype=object)
+    got = _best_f1_threshold(errors, labels)
+    want = best_f1_threshold(errors, labels)
+    assert got == want
+
+
+def test_best_f1_threshold_tie_goes_to_the_smallest_alpha():
+    # cutting at 1.0 or at 4.0 both give F1 = 2/3; the smaller alpha wins
+    errors = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+    labels = np.array([NORMAL, ATTACK, NORMAL, NORMAL, ATTACK], dtype=object)
+    assert _best_f1_threshold(errors, labels) == (1.0, 2.0 / 3.0)
 
 
 def test_calibrate_labeled_f1_needs_both_classes():

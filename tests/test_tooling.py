@@ -49,9 +49,32 @@ def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
     for counts in fits.values():
         assert counts["leaves"] > 0
     assert fits["baselines.fit.decision_tree"]["trees"] == 1
-    assert fits["baselines.fit.random_forest"]["trees"] == 100
     assert fits["baselines.fit.adaboost"]["trees"] >= 1
     assert fits["baselines.fit.gradient_boosting"]["trees"] == 100
+    # the forest grows in worker processes, which the tracer never sees; its
+    # one span must still hold every tree and leaf an untraced fit returns
+    from nidkit.baselines import ForestConfig, fit_forest
+    from nidkit.dataset import binary_labels, load_taxonomy, parse_kdd_file
+    from nidkit.preprocess import fit_transform
+
+    forest_spans = [s for s in json.loads(spans.read_text())["spans"]
+                    if s["name"] == "baselines.fit.random_forest"]
+    assert len(forest_spans) == 1
+    parsed = parse_kdd_file(train, split="train")
+    _, values = fit_transform(parsed)
+    forest = fit_forest(values, binary_labels(parsed, load_taxonomy()), ForestConfig(seed=0))
+    leaves = sum(1 for t in forest.trees for _ in _leaf_nodes(t.root))
+    assert forest_spans[0]["counts"] == {"leaves": leaves, "trees": 100}
+
+
+def _leaf_nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            yield node
+        else:
+            stack.extend((node.left, node.right))
 
 
 def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
