@@ -13,8 +13,10 @@ the sums and the row counts of both sides into the child cost, and a
 leaf rule reads a node's value and purity from its rows of the block. The search scores all candidate
 features of a node together, in blocks bounded by ``CELLS``. Split
 tie-breaking is deterministic everywhere: lower feature index first,
-then lower threshold; candidate thresholds are midpoints between
-consecutive distinct sorted values. A forest's trees are independent
+then lower threshold; a candidate threshold is the midpoint of two
+consecutive distinct sorted values, or the lower value when that
+midpoint rounds to the upper one (scikit-learn's rule), so rows at the
+upper value always go right. A forest's trees are independent
 (each draws from its own ``SeedSequence`` child), so they grow in a
 process pool, one worker per usable CPU, and come out the same for any
 worker count.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +47,10 @@ CELLS = 1 << 18
 @dataclass(frozen=True)
 class DecisionTreeConfig:
     max_depth: int = 12
-    min_samples_split: int = 2
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
 
 
 class _Node:
@@ -158,17 +157,21 @@ def _best_split(data_t, stats_t, orders, candidates, score, cells: int = CELLS):
         if scores[pos] < best_score:
             f, i = divmod(int(at[pos]), n)
             best_score = scores[pos]
-            best = (int(feats[f]), (xs[f, i] + xs[f, i + 1]) / 2.0, i + 1)
+            lo, hi = xs[f, i], xs[f, i + 1]
+            # the midpoint of adjacent doubles can round up to hi, which
+            # would send hi's rows left; lo keeps them right
+            mid = (lo + hi) / 2.0
+            best = (int(feats[f]), lo if mid == hi else mid, i + 1)
     return best
 
 
 class _TreeGrower:
-    """The one grower over a per-row ``stats`` block; ``score`` rates the
-    boundaries and ``leaf`` gives a node's (value, pure)."""
+    """The one grower over a per-row ``stats`` block, to ``max_depth``;
+    ``score`` rates the boundaries and ``leaf`` gives a node's (value, pure)."""
 
-    def __init__(self, data_t, cfg, stats, score, leaf, max_features=None, rng=None):
+    def __init__(self, data_t, max_depth, stats, score, leaf, max_features=None, rng=None):
         self.data_t = data_t
-        self.cfg = cfg
+        self.max_depth = max_depth
         self.stats = stats
         self.stats_t = np.ascontiguousarray(stats.T)
         self.score = score
@@ -191,7 +194,7 @@ class _TreeGrower:
             value, pure = self.leaf(np.take(self.stats, orders[0], axis=0))
             d, n_rows = orders.shape
             split = None
-            if depth < self.cfg.max_depth and n_rows >= self.cfg.min_samples_split and not pure:
+            if depth < self.max_depth and not pure:
                 if self.max_features is not None and self.max_features < d:
                     candidates = np.sort(self.rng.choice(d, size=self.max_features,
                                                          replace=False))
@@ -205,7 +208,7 @@ class _TreeGrower:
             node.feature, node.threshold, n_left = split
             # children at the depth limit are leaves, which read only the
             # first feature's order
-            kept = orders if depth + 1 < self.cfg.max_depth else orders[:1]
+            kept = orders if depth + 1 < self.max_depth else orders[:1]
             left, right = _partition(kept, orders[node.feature, :n_left], self.data_t.shape[1])
             node.left, node.right = _Node(), _Node()
             pending.append((node.right, right, depth + 1))
@@ -261,20 +264,17 @@ class DecisionTree:
 
 
 def fit_tree(
-    data: np.ndarray,
-    labels,
-    cfg: DecisionTreeConfig = DecisionTreeConfig(),
-    sample_weight: np.ndarray | None = None,
+    data: np.ndarray, labels, cfg: DecisionTreeConfig = DecisionTreeConfig()
 ) -> DecisionTree:
-    """Greedy Gini tree; leaves store the (weighted) majority class."""
+    """Greedy Gini tree; leaves store the majority class."""
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels, dtype=object)
     if data.shape[0] < 1:
         raise ValueError("need at least one row")
     classes, class_ids = np.unique(labels, return_inverse=True)
-    weights = np.ones(len(labels)) if sample_weight is None else np.asarray(sample_weight, float)
-    stats = _class_stats(class_ids, weights, len(classes))
-    grower = _TreeGrower(np.ascontiguousarray(data.T), cfg, stats, _gini_scores, _gini_leaf)
+    stats = _class_stats(class_ids, np.ones(len(labels)), len(classes))
+    grower = _TreeGrower(np.ascontiguousarray(data.T), cfg.max_depth, stats,
+                         _gini_scores, _gini_leaf)
     return DecisionTree(root=grower.grow(_presort(data)), classes=tuple(classes))
 
 
@@ -285,7 +285,6 @@ class ForestConfig:
     n_trees: int = 100
     bootstrap: bool = True
     max_features: int | None = None  # None -> round(sqrt(n_features))
-    tree: DecisionTreeConfig = field(default_factory=DecisionTreeConfig)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -323,7 +322,6 @@ class _ForestJob:
     orders: np.ndarray       # (d, n) presorted row order
     class_ids: np.ndarray
     n_classes: int
-    tree: DecisionTreeConfig
     max_features: int
     bootstrap: bool
 
@@ -337,7 +335,7 @@ class _ForestJob:
             orders = self.orders.ravel()[drawn].reshape(d, -1)
         else:
             weights, orders = np.ones(n), self.orders
-        grower = _TreeGrower(self.data_t, self.tree,
+        grower = _TreeGrower(self.data_t, DecisionTreeConfig().max_depth,
                              _class_stats(self.class_ids, weights, self.n_classes),
                              _gini_scores, _gini_leaf, self.max_features, rng)
         return grower.grow(orders)
@@ -375,7 +373,7 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
     classes, class_ids = np.unique(labels, return_inverse=True)
     max_features = cfg.max_features if cfg.max_features is not None else int(round(np.sqrt(d)))
     job = _ForestJob(np.ascontiguousarray(data.T), _presort(data), class_ids, len(classes),
-                     cfg.tree, min(max_features, d), cfg.bootstrap)
+                     min(max_features, d), cfg.bootstrap)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
     pool = ProcessPoolExecutor(min(_usable_cpus(), cfg.n_trees),
                                mp_context=multiprocessing.get_context("spawn"),
@@ -436,19 +434,21 @@ def fit_gnb(data: np.ndarray, labels) -> GaussianNB:
 
 # --- linear SVM -------------------------------------------------------------
 
+SVM_BATCH_SIZE = 64
+
+
 @dataclass(frozen=True)
 class LinearSvmConfig:
     lam: float = 1e-4
     epochs: int = 20
-    batch_size: int = 64
     learning_rate: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.lam <= 0:
             raise ValueError("lam must be > 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -486,8 +486,8 @@ def fit_linear_svm(data: np.ndarray, labels, cfg: LinearSvmConfig = LinearSvmCon
     for epoch in range(cfg.epochs):
         eta = cfg.learning_rate / (1.0 + epoch)
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
+        for start in range(0, n, SVM_BATCH_SIZE):
+            idx = order[start : start + SVM_BATCH_SIZE]
             xb, yb = centered[idx], y[idx]
             margin = 1.0 - yb * (xb @ w + b)
             viol = margin > 0
@@ -555,10 +555,9 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
     n = data.shape[0]
     orders = _presort(data)
     data_t = np.ascontiguousarray(data.T)
-    stump_cfg = DecisionTreeConfig(max_depth=1, min_samples_split=2)
 
     def fit_stump(weights):
-        grower = _TreeGrower(data_t, stump_cfg, _class_stats(class_ids, weights, 2),
+        grower = _TreeGrower(data_t, 1, _class_stats(class_ids, weights, 2),
                              _gini_scores, _gini_leaf)
         return DecisionTree(root=grower.grow(orders), classes=tuple(classes))
 
@@ -587,17 +586,18 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
 
 # --- gradient boosting --------------------------------------------------------
 
+# Shrinkage of each round's tree and the depth of those trees.
+GB_LEARNING_RATE = 0.1
+GB_MAX_DEPTH = 3
+
+
 @dataclass(frozen=True)
 class GradientBoostConfig:
     n_rounds: int = 100
-    learning_rate: float = 0.1
-    max_depth: int = 3
 
     def __post_init__(self) -> None:
         if self.n_rounds < 0:
             raise ValueError("n_rounds must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -613,14 +613,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class GradientBoost:
     f0: float
     trees: list[tuple[DecisionTree, np.ndarray]]  # (tree, per-leaf additive value)
-    learning_rate: float
     classes: tuple  # classes[0] -> score <= 0, classes[1] -> score > 0
 
     def decision(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
         score = np.full(data.shape[0], self.f0)
         for tree, leaf_values in self.trees:
-            score += self.learning_rate * leaf_values[tree.apply(data)]
+            score += GB_LEARNING_RATE * leaf_values[tree.apply(data)]
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
@@ -642,13 +641,12 @@ def fit_gradient_boost(
     scores = np.full(data.shape[0], f0)
     orders = _presort(data)
     data_t = np.ascontiguousarray(data.T)
-    tree_cfg = DecisionTreeConfig(max_depth=cfg.max_depth, min_samples_split=2)
     trees: list[tuple[DecisionTree, np.ndarray]] = []
     for _ in range(cfg.n_rounds):
         prob = _sigmoid(scores)
         residual = y - prob
         stats = np.column_stack((residual, residual * residual))
-        grower = _TreeGrower(data_t, tree_cfg, stats, _sse_scores, _sse_leaf)
+        grower = _TreeGrower(data_t, GB_MAX_DEPTH, stats, _sse_scores, _sse_leaf)
         tree = DecisionTree(root=grower.grow(orders), classes=tuple(classes))
         leaf_of_row = tree.apply(data)
         n_leaves = grower.n_leaves
@@ -656,5 +654,5 @@ def fit_gradient_boost(
         den = np.bincount(leaf_of_row, weights=prob * (1.0 - prob), minlength=n_leaves)
         leaf_values = num / np.maximum(den, 1e-12)
         trees.append((tree, leaf_values))
-        scores = scores + cfg.learning_rate * leaf_values[leaf_of_row]
-    return GradientBoost(f0=f0, trees=trees, learning_rate=cfg.learning_rate, classes=tuple(classes))
+        scores = scores + GB_LEARNING_RATE * leaf_values[leaf_of_row]
+    return GradientBoost(f0=f0, trees=trees, classes=tuple(classes))

@@ -110,9 +110,9 @@ def train_network(
 
 def train_fourclass(
     attacks: FeatureMatrix,
+    tcfg: neural.TrainConfig,
+    rng: np.random.Generator,
     oversample: SvmSmoteConfig | None = None,
-    tcfg: neural.TrainConfig | None = None,
-    rng: np.random.Generator | None = None,
     dnn: DnnConfig = DnnConfig(),
 ) -> tuple[AttackClassifier, dict]:
     """Train on ground-truth attack rows; returns (classifier, training info)."""
@@ -123,10 +123,6 @@ def train_fourclass(
     missing = [c for c in CLASS_ORDER if c not in set(labels)]
     if missing:
         raise ValueError(f"attack categories absent from training data: {missing}")
-    if tcfg is None:
-        tcfg = neural.TrainConfig()
-    if rng is None:
-        rng = np.random.default_rng(tcfg.seed)
 
     train_idx, val_idx = _stratified_split(labels, tcfg.val_fraction, rng)
     train_x, train_labels = attacks.values[train_idx], labels[train_idx]

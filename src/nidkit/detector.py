@@ -22,14 +22,16 @@ from .preprocess import FeatureMatrix
 
 DETECTOR_FORMAT_VERSION = 1
 
+# The paper's encoder: SeLU, with Gaussian input noise and dropout on its input.
+ENCODER_ACTIVATION = "selu"
+NOISE_SIGMA = 0.15
+DROPOUT_RATE = 0.05
+
 
 @dataclass(frozen=True)
 class AutoencoderConfig:
     input_dim: int = 41
     hidden_dim: int = 15
-    activation: str = "selu"
-    noise_sigma: float = 0.15
-    dropout_rate: float = 0.05
 
     def __post_init__(self) -> None:
         if self.hidden_dim >= self.input_dim:
@@ -39,8 +41,8 @@ class AutoencoderConfig:
         # corruption on the encoding side only; linear reconstruction output
         return [
             neural.LayerSpec(
-                self.input_dim, self.hidden_dim, self.activation,
-                dropout_rate=self.dropout_rate, noise_sigma=self.noise_sigma,
+                self.input_dim, self.hidden_dim, ENCODER_ACTIVATION,
+                dropout_rate=DROPOUT_RATE, noise_sigma=NOISE_SIGMA,
             ),
             neural.LayerSpec(self.hidden_dim, self.input_dim, "identity"),
         ]
@@ -86,19 +88,18 @@ def train_on_normal(
     normals: FeatureMatrix,
     cfg: AutoencoderConfig,
     tcfg: neural.TrainConfig,
-    rng: np.random.Generator | None = None,
-    validation: FeatureMatrix | None = None,
+    rng: np.random.Generator,
+    validation: FeatureMatrix,
 ) -> tuple[neural.MlpModel, neural.TrainHistory]:
-    """Train the autoencoder with inputs as targets; rejects attack rows."""
-    for fm in (normals,) if validation is None else (normals, validation):
+    """Train the autoencoder with inputs as targets, early-stopping on the
+    reconstruction of ``validation``; rejects attack rows in either set."""
+    for fm in (normals, validation):
         bad = np.nonzero(fm.labels != NORMAL)[0]
         if bad.size:
             raise ValueError(f"non-normal row at index {bad[0]} (label {fm.labels[bad[0]]!r})")
-    if rng is None:
-        rng = np.random.default_rng(tcfg.seed)
     model = neural.init_model(cfg.layers(), rng)
-    val = None if validation is None else (validation.values, validation.values)
-    return neural.train(model, normals.values, normals.values, tcfg, rng, validation=val)
+    return neural.train(model, normals.values, normals.values, tcfg, rng,
+                        validation=(validation.values, validation.values))
 
 
 def reconstruction_errors(model: neural.MlpModel, batch: np.ndarray) -> np.ndarray:

@@ -100,28 +100,22 @@ def histogram(
 
 
 def pearson_matrix(matrix: np.ndarray) -> CorrelationMatrix:
-    """Pearson r per column pair, computed once and mirrored; constant
+    """Pearson r per column pair from one product of the centered matrix,
+    its upper triangle mirrored so the result is exactly symmetric; constant
     columns are masked as undefined rather than propagating NaN."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise ValueError("need at least 2 rows")
-    d = matrix.shape[1]
     centered = matrix - matrix.mean(axis=0)
     std = matrix.std(axis=0)
     mask = std == 0
-    out = np.zeros((d, d))
-    n = matrix.shape[0]
-    for i in range(d):
-        if mask[i]:
-            continue
-        out[i, i] = 1.0
-        for j in range(i + 1, d):
-            if mask[j]:
-                continue
-            r = (centered[:, i] @ centered[:, j]) / (n * std[i] * std[j])
-            r = min(1.0, max(-1.0, r))
-            out[i, j] = r
-            out[j, i] = r
+    # an infinite scale zeroes every pair with a constant column
+    scale = np.where(mask, np.inf, std)
+    r = (centered.T @ centered) / np.outer(matrix.shape[0] * scale, scale)
+    upper = np.triu(np.clip(r, -1.0, 1.0), 1)
+    out = upper + upper.T
+    kept = np.flatnonzero(~mask)
+    out[kept, kept] = 1.0
     return CorrelationMatrix(values=out, constant_mask=mask)
 
 

@@ -29,7 +29,8 @@ SELU_ALPHA = 1.6732632423543772
 
 ACTIVATIONS = ("relu", "selu", "softmax", "identity")
 
-# Adam moment decay rates and denominator guard (Kingma & Ba, 2015).
+# Adam step size (the paper's), moment decays and guard (Kingma & Ba, 2015).
+ADAM_LR = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -275,8 +276,7 @@ def backward(
 class AdamState:
     """First/second-moment accumulators for one flat parameter vector."""
 
-    def __init__(self, size: int, lr: float = 0.001) -> None:
-        self.lr = lr
+    def __init__(self, size: int) -> None:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
@@ -292,7 +292,7 @@ class AdamState:
         self.m += (1.0 - ADAM_BETA1) * grad
         self.v *= ADAM_BETA2
         self.v += (1.0 - ADAM_BETA2) * (grad * grad)
-        params -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        params -= ADAM_LR * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 # --- training loop ------------------------------------------------------
@@ -322,8 +322,6 @@ class TrainConfig:
     val_fraction: float = 0.15
     patience: int = 6
     max_epochs: int = 200
-    seed: int = 0
-    learning_rate: float = 0.001
 
     def __post_init__(self) -> None:
         if not 0.0 < self.val_fraction < 1.0:
@@ -347,13 +345,13 @@ def train(
     data: np.ndarray,
     targets: np.ndarray,
     cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     validation: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[MlpModel, TrainHistory]:
     """Mini-batch Adam with early stopping; returns the best-validation model.
 
     Without an explicit ``validation`` pair, ``cfg.val_fraction`` of the
-    rows is split off (shuffled, seeded). The input model is left
+    rows is split off, shuffled by ``rng``. The input model is left
     untouched; the returned model is frozen with the parameters of the
     best validation epoch.
     """
@@ -363,8 +361,6 @@ def train(
         raise ValueError("empty training data")
     if data.shape[0] != targets.shape[0]:
         raise ValueError("data/target row mismatch")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
 
     if validation is not None:
         train_x, train_t = data, targets
@@ -382,7 +378,7 @@ def train(
 
     work = model.copy()
     kind = "cross_entropy" if work.layers[-1].activation == "softmax" else "mse"
-    adam = AdamState(work.params.size, lr=cfg.learning_rate)
+    adam = AdamState(work.params.size)
     stopper = EarlyStopper(cfg.patience)
     history = TrainHistory()
 

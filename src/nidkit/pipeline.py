@@ -87,13 +87,31 @@ class RunConfig:
     histogram_features: tuple[str, ...] = explore_mod.DEFAULT_HISTOGRAM_FEATURES
     scatter_pairs: tuple[tuple[str, str], ...] = explore_mod.DEFAULT_SCATTER_PAIRS
 
+    def __post_init__(self) -> None:
+        """Rejects a bad setting before a command reads or writes a file."""
+        for name in ("seed", "max_epochs", "batch_size", "patience", "histogram_bins"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.calibration not in ("quantile", "labeled_f1"):
+            raise ValueError(f"calibration must be quantile or labeled_f1, "
+                             f"got {self.calibration!r}")
+        if not 0.0 < self.calibration_q <= 1.0:
+            raise ValueError(f"calibration_q must be in (0, 1], got {self.calibration_q!r}")
+        if self.oversample not in ("on", "off", "both"):
+            raise ValueError(f"oversample must be on, off or both, got {self.oversample!r}")
+        if self.histogram_bins < 1:
+            raise ValueError(f"histogram_bins must be >= 1, got {self.histogram_bins!r}")
+        self.train_config()
+
     def train_config(self) -> neural.TrainConfig:
         return neural.TrainConfig(
             batch_size=self.batch_size,
             val_fraction=self.val_fraction,
             patience=self.patience,
             max_epochs=self.max_epochs,
-            seed=self.seed,
         )
 
 

@@ -4,7 +4,7 @@ Synthetics interpolate between a seed row and one of its k nearest
 minority neighbours. The SVM variant seeds generation at borderline
 minority rows (hinge-loss violators of a one-vs-rest linear SVM); a
 seed whose m-neighbourhood is majority-dominated interpolates inward,
-otherwise it extrapolates outward by ``out_step``. Original rows always
+otherwise it extrapolates outward by ``OUT_STEP``. Original rows always
 come first and bit-exact in the result, and everything is deterministic
 per seed.
 """
@@ -17,6 +17,9 @@ import numpy as np
 
 from .baselines import CELLS, LinearSvmConfig, fit_linear_svm
 from .preprocess import FeatureMatrix
+
+# Fraction of the seed-to-neighbour distance an extrapolating seed steps out.
+OUT_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -33,14 +36,11 @@ class SmoteConfig:
 class SvmSmoteConfig:
     smote: SmoteConfig = field(default_factory=SmoteConfig)
     m_neighbors: int = 10
-    out_step: float = 0.5
     svm: LinearSvmConfig = field(default_factory=LinearSvmConfig)
 
     def __post_init__(self) -> None:
         if self.m_neighbors < self.smote.k_neighbors:
             raise ValueError("m_neighbors must be >= k_neighbors")
-        if not 0.0 < self.out_step <= 1.0:
-            raise ValueError("out_step must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,10 @@ def _batch_knn(
     return out
 
 
-def _synthesize(seeds, seed_neighbors, pool, n_new, rng, *, out_step=None, extrapolate=None,
-                out=None):
+def _synthesize(seeds, seed_neighbors, pool, n_new, rng, *, extrapolate=None, out=None):
     """Round-robin over seeds; one synthetic per draw pair (neighbor, lambda).
 
-    A seed flagged in ``extrapolate`` gives a + lam * out_step * (a - b),
+    A seed flagged in ``extrapolate`` gives a + lam * OUT_STEP * (a - b),
     any other seed a + lam * (b - a), for seed a and neighbour b; each row
     computes its own branch only. Rows are written into ``out`` (n_new, d)
     when given, else into a new array."""
@@ -123,7 +122,7 @@ def _synthesize(seeds, seed_neighbors, pool, n_new, rng, *, out_step=None, extra
     outward, coef = np.False_, lam
     if extrapolate is not None:
         outward = extrapolate[which, None]
-        coef = np.where(outward, lam * out_step, lam)
+        coef = np.where(outward, lam * OUT_STEP, lam)
     np.subtract(out, a, out=out, where=~outward)
     np.subtract(a, out, out=out, where=outward)
     out *= coef
@@ -138,7 +137,7 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
     (positive hinge loss); those seed the generation. A seed with a
     majority-dominated m-neighbourhood interpolates toward its k
     within-class neighbours, otherwise it extrapolates away from them
-    by ``out_step``. Classes with no violators fall back to plain SMOTE
+    by ``OUT_STEP``. Classes with no violators fall back to plain SMOTE
     over the whole class (recorded in the log).
     """
     values, labels = fm.values, fm.labels
@@ -188,7 +187,7 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
             near = _batch_knn(seeds, members, k_eff, exclude=pos_in_class)
             _synthesize(
                 seeds, near, members, need, rng,
-                out_step=cfg.out_step, extrapolate=~interpolate_seed, out=all_values[start:stop],
+                extrapolate=~interpolate_seed, out=all_values[start:stop],
             )
             log.append(
                 f"class {cls}: {seed_rows.size} borderline seeds "

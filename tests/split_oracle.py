@@ -4,7 +4,9 @@ feature at a time, over a row-major (rows, columns) statistics block.
 Each feature's rows are gathered in ascending value order and summed with
 one cumsum; every boundary between two distinct values is scored, and the
 feature with a strictly lower best score replaces the current best, so ties
-go to the lower feature index, then the lower threshold.
+go to the lower feature index, then the lower threshold. A threshold is
+the midpoint of the two values at the boundary, or the lower value when the
+midpoint rounds to the upper one.
 """
 
 from __future__ import annotations
@@ -50,5 +52,6 @@ def best_split(data, stats, orders, candidates, score):
         if scores[pos] < best_score:
             i = valid[pos]
             best_score = scores[pos]
-            best = (j, (xs[i] + xs[i + 1]) / 2.0, i + 1)
+            mid = (xs[i] + xs[i + 1]) / 2.0
+            best = (j, xs[i] if mid == xs[i + 1] else mid, i + 1)
     return best

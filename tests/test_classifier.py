@@ -29,9 +29,13 @@ def _four_blobs(counts=(30, 20, 12, 8), d=6, seed=0, spread=0.3):
 
 
 def _tcfg(**kw):
-    defaults = dict(max_epochs=30, seed=0)
+    defaults = dict(max_epochs=30)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def _rng(seed=0):
+    return np.random.default_rng(seed)
 
 
 def test_dnn_config_shape():
@@ -43,7 +47,7 @@ def test_dnn_config_shape():
 def test_train_fourclass_separable_fixture():
     fm = _four_blobs()
     clf, info = train_fourclass(
-        fm, tcfg=_tcfg(max_epochs=200), dnn=DnnConfig(input_dim=6, hidden_dim=16)
+        fm, tcfg=_tcfg(max_epochs=200), rng=_rng(), dnn=DnnConfig(input_dim=6, hidden_dim=16)
     )
     predicted, _ = predict(clf, fm.values)
     assert (predicted == fm.labels).mean() > 0.9
@@ -56,7 +60,7 @@ def test_train_fourclass_missing_class_rejected():
     keep = fm.labels != "U2R"
     fm2 = FeatureMatrix(values=fm.values[keep], labels=fm.labels[keep])
     with pytest.raises(ValueError, match="U2R"):
-        train_fourclass(fm2, tcfg=_tcfg(), dnn=DnnConfig(input_dim=6, hidden_dim=8))
+        train_fourclass(fm2, tcfg=_tcfg(), rng=_rng(), dnn=DnnConfig(input_dim=6, hidden_dim=8))
 
 
 def test_train_fourclass_rejects_foreign_labels():
@@ -65,14 +69,16 @@ def test_train_fourclass_rejects_foreign_labels():
     labels[0] = "Normal"
     foreign = FeatureMatrix(values=fm.values, labels=labels)
     with pytest.raises(ValueError, match="outside"):
-        train_fourclass(foreign, tcfg=_tcfg(), dnn=DnnConfig(input_dim=6, hidden_dim=8))
+        train_fourclass(foreign, tcfg=_tcfg(), rng=_rng(),
+                        dnn=DnnConfig(input_dim=6, hidden_dim=8))
 
 
 def test_train_fourclass_with_oversampling_balances_counts():
     fm = _four_blobs(counts=(40, 16, 10, 6))
     oversample = SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3, seed=1))
     clf, info = train_fourclass(
-        fm, oversample=oversample, tcfg=_tcfg(seed=1), dnn=DnnConfig(input_dim=6, hidden_dim=16)
+        fm, oversample=oversample, tcfg=_tcfg(), rng=_rng(1),
+        dnn=DnnConfig(input_dim=6, hidden_dim=16),
     )
     after = info["class_counts_after"]
     assert len(set(after.values())) == 1  # equalized to the majority count
@@ -88,6 +94,7 @@ def test_train_fourclass_does_not_mutate_input():
         fm,
         oversample=SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)),
         tcfg=_tcfg(),
+        rng=_rng(),
         dnn=DnnConfig(input_dim=6, hidden_dim=8),
     )
     assert (fm.values == snapshot).all()
@@ -98,7 +105,7 @@ def test_train_fourclass_deterministic():
     models = []
     for _ in range(2):
         clf, _ = train_fourclass(
-            fm, tcfg=_tcfg(seed=7), rng=np.random.default_rng(7),
+            fm, tcfg=_tcfg(), rng=np.random.default_rng(7),
             dnn=DnnConfig(input_dim=6, hidden_dim=8),
         )
         models.append(clf.model)
@@ -142,7 +149,7 @@ def test_predict_width_mismatch():
 
 def test_evaluate_perfect_predictions():
     fm = _four_blobs(counts=(5, 5, 5, 5))
-    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=60, seed=3),
+    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=60), rng=_rng(3),
                              dnn=DnnConfig(input_dim=6, hidden_dim=16))
     report = _evaluate(clf, fm)
     if (predict(clf, fm.values)[0] == fm.labels).all():
@@ -152,7 +159,7 @@ def test_evaluate_perfect_predictions():
 
 def test_evaluate_row_sums_match_true_counts():
     fm = _four_blobs(counts=(12, 9, 7, 5), seed=4)
-    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=5, seed=4),
+    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=5), rng=_rng(4),
                              dnn=DnnConfig(input_dim=6, hidden_dim=8))
     report = _evaluate(clf, fm)
     sums = report.confusion.counts.sum(axis=1).tolist()
@@ -162,7 +169,7 @@ def test_evaluate_row_sums_match_true_counts():
 
 def test_classifier_json_roundtrip():
     fm = _four_blobs()
-    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=3),
+    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=3), rng=_rng(),
                              dnn=DnnConfig(input_dim=6, hidden_dim=8))
     loaded = AttackClassifier.from_json(clf.to_json())
     x = np.random.default_rng(5).normal(size=(10, 6))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nidkit import cli, pipeline, preprocess
+from nidkit import cli, neural, pipeline, preprocess
 from nidkit.cli import build_parser, build_config, main
 from nidkit.errors import TrainingDivergedError
 from nidkit.pipeline import RunConfig
@@ -193,6 +193,29 @@ def test_config_rejects_unknown_fields(tmp_path):
         build_config(args)
 
 
+@pytest.mark.parametrize("command, flags, file_values", [
+    ("train-binary", ["--max-epochs", "0"], None),
+    ("train-binary", [], {"max_epochs": 6.5}),
+    ("pipeline", ["--val-fraction", "1.5"], None),
+    ("explore", ["--bins", "0"], None),
+    ("train-binary", [], {"calibration_q": 5}),
+    ("pipeline", [], {"seed": "abc"}),
+    ("train-multiclass", [], {"oversample": "yes"}),
+])
+def test_invalid_setting_exits_2_before_any_output(tmp_path, data_files, capsys,
+                                                    command, flags, file_values):
+    train, test = data_files
+    out = tmp_path / "out"
+    argv = [command, "--train", train, "--test", test, "--out", out, *flags]
+    if file_values is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(file_values))
+        argv += ["--config", cfg_path]
+    assert _run(*argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibration_flag_parsing():
     parser = build_parser()
     args = parser.parse_args(["train-binary", "--calibration", "quantile:0.9"])
@@ -210,7 +233,7 @@ def test_default_runconfig_matches_paper_settings():
     assert tc.batch_size == 32
     assert tc.val_fraction == 0.15
     assert tc.patience == 6
-    assert tc.learning_rate == 0.001
+    assert neural.ADAM_LR == 0.001
 
 
 def test_training_divergence_exits_3_with_one_line(monkeypatch, capsys):

@@ -57,14 +57,16 @@ def test_autoencoder_config_shape():
 def test_train_on_normal_rejects_attacks():
     fm = _fm(np.ones((4, 8)), label=ATTACK)
     with pytest.raises(ValueError, match="non-normal"):
-        train_on_normal(fm, _small_ae_cfg(), TrainConfig(max_epochs=1))
+        train_on_normal(fm, _small_ae_cfg(), TrainConfig(max_epochs=1),
+                        np.random.default_rng(0), validation=fm)
 
 
 def test_train_on_normal_improves_and_separates():
     normals = _normal_blob(n=120, seed=1)
     cfg = _small_ae_cfg()
     model, history = train_on_normal(
-        normals, cfg, TrainConfig(max_epochs=40, seed=1, patience=6)
+        normals, cfg, TrainConfig(max_epochs=40, patience=6), np.random.default_rng(1),
+        validation=_normal_blob(n=30, seed=3),
     )
     assert history.val_loss[history.best_epoch] < history.val_loss[0] or history.n_epochs == 1
     assert model.in_dim == 8 and model.out_dim == 8

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nidkit.dataset import categories, parse_kdd_lines
 from nidkit.explore import (
@@ -11,6 +13,8 @@ from nidkit.explore import (
     write_exploration,
 )
 from nidkit.schema import DEFAULT_SCHEMA
+
+from .pearson_oracle import pearson_pairs
 
 
 def _ds(duration_values, labels=None):
@@ -88,6 +92,26 @@ def test_pearson_symmetric_exact_and_masked():
     assert m.constant_mask.tolist() == [False, False, False, True, False]
     assert (m.values[3] == 0).all() and (m.values[:, 3] == 0).all()
     assert np.abs(m.values).max() <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(min_value=2, max_value=40),
+    cols=st.integers(min_value=1, max_value=8),
+    constant=st.sets(st.integers(min_value=0, max_value=7), max_size=3),
+    seed=st.integers(min_value=0, max_value=2**31),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+)
+def test_pearson_matrix_product_matches_pairwise_oracle(rows, cols, constant, seed, scale):
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(rows, cols)) * scale + rng.normal(size=cols) * 3 * scale
+    for j in constant & set(range(cols)):
+        data[:, j] = data[0, j]
+    m = pearson_matrix(data)
+    want, want_mask = pearson_pairs(data)
+    assert (m.constant_mask == want_mask).all()
+    assert np.abs(m.values - want).max() <= 1e-12
+    assert (m.values == m.values.T).all()
 
 
 def test_scatter_rows_roundtrip(taxonomy, small_ds):

@@ -272,7 +272,7 @@ def test_train_reduces_loss_and_freezes():
     x, t = _blob_data()
     rng = np.random.default_rng(0)
     model = init_model([LayerSpec(3, 8, "relu"), LayerSpec(8, 2, "softmax")], rng)
-    cfg = TrainConfig(max_epochs=30, seed=0)
+    cfg = TrainConfig(max_epochs=30)
     trained, history = train(model, x, t, cfg, rng)
     assert history.train_loss[-1] < history.train_loss[0]
     with pytest.raises(ValueError):
@@ -283,7 +283,7 @@ def test_train_returns_best_validation_params():
     x, t = _blob_data(n=40, seed=3)
     rng = np.random.default_rng(1)
     model = init_model([LayerSpec(3, 16, "relu"), LayerSpec(16, 2, "softmax")], rng)
-    cfg = TrainConfig(max_epochs=40, seed=1, patience=6)
+    cfg = TrainConfig(max_epochs=40, patience=6)
     trained, history = train(model, x, t, cfg, rng)
     assert history.best_epoch == int(np.argmin(history.val_loss))
     # patience: after the best epoch, at most `patience` more epochs ran
@@ -297,7 +297,7 @@ def test_train_deterministic_per_seed():
         rng = np.random.default_rng(9)
         model = init_model([LayerSpec(3, 5, "selu"), LayerSpec(5, 2, "softmax")], rng)
         trained, _ = train(
-            model, x, t, TrainConfig(max_epochs=8, seed=9), rng
+            model, x, t, TrainConfig(max_epochs=8), rng
         )
         results.append(trained)
     for w1, w2 in zip(results[0].weights, results[1].weights):
@@ -309,7 +309,8 @@ def test_train_deterministic_per_seed():
 def test_train_empty_data_rejected():
     model = _identity_model(2)
     with pytest.raises(ValueError):
-        train(model, np.empty((0, 2)), np.empty((0, 2)), TrainConfig())
+        train(model, np.empty((0, 2)), np.empty((0, 2)), TrainConfig(),
+              np.random.default_rng(0))
 
 
 def test_train_does_not_mutate_input_model():
@@ -317,7 +318,7 @@ def test_train_does_not_mutate_input_model():
     rng = np.random.default_rng(4)
     model = init_model([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "softmax")], rng)
     snapshot = [w.copy() for w in model.weights]
-    train(model, x, t, TrainConfig(max_epochs=3, seed=4), rng)
+    train(model, x, t, TrainConfig(max_epochs=3), rng)
     for w, s in zip(model.weights, snapshot):
         assert (w == s).all()
 
@@ -390,7 +391,7 @@ def test_golden_network_digests(monkeypatch):
                             labels=np.full(120, NORMAL, dtype=object))
     model, history = train_on_normal(
         normals.select(np.arange(96)), AutoencoderConfig(input_dim=8, hidden_dim=3),
-        TrainConfig(max_epochs=12, patience=3, seed=0), np.random.default_rng(1),
+        TrainConfig(max_epochs=12, patience=3), np.random.default_rng(1),
         validation=normals.select(np.arange(96, 120)),
     )
     assert _net_digest(model, history.n_epochs, history.best_epoch) == (
@@ -405,8 +406,8 @@ def test_golden_network_digests(monkeypatch):
         ("oversampled", oversample,
          ("7b6ba00c49c1317dd26a0751b5693589c2b85b5dd4b6f1c2a8e5c969cfc85124", 128, 121)),
     ):
-        clf, info = train_fourclass(attacks, oversample=smote, rng=np.random.default_rng(17),
-                                    dnn=dnn)
+        clf, info = train_fourclass(attacks, TrainConfig(), np.random.default_rng(17),
+                                    oversample=smote, dnn=dnn)
         if smote is not None:
             assert (sum(info["class_counts_after"].values())
                     > sum(info["class_counts_before"].values()))

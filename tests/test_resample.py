@@ -247,7 +247,7 @@ def test_svm_smote_interpolated_synthetics_stay_in_class_box():
     lo, hi = b_rows.min(axis=0), b_rows.max(axis=0)
     span = hi - lo
     synth = rs.matrix.values[rs.synthetic_mask]
-    # extrapolation can leave the box by at most out_step * box span
+    # extrapolation can leave the box by at most OUT_STEP * box span
     assert (synth >= lo - 0.5 * span - 1e-9).all()
     assert (synth <= hi + 0.5 * span + 1e-9).all()
 
@@ -277,5 +277,3 @@ def test_config_invariants():
         SmoteConfig(k_neighbors=0)
     with pytest.raises(ValueError):
         SvmSmoteConfig(smote=SmoteConfig(k_neighbors=5), m_neighbors=3)
-    with pytest.raises(ValueError):
-        SvmSmoteConfig(out_step=0.0)

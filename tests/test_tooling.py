@@ -1,5 +1,7 @@
-"""The benchmark tracer must still find every nidkit name it wraps."""
+"""The benchmark tracer must still find every nidkit name it wraps, and the
+count of settable values in ``src/nidkit`` only changes on purpose."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -113,3 +115,41 @@ def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
         while parent >= 0:
             assert by_id[parent]["name"] != "neural.train"
             parent = by_id[parent]["parent"]
+
+
+def _settable_values(tree: ast.Module) -> list[str]:
+    """Defaulted parameters of public functions and methods (``__init__``
+    included) plus defaulted fields of public dataclasses."""
+
+    def defaulted(fn):
+        return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+    def is_dataclass(cls):
+        for dec in cls.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                return True
+        return False
+
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found += [node.name] * defaulted(node)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            dataclass_fields = is_dataclass(node)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__" or not item.name.startswith("_")):
+                    found += [f"{node.name}.{item.name}"] * defaulted(item)
+                if dataclass_fields and isinstance(item, ast.AnnAssign) and item.value is not None:
+                    found.append(f"{node.name}.{item.target.id}")
+    return found
+
+
+def test_settable_value_count_is_pinned():
+    # a new option, keyword default or defaulted dataclass field must change
+    # this number in the same diff; so must deleting one
+    found = []
+    for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
+        found += [f"{path.stem}.{name}" for name in _settable_values(ast.parse(path.read_text()))]
+    assert len(found) == 72, found
