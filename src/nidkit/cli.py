@@ -23,7 +23,6 @@ from .errors import StaleArtifactError, TrainingDivergedError, VersionSkewError
 from .pipeline import (
     BASELINE_NAMES,
     RunConfig,
-    UnknownBaselineError,
     run_baselines,
     run_evaluate,
     run_explore,
@@ -139,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         COMMANDS[args.command](cfg)
-    except (FileNotFoundError, NotADirectoryError, UnknownBaselineError) as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
         print(f"nidkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StaleArtifactError as exc:

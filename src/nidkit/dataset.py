@@ -6,14 +6,16 @@ but never used as a model feature.
 
 Parsing builds columns once: a float block for the 38 numeric features,
 string arrays for the three categorical features and the label, and an
-integer difficulty array. Numeric fields must be ASCII decimal numbers;
-``#`` is an ordinary character, not a comment marker.
+integer difficulty array: the only copy of a file, no line is kept as
+text. Numeric fields must be ASCII decimal numbers; ``#`` is an ordinary
+character, not a comment marker.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
@@ -46,7 +48,7 @@ class UnknownLabelError(KeyError):
 
 @dataclass(frozen=True)
 class ConnectionRecord:
-    """One connection: 41 raw feature strings, attack label, difficulty 0-21."""
+    """One connection: 41 feature strings, attack label, difficulty 0-21."""
 
     features: tuple[str, ...]
     label: str
@@ -58,33 +60,26 @@ class ConnectionRecord:
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """One parsed split, held as columns built at parse time.
+    """One parsed split, held only as the columns built at parse time.
 
-    ``lines`` keeps each validated line verbatim (difficulty written as a
-    plain integer) for the outputs that must reproduce raw text. Two
-    datasets are equal when their split and lines are.
+    Numeric fields keep their value, not their spelling: ``0.00`` and
+    ``0`` parse to the same row. Datasets compare by identity.
     """
 
     numeric: np.ndarray      # (n, 38) float64, non-categorical features in schema order
     categorical: np.ndarray  # (n, 3) str: protocol_type, service, flag
     label: np.ndarray        # (n,) str attack name
     difficulty: np.ndarray   # (n,) int64 in 0..21
-    lines: tuple[str, ...]
     split: str  # train | test | fixture
 
     def __post_init__(self) -> None:
-        if not self.lines:
+        if not len(self.label):
             raise KddParseError("dataset is empty")
         if self.split not in ("train", "test", "fixture"):
             raise ValueError(f"bad split tag: {self.split!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabeledDataset):
-            return NotImplemented
-        return self.split == other.split and self.lines == other.lines
-
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.label)
 
     def labels(self) -> np.ndarray:
         return self.label.astype(object)
@@ -95,19 +90,27 @@ class LabeledDataset:
             return self.categorical[:, DEFAULT_SCHEMA.categorical_indices.index(index)]
         return self.numeric[:, DEFAULT_SCHEMA.numeric_indices.index(index)]
 
-    def raw_columns(self, indices: tuple[int, ...]) -> np.ndarray:
-        """(n, len(indices)) object array of the fields' raw strings."""
-        return _load_fields(self.lines, indices, object)
-
     @property
     def records(self) -> tuple[ConnectionRecord, ...]:
-        """Per-row view, built on each access."""
-        out = []
-        for line, difficulty in zip(self.lines, self.difficulty.tolist()):
-            fields = line.split(",")
-            out.append(ConnectionRecord(tuple(fields[:LABEL_FIELD]), fields[LABEL_FIELD],
-                                        difficulty))
-        return tuple(out)
+        """Per-row view, built from the columns on each access; numeric
+        fields are spelled by ``spell_column``."""
+        fields = np.empty((len(self), LABEL_FIELD), dtype=object)
+        fields[:, list(DEFAULT_SCHEMA.numeric_indices)] = np.stack(
+            [spell_column(values) for values in self.numeric.T], axis=1)
+        fields[:, list(DEFAULT_SCHEMA.categorical_indices)] = self.categorical
+        return tuple(map(ConnectionRecord, map(tuple, fields.tolist()), self.label.tolist(),
+                         self.difficulty.tolist()))
+
+
+def spell_column(values: np.ndarray) -> np.ndarray:
+    """Object array of str, one per float: the shortest string that reads
+    back to the same float64 (``repr``), with a trailing ``.0`` dropped, so
+    ``0.0`` is ``0`` and ``-0.0`` is ``-0``. Each distinct value is spelled
+    once; values are told apart by their bits, so ``-0.0`` keeps its sign."""
+    bits, row_of = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64),
+                             return_inverse=True)
+    spelled = [repr(x).removesuffix(".0") for x in bits.view(np.float64).tolist()]
+    return np.array(spelled, dtype=object)[row_of]
 
 
 @dataclass(frozen=True)
@@ -143,12 +146,6 @@ def load_taxonomy(path: str | Path | None = None) -> AttackTaxonomy:
             raise KddParseError(f"taxonomy line {lineno}: conflicting entry for {name!r}")
         mapping[name] = cat
     return AttackTaxonomy(mapping=mapping)
-
-
-def _load_fields(lines: list[str] | tuple[str, ...], indices: tuple[int, ...], dtype) -> np.ndarray:
-    """The given comma-separated fields of every line, in one C pass."""
-    return np.loadtxt(lines, delimiter=",", usecols=indices, dtype=dtype, comments=None,
-                      ndmin=2)
 
 
 def _numeric_error(value: str, feature_name: str) -> str | None:
@@ -227,9 +224,10 @@ def parse_kdd_lines(lines: Iterable[str], split: str) -> LabeledDataset:
     if any(line.count(",") != N_FIELDS - 1 or "\0" in line for line in kept):
         raise _first_error(kept, blanks)
     text_fields = (*DEFAULT_SCHEMA.categorical_indices, LABEL_FIELD, DIFFICULTY_FIELD)
+    load = partial(np.loadtxt, kept, delimiter=",", comments=None, ndmin=2)
     try:
-        numeric = _load_fields(kept, DEFAULT_SCHEMA.numeric_indices, np.float64)
-        text = _load_fields(kept, text_fields, object)
+        numeric = load(usecols=DEFAULT_SCHEMA.numeric_indices, dtype=np.float64)
+        text = load(usecols=text_fields, dtype=object)
     except ValueError as exc:
         raise _first_error(kept, blanks, exc) from None
     if not (np.isfinite(numeric) & (numeric >= 0)).all():
@@ -240,17 +238,11 @@ def parse_kdd_lines(lines: Iterable[str], split: str) -> LabeledDataset:
     parsed = [_difficulty(s) for s in spelled.tolist()]
     if any(isinstance(d, str) for d in parsed):
         raise _first_error(kept, blanks)
-    # keep lines in the canonical form (difficulty as a plain integer)
-    for i, (difficulty, spelling) in enumerate(zip(parsed, spelled.tolist())):
-        if str(difficulty) != spelling:
-            for row in np.nonzero(row_of == i)[0]:
-                kept[row] = kept[row][: kept[row].rfind(",") + 1] + str(difficulty)
     return LabeledDataset(
         numeric=numeric,
         categorical=text[:, :-2].astype(str),
         label=text[:, -2].astype(str),
         difficulty=np.array(parsed, dtype=np.int64)[row_of],
-        lines=tuple(kept),
         split=split,
     )
 

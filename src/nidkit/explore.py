@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CATEGORIES, AttackTaxonomy, LabeledDataset, categories
+from .dataset import CATEGORIES, AttackTaxonomy, LabeledDataset, categories, spell_column
 from .preprocess import fit_encoder, encode
-from .schema import CATEGORICAL, DEFAULT_SCHEMA
+from .schema import DEFAULT_SCHEMA
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class RedundancyReport:
-    constant_features: tuple[tuple[str, str], ...]  # (name, constant raw value)
+    constant_features: tuple[tuple[str, str], ...]  # (name, constant value as spelled)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -119,16 +119,21 @@ def pearson_matrix(matrix: np.ndarray) -> CorrelationMatrix:
     return CorrelationMatrix(values=out, constant_mask=mask)
 
 
+def _spelled(values: np.ndarray) -> np.ndarray:
+    """A parsed column as text: categories verbatim, numbers by ``spell_column``."""
+    return values if values.dtype.kind == "U" else spell_column(values)
+
+
 def scatter_rows(
     ds: LabeledDataset,
     feature_x: str,
     feature_y: str,
     cats: np.ndarray,
 ) -> list[tuple[str, str, str]]:
-    """(x, y, category) per record, raw feature values kept verbatim;
-    ``cats`` is the per-row category."""
-    xy = ds.raw_columns((DEFAULT_SCHEMA.index_of(feature_x), DEFAULT_SCHEMA.index_of(feature_y)))
-    return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist(), cats.tolist()))
+    """(x, y, category) per record, each value spelled from its parsed
+    column; ``cats`` is the per-row category."""
+    x, y = (_spelled(ds.column(DEFAULT_SCHEMA.index_of(f))) for f in (feature_x, feature_y))
+    return list(zip(x.tolist(), y.tolist(), cats.tolist()))
 
 
 def scatter_csv(rows: list[tuple[str, str, str]], feature_x: str, feature_y: str) -> str:
@@ -138,16 +143,12 @@ def scatter_csv(rows: list[tuple[str, str, str]], feature_x: str, feature_y: str
 
 
 def find_constant_features(ds: LabeledDataset) -> RedundancyReport:
-    """Features whose raw value never varies across the dataset."""
+    """Features whose parsed value never varies across the dataset."""
     found: list[tuple[str, str]] = []
     for e in DEFAULT_SCHEMA.entries:
         values = ds.column(e.index)
-        if not (values == values[0]).all():
-            continue  # raw strings that parse to different values differ
-        if e.kind != CATEGORICAL:  # equal numbers may be spelled differently
-            values = ds.raw_columns((e.index,))[:, 0]
         if (values == values[0]).all():
-            found.append((e.name, str(values[0])))
+            found.append((e.name, str(_spelled(values[:1])[0])))
     return RedundancyReport(constant_features=tuple(found))
 
 

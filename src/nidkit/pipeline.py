@@ -37,6 +37,7 @@ from .dataset import (
 from .errors import StaleArtifactError
 from .preprocess import FeatureMatrix, FittedPipeline, fit_transform
 from .resample import SmoteConfig, SvmSmoteConfig
+from .schema import DEFAULT_SCHEMA
 
 log = logging.getLogger("nidkit")
 
@@ -62,10 +63,6 @@ BASELINE_DISPLAY = {
     "gradient_boosting": "Gradient Boosting",
     "mlp": "MLP",
 }
-
-
-class UnknownBaselineError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -104,6 +101,15 @@ class RunConfig:
             raise ValueError(f"oversample must be on, off or both, got {self.oversample!r}")
         if self.histogram_bins < 1:
             raise ValueError(f"histogram_bins must be >= 1, got {self.histogram_bins!r}")
+        if any(len(pair) != 2 for pair in self.scatter_pairs):
+            raise ValueError(f"each scatter pair names two features, got {self.scatter_pairs!r}")
+        for name in (*self.histogram_features, *(f for pair in self.scatter_pairs for f in pair)):
+            if name not in DEFAULT_SCHEMA.names:
+                raise ValueError(f"unknown feature {name!r}")
+        if not (isinstance(self.baselines, tuple)
+                and all(name in BASELINE_NAMES for name in self.baselines)):
+            raise ValueError(f"baselines must be a list drawn from {', '.join(BASELINE_NAMES)}; "
+                             f"got {self.baselines!r}")
         self.train_config()
 
     def train_config(self) -> neural.TrainConfig:
@@ -418,7 +424,7 @@ def run_evaluate(cfg: RunConfig) -> Path:
 
 def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfig):
     """Returns a predict(values) -> label array callable; ``name`` is one of
-    BASELINE_NAMES (``run_baselines`` checks)."""
+    BASELINE_NAMES (``RunConfig`` checks)."""
     if name == "decision_tree":
         model = bl.fit_tree(data, labels)
         return model.predict
@@ -455,11 +461,6 @@ def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfi
 
 
 def run_baselines(cfg: RunConfig) -> Path:
-    for name in cfg.baselines:
-        if name not in BASELINE_NAMES:
-            raise UnknownBaselineError(
-                f"unknown baseline {name!r}; valid names: {', '.join(BASELINE_NAMES)}"
-            )
     train = parse_kdd_file(_require(cfg.train_path, "train"), split="train")
     test = parse_kdd_file(_require(cfg.test_path, "test"), split="test")
     taxonomy = _taxonomy(cfg)

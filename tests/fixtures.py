@@ -97,5 +97,5 @@ def make_fixture(n_per_class: int, seed: int) -> LabeledDataset:
 
 def write_kdd_file(ds: LabeledDataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for line in ds.lines:
-            fh.write(line + "\n")
+        for record in ds.records:
+            fh.write(record.to_line() + "\n")

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from nidkit.dataset import ConnectionRecord, KddParseError
+from nidkit.dataset import ConnectionRecord, KddParseError, spell_column
 from nidkit.preprocess import LabelCountEncoder
 from nidkit.schema import DEFAULT_SCHEMA, FeatureSchema
 
@@ -100,14 +100,25 @@ def encode(
     return out
 
 
+def field_value(field: str, index: int, schema: FeatureSchema = DEFAULT_SCHEMA) -> str | float:
+    """A raw feature field's parsed value: verbatim if categorical, else float."""
+    return field if index in schema.categorical_indices else float(field)
+
+
+def spelled(field: str, index: int, schema: FeatureSchema = DEFAULT_SCHEMA) -> str:
+    """A raw feature field as the explore exports write it."""
+    value = field_value(field, index, schema)
+    return value if isinstance(value, str) else spell_column(np.array([value]))[0]
+
+
 def constant_features(
     records: tuple[ConnectionRecord, ...], schema: FeatureSchema = DEFAULT_SCHEMA
 ) -> tuple[tuple[str, str], ...]:
     found = []
     for e in schema.entries:
-        first = records[0].features[e.index]
-        if all(rec.features[e.index] == first for rec in records):
-            found.append((e.name, first))
+        first = field_value(records[0].features[e.index], e.index, schema)
+        if all(field_value(rec.features[e.index], e.index, schema) == first for rec in records):
+            found.append((e.name, spelled(records[0].features[e.index], e.index, schema)))
     return tuple(found)
 
 

@@ -201,6 +201,9 @@ def test_config_rejects_unknown_fields(tmp_path):
     ("train-binary", [], {"calibration_q": 5}),
     ("pipeline", [], {"seed": "abc"}),
     ("train-multiclass", [], {"oversample": "yes"}),
+    ("explore", [], {"histogram_features": ["nope"]}),
+    ("explore", [], {"scatter_pairs": [["count"]]}),
+    ("baselines", [], {"baselines": 5}),
 ])
 def test_invalid_setting_exits_2_before_any_output(tmp_path, data_files, capsys,
                                                     command, flags, file_values):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidkit.dataset import categories, parse_kdd_lines
+from nidkit.dataset import categories, parse_kdd_file, parse_kdd_lines
 from nidkit.explore import (
     find_constant_features,
     histogram,
@@ -17,7 +17,7 @@ from nidkit.schema import DEFAULT_SCHEMA
 from .pearson_oracle import pearson_pairs
 
 
-def _ds(duration_values, labels=None):
+def _lines(duration_values, labels=None):
     labels = labels or ["normal"] * len(duration_values)
     lines = []
     for v, lab in zip(duration_values, labels):
@@ -30,7 +30,11 @@ def _ds(duration_values, labels=None):
             else:
                 fields.append("0")
         lines.append(",".join(fields) + f",{lab},0")
-    return parse_kdd_lines(lines, split="train")
+    return lines
+
+
+def _ds(duration_values, labels=None):
+    return parse_kdd_lines(_lines(duration_values, labels), split="train")
 
 
 def test_histogram_single_value_one_bin(taxonomy):
@@ -130,6 +134,15 @@ def test_scatter_rows_roundtrip(taxonomy, small_ds):
 def test_scatter_unknown_feature(taxonomy, small_ds):
     with pytest.raises(KeyError):
         scatter_rows(small_ds, "bogus", "count", categories(small_ds, taxonomy))
+
+
+def test_explore_reads_values_not_spellings(tmp_path, taxonomy):
+    path = tmp_path / "train.txt"
+    path.write_text("\n".join(_lines(["0.00", "0"])) + "\n")
+    ds = parse_kdd_file(path, split="train")
+    assert ("duration", "0") in find_constant_features(ds).constant_features
+    rows = scatter_rows(ds, "duration", "protocol_type", categories(ds, taxonomy))
+    assert rows == [("0", "tcp", "Normal")] * 2
 
 
 def test_constant_features_flagged(fixture_ds):

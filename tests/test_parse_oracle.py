@@ -4,6 +4,7 @@ per-line, per-cell oracle in ``tests/kdd_oracle.py``."""
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,17 @@ def valid_lines() -> st.SearchStrategy[list[str]]:
         lambda parts: [line + "\n" for line in parts[0] + parts[1]])
 
 
+def _assert_columns_hold(ds, records):
+    """The columns hold each oracle field's parsed value: numbers bit for
+    bit as ``float`` reads them, text and difficulty exactly."""
+    numeric = np.array([[float(r.features[j]) for j in NUMERIC] for r in records])
+    assert ds.numeric.shape == numeric.shape
+    assert ds.numeric.tobytes() == numeric.tobytes()
+    assert ds.categorical.tolist() == [[r.features[j] for j in CATEGORICAL] for r in records]
+    assert ds.label.tolist() == [r.label for r in records]
+    assert ds.difficulty.tolist() == [r.difficulty for r in records]
+
+
 def _codes_from_oracle(train_records, test_records):
     enc = oracle.fit_encoder(train_records)
     std = fit_standardizer(oracle.encode(enc, train_records))
@@ -70,8 +82,8 @@ def test_columnar_parse_encode_transform_match_oracle(train_lines, test_lines, p
     test = parse_kdd_lines(test_lines, split="test")
     train_records = oracle.parse_lines(train_lines)
     test_records = oracle.parse_lines(test_lines)
-    assert train.records == train_records
-    assert test.records == test_records
+    _assert_columns_hold(train, train_records)
+    _assert_columns_hold(test, test_records)
 
     enc = fit_encoder(train)
     oracle_enc, oracle_std, oracle_z = _codes_from_oracle(train_records, test_records)
@@ -89,17 +101,19 @@ def test_columnar_parse_encode_transform_match_oracle(train_lines, test_lines, p
     jx, jy = pair
     names = DEFAULT_SCHEMA.names
     assert scatter_rows(train, names[jx], names[jy], categories(train, TAXONOMY)) == [
-        (r.features[jx], r.features[jy], categorize(r.label, TAXONOMY)) for r in train_records]
+        (oracle.spelled(r.features[jx], jx), oracle.spelled(r.features[jy], jy),
+         categorize(r.label, TAXONOMY)) for r in train_records]
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "train.txt"
         path.write_text("".join(train_lines), encoding="utf-8")
-        assert parse_kdd_file(path, split="train") == train
+        _assert_columns_hold(parse_kdd_file(path, split="train"), train_records)
         out = Path(tmp) / "written.txt"
         write_kdd_file(train, out)
         assert out.read_text(encoding="utf-8") == "".join(
-            r.to_line() + "\n" for r in train_records)
-        assert parse_kdd_file(out, split="train") == train
+            ",".join(oracle.spelled(f, j) for j, f in enumerate(r.features))
+            + f",{r.label},{r.difficulty}\n" for r in train_records)
+        _assert_columns_hold(parse_kdd_file(out, split="train"), train_records)
 
 
 MALFORMED = {

@@ -158,7 +158,7 @@ def test_transform_returns_the_matrix_and_rejects_a_non_finite_result(fixture_ds
     pipe = fit_pipeline(fixture_ds)
     z = pipe.transform(fixture_ds)
     assert isinstance(z, np.ndarray) and z.dtype == np.float64 and z.shape == (len(fixture_ds), 41)
-    fields = fixture_ds.lines[0].split(",")
+    fields = fixture_ds.records[0].to_line().split(",")
     fields[DEFAULT_SCHEMA.index_of("serror_rate")] = "1.7e308"  # overflows once divided by sigma
     huge = parse_kdd_lines([",".join(fields)], split="test")
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
