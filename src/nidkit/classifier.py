@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .errors import VersionSkewError
+from .errors import InsufficientDataError, VersionSkewError
 from .preprocess import FeatureMatrix
 from .resample import SvmSmoteConfig, svm_smote
 
@@ -76,6 +76,29 @@ def _one_hot(labels: np.ndarray, class_order: tuple[str, ...]) -> np.ndarray:
     return hits.astype(np.float64)
 
 
+def _n_validation(n: int, fraction: float) -> int:
+    """Rows of an n-row class that the stratified split sends to validation."""
+    return min(int(round(n * fraction)), n - 1)
+
+
+def check_attack_counts(labels: np.ndarray, val_fraction: float, oversample: bool) -> None:
+    """Raises InsufficientDataError unless ``labels`` can train the typer:
+    every category present and, when oversampling, each category that needs
+    synthetics keeps at least 2 rows after the split. The split's per-class
+    sizes do not depend on its rng, so this holds before any row is drawn."""
+    counts = [int(np.count_nonzero(labels == c)) for c in CLASS_ORDER]
+    if not any(counts):
+        raise InsufficientDataError("training data has no attack rows")
+    missing = [c for c, n in zip(CLASS_ORDER, counts) if n == 0]
+    if missing:
+        raise InsufficientDataError(f"attack categories absent from training data: {missing}")
+    kept = [n - _n_validation(n, val_fraction) for n in counts]
+    short = [c for c, k in zip(CLASS_ORDER, kept) if k < min(2, max(kept))]
+    if oversample and short:
+        raise InsufficientDataError(
+            f"attack categories with fewer than 2 training rows to oversample: {short}")
+
+
 def _stratified_split(
     labels: np.ndarray, fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +108,7 @@ def _stratified_split(
     for cls in np.unique(labels):
         rows = np.nonzero(labels == cls)[0]
         perm = rng.permutation(rows.size)
-        n_val = min(int(round(rows.size * fraction)), rows.size - 1)
+        n_val = _n_validation(rows.size, fraction)
         val_parts.append(rows[perm[:n_val]])
         train_parts.append(rows[perm[n_val:]])
     return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(val_parts))
@@ -120,9 +143,7 @@ def train_fourclass(
     unknown = set(np.unique(labels)) - set(CLASS_ORDER)
     if unknown:
         raise ValueError(f"labels outside the four attack categories: {sorted(unknown)}")
-    missing = [c for c in CLASS_ORDER if c not in set(labels)]
-    if missing:
-        raise ValueError(f"attack categories absent from training data: {missing}")
+    check_attack_counts(labels, tcfg.val_fraction, oversample is not None)
 
     train_idx, val_idx = _stratified_split(labels, tcfg.val_fraction, rng)
     train_x, train_labels = attacks.values[train_idx], labels[train_idx]

@@ -8,6 +8,7 @@ stderr, machine-readable outputs only to files under --out.
 Exit codes: 0 success, 1 internal failure, 2 usage/config error (a bad
 setting, before any file is touched, or an --out whose pipeline.json was
 fitted on another train file), 3 invalid data or training that diverges.
+Data that lacks the rows a stage needs exits 3 before any file is written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import sys
 from dataclasses import fields
 
 from .dataset import KddParseError, UnknownLabelError
-from .errors import StaleArtifactError, TrainingDivergedError, VersionSkewError
+from .errors import (
+    InsufficientDataError,
+    StaleArtifactError,
+    TrainingDivergedError,
+    VersionSkewError,
+)
 from .pipeline import (
     BASELINE_NAMES,
     RunConfig,
@@ -144,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     except StaleArtifactError as exc:
         print(f"nidkit: stale artifact: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KddParseError, UnknownLabelError, VersionSkewError) as exc:
+    except (KddParseError, UnknownLabelError, VersionSkewError, InsufficientDataError) as exc:
         print(f"nidkit: invalid data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergedError as exc:

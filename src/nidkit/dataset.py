@@ -5,10 +5,10 @@ label, and a difficulty score. The difficulty column is parsed and kept
 but never used as a model feature.
 
 Parsing builds columns once: a float block for the 38 numeric features,
-string arrays for the three categorical features and the label, and an
-integer difficulty array: the only copy of a file, no line is kept as
-text. Numeric fields must be ASCII decimal numbers; ``#`` is an ordinary
-character, not a comment marker.
+integer codes into sorted vocabularies for the three categorical features
+and the label, and an integer difficulty array: the only copy of a file,
+no line is kept as text, and no later step sorts a text column again.
+Numeric fields must be ASCII decimal numbers; ``#`` is an ordinary character.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -33,6 +33,7 @@ ATTACK = "attack"
 N_FIELDS = 43
 LABEL_FIELD = 41
 DIFFICULTY_FIELD = 42
+LABEL_CODES = 3  # the label's column in ``LabeledDataset.codes``
 
 
 class KddParseError(ValueError):
@@ -63,50 +64,53 @@ class LabeledDataset:
     """One parsed split, held only as the columns built at parse time.
 
     Numeric fields keep their value, not their spelling: ``0.00`` and
-    ``0`` parse to the same row. Datasets compare by identity.
+    ``0`` parse to the same row. Text is held as codes: row ``i`` of coded
+    column ``k`` reads ``vocab[k][codes[i, k]]``. Datasets compare by identity.
     """
 
     numeric: np.ndarray      # (n, 38) float64, non-categorical features in schema order
-    categorical: np.ndarray  # (n, 3) str: protocol_type, service, flag
-    label: np.ndarray        # (n,) str attack name
+    codes: np.ndarray        # (n, 4) int: protocol_type, service, flag, label
+    vocab: tuple[np.ndarray, ...]  # per coded column, its distinct strings, strictly increasing
     difficulty: np.ndarray   # (n,) int64 in 0..21
     split: str  # train | test | fixture
 
     def __post_init__(self) -> None:
-        if not len(self.label):
+        if not len(self.codes):
             raise KddParseError("dataset is empty")
         if self.split not in ("train", "test", "fixture"):
             raise ValueError(f"bad split tag: {self.split!r}")
 
     def __len__(self) -> int:
-        return len(self.label)
+        return len(self.codes)
 
     def labels(self) -> np.ndarray:
-        return self.label.astype(object)
+        return self.vocab[LABEL_CODES][self.codes[:, LABEL_CODES]].astype(object)
 
     def column(self, index: int) -> np.ndarray:
         """Parsed values of feature ``index``: str if categorical, else float64."""
         if index in DEFAULT_SCHEMA.categorical_indices:
-            return self.categorical[:, DEFAULT_SCHEMA.categorical_indices.index(index)]
+            k = DEFAULT_SCHEMA.categorical_indices.index(index)
+            return self.vocab[k][self.codes[:, k]]
         return self.numeric[:, DEFAULT_SCHEMA.numeric_indices.index(index)]
 
     @property
     def records(self) -> tuple[ConnectionRecord, ...]:
-        """Per-row view, built from the columns on each access; numeric
-        fields are spelled by ``spell_column``."""
-        fields = np.empty((len(self), LABEL_FIELD), dtype=object)
-        fields[:, list(DEFAULT_SCHEMA.numeric_indices)] = np.stack(
-            [spell_column(values) for values in self.numeric.T], axis=1)
-        fields[:, list(DEFAULT_SCHEMA.categorical_indices)] = self.categorical
-        return tuple(map(ConnectionRecord, map(tuple, fields.tolist()), self.label.tolist(),
+        """Per-row view, built from the columns on each access; every
+        field is spelled by ``spell_column``."""
+        fields = np.stack([spell_column(self.column(j)) for j in range(LABEL_FIELD)], axis=1)
+        return tuple(map(ConnectionRecord, map(tuple, fields.tolist()), self.labels().tolist(),
                          self.difficulty.tolist()))
 
 
 def spell_column(values: np.ndarray) -> np.ndarray:
-    """Object array of str, one per float: the shortest string that reads
-    back to the same float64 (``repr``), with a trailing ``.0`` dropped, so
-    ``0.0`` is ``0`` and ``-0.0`` is ``-0``. Each distinct value is spelled
-    once; values are told apart by their bits, so ``-0.0`` keeps its sign."""
+    """A parsed column as text. A str column is returned as it is; a float
+    column becomes an object array of str, one per float: the shortest
+    string that reads back to the same float64 (``repr``), with a trailing
+    ``.0`` dropped, so ``0.0`` is ``0`` and ``-0.0`` is ``-0``. Each distinct
+    value is spelled once; values are told apart by their bits, so ``-0.0``
+    keeps its sign."""
+    if values.dtype.kind == "U":
+        return values
     bits, row_of = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64),
                              return_inverse=True)
     spelled = [repr(x).removesuffix(".0") for x in bits.view(np.float64).tolist()]
@@ -233,16 +237,18 @@ def parse_kdd_lines(lines: Iterable[str], split: str) -> LabeledDataset:
     if not (np.isfinite(numeric) & (numeric >= 0)).all():
         raise _first_error(kept, blanks)
 
-    # difficulty holds a few distinct strings: check each once
-    spelled, row_of = np.unique(text[:, -1].astype(str), return_inverse=True)
-    parsed = [_difficulty(s) for s in spelled.tolist()]
+    # one sort per text column: its vocabulary and every row's code; the
+    # difficulty column holds a few distinct strings, each checked once
+    vocab, codes = zip(*(np.unique(text[:, k].astype(str), return_inverse=True)
+                         for k in range(len(text_fields))))
+    parsed = [_difficulty(s) for s in vocab[-1].tolist()]
     if any(isinstance(d, str) for d in parsed):
         raise _first_error(kept, blanks)
     return LabeledDataset(
         numeric=numeric,
-        categorical=text[:, :-2].astype(str),
-        label=text[:, -2].astype(str),
-        difficulty=np.array(parsed, dtype=np.int64)[row_of],
+        codes=np.stack(codes[:-1], axis=1),
+        vocab=vocab[:-1],
+        difficulty=np.array(parsed, dtype=np.int64)[codes[-1]],
         split=split,
     )
 
@@ -260,19 +266,15 @@ def categorize(label: str, taxonomy: AttackTaxonomy) -> str:
         raise UnknownLabelError(f"attack name not in taxonomy: {label!r}") from None
 
 
-def _per_label(ds: LabeledDataset, fn: Callable[[str], str]) -> np.ndarray:
-    """``fn`` of each row's label, called once per distinct label in order of
-    first appearance, so a failing label is the first one in the data."""
-    names, first, row_of = np.unique(ds.label, return_index=True, return_inverse=True)
-    values = np.empty(len(names), dtype=object)
-    for i in np.argsort(first):
-        values[i] = fn(str(names[i]))
-    return values[row_of]
-
-
 def categories(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
-    """Per-record category, in dataset order."""
-    return _per_label(ds, lambda label: categorize(label, taxonomy))
+    """Per-record category, in dataset order, looked up once per distinct
+    label; an error names the unknown label that appears first in the data."""
+    names = ds.vocab[LABEL_CODES].tolist()
+    codes = ds.codes[:, LABEL_CODES]
+    unknown = np.array([name not in taxonomy.mapping for name in names])
+    if unknown.any():
+        categorize(names[codes[np.argmax(unknown[codes])]], taxonomy)  # raises
+    return np.array([taxonomy.mapping[name] for name in names], dtype=object)[codes]
 
 
 def binary_of(cats: np.ndarray) -> np.ndarray:

@@ -11,3 +11,7 @@ class TrainingDivergedError(ArithmeticError):
 
 class StaleArtifactError(ValueError):
     """A fitted artifact in the output directory came from a different input file."""
+
+
+class InsufficientDataError(ValueError):
+    """The input lacks the rows of a class that a stage needs to train or evaluate."""

@@ -67,10 +67,11 @@ def _numeric_view(ds: LabeledDataset) -> np.ndarray:
 
 def _feature_view(ds: LabeledDataset, feature: str) -> np.ndarray:
     """One column of the encoded matrix, without encoding the others."""
-    values = ds.column(DEFAULT_SCHEMA.index_of(feature))
-    if values.dtype.kind == "U":
-        values = fit_encoder(ds).encode_column(feature, values)
-    return values
+    j = DEFAULT_SCHEMA.index_of(feature)
+    if j not in DEFAULT_SCHEMA.categorical_indices:
+        return ds.column(j)
+    k = DEFAULT_SCHEMA.categorical_indices.index(j)
+    return fit_encoder(ds).encode_column(feature, ds.vocab[k], ds.codes[:, k])
 
 
 def histogram(
@@ -119,11 +120,6 @@ def pearson_matrix(matrix: np.ndarray) -> CorrelationMatrix:
     return CorrelationMatrix(values=out, constant_mask=mask)
 
 
-def _spelled(values: np.ndarray) -> np.ndarray:
-    """A parsed column as text: categories verbatim, numbers by ``spell_column``."""
-    return values if values.dtype.kind == "U" else spell_column(values)
-
-
 def scatter_rows(
     ds: LabeledDataset,
     feature_x: str,
@@ -132,7 +128,7 @@ def scatter_rows(
 ) -> list[tuple[str, str, str]]:
     """(x, y, category) per record, each value spelled from its parsed
     column; ``cats`` is the per-row category."""
-    x, y = (_spelled(ds.column(DEFAULT_SCHEMA.index_of(f))) for f in (feature_x, feature_y))
+    x, y = (spell_column(ds.column(DEFAULT_SCHEMA.index_of(f))) for f in (feature_x, feature_y))
     return list(zip(x.tolist(), y.tolist(), cats.tolist()))
 
 
@@ -148,7 +144,7 @@ def find_constant_features(ds: LabeledDataset) -> RedundancyReport:
     for e in DEFAULT_SCHEMA.entries:
         values = ds.column(e.index)
         if (values == values[0]).all():
-            found.append((e.name, str(_spelled(values[:1])[0])))
+            found.append((e.name, str(spell_column(values[:1])[0])))
     return RedundancyReport(constant_features=tuple(found))
 
 

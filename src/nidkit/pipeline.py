@@ -14,6 +14,7 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .dataset import (
     load_taxonomy,
     parse_kdd_file,
 )
-from .errors import StaleArtifactError
+from .errors import InsufficientDataError, StaleArtifactError
 from .preprocess import FeatureMatrix, FittedPipeline, fit_transform
 from .resample import SmoteConfig, SvmSmoteConfig
 from .schema import DEFAULT_SCHEMA
@@ -189,12 +190,26 @@ class TrainingSet:
     values: np.ndarray
 
 
-def load_training_set(cfg: RunConfig) -> TrainingSet:
+def _detector_data(cfg: RunConfig, cats: np.ndarray) -> None:
+    if not (cats == "Normal").any():
+        raise InsufficientDataError("training data has no normal rows; cannot train the detector")
+
+
+def _typer_data(cfg: RunConfig, cats: np.ndarray) -> None:
+    clf_mod.check_attack_counts(cats, cfg.val_fraction, "oversampled" in _variants(cfg))
+
+
+def load_training_set(cfg: RunConfig,
+                      *checks: Callable[[RunConfig, np.ndarray], None]) -> TrainingSet:
+    """Parse the train file and run each stage's ``checks`` on its
+    categories before anything is written."""
     train_path = _require(cfg.train_path, "train")
     train = parse_kdd_file(train_path, split="train")
     # labels are checked before pipeline.json is written, so a rejected
     # file leaves no fitted state behind
     cats = categories(train, _taxonomy(cfg))
+    for check in checks:
+        check(cfg, cats)
     return TrainingSet(ds=train, categories=cats,
                        values=_standardized_train(cfg, train_path, train))
 
@@ -219,11 +234,9 @@ def run_explore(cfg: RunConfig) -> list[Path]:
 def run_train_binary(cfg: RunConfig, training: TrainingSet | None = None) -> Path:
     t0 = time.perf_counter()
     if training is None:
-        training = load_training_set(cfg)
+        training = load_training_set(cfg, _detector_data)
     bin_labels = binary_of(training.categories)
     fm = FeatureMatrix(values=training.values, labels=bin_labels)
-    if not (bin_labels == NORMAL).any():
-        raise ValueError("training data has no normal rows; cannot train the detector")
 
     ss = np.random.SeedSequence(cfg.seed)
     split_rng, ae_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
@@ -279,11 +292,9 @@ def classifier_filename(variant: str) -> str:
 def run_train_multiclass(cfg: RunConfig, training: TrainingSet | None = None) -> list[Path]:
     t0 = time.perf_counter()
     if training is None:
-        training = load_training_set(cfg)
+        training = load_training_set(cfg, _typer_data)
     cats = training.categories
     attack_rows = np.nonzero(cats != "Normal")[0]
-    if attack_rows.size == 0:
-        raise ValueError("training data has no attack rows")
     attacks = FeatureMatrix(values=training.values[attack_rows], labels=cats[attack_rows])
 
     out = _out(cfg)
@@ -331,30 +342,41 @@ def _binary_report(cm: metrics_mod.ConfusionMatrix) -> dict:
 
 
 def run_evaluate(cfg: RunConfig) -> Path:
-    out = _out(cfg)
-    test = parse_kdd_file(_require(cfg.test_path, "test"), split="test")
-    taxonomy = _taxonomy(cfg)
+    """Score the test file with the artifacts in the output directory. Every
+    input is read and checked, and every output computed, before the first
+    write, so a refused run leaves the files of an earlier one untouched."""
+    out = Path(cfg.out_dir)
     pipe = FittedPipeline.from_json(_require(str(out / "pipeline.json"), "pipeline").read_text())
     det = det_mod.AnomalyDetector.from_json(
         _require(str(out / "detector.json"), "detector").read_text()
     )
+    classifiers = {
+        variant: clf_mod.AttackClassifier.from_json(
+            _require(str(out / classifier_filename(variant)), "classifier").read_text())
+        for variant in _variants(cfg)
+    }
+    test = parse_kdd_file(_require(cfg.test_path, "test"), split="test")
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    values = pipe.transform(test)
-    cats = categories(test, taxonomy)
+    cats = categories(test, _taxonomy(cfg))
     true_bin = binary_of(cats)
+    is_attack_true = true_bin == ATTACK
+    if not is_attack_true.any():
+        raise InsufficientDataError("test data has no attack rows; cannot evaluate stage 2")
+    values = pipe.transform(test)
     timings["preprocess"] = time.perf_counter() - t0
 
+    files: dict[str, str] = {}  # name -> text, written in this order at the end
     t0 = time.perf_counter()
     errors, verdicts = det_mod.verdict_array(det, values)
     timings["stage1"] = time.perf_counter() - t0
-    (out / "scores.csv").write_text(det_mod.scores_to_csv(errors, verdicts))
+    files["scores.csv"] = det_mod.scores_to_csv(errors, verdicts)
     cm1 = metrics_mod.confusion(true_bin, verdicts, BINARY_CLASS_ORDER)
     stage1 = _binary_report(cm1)
     stage1["alpha"] = det.alpha
     stage1["calibration"] = det.calibration
-    (out / "stage1_confusion.csv").write_text(cm1.to_csv())
+    files["stage1_confusion.csv"] = cm1.to_csv()
 
     report: dict = {
         "format_version": REPORT_FORMAT_VERSION,
@@ -366,25 +388,16 @@ def run_evaluate(cfg: RunConfig) -> Path:
         },
     }
 
-    is_attack_true = true_bin == ATTACK
     is_attack_pred = verdicts == ATTACK
-    if not is_attack_true.any():
-        raise ValueError("test data has no attack rows; cannot evaluate stage 2")
     attack_labels = cats[is_attack_true]
-    for variant in _variants(cfg):
-        path = out / classifier_filename(variant)
-        if not path.exists():
-            raise FileNotFoundError(f"classifier file not found: {path}")
-        clf = clf_mod.AttackClassifier.from_json(path.read_text())
+    for variant, clf in classifiers.items():
         t0 = time.perf_counter()
         section: dict = {"trained_with_oversampling": clf.trained_with_oversampling}
 
         predicted, _ = clf_mod.predict(clf, values[is_attack_true])
         gt_report = metrics_mod.multiclass_report(attack_labels, predicted, clf.class_order)
         section["ground_truth"] = gt_report.to_dict()
-        (out / f"stage2_{variant}_groundtruth_confusion.csv").write_text(
-            gt_report.confusion.to_csv()
-        )
+        files[f"stage2_{variant}_groundtruth_confusion.csv"] = gt_report.confusion.to_csv()
 
         survivors = is_attack_true & is_attack_pred
         false_positive_normals = int((is_attack_pred & ~is_attack_true).sum())
@@ -394,9 +407,7 @@ def run_evaluate(cfg: RunConfig) -> Path:
             surv_pred, _ = clf_mod.predict(clf, values[survivors])
             surv_report = metrics_mod.multiclass_report(surv_labels, surv_pred, clf.class_order)
             section["survivors"] = surv_report.to_dict()
-            (out / f"stage2_{variant}_survivors_confusion.csv").write_text(
-                surv_report.confusion.to_csv()
-            )
+            files[f"stage2_{variant}_survivors_confusion.csv"] = surv_report.confusion.to_csv()
             surv_counts = {
                 c: int((surv_pred == c).sum()) for c in clf.class_order
             }
@@ -412,14 +423,15 @@ def run_evaluate(cfg: RunConfig) -> Path:
         report["stage2"][variant] = section
 
     report["timings_seconds"] = timings
-    path = out / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    files["report.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    for name, text in files.items():
+        (out / name).write_text(text)
     log.info(
         "stage1 accuracy %.4f / f1 %.4f; %d predicted attacks of %d rows",
         stage1["attack_positive"]["accuracy"], stage1["attack_positive"]["f1"],
         report["counts"]["stage1_predicted_attacks"], len(values),
     )
-    return path
+    return out / "report.json"
 
 
 def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfig):
@@ -498,7 +510,7 @@ def run_baselines(cfg: RunConfig) -> Path:
 
 
 def run_pipeline(cfg: RunConfig) -> Path:
-    training = load_training_set(cfg)
+    training = load_training_set(cfg, _detector_data, _typer_data)
     run_train_binary(cfg, training)
     run_train_multiclass(cfg, training)
     return run_evaluate(cfg)

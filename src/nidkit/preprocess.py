@@ -2,7 +2,8 @@
 
 The three categorical features are replaced by integer codes ranked by
 training-set frequency (codes 1..K ascending with frequency, 0 reserved
-for categories never seen in training). Every column is then
+for categories never seen in training), counted and looked up over the
+dataset's parse-time codes and vocabularies. Every column is then
 standardized with the population mean/std of the training matrix.
 """
 
@@ -57,11 +58,11 @@ class LabelCountEncoder:
     def code(self, feature: str, category: str) -> int:
         return self.tables[feature].get(category, (0, 0))[1]
 
-    def encode_column(self, feature: str, values: np.ndarray) -> np.ndarray:
-        """Codes of a string column, looked up once per distinct category."""
-        distinct, row_of = np.unique(values, return_inverse=True)
-        codes = np.array([self.code(feature, c) for c in distinct.tolist()], dtype=np.float64)
-        return codes[row_of]
+    def encode_column(self, feature: str, vocab: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Label-count codes of the column whose row ``i`` reads
+        ``vocab[codes[i]]``, each vocabulary entry looked up once."""
+        table = np.array([self.code(feature, c) for c in vocab.tolist()], dtype=np.float64)
+        return table[codes]
 
 
 @dataclass(frozen=True)
@@ -132,11 +133,12 @@ def fit_encoder(train: LabeledDataset) -> LabelCountEncoder:
     """Count categories per categorical feature and assign frequency-ranked codes."""
     tables: dict[str, dict[str, tuple[int, int]]] = {}
     for k, j in enumerate(DEFAULT_SCHEMA.categorical_indices):
-        distinct, counts = np.unique(train.categorical[:, k], return_counts=True)
-        # ascending frequency; the stable sort keeps ties in ascending name order
+        vocab = train.vocab[k].tolist()
+        counts = np.bincount(train.codes[:, k], minlength=len(vocab))
+        # ascending frequency; stable over the sorted vocabulary, so ties go to the smaller name
         ordered = np.argsort(counts, kind="stable")
         tables[DEFAULT_SCHEMA.names[j]] = {
-            str(distinct[i]): (int(counts[i]), code) for code, i in enumerate(ordered, start=1)
+            vocab[i]: (int(counts[i]), code) for code, i in enumerate(ordered, start=1)
         }
     return LabelCountEncoder(tables=tables)
 
@@ -146,7 +148,7 @@ def encode(enc: LabelCountEncoder, ds: LabeledDataset) -> np.ndarray:
     out = np.empty((len(ds), len(DEFAULT_SCHEMA.names)), dtype=np.float64)
     out[:, list(DEFAULT_SCHEMA.numeric_indices)] = ds.numeric
     for k, j in enumerate(DEFAULT_SCHEMA.categorical_indices):
-        out[:, j] = enc.encode_column(DEFAULT_SCHEMA.names[j], ds.categorical[:, k])
+        out[:, j] = enc.encode_column(DEFAULT_SCHEMA.names[j], ds.vocab[k], ds.codes[:, k])
     return out
 
 

@@ -1,10 +1,12 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from nidkit import cli, neural, pipeline, preprocess
 from nidkit.cli import build_parser, build_config, main
+from nidkit.dataset import CATEGORIES, categorize, load_taxonomy
 from nidkit.errors import TrainingDivergedError
 from nidkit.pipeline import RunConfig
 
@@ -307,6 +309,54 @@ def test_unknown_attack_name_exits_3_with_one_line(tmp_path, data_files, command
     if command == "pipeline":
         # no fitted state from the rejected file for a rerun to reuse
         assert not (tmp_path / "out" / "pipeline.json").exists()
+
+
+ALL = {c: 10**6 for c in CATEGORIES}
+
+
+def _subset(src, dst, counts):
+    """Copy of ``src`` keeping the first ``counts[category]`` rows of each category."""
+    taxonomy, seen, kept = load_taxonomy(), Counter(), []
+    for line in src.read_text().splitlines():
+        cat = categorize(line.split(",")[41], taxonomy)
+        seen[cat] += 1
+        if seen[cat] <= counts.get(cat, 0):
+            kept.append(line)
+    dst.write_text("\n".join(kept) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("command, counts, message", [
+    ("train-binary", {**ALL, "Normal": 0}, "training data has no normal rows"),
+    ("pipeline", {**ALL, "Normal": 0}, "training data has no normal rows"),
+    ("train-multiclass", {"Normal": 10**6}, "training data has no attack rows"),
+    ("pipeline", {**ALL, "U2R": 0}, "attack categories absent from training data: ['U2R']"),
+    ("train-multiclass", {**ALL, "U2R": 1},
+     "attack categories with fewer than 2 training rows to oversample: ['U2R']"),
+])
+def test_data_that_cannot_train_a_stage_exits_3_before_any_output(
+        tmp_path, data_files, capsys, command, counts, message):
+    train, test = data_files
+    part = _subset(train, tmp_path / "part.txt", counts)
+    out = tmp_path / "out"
+    assert _run(command, "--train", part, "--test", test, "--out", out, *FAST) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("nidkit: invalid data: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+def test_refused_evaluate_leaves_a_finished_run_untouched(tmp_path, data_files):
+    train, test = data_files
+    out = tmp_path / "out"
+    assert _run("pipeline", "--train", train, "--test", test, "--out", out, *FAST) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    fewer = _subset(test, tmp_path / "fewer.txt", {c: 3 for c in CATEGORIES})
+    normals = _subset(test, tmp_path / "normals.txt", {"Normal": 10**6})
+    # the finished run trained no classifier_plain.json
+    assert _run("evaluate", "--test", fewer, "--out", out, "--oversample", "both") == 2
+    assert _run("evaluate", "--test", normals, "--out", out) == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def _other_train_file(tmp_path):

@@ -191,8 +191,10 @@ def test_taxonomy_file_roundtrip(tmp_path):
 def test_columns_hold_the_parsed_fields():
     ds = parse_kdd_lines([_line("normal", 3), _line("smurf", 21)], split="test")
     assert ds.numeric.shape == (2, 38) and ds.numeric.dtype == np.float64
-    assert ds.categorical.tolist() == [["tcp", "http", "SF"]] * 2
-    assert ds.label.tolist() == ["normal", "smurf"]
+    assert [v.tolist() for v in ds.vocab] == [["tcp"], ["http"], ["SF"], ["normal", "smurf"]]
+    assert ds.codes.tolist() == [[0, 0, 0, 0], [0, 0, 0, 1]]
+    assert [[v[c] for v, c in zip(ds.vocab, row)] for row in ds.codes] == [
+        ["tcp", "http", "SF", "normal"], ["tcp", "http", "SF", "smurf"]]
     assert ds.difficulty.tolist() == [3, 21]
 
 

@@ -63,8 +63,11 @@ def _assert_columns_hold(ds, records):
     numeric = np.array([[float(r.features[j]) for j in NUMERIC] for r in records])
     assert ds.numeric.shape == numeric.shape
     assert ds.numeric.tobytes() == numeric.tobytes()
-    assert ds.categorical.tolist() == [[r.features[j] for j in CATEGORICAL] for r in records]
-    assert ds.label.tolist() == [r.label for r in records]
+    text = [[*(r.features[j] for j in CATEGORICAL), r.label] for r in records]
+    assert ds.codes.shape == (len(records), 4)
+    assert np.stack([v[ds.codes[:, k]] for k, v in enumerate(ds.vocab)], axis=1).tolist() == text
+    for vocab in ds.vocab:  # the encoder's tie order rests on sorted vocabularies
+        assert all(a < b for a, b in zip(vocab.tolist(), vocab.tolist()[1:]))
     assert ds.difficulty.tolist() == [r.difficulty for r in records]
 
 
