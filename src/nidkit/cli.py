@@ -8,7 +8,8 @@ stderr, machine-readable outputs only to files under --out.
 Exit codes: 0 success, 1 internal failure, 2 usage/config error (a bad
 setting, before any file is touched, or an --out whose pipeline.json was
 fitted on another train file), 3 invalid data or training that diverges.
-Data that lacks the rows a stage needs exits 3 before any file is written.
+Every command parses and checks each input file before its first write, so
+invalid data, or data that lacks the rows a stage needs, exits 3 with no output.
 """
 
 from __future__ import annotations

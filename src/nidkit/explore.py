@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import CATEGORIES, AttackTaxonomy, LabeledDataset, categories, spell_column
+from .dataset import CATEGORIES, LabeledDataset, spell_column
 from .preprocess import fit_encoder, encode
 from .schema import DEFAULT_SCHEMA
 
@@ -159,14 +159,14 @@ DEFAULT_SCATTER_PAIRS = (
 
 def write_exploration(
     ds: LabeledDataset,
-    taxonomy: AttackTaxonomy,
+    cats: np.ndarray,
     out_dir: str | Path,
     features: tuple[str, ...] = DEFAULT_HISTOGRAM_FEATURES,
     scatter_pairs: tuple[tuple[str, str], ...] = DEFAULT_SCATTER_PAIRS,
     bins: int = 40,
 ) -> list[Path]:
-    """Emit histograms/, correlation.csv, scatter_*.csv and redundancy.json."""
-    cats = categories(ds, taxonomy)
+    """Emit histograms/, correlation.csv, scatter_*.csv and redundancy.json.
+    ``cats`` is the per-row category, as from ``dataset.categories``."""
     out = Path(out_dir)
     (out / "histograms").mkdir(parents=True, exist_ok=True)
     written = []

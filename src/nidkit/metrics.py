@@ -8,7 +8,6 @@ micro-F1 equals :func:`accuracy`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +74,6 @@ class MulticlassReport:
             "micro_f1": self.micro_f1,
             "accuracy": self.accuracy,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def confusion(true_labels, predicted_labels, class_order) -> ConfusionMatrix:

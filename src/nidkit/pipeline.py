@@ -4,6 +4,13 @@ Stage 1 screens every connection with the autoencoder detector; rows
 flagged as attacks flow into the stage-2 attack typer. Commands write
 machine-readable artifacts (JSON/CSV) under one output directory and
 are deterministic given (config, seed).
+
+Every command loads, checks, computes and writes, in that order. ``_load``
+parses one input file and categorizes its rows; each stage's data rule is
+one check on what was loaded, so input a stage cannot use fails before the
+first write. ``pipeline`` loads and checks the train and the test file,
+then runs the two training stages and evaluate over those parsed files;
+evaluate reads the artifacts back from the output directory.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -27,9 +33,7 @@ from . import neural
 from .dataset import (
     ATTACK,
     NORMAL,
-    AttackTaxonomy,
     LabeledDataset,
-    binary_labels,
     binary_of,
     categories,
     load_taxonomy,
@@ -137,10 +141,6 @@ def _require(path: str | None, what: str) -> Path:
     return p
 
 
-def _taxonomy(cfg: RunConfig) -> AttackTaxonomy:
-    return load_taxonomy(cfg.taxonomy_path)
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -149,13 +149,51 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _standardized_train(cfg: RunConfig, train_path: Path, train_ds: LabeledDataset) -> np.ndarray:
+def _load(cfg: RunConfig, split: str) -> tuple[LabeledDataset, np.ndarray]:
+    """The train or test file named in ``cfg``, parsed once, and the category
+    of each of its rows; an unknown attack name fails here."""
+    path = _require(cfg.train_path if split == "train" else cfg.test_path, split)
+    ds = parse_kdd_file(path, split=split)
+    return ds, categories(ds, load_taxonomy(cfg.taxonomy_path))
+
+
+# --- data checks: each stage's rule, run before the command's first write ----
+
+
+def _detector_data(cats: np.ndarray) -> None:
+    if not (cats == "Normal").any():
+        raise InsufficientDataError("training data has no normal rows; cannot train the detector")
+
+
+def _typer_data(cfg: RunConfig, cats: np.ndarray) -> None:
+    clf_mod.check_attack_counts(cats, cfg.val_fraction, "oversampled" in _variants(cfg))
+
+
+def _test_data(cats: np.ndarray) -> None:
+    if (cats == "Normal").all():
+        raise InsufficientDataError("test data has no attack rows; cannot evaluate stage 2")
+
+
+def _baseline_data(cats: np.ndarray) -> None:
+    normal = cats == "Normal"
+    if normal.all() or not normal.any():
+        raise InsufficientDataError(
+            "training data needs both normal and attack rows to fit the baselines")
+
+
+def _explore_data(ds: LabeledDataset) -> None:
+    if len(ds) < 2:
+        raise InsufficientDataError("training data has fewer than 2 rows; cannot correlate features")
+
+
+def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset) -> np.ndarray:
     """The training matrix through the pipeline.json in the output directory,
     fitting and writing that file first when it is absent.
 
     ``manifest.json`` beside it records the SHA-256 and row count of the
     train file it was fitted on; a pipeline.json whose manifest is missing
     or names another file is refused, never reused."""
+    train_path = Path(cfg.train_path)
     out = _out(cfg)
     path = out / "pipeline.json"
     manifest = {"train_rows": len(train_ds), "train_sha256": _sha256(train_path)}
@@ -180,49 +218,15 @@ def _standardized_train(cfg: RunConfig, train_path: Path, train_ds: LabeledDatas
     return values
 
 
-@dataclass(frozen=True)
-class TrainingSet:
-    """The parsed training file, its per-row categories and its standardized
-    matrix, shared by both training stages of one run."""
-
-    ds: LabeledDataset
-    categories: np.ndarray
-    values: np.ndarray
-
-
-def _detector_data(cfg: RunConfig, cats: np.ndarray) -> None:
-    if not (cats == "Normal").any():
-        raise InsufficientDataError("training data has no normal rows; cannot train the detector")
-
-
-def _typer_data(cfg: RunConfig, cats: np.ndarray) -> None:
-    clf_mod.check_attack_counts(cats, cfg.val_fraction, "oversampled" in _variants(cfg))
-
-
-def load_training_set(cfg: RunConfig,
-                      *checks: Callable[[RunConfig, np.ndarray], None]) -> TrainingSet:
-    """Parse the train file and run each stage's ``checks`` on its
-    categories before anything is written."""
-    train_path = _require(cfg.train_path, "train")
-    train = parse_kdd_file(train_path, split="train")
-    # labels are checked before pipeline.json is written, so a rejected
-    # file leaves no fitted state behind
-    cats = categories(train, _taxonomy(cfg))
-    for check in checks:
-        check(cfg, cats)
-    return TrainingSet(ds=train, categories=cats,
-                       values=_standardized_train(cfg, train_path, train))
-
-
-# --- commands ------------------------------------------------------------
+# --- commands: load, check, compute, write ------------------------------------
 
 
 def run_explore(cfg: RunConfig) -> list[Path]:
-    train = parse_kdd_file(_require(cfg.train_path, "train"), split="train")
-    taxonomy = _taxonomy(cfg)
+    train, cats = _load(cfg, "train")
+    _explore_data(train)
     out = _out(cfg) / "explore"
     written = explore_mod.write_exploration(
-        train, taxonomy, out,
+        train, cats, out,
         features=cfg.histogram_features,
         scatter_pairs=cfg.scatter_pairs,
         bins=cfg.histogram_bins,
@@ -231,12 +235,16 @@ def run_explore(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def run_train_binary(cfg: RunConfig, training: TrainingSet | None = None) -> Path:
+def run_train_binary(cfg: RunConfig) -> Path:
+    train, cats = _load(cfg, "train")
+    _detector_data(cats)
+    return _train_binary(cfg, cats, _standardized_train(cfg, train))
+
+
+def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> Path:
     t0 = time.perf_counter()
-    if training is None:
-        training = load_training_set(cfg, _detector_data)
-    bin_labels = binary_of(training.categories)
-    fm = FeatureMatrix(values=training.values, labels=bin_labels)
+    bin_labels = binary_of(cats)
+    fm = FeatureMatrix(values=values, labels=bin_labels)
 
     ss = np.random.SeedSequence(cfg.seed)
     split_rng, ae_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
@@ -289,13 +297,16 @@ def classifier_filename(variant: str) -> str:
     return f"classifier_{variant}.json"
 
 
-def run_train_multiclass(cfg: RunConfig, training: TrainingSet | None = None) -> list[Path]:
+def run_train_multiclass(cfg: RunConfig) -> list[Path]:
+    train, cats = _load(cfg, "train")
+    _typer_data(cfg, cats)
+    return _train_multiclass(cfg, cats, _standardized_train(cfg, train))
+
+
+def _train_multiclass(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> list[Path]:
     t0 = time.perf_counter()
-    if training is None:
-        training = load_training_set(cfg, _typer_data)
-    cats = training.categories
     attack_rows = np.nonzero(cats != "Normal")[0]
-    attacks = FeatureMatrix(values=training.values[attack_rows], labels=cats[attack_rows])
+    attacks = FeatureMatrix(values=values[attack_rows], labels=cats[attack_rows])
 
     out = _out(cfg)
     written: list[Path] = []
@@ -341,31 +352,36 @@ def _binary_report(cm: metrics_mod.ConfusionMatrix) -> dict:
     }
 
 
+def _artifacts(cfg: RunConfig) -> tuple:
+    """pipeline.json, detector.json and each requested classifier in --out."""
+    def read(name: str, what: str) -> str:
+        return _require(str(Path(cfg.out_dir) / name), what).read_text()
+
+    return (FittedPipeline.from_json(read("pipeline.json", "pipeline")),
+            det_mod.AnomalyDetector.from_json(read("detector.json", "detector")),
+            {variant: clf_mod.AttackClassifier.from_json(
+                read(classifier_filename(variant), "classifier")) for variant in _variants(cfg)})
+
+
 def run_evaluate(cfg: RunConfig) -> Path:
     """Score the test file with the artifacts in the output directory. Every
     input is read and checked, and every output computed, before the first
     write, so a refused run leaves the files of an earlier one untouched."""
-    out = Path(cfg.out_dir)
-    pipe = FittedPipeline.from_json(_require(str(out / "pipeline.json"), "pipeline").read_text())
-    det = det_mod.AnomalyDetector.from_json(
-        _require(str(out / "detector.json"), "detector").read_text()
-    )
-    classifiers = {
-        variant: clf_mod.AttackClassifier.from_json(
-            _require(str(out / classifier_filename(variant)), "classifier").read_text())
-        for variant in _variants(cfg)
-    }
-    test = parse_kdd_file(_require(cfg.test_path, "test"), split="test")
+    artifacts = _artifacts(cfg)
+    test, cats = _load(cfg, "test")
+    _test_data(cats)
+    return _evaluate(cfg, test, cats, *artifacts)
 
+
+def _evaluate(cfg: RunConfig, test: LabeledDataset, cats: np.ndarray, pipe: FittedPipeline,
+              det: det_mod.AnomalyDetector, classifiers: dict) -> Path:
+    out = Path(cfg.out_dir)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    cats = categories(test, _taxonomy(cfg))
-    true_bin = binary_of(cats)
-    is_attack_true = true_bin == ATTACK
-    if not is_attack_true.any():
-        raise InsufficientDataError("test data has no attack rows; cannot evaluate stage 2")
     values = pipe.transform(test)
     timings["preprocess"] = time.perf_counter() - t0
+    true_bin = binary_of(cats)
+    is_attack_true = true_bin == ATTACK
 
     files: dict[str, str] = {}  # name -> text, written in this order at the end
     t0 = time.perf_counter()
@@ -390,32 +406,31 @@ def run_evaluate(cfg: RunConfig) -> Path:
 
     is_attack_pred = verdicts == ATTACK
     attack_labels = cats[is_attack_true]
+    attack_values = values[is_attack_true]
+    # survivors: the true attacks that stage 1 flags
+    survivors = is_attack_pred[is_attack_true]
+    false_positive_normals = int((is_attack_pred & ~is_attack_true).sum())
     for variant, clf in classifiers.items():
         t0 = time.perf_counter()
         section: dict = {"trained_with_oversampling": clf.trained_with_oversampling}
 
-        predicted, _ = clf_mod.predict(clf, values[is_attack_true])
+        predicted, _ = clf_mod.predict(clf, attack_values)
         gt_report = metrics_mod.multiclass_report(attack_labels, predicted, clf.class_order)
         section["ground_truth"] = gt_report.to_dict()
         files[f"stage2_{variant}_groundtruth_confusion.csv"] = gt_report.confusion.to_csv()
 
-        survivors = is_attack_true & is_attack_pred
-        false_positive_normals = int((is_attack_pred & ~is_attack_true).sum())
         section["false_positive_normals"] = false_positive_normals
-        surv_labels = attack_labels[is_attack_pred[is_attack_true]]
-        if surv_labels.size:
-            surv_pred, _ = clf_mod.predict(clf, values[survivors])
-            surv_report = metrics_mod.multiclass_report(surv_labels, surv_pred, clf.class_order)
+        surv_pred = predicted[survivors]
+        if surv_pred.size:
+            surv_report = metrics_mod.multiclass_report(
+                attack_labels[survivors], surv_pred, clf.class_order)
             section["survivors"] = surv_report.to_dict()
             files[f"stage2_{variant}_survivors_confusion.csv"] = surv_report.confusion.to_csv()
-            surv_counts = {
-                c: int((surv_pred == c).sum()) for c in clf.class_order
-            }
         else:
             section["survivors"] = None
-            surv_counts = {c: 0 for c in clf.class_order}
         dispositions = {"normal": int((verdicts == NORMAL).sum()),
-                        "false_positive_normal": false_positive_normals, **surv_counts}
+                        "false_positive_normal": false_positive_normals,
+                        **{c: int((surv_pred == c).sum()) for c in clf.class_order}}
         section["dispositions"] = dispositions
         if sum(dispositions.values()) != len(values):
             raise RuntimeError("disposition counts do not conserve the test rows")
@@ -437,29 +452,10 @@ def run_evaluate(cfg: RunConfig) -> Path:
 def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfig):
     """Returns a predict(values) -> label array callable; ``name`` is one of
     BASELINE_NAMES (``RunConfig`` checks)."""
-    if name == "decision_tree":
-        model = bl.fit_tree(data, labels)
-        return model.predict
-    if name == "random_forest":
-        model = bl.fit_forest(data, labels, bl.ForestConfig(seed=cfg.seed))
-        return model.predict
-    if name == "naive_bayes":
-        model = bl.fit_gnb(data, labels)
-        return model.predict
     if name == "svm":
         y = np.where(labels == ATTACK, 1.0, -1.0)
-        model = bl.fit_linear_svm(data, y, bl.LinearSvmConfig(seed=cfg.seed))
-
-        def svm_predict(values: np.ndarray) -> np.ndarray:
-            return np.where(model.predict(values) > 0, ATTACK, NORMAL).astype(object)
-
-        return svm_predict
-    if name == "adaboost":
-        model = bl.fit_adaboost(data, labels)
-        return model.predict
-    if name == "gradient_boosting":
-        model = bl.fit_gradient_boost(data, labels)
-        return model.predict
+        svm = bl.fit_linear_svm(data, y, bl.LinearSvmConfig(seed=cfg.seed))
+        return lambda values: np.where(svm.predict(values) > 0, ATTACK, NORMAL).astype(object)
     if name == "mlp":
         # the stage-2 network, 41-80-2 over the sorted binary labels
         classes = tuple(np.unique(labels))
@@ -470,18 +466,22 @@ def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfi
         )
         net = clf_mod.AttackClassifier(model=model, class_order=classes)
         return lambda values: clf_mod.predict(net, values)[0]
+    if name == "random_forest":
+        return bl.fit_forest(data, labels, bl.ForestConfig(seed=cfg.seed)).predict
+    fit = {"decision_tree": bl.fit_tree, "naive_bayes": bl.fit_gnb,
+           "adaboost": bl.fit_adaboost, "gradient_boosting": bl.fit_gradient_boost}[name]
+    return fit(data, labels).predict
 
 
 def run_baselines(cfg: RunConfig) -> Path:
-    train = parse_kdd_file(_require(cfg.train_path, "train"), split="train")
-    test = parse_kdd_file(_require(cfg.test_path, "test"), split="test")
-    taxonomy = _taxonomy(cfg)
+    train, train_cats = _load(cfg, "train")
+    _baseline_data(train_cats)
+    test, test_cats = _load(cfg, "test")
     pipe, train_values = fit_transform(train)
     test_values = pipe.transform(test)
-    y_train = binary_labels(train, taxonomy)
-    y_test = binary_labels(test, taxonomy)
-
-    rows = []
+    y_train = binary_of(train_cats)
+    y_test = binary_of(test_cats)
+    lines = ["model,accuracy,precision,recall,f1"]
     details: dict[str, dict] = {}
     for name in cfg.baselines:
         t0 = time.perf_counter()
@@ -490,19 +490,14 @@ def run_baselines(cfg: RunConfig) -> Path:
         seconds = time.perf_counter() - t0
         cm = metrics_mod.confusion(y_test, predicted, BINARY_CLASS_ORDER)
         attack_pos = metrics_mod.binary_metrics(cm, positive_class=ATTACK)
-        rows.append(
-            (BASELINE_DISPLAY[name], attack_pos.accuracy, attack_pos.precision,
-             attack_pos.recall, attack_pos.f1)
-        )
+        lines.append(f"{BASELINE_DISPLAY[name]},{attack_pos.accuracy:.4f},"
+                     f"{attack_pos.precision:.4f},{attack_pos.recall:.4f},{attack_pos.f1:.4f}")
         details[name] = _binary_report(cm)
         details[name]["seconds"] = seconds
         log.info("%s: accuracy %.4f f1 %.4f (%.1fs)", BASELINE_DISPLAY[name],
                  attack_pos.accuracy, attack_pos.f1, seconds)
 
     out = _out(cfg)
-    lines = ["model,accuracy,precision,recall,f1"]
-    for display, acc, prec, rec, f1 in rows:
-        lines.append(f"{display},{acc:.4f},{prec:.4f},{rec:.4f},{f1:.4f}")
     csv_path = out / "baselines.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     (out / "baselines.json").write_text(json.dumps(details, indent=2, sort_keys=True) + "\n")
@@ -510,7 +505,14 @@ def run_baselines(cfg: RunConfig) -> Path:
 
 
 def run_pipeline(cfg: RunConfig) -> Path:
-    training = load_training_set(cfg, _detector_data, _typer_data)
-    run_train_binary(cfg, training)
-    run_train_multiclass(cfg, training)
-    return run_evaluate(cfg)
+    """train-binary, train-multiclass and evaluate over the train and test
+    files parsed once, both checked before pipeline.json is fitted."""
+    train, train_cats = _load(cfg, "train")
+    _detector_data(train_cats)
+    _typer_data(cfg, train_cats)
+    test, test_cats = _load(cfg, "test")
+    _test_data(test_cats)
+    values = _standardized_train(cfg, train)
+    _train_binary(cfg, train_cats, values)
+    _train_multiclass(cfg, train_cats, values)
+    return _evaluate(cfg, test, test_cats, *_artifacts(cfg))

@@ -326,23 +326,60 @@ def _subset(src, dst, counts):
     return dst
 
 
-@pytest.mark.parametrize("command, counts, message", [
-    ("train-binary", {**ALL, "Normal": 0}, "training data has no normal rows"),
-    ("pipeline", {**ALL, "Normal": 0}, "training data has no normal rows"),
-    ("train-multiclass", {"Normal": 10**6}, "training data has no attack rows"),
-    ("pipeline", {**ALL, "U2R": 0}, "attack categories absent from training data: ['U2R']"),
+def _unknown_name(src, dst):
+    """Copy of ``src`` whose sixth row names an attack outside the taxonomy."""
+    lines = src.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[41] = "zeroday"
+    lines[5] = ",".join(fields)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("command, counts, message, which", [
+    ("train-binary", {**ALL, "Normal": 0}, "training data has no normal rows", "train"),
+    ("pipeline", {**ALL, "Normal": 0}, "training data has no normal rows", "train"),
+    ("train-multiclass", {"Normal": 10**6}, "training data has no attack rows", "train"),
+    ("pipeline", {**ALL, "U2R": 0}, "attack categories absent from training data: ['U2R']",
+     "train"),
     ("train-multiclass", {**ALL, "U2R": 1},
-     "attack categories with fewer than 2 training rows to oversample: ['U2R']"),
+     "attack categories with fewer than 2 training rows to oversample: ['U2R']", "train"),
+    # the test file is read and checked before the first training stage
+    ("pipeline", {"Normal": 10**6}, "test data has no attack rows", "test"),
+    ("pipeline", None, "attack name not in taxonomy: 'zeroday'", "test"),
+    # every baseline fits on both classes, so one-class data fails before any fit
+    ("baselines", {"Normal": 10**6}, "needs both normal and attack rows", "train"),
+    ("baselines", {**ALL, "Normal": 0}, "needs both normal and attack rows", "train"),
+    ("explore", {"Normal": 1}, "training data has fewer than 2 rows", "train"),
 ])
 def test_data_that_cannot_train_a_stage_exits_3_before_any_output(
-        tmp_path, data_files, capsys, command, counts, message):
-    train, test = data_files
-    part = _subset(train, tmp_path / "part.txt", counts)
+        tmp_path, data_files, capsys, command, counts, message, which):
+    """``counts`` keeps that many rows per category of the ``which`` file;
+    None keeps every row and renames one attack."""
+    files = dict(zip(("train", "test"), data_files))
+    part = tmp_path / "part.txt"
+    files[which] = _unknown_name(files[which], part) if counts is None else (
+        _subset(files[which], part, counts))
     out = tmp_path / "out"
-    assert _run(command, "--train", part, "--test", test, "--out", out, *FAST) == 3
+    assert _run(command, "--train", files["train"], "--test", files["test"],
+                "--out", out, *FAST) == 3
     err = capsys.readouterr().err
     assert err.startswith("nidkit: invalid data: ") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("test_name, message", [
+    (None, "missing required test path"),
+    ("missing.txt", "test file not found"),
+])
+def test_pipeline_without_a_test_file_exits_2_before_any_output(
+        tmp_path, data_files, capsys, test_name, message):
+    train, _ = data_files
+    out = tmp_path / "out"
+    flags = [] if test_name is None else ["--test", tmp_path / test_name]
+    assert _run("pipeline", "--train", train, *flags, "--out", out, *FAST) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -165,7 +165,7 @@ def test_real_train_constant_features():
 
 
 def test_write_exploration_outputs(tmp_path, taxonomy, fixture_ds):
-    files = write_exploration(fixture_ds, taxonomy, tmp_path / "explore")
+    files = write_exploration(fixture_ds, categories(fixture_ds, taxonomy), tmp_path / "explore")
     for path in files:
         assert path.exists()
     corr = (tmp_path / "explore" / "correlation.csv").read_text().splitlines()
@@ -173,7 +173,7 @@ def test_write_exploration_outputs(tmp_path, taxonomy, fixture_ds):
     assert corr[0].split(",")[1:] == list(DEFAULT_SCHEMA.names)
     # deterministic re-run: byte-identical artifacts
     before = {p: p.read_bytes() for p in files}
-    write_exploration(fixture_ds, taxonomy, tmp_path / "explore")
+    write_exploration(fixture_ds, categories(fixture_ds, taxonomy), tmp_path / "explore")
     for p, content in before.items():
         assert p.read_bytes() == content
 
@@ -193,5 +193,5 @@ def test_write_exploration_encodes_at_most_once(tmp_path, taxonomy, fixture_ds, 
     calls = []
     encode = explore.encode
     monkeypatch.setattr(explore, "encode", lambda *a, **k: calls.append(1) or encode(*a, **k))
-    write_exploration(fixture_ds, taxonomy, tmp_path / "explore")
+    write_exploration(fixture_ds, categories(fixture_ds, taxonomy), tmp_path / "explore")
     assert len(calls) == 1

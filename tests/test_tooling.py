@@ -1,11 +1,16 @@
-"""The benchmark tracer must still find every nidkit name it wraps, and the
-count of settable values in ``src/nidkit`` only changes on purpose."""
+"""The benchmark tracer must still find every nidkit name it wraps, the
+count of settable values in ``src/nidkit`` only changes on purpose, and no
+command leaves a process running once it has exited."""
 
 import ast
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -152,4 +157,47 @@ def test_settable_value_count_is_pinned():
     found = []
     for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
         found += [f"{path.stem}.{name}" for name in _settable_values(ast.parse(path.read_text()))]
-    assert len(found) == 72, found
+    assert len(found) == 70, found
+
+
+def _live_members(session: int) -> list[str]:
+    """Non-zombie processes of ``session``, as listed under /proc."""
+    found = []
+    for entry in Path("/proc").iterdir():
+        try:
+            stat = (entry / "stat").read_text()
+        except (OSError, ValueError):  # not a process, or it has exited
+            continue
+        # "pid (comm) state ppid pgrp session ..."; comm may hold spaces
+        end = stat.rindex(")")
+        state, _, _, sid = stat[end + 2:].split()[:4]
+        if int(sid) == session and state != "Z":
+            found.append(f"{stat[:end + 1]} {state}")
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.parametrize("command", [
+    ["baselines", "--baselines", "random_forest"],  # the forest grows trees in a spawned pool
+    ["pipeline", "--max-epochs", "2"],
+], ids=["baselines", "pipeline"])
+def test_command_leaves_no_process_running(tmp_path, command):
+    from .fixtures import make_fixture, write_kdd_file
+
+    train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+    write_kdd_file(make_fixture(20, seed=3), train)
+    write_kdd_file(make_fixture(6, seed=4), test)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    # its own session, so every process it starts is found by session id
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nidkit.cli", *command, "--train", str(train),
+         "--test", str(test), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    assert proc.wait(timeout=300) == 0
+    deadline = time.monotonic() + 5.0
+    while (left := _live_members(proc.pid)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert left == [], left
