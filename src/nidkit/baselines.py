@@ -16,10 +16,9 @@ tie-breaking is deterministic everywhere: lower feature index first,
 then lower threshold; a candidate threshold is the midpoint of two
 consecutive distinct sorted values, or the lower value when that
 midpoint rounds to the upper one (scikit-learn's rule), so rows at the
-upper value always go right. A forest's trees are independent
-(each draws from its own ``SeedSequence`` child), so they grow in a
-process pool, one worker per usable CPU, and come out the same for any
-worker count.
+upper value always go right. A forest's trees each draw from their own
+``SeedSequence`` child and grow one after another in the calling
+process.
 
 The linear SVM doubles as the borderline detector for SVM-SMOTE via
 its ``margin_violators`` (training rows with positive hinge loss at
@@ -29,9 +28,6 @@ through ``classifier.train_network``.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,6 +286,8 @@ class ForestConfig:
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError("max_features must be >= 1")
 
 
 @dataclass
@@ -307,83 +305,36 @@ class RandomForest:
         return np.array(self.classes, dtype=object)[winners]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class _ForestJob:
-    """What every tree of one forest shares; sent once to each worker."""
-
-    data_t: np.ndarray       # (d, n) feature-major data
-    orders: np.ndarray       # (d, n) presorted row order
-    class_ids: np.ndarray
-    n_classes: int
-    max_features: int
-    bootstrap: bool
-
-    def grow(self, seed: np.random.SeedSequence) -> _Node:
-        """Root of the tree drawn from ``seed``'s stream."""
-        rng = np.random.default_rng(seed)
-        d, n = self.data_t.shape
-        if self.bootstrap:
-            weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-            drawn = np.flatnonzero((weights > 0)[self.orders])
-            orders = self.orders.ravel()[drawn].reshape(d, -1)
-        else:
-            weights, orders = np.ones(n), self.orders
-        grower = _TreeGrower(self.data_t, DecisionTreeConfig().max_depth,
-                             _class_stats(self.class_ids, weights, self.n_classes),
-                             _gini_scores, _gini_leaf, self.max_features, rng)
-        return grower.grow(orders)
-
-
-# The job of the forest a worker process serves; set once per worker by
-# the pool initializer, never in the process that calls ``fit_forest``.
-_worker_job: _ForestJob | None = None
-
-
-def _start_forest_worker(job: _ForestJob) -> None:
-    global _worker_job
-    _worker_job = job
-
-
-def _grow_forest_tree(seed: np.random.SeedSequence) -> _Node:
-    return _worker_job.grow(seed)
-
-
 def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> RandomForest:
     """Bagged Gini trees with ``max_features`` candidates per node.
 
     Tree i draws its bootstrap and candidates from the i-th child of
-    ``SeedSequence(cfg.seed)``, so the trees are independent: they grow in
-    a pool of ``min(usable CPUs, n_trees)`` spawned worker processes and
-    are the same for any worker count. An exception in a worker is raised
-    here with its own type, and a worker that dies raises
-    ``BrokenProcessPool``; either way the workers are gone on return.
-    Spawned workers import the caller's main module, so a script that
-    calls this must start under an ``if __name__ == "__main__"`` guard.
+    ``SeedSequence(cfg.seed)``; the trees grow one after another in the
+    calling process.
     """
     data = np.asarray(data, dtype=np.float64)
     labels = np.asarray(labels, dtype=object)
-    d = data.shape[1]
+    if data.shape[0] < 1:
+        raise ValueError("need at least one row")
+    n, d = data.shape
     classes, class_ids = np.unique(labels, return_inverse=True)
-    max_features = cfg.max_features if cfg.max_features is not None else int(round(np.sqrt(d)))
-    job = _ForestJob(np.ascontiguousarray(data.T), _presort(data), class_ids, len(classes),
-                     min(max_features, d), cfg.bootstrap)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)
-    pool = ProcessPoolExecutor(min(_usable_cpus(), cfg.n_trees),
-                               mp_context=multiprocessing.get_context("spawn"),
-                               initializer=_start_forest_worker, initargs=(job,))
-    try:
-        roots = list(pool.map(_grow_forest_tree, seeds))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    return RandomForest(trees=[DecisionTree(root=r, classes=tuple(classes)) for r in roots],
-                        classes=tuple(classes))
+    max_features = min(cfg.max_features if cfg.max_features is not None
+                       else int(round(np.sqrt(d))), d)
+    data_t, presorted = np.ascontiguousarray(data.T), _presort(data)
+    trees = []
+    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(seed)
+        if cfg.bootstrap:
+            weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+            drawn = np.flatnonzero((weights > 0)[presorted])
+            orders = presorted.ravel()[drawn].reshape(d, -1)
+        else:
+            weights, orders = np.ones(n), presorted
+        grower = _TreeGrower(data_t, DecisionTreeConfig().max_depth,
+                             _class_stats(class_ids, weights, len(classes)),
+                             _gini_scores, _gini_leaf, max_features, rng)
+        trees.append(DecisionTree(root=grower.grow(orders), classes=tuple(classes)))
+    return RandomForest(trees=trees, classes=tuple(classes))
 
 
 # --- Gaussian naive Bayes ---------------------------------------------------

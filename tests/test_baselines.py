@@ -1,12 +1,10 @@
 import hashlib
-import multiprocessing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidkit import baselines
 from nidkit.baselines import (
     AdaBoostConfig,
     DecisionTree,
@@ -317,52 +315,15 @@ def test_forest_deterministic_per_seed():
     assert (p1 == p2).all()
 
 
-def _spy_pool_sizes(monkeypatch, limit: int) -> list:
-    """Worker count of each forest pool; a pool above ``limit`` is refused."""
-    sizes = []
-
-    class Spy(baselines.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            if max_workers > limit:
-                raise AssertionError(f"{max_workers} workers, at most {limit} wanted")
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(baselines, "ProcessPoolExecutor", Spy)
-    return sizes
-
-
-def test_forest_pool_never_has_more_workers_than_trees(monkeypatch):
-    data, three, _, _ = _golden_data()
-    monkeypatch.setattr(baselines, "_usable_cpus", lambda: 8)
-    sizes = _spy_pool_sizes(monkeypatch, limit=2)
-    forest = fit_forest(data, three, ForestConfig(n_trees=2, seed=5))
-    assert sizes == [2]
-    assert len(forest.trees) == 2
-
-
-def test_forest_with_one_worker_equals_the_default_pool(monkeypatch):
-    # trees draw from their own seed streams, so the worker count and the
-    # order in which workers finish cannot change any tree
-    data, three, _, _ = _golden_data()
-    cfg = ForestConfig(n_trees=6, seed=5)
-    default = _tree_digest([t.root for t in fit_forest(data, three, cfg).trees])
-    monkeypatch.setattr(baselines, "_usable_cpus", lambda: 1)
-    sizes = _spy_pool_sizes(monkeypatch, limit=1)
-    single = _tree_digest([t.root for t in fit_forest(data, three, cfg).trees])
-    assert sizes == [1]
-    assert single == default
-    assert not multiprocessing.active_children()
-
-
-def test_forest_worker_exception_reaches_the_caller_with_its_type():
-    # a negative max_features passes the parent and fails in each worker's
-    # candidate draw; the caller sees numpy's ValueError, raised remotely
+@pytest.mark.parametrize("max_features, rows, message", [
+    (0, 40, "max_features must be >= 1"),   # no node would have a candidate
+    (-1, 40, "max_features must be >= 1"),
+    (None, 0, "need at least one row"),
+], ids=["zero-features", "negative-features", "zero-rows"])
+def test_forest_rejects_bad_input_before_growing(max_features, rows, message):
     data, labels = _two_blobs(seed=4)
-    with pytest.raises(ValueError) as caught:
-        fit_forest(data, labels, ForestConfig(n_trees=3, max_features=-1))
-    assert "_grow_forest_tree" in str(caught.value.__cause__)  # the worker's traceback
-    assert not multiprocessing.active_children()
+    with pytest.raises(ValueError, match=message):
+        fit_forest(data[:rows], labels[:rows], ForestConfig(n_trees=3, max_features=max_features))
 
 
 # --- Gaussian naive Bayes -------------------------------------------------------
