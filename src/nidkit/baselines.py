@@ -20,6 +20,10 @@ upper value always go right. A forest's trees each draw from their own
 ``SeedSequence`` child and grow one after another in the calling
 process.
 
+Labels may be of any sortable kind (``nidkit baselines`` passes binary ids):
+class index ``i`` is the ``i``-th smallest label, and a model predicts labels
+of the kind it was fitted on.
+
 The linear SVM doubles as the borderline detector for SVM-SMOTE via
 its ``margin_violators`` (training rows with positive hinge loss at
 the final iterate). The MLP baseline is the stage-2 network, trained
@@ -246,10 +250,10 @@ class DecisionTree:
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
-        out = np.empty(data.shape[0], dtype=object)
+        out = np.empty(data.shape[0], dtype=np.intp)
         for node, rows in _route_leaves(self.root, data):
-            out[rows] = self.classes[node.value]
-        return out
+            out[rows] = node.value
+        return np.asarray(self.classes)[out]
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """Leaf id per row."""
@@ -264,7 +268,7 @@ def fit_tree(
 ) -> DecisionTree:
     """Greedy Gini tree; leaves store the majority class."""
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels, dtype=object)
+    labels = np.asarray(labels)
     if data.shape[0] < 1:
         raise ValueError("need at least one row")
     classes, class_ids = np.unique(labels, return_inverse=True)
@@ -302,7 +306,7 @@ class RandomForest:
             for node, rows in _route_leaves(tree.root, data):
                 votes[rows, node.value] += 1
         winners = np.argmax(votes, axis=1)  # ties -> lower class index
-        return np.array(self.classes, dtype=object)[winners]
+        return np.asarray(self.classes)[winners]
 
 
 def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> RandomForest:
@@ -313,7 +317,7 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
     calling process.
     """
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels, dtype=object)
+    labels = np.asarray(labels)
     if data.shape[0] < 1:
         raise ValueError("need at least one row")
     n, d = data.shape
@@ -362,12 +366,12 @@ class GaussianNB:
         return out
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        return np.array(self.classes, dtype=object)[np.argmax(self.log_posteriors(data), axis=1)]
+        return np.asarray(self.classes)[np.argmax(self.log_posteriors(data), axis=1)]
 
 
 def fit_gnb(data: np.ndarray, labels) -> GaussianNB:
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels, dtype=object)
+    labels = np.asarray(labels)
     classes = tuple(np.unique(labels))
     k, d = len(classes), data.shape[1]
     priors = np.empty(k)
@@ -479,7 +483,7 @@ class AdaBoost:
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        return np.array(self.classes, dtype=object)[(self.decision(data) > 0).astype(np.intp)]
+        return np.asarray(self.classes)[(self.decision(data) > 0).astype(np.intp)]
 
 
 def _stump_votes(stump: DecisionTree, data: np.ndarray) -> np.ndarray:
@@ -498,7 +502,7 @@ def stump_weight(err: float) -> float:
 
 def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig()) -> AdaBoost:
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels, dtype=object)
+    labels = np.asarray(labels)
     classes, class_ids = np.unique(labels, return_inverse=True)
     if len(classes) != 2:
         raise ValueError("AdaBoost needs binary labels")
@@ -574,7 +578,7 @@ class GradientBoost:
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        return np.array(self.classes, dtype=object)[(self.decision(data) > 0).astype(np.intp)]
+        return np.asarray(self.classes)[(self.decision(data) > 0).astype(np.intp)]
 
 
 def fit_gradient_boost(
@@ -582,7 +586,7 @@ def fit_gradient_boost(
 ) -> GradientBoost:
     """Additive regression trees on logistic-loss gradients, Newton leaf steps."""
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels, dtype=object)
+    labels = np.asarray(labels)
     classes, class_ids = np.unique(labels, return_inverse=True)
     if len(classes) != 2:
         raise ValueError("gradient boosting needs binary labels")

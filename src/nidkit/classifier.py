@@ -4,7 +4,8 @@ The network is 41 -> 80 (ReLU) -> 4 (softmax) with cross-entropy loss.
 Class indices are fixed as DoS=0, Probe=1, R2L=2, U2R=3. Oversampling,
 when requested, happens strictly after the train/validation split and
 only on the training rows. The MLP baseline trains through the same
-``train_network`` path, as a 41 -> 80 -> 2 network over the binary labels.
+``train_network`` path, as a 41 -> 80 -> 2 network over the binary ids.
+Labels are attack ids (see ``dataset``); only the training report names them.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .errors import InsufficientDataError, VersionSkewError
+from .dataset import ATTACK_CATEGORIES
+from .errors import InsufficientDataError, VersionSkewError, reading
 from .preprocess import FeatureMatrix
 from .resample import SvmSmoteConfig, svm_smote
+from .schema import DEFAULT_SCHEMA
 
-CLASS_ORDER = ("DoS", "Probe", "R2L", "U2R")
+CLASS_ORDER = ATTACK_CATEGORIES
 CLASSIFIER_FORMAT_VERSION = 1
 
 
@@ -38,8 +41,9 @@ class DnnConfig:
 
 @dataclass
 class AttackClassifier:
+    """The typer's network; output ``i`` scores attack id ``i``."""
+
     model: neural.MlpModel
-    class_order: tuple[str, ...] = CLASS_ORDER
     trained_with_oversampling: bool = False
 
     def to_json(self) -> str:
@@ -48,7 +52,7 @@ class AttackClassifier:
                 "format_version": CLASSIFIER_FORMAT_VERSION,
                 "kind": "classifier",
                 "model": json.loads(self.model.to_json()),
-                "class_order": list(self.class_order),
+                "class_order": list(CLASS_ORDER),
                 "trained_with_oversampling": self.trained_with_oversampling,
             },
             sort_keys=True,
@@ -56,24 +60,21 @@ class AttackClassifier:
 
     @classmethod
     def from_json(cls, text: str) -> "AttackClassifier":
-        doc = json.loads(text)
-        if doc.get("format_version") != CLASSIFIER_FORMAT_VERSION:
-            raise VersionSkewError(
-                f"classifier format version {doc.get('format_version')!r} unsupported"
-            )
-        return cls(
-            model=neural.MlpModel.from_json(json.dumps(doc["model"])),
-            class_order=tuple(doc["class_order"]),
-            trained_with_oversampling=bool(doc["trained_with_oversampling"]),
-        )
-
-
-def _one_hot(labels: np.ndarray, class_order: tuple[str, ...]) -> np.ndarray:
-    """(n, k) float64 indicator of each row's class in ``class_order``."""
-    hits = np.asarray(labels, dtype=object)[:, None] == np.array(class_order, dtype=object)
-    if not hits.any(axis=1).all():
-        raise KeyError(f"label outside {class_order}")
-    return hits.astype(np.float64)
+        """Raises VersionSkewError unless ``text`` maps 41 features to CLASS_ORDER."""
+        with reading("classifier"):
+            doc = json.loads(text)
+            if doc.get("format_version") != CLASSIFIER_FORMAT_VERSION:
+                raise VersionSkewError(
+                    f"classifier format version {doc.get('format_version')!r} unsupported")
+            model = neural.MlpModel.from_json(json.dumps(doc["model"]))
+            if (model.in_dim, model.out_dim) != (len(DEFAULT_SCHEMA.names), len(CLASS_ORDER)):
+                raise ValueError(f"network maps {model.in_dim} inputs to {model.out_dim} "
+                                 f"outputs, not {len(DEFAULT_SCHEMA.names)} to {len(CLASS_ORDER)}")
+            if doc["class_order"] != list(CLASS_ORDER):
+                raise ValueError(f"class_order {doc['class_order']!r} is not {list(CLASS_ORDER)}")
+            if not isinstance(doc["trained_with_oversampling"], bool):
+                raise TypeError("trained_with_oversampling is not true or false")
+            return cls(model=model, trained_with_oversampling=doc["trained_with_oversampling"])
 
 
 def _n_validation(n: int, fraction: float) -> int:
@@ -82,11 +83,14 @@ def _n_validation(n: int, fraction: float) -> int:
 
 
 def check_attack_counts(labels: np.ndarray, val_fraction: float, oversample: bool) -> None:
-    """Raises InsufficientDataError unless ``labels`` can train the typer:
-    every category present and, when oversampling, each category that needs
-    synthetics keeps at least 2 rows after the split. The split's per-class
-    sizes do not depend on its rng, so this holds before any row is drawn."""
-    counts = [int(np.count_nonzero(labels == c)) for c in CLASS_ORDER]
+    """Raises InsufficientDataError unless the attack ids ``labels`` can train
+    the typer: every category present and, when oversampling, each category that
+    needs synthetics keeps at least 2 rows after the split (ValueError for an id
+    outside CLASS_ORDER). The split's per-class sizes do not depend on its rng,
+    so this holds before any row is drawn."""
+    if ((labels < 0) | (labels >= len(CLASS_ORDER))).any():
+        raise ValueError(f"labels outside the attack ids 0..{len(CLASS_ORDER) - 1}")
+    counts = np.bincount(labels, minlength=len(CLASS_ORDER)).tolist()
     if not any(counts):
         raise InsufficientDataError("training data has no attack rows")
     missing = [c for c, n in zip(CLASS_ORDER, counts) if n == 0]
@@ -102,10 +106,10 @@ def check_attack_counts(labels: np.ndarray, val_fraction: float, oversample: boo
 def _stratified_split(
     labels: np.ndarray, fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(train_idx, val_idx); per class, `fraction` of rows go to validation
-    (at least one stays in training)."""
+    """(train_idx, val_idx); per class id present, in ascending order, `fraction`
+    of its rows go to validation (at least one stays in training)."""
     train_parts, val_parts = [], []
-    for cls in np.unique(labels):
+    for cls in np.flatnonzero(np.bincount(labels)):
         rows = np.nonzero(labels == cls)[0]
         perm = rng.permutation(rows.size)
         n_val = _n_validation(rows.size, fraction)
@@ -117,18 +121,18 @@ def _stratified_split(
 def train_network(
     data: np.ndarray,
     labels: np.ndarray,
-    class_order: tuple[str, ...],
     dnn: DnnConfig,
     tcfg: neural.TrainConfig,
     rng: np.random.Generator,
     validation: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[neural.MlpModel, neural.TrainHistory]:
     """Initialize the ``dnn`` network from ``rng`` and train it on one-hot
-    targets over ``class_order``. ``validation`` is a (values, labels)
+    targets of the class ids ``labels``. ``validation`` is a (values, ids)
     pair; without it ``neural.train`` splits off its own validation rows."""
     model = neural.init_model(dnn.layers(), rng)
-    val = None if validation is None else (validation[0], _one_hot(validation[1], class_order))
-    return neural.train(model, data, _one_hot(labels, class_order), tcfg, rng, validation=val)
+    one_hot = np.eye(dnn.output_dim)  # row i: the target of class id i
+    val = None if validation is None else (validation[0], one_hot[validation[1]])
+    return neural.train(model, data, one_hot[labels], tcfg, rng, validation=val)
 
 
 def train_fourclass(
@@ -138,11 +142,8 @@ def train_fourclass(
     oversample: SvmSmoteConfig | None = None,
     dnn: DnnConfig = DnnConfig(),
 ) -> tuple[AttackClassifier, dict]:
-    """Train on ground-truth attack rows; returns (classifier, training info)."""
+    """Train on attack rows labelled by attack id; returns (classifier, training info)."""
     labels = attacks.labels
-    unknown = set(np.unique(labels)) - set(CLASS_ORDER)
-    if unknown:
-        raise ValueError(f"labels outside the four attack categories: {sorted(unknown)}")
     check_attack_counts(labels, tcfg.val_fraction, oversample is not None)
 
     train_idx, val_idx = _stratified_split(labels, tcfg.val_fraction, rng)
@@ -153,33 +154,33 @@ def train_fourclass(
         val_x, val_labels = attacks.values[val_idx], labels[val_idx]
 
     info: dict = {
-        "class_counts_before": {c: int((train_labels == c).sum()) for c in CLASS_ORDER},
+        "class_counts_before": _named_counts(train_labels),
         "oversampled": oversample is not None,
     }
     if oversample is not None:
         resampled = svm_smote(FeatureMatrix(values=train_x, labels=train_labels), oversample)
         train_x = resampled.matrix.values
         train_labels = resampled.matrix.labels
-        info["class_counts_after"] = resampled.class_counts()
-        info["resample_log"] = list(resampled.log)
+        info["class_counts_after"] = _named_counts(train_labels)
+        info["resample_log"] = [f"class {CLASS_ORDER[c]}: {line}"
+                                for c, line in resampled.log.items()]
 
     trained, history = train_network(
-        train_x, train_labels, CLASS_ORDER, dnn, tcfg, rng, validation=(val_x, val_labels)
+        train_x, train_labels, dnn, tcfg, rng, validation=(val_x, val_labels)
     )
     info["epochs"] = history.n_epochs
     info["best_epoch"] = history.best_epoch
     info["train_loss"] = history.train_loss
     info["val_loss"] = history.val_loss
-    clf = AttackClassifier(
-        model=trained,
-        class_order=CLASS_ORDER,
-        trained_with_oversampling=oversample is not None,
-    )
+    clf = AttackClassifier(model=trained, trained_with_oversampling=oversample is not None)
     return clf, info
 
 
+def _named_counts(labels: np.ndarray) -> dict[str, int]:
+    return dict(zip(CLASS_ORDER, np.bincount(labels, minlength=len(CLASS_ORDER)).tolist()))
+
+
 def predict(clf: AttackClassifier, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(categories, probability matrix); argmax ties go to the lower class index."""
+    """(attack ids, probability matrix); argmax ties go to the lower id."""
     probs, _ = neural.forward(clf.model, values)
-    cats = np.array(clf.class_order, dtype=object)[np.argmax(probs, axis=1)]
-    return cats, probs
+    return np.argmax(probs, axis=1), probs

@@ -9,6 +9,15 @@ integer codes into sorted vocabularies for the three categorical features
 and the label, and an integer difficulty array: the only copy of a file,
 no line is kept as text, and no later step sorts a text column again.
 Numeric fields must be ASCII decimal numbers; ``#`` is an ordinary character.
+
+Past the parse, labels are integer ids in three spaces: a category id
+indexes ``CATEGORIES`` (see :func:`category_ids`), an attack id indexes
+``ATTACK_CATEGORIES`` (an attack row's category id less 1), and a binary id
+indexes ``BINARY_CLASSES``, the two names in sorted order. Stages visit classes
+in id order, which fixes the order of their random draws. Names are decoded
+only where text is written: ``scores.csv``, the confusion CSVs, ``report.json``,
+``baselines.*``, the counts and resample log of ``train_multiclass_report.json``
+and the explore exports.
 """
 
 from __future__ import annotations
@@ -25,10 +34,13 @@ import numpy as np
 from .schema import DEFAULT_SCHEMA
 
 CATEGORIES = ("Normal", "DoS", "Probe", "R2L", "U2R")
-ATTACK_CATEGORIES = ("DoS", "Probe", "R2L", "U2R")
+ATTACK_CATEGORIES = CATEGORIES[1:]
+NORMAL_CATEGORY = CATEGORIES.index("Normal")
 
 NORMAL = "normal"
 ATTACK = "attack"
+BINARY_CLASSES = (ATTACK, NORMAL)
+ATTACK_ID, NORMAL_ID = 0, 1  # their indices in BINARY_CLASSES
 
 N_FIELDS = 43
 LABEL_FIELD = 41
@@ -266,25 +278,26 @@ def categorize(label: str, taxonomy: AttackTaxonomy) -> str:
         raise UnknownLabelError(f"attack name not in taxonomy: {label!r}") from None
 
 
-def categories(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
-    """Per-record category, in dataset order, looked up once per distinct
+def category_ids(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
+    """Per-record category id, in dataset order, looked up once per distinct
     label; an error names the unknown label that appears first in the data."""
     names = ds.vocab[LABEL_CODES].tolist()
     codes = ds.codes[:, LABEL_CODES]
     unknown = np.array([name not in taxonomy.mapping for name in names])
     if unknown.any():
         categorize(names[codes[np.argmax(unknown[codes])]], taxonomy)  # raises
-    return np.array([taxonomy.mapping[name] for name in names], dtype=object)[codes]
+    return np.array([CATEGORIES.index(taxonomy.mapping[name]) for name in names])[codes]
 
 
-def binary_of(cats: np.ndarray) -> np.ndarray:
-    """Collapse per-record categories to the normal-vs-attack label space."""
-    return np.array((ATTACK, NORMAL), dtype=object)[(cats == "Normal").astype(np.intp)]
+def categories(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
+    """Per-record category name, as an object array."""
+    return np.array(CATEGORIES, dtype=object)[category_ids(ds, taxonomy)]
 
 
 def binary_labels(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
     """Normal-vs-attack label per record, in dataset order."""
-    return binary_of(categories(ds, taxonomy))
+    normal = category_ids(ds, taxonomy) == NORMAL_CATEGORY
+    return np.array(BINARY_CLASSES, dtype=object)[normal.astype(np.intp)]
 
 
 def fourclass_labels(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray:
@@ -294,4 +307,3 @@ def fourclass_labels(ds: LabeledDataset, taxonomy: AttackTaxonomy) -> np.ndarray
     if bad.size:
         raise ValueError(f"normal record at row {bad[0]}; four-class labels need attacks only")
     return cats
-

@@ -4,7 +4,8 @@ A 41-15-41 denoising autoencoder is trained on normal traffic only
 (noisy forward pass, clean targets). A sample's anomaly score is the
 squared Euclidean distance between the input and its reconstruction;
 scores strictly above the calibrated threshold are verdicts of attack,
-scores at or below it are normal.
+scores at or below it are normal. Labels and verdicts are binary ids (see
+``dataset``); ``scores.csv`` spells the verdicts.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural
-from .dataset import ATTACK, NORMAL
-from .errors import VersionSkewError
+from .dataset import ATTACK_ID, BINARY_CLASSES, NORMAL_ID
+from .errors import VersionSkewError, reading
 from .preprocess import FeatureMatrix
+from .schema import DEFAULT_SCHEMA
 
 DETECTOR_FORMAT_VERSION = 1
 
@@ -55,8 +57,8 @@ class AnomalyDetector:
     calibration: dict
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be a finite number > 0, got {self.alpha!r}")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -72,16 +74,22 @@ class AnomalyDetector:
 
     @classmethod
     def from_json(cls, text: str) -> "AnomalyDetector":
-        doc = json.loads(text)
-        if doc.get("format_version") != DETECTOR_FORMAT_VERSION:
-            raise VersionSkewError(
-                f"detector format version {doc.get('format_version')!r} unsupported"
-            )
-        return cls(
-            model=neural.MlpModel.from_json(json.dumps(doc["model"])),
-            alpha=float(doc["alpha"]),
-            calibration=doc["calibration"],
-        )
+        """Raises VersionSkewError unless ``text`` maps 41 features back to 41."""
+        with reading("detector"):
+            doc = json.loads(text)
+            if doc.get("format_version") != DETECTOR_FORMAT_VERSION:
+                raise VersionSkewError(
+                    f"detector format version {doc.get('format_version')!r} unsupported")
+            model = neural.MlpModel.from_json(json.dumps(doc["model"]))
+            width = len(DEFAULT_SCHEMA.names)
+            if (model.in_dim, model.out_dim) != (width, width):
+                raise ValueError(f"network maps {model.in_dim} inputs to {model.out_dim} "
+                                 f"outputs, not {width} to {width}")
+            alpha, calibration = doc["alpha"], doc["calibration"]
+            if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+                    or not isinstance(calibration, dict)):
+                raise TypeError("alpha must be a number and calibration an object")
+            return cls(model=model, alpha=float(alpha), calibration=calibration)
 
 
 def train_on_normal(
@@ -94,9 +102,9 @@ def train_on_normal(
     """Train the autoencoder with inputs as targets, early-stopping on the
     reconstruction of ``validation``; rejects attack rows in either set."""
     for fm in (normals, validation):
-        bad = np.nonzero(fm.labels != NORMAL)[0]
+        bad = np.nonzero(fm.labels != NORMAL_ID)[0]
         if bad.size:
-            raise ValueError(f"non-normal row at index {bad[0]} (label {fm.labels[bad[0]]!r})")
+            raise ValueError(f"non-normal row at index {bad[0]} (binary id {fm.labels[bad[0]]})")
     model = neural.init_model(cfg.layers(), rng)
     return neural.train(model, normals.values, normals.values, tcfg, rng,
                         validation=(validation.values, validation.values))
@@ -127,7 +135,7 @@ def _best_f1_threshold(errors: np.ndarray, labels: np.ndarray) -> tuple[float, f
     to the smallest alpha."""
     order = np.argsort(errors, kind="stable")
     e = errors[order]
-    is_attack = (labels[order] == ATTACK).astype(np.int64)
+    is_attack = (labels[order] == ATTACK_ID).astype(np.int64)
     total_attack = int(is_attack.sum())
     # cutting at the last position i of each distinct value (alpha = e[i])
     # predicts attack for the rows after i
@@ -158,14 +166,13 @@ def calibrate_threshold(
     if validation.n_rows == 0:
         raise ValueError("empty validation set")
     errors = reconstruction_errors(model, validation.values)
+    normal_rows = validation.labels == NORMAL_ID
     if method == "quantile":
-        normal_rows = validation.labels == NORMAL
         use = errors[normal_rows] if normal_rows.any() else errors
         alpha = nearest_rank_quantile(use, q)
         return alpha, {"method": "quantile", "q": q, "n_validation": int(use.size)}
     if method == "labeled_f1":
-        present = set(np.unique(validation.labels))
-        if not {NORMAL, ATTACK} <= present:
+        if normal_rows.all() or not normal_rows.any():
             raise ValueError("labeled_f1 calibration needs both normal and attack rows")
         alpha, f1 = _best_f1_threshold(errors, validation.labels)
         return alpha, {
@@ -175,14 +182,15 @@ def calibrate_threshold(
 
 
 def verdict_array(det: AnomalyDetector, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(errors, verdicts) per row; strict inequality: error > alpha means attack."""
+    """(errors, verdicts) per row, each verdict a binary id; strict inequality:
+    error > alpha means attack."""
     errors = reconstruction_errors(det.model, values)
-    verdicts = np.where(errors > det.alpha, ATTACK, NORMAL).astype(object)
-    return errors, verdicts
+    return errors, np.where(errors > det.alpha, ATTACK_ID, NORMAL_ID)
 
 
 def scores_to_csv(errors: np.ndarray, verdicts: np.ndarray) -> str:
-    """One CSV row per error; Python float reprs are the shortest decimal
-    strings that read back to the same float64."""
-    rows = map("{},{!r},{}".format, range(len(errors)), errors.tolist(), verdicts.tolist())
+    """One CSV row per error and verdict name; Python float reprs are the
+    shortest decimal strings that read back to the same float64."""
+    names = np.take(BINARY_CLASSES, verdicts).tolist()
+    rows = map("{},{!r},{}".format, range(len(errors)), errors.tolist(), names)
     return "\n".join(["row_index,reconstruction_error,verdict", *rows]) + "\n"

@@ -1,6 +1,7 @@
 """Data-exploration exports: per-class histograms, Pearson correlations,
 scatter pairs, and constant-feature detection. Everything is emitted as
-plot-ready CSV/JSON, never rendered images."""
+plot-ready CSV/JSON, never rendered images. Rows are labelled by category
+id (``dataset.category_ids``); the exports spell each category's name."""
 
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ def histogram(
     bins: int = 40,
 ) -> HistogramReport:
     """Uniform bins over the pooled [min, max]; the last bin is right-closed.
-    ``cats`` is the per-row category, as from ``dataset.categories``."""
+    ``cats`` is the per-row category id."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     values = _feature_view(ds, feature)
@@ -93,10 +94,8 @@ def histogram(
     edges = np.linspace(lo, hi, bins + 1)
     scaled = (values - lo) / (hi - lo) * bins
     idx = np.minimum(scaled.astype(np.int64), bins - 1)
-    counts = {
-        cat: np.bincount(idx[cats == cat], minlength=bins).astype(np.int64)
-        for cat in CATEGORIES
-    }
+    table = np.bincount(cats * bins + idx, minlength=len(CATEGORIES) * bins)
+    counts = dict(zip(CATEGORIES, table.reshape(len(CATEGORIES), bins)))
     return HistogramReport(feature=feature, edges=edges, counts=counts)
 
 
@@ -126,10 +125,10 @@ def scatter_rows(
     feature_y: str,
     cats: np.ndarray,
 ) -> list[tuple[str, str, str]]:
-    """(x, y, category) per record, each value spelled from its parsed
-    column; ``cats`` is the per-row category."""
+    """(x, y, category name) per record, each value spelled from its parsed
+    column; ``cats`` is the per-row category id."""
     x, y = (spell_column(ds.column(DEFAULT_SCHEMA.index_of(f))) for f in (feature_x, feature_y))
-    return list(zip(x.tolist(), y.tolist(), cats.tolist()))
+    return list(zip(x.tolist(), y.tolist(), np.take(CATEGORIES, cats).tolist()))
 
 
 def scatter_csv(rows: list[tuple[str, str, str]], feature_x: str, feature_y: str) -> str:
@@ -141,10 +140,10 @@ def scatter_csv(rows: list[tuple[str, str, str]], feature_x: str, feature_y: str
 def find_constant_features(ds: LabeledDataset) -> RedundancyReport:
     """Features whose parsed value never varies across the dataset."""
     found: list[tuple[str, str]] = []
-    for e in DEFAULT_SCHEMA.entries:
-        values = ds.column(e.index)
+    for j, name in enumerate(DEFAULT_SCHEMA.names):
+        values = ds.column(j)
         if (values == values[0]).all():
-            found.append((e.name, str(spell_column(values[:1])[0])))
+            found.append((name, str(spell_column(values[:1])[0])))
     return RedundancyReport(constant_features=tuple(found))
 
 
@@ -166,7 +165,7 @@ def write_exploration(
     bins: int = 40,
 ) -> list[Path]:
     """Emit histograms/, correlation.csv, scatter_*.csv and redundancy.json.
-    ``cats`` is the per-row category, as from ``dataset.categories``."""
+    ``cats`` is the per-row category id, as from ``dataset.category_ids``."""
     out = Path(out_dir)
     (out / "histograms").mkdir(parents=True, exist_ok=True)
     written = []

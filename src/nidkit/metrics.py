@@ -76,26 +76,20 @@ class MulticlassReport:
         }
 
 
-def confusion(true_labels, predicted_labels, class_order) -> ConfusionMatrix:
-    true_labels = np.asarray(true_labels, dtype=object)
-    predicted_labels = np.asarray(predicted_labels, dtype=object)
-    if len(true_labels) != len(predicted_labels):
+def confusion(true_ids, predicted_ids, class_order) -> ConfusionMatrix:
+    """Counts of (true, predicted) class id pairs; id ``i`` is ``class_order[i]``."""
+    true_ids, predicted_ids = np.asarray(true_ids), np.asarray(predicted_ids)
+    if len(true_ids) != len(predicted_ids):
         raise ValueError("label vectors differ in length")
-    if len(true_labels) == 0:
+    if len(true_ids) == 0:
         raise ValueError("empty input")
-    classes = np.array(class_order, dtype=object)
-    true_hits = true_labels[:, None] == classes
-    pred_hits = predicted_labels[:, None] == classes
-    bad = ~(true_hits.any(axis=1) & pred_hits.any(axis=1))
-    if bad.any():
-        row = int(np.argmax(bad))
-        if not true_hits[row].any():
-            raise ValueError(f"unknown true label {true_labels[row]!r}")
-        raise ValueError(f"unknown predicted label {predicted_labels[row]!r}")
     k = len(class_order)
-    cells = true_hits.argmax(axis=1) * k + pred_hits.argmax(axis=1)
-    counts = np.bincount(cells, minlength=k * k).astype(np.int64).reshape(k, k)
-    return ConfusionMatrix(counts=counts, classes=tuple(class_order))
+    for what, ids in (("true", true_ids), ("predicted", predicted_ids)):
+        bad = (ids < 0) | (ids >= k)
+        if bad.any():
+            raise ValueError(f"unknown {what} label id {ids[np.argmax(bad)]!r}")
+    counts = np.bincount(true_ids * k + predicted_ids, minlength=k * k).reshape(k, k)
+    return ConfusionMatrix(counts=counts.astype(np.int64), classes=tuple(class_order))
 
 
 def _ratio(num: float, den: float) -> float:

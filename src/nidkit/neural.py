@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingDivergedError, VersionSkewError
+from .errors import TrainingDivergedError, VersionSkewError, reading
 
 MODEL_FORMAT_VERSION = 1
 
@@ -135,19 +135,23 @@ class MlpModel:
 
     @classmethod
     def from_json(cls, text: str) -> "MlpModel":
-        doc = json.loads(text)
-        version = doc.get("format_version")
-        if version != MODEL_FORMAT_VERSION:
-            raise VersionSkewError(
-                f"model format version {version!r} unsupported (expected {MODEL_FORMAT_VERSION})"
-            )
-        layers = [LayerSpec(**spec) for spec in doc["layers"]]
-        weights = [
-            np.array(flat, dtype=np.float64).reshape(s.out_dim, s.in_dim)
-            for flat, s in zip(doc["weights"], layers)
-        ]
-        biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
-        return cls(layers=layers, weights=weights, biases=biases).freeze()
+        """Raises VersionSkewError for text that is not a network of this format."""
+        with reading("network"):
+            doc = json.loads(text)
+            version = doc.get("format_version")
+            if version != MODEL_FORMAT_VERSION:
+                raise VersionSkewError(f"model format version {version!r} unsupported "
+                                       f"(expected {MODEL_FORMAT_VERSION})")
+            layers = [LayerSpec(**spec) for spec in doc["layers"]]
+            weights = [
+                np.array(flat, dtype=np.float64).reshape(s.out_dim, s.in_dim)
+                for flat, s in zip(doc["weights"], layers)
+            ]
+            biases = [np.array(b, dtype=np.float64) for b in doc["biases"]]
+            model = cls(layers=layers, weights=weights, biases=biases)
+            if not np.isfinite(model.params).all():
+                raise ValueError("network has a non-finite weight or bias")
+            return model.freeze()
 
 
 def init_model(layers: list[LayerSpec], rng: np.random.Generator) -> MlpModel:

@@ -6,11 +6,12 @@ machine-readable artifacts (JSON/CSV) under one output directory and
 are deterministic given (config, seed).
 
 Every command loads, checks, computes and writes, in that order. ``_load``
-parses one input file and categorizes its rows; each stage's data rule is
-one check on what was loaded, so input a stage cannot use fails before the
-first write. ``pipeline`` loads and checks the train and the test file,
-then runs the two training stages and evaluate over those parsed files;
-evaluate reads the artifacts back from the output directory.
+parses one input file and gives each row its category id; labels stay
+integer ids (see ``dataset``) up to the files written. Each stage's data
+rule is one check on what was loaded, so input a stage cannot use fails
+before the first write. ``pipeline`` loads and checks the train and the
+test file, then runs the two training stages and evaluate over those
+parsed files; evaluate reads the artifacts back from the output directory.
 """
 
 from __future__ import annotations
@@ -30,15 +31,8 @@ from . import detector as det_mod
 from . import explore as explore_mod
 from . import metrics as metrics_mod
 from . import neural
-from .dataset import (
-    ATTACK,
-    NORMAL,
-    LabeledDataset,
-    binary_of,
-    categories,
-    load_taxonomy,
-    parse_kdd_file,
-)
+from .dataset import (ATTACK, ATTACK_ID, BINARY_CLASSES, NORMAL, NORMAL_CATEGORY, NORMAL_ID,
+                      LabeledDataset, category_ids, load_taxonomy, parse_kdd_file)
 from .errors import InsufficientDataError, StaleArtifactError
 from .preprocess import FeatureMatrix, FittedPipeline, fit_transform
 from .resample import SmoteConfig, SvmSmoteConfig
@@ -47,7 +41,7 @@ from .schema import DEFAULT_SCHEMA
 log = logging.getLogger("nidkit")
 
 REPORT_FORMAT_VERSION = 1
-BINARY_CLASS_ORDER = (NORMAL, ATTACK)
+BINARY_CLASS_ORDER = BINARY_CLASSES[::-1]  # reports lay the binary classes out normal first
 
 BASELINE_NAMES = (
     "decision_tree",
@@ -151,31 +145,47 @@ def _sha256(path: Path) -> str:
 
 def _load(cfg: RunConfig, split: str) -> tuple[LabeledDataset, np.ndarray]:
     """The train or test file named in ``cfg``, parsed once, and the category
-    of each of its rows; an unknown attack name fails here."""
+    id of each of its rows; an unknown attack name fails here."""
     path = _require(cfg.train_path if split == "train" else cfg.test_path, split)
     ds = parse_kdd_file(path, split=split)
-    return ds, categories(ds, load_taxonomy(cfg.taxonomy_path))
+    return ds, category_ids(ds, load_taxonomy(cfg.taxonomy_path))
+
+
+def _binary_ids(cats: np.ndarray) -> np.ndarray:
+    """The binary id of each category id: NORMAL_ID for Normal, else ATTACK_ID."""
+    return (cats == NORMAL_CATEGORY).astype(np.intp)
+
+
+def _attack_ids(cats: np.ndarray) -> np.ndarray:
+    """The attack id of each attack row, in row order."""
+    return cats[cats != NORMAL_CATEGORY] - 1
+
+
+def _binary_confusion(true: np.ndarray, predicted: np.ndarray) -> metrics_mod.ConfusionMatrix:
+    """Confusion of binary ids, laid out as BINARY_CLASS_ORDER, which ``1 - id`` indexes."""
+    return metrics_mod.confusion(1 - true, 1 - predicted, BINARY_CLASS_ORDER)
 
 
 # --- data checks: each stage's rule, run before the command's first write ----
 
 
 def _detector_data(cats: np.ndarray) -> None:
-    if not (cats == "Normal").any():
+    if not (cats == NORMAL_CATEGORY).any():
         raise InsufficientDataError("training data has no normal rows; cannot train the detector")
 
 
 def _typer_data(cfg: RunConfig, cats: np.ndarray) -> None:
-    clf_mod.check_attack_counts(cats, cfg.val_fraction, "oversampled" in _variants(cfg))
+    oversample = "oversampled" in _variants(cfg)
+    clf_mod.check_attack_counts(_attack_ids(cats), cfg.val_fraction, oversample)
 
 
 def _test_data(cats: np.ndarray) -> None:
-    if (cats == "Normal").all():
+    if (cats == NORMAL_CATEGORY).all():
         raise InsufficientDataError("test data has no attack rows; cannot evaluate stage 2")
 
 
 def _baseline_data(cats: np.ndarray) -> None:
-    normal = cats == "Normal"
+    normal = cats == NORMAL_CATEGORY
     if normal.all() or not normal.any():
         raise InsufficientDataError(
             "training data needs both normal and attack rows to fit the baselines")
@@ -243,16 +253,16 @@ def run_train_binary(cfg: RunConfig) -> Path:
 
 def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> Path:
     t0 = time.perf_counter()
-    bin_labels = binary_of(cats)
-    fm = FeatureMatrix(values=values, labels=bin_labels)
+    bin_ids = _binary_ids(cats)
+    fm = FeatureMatrix(values=values, labels=bin_ids)
 
     ss = np.random.SeedSequence(cfg.seed)
     split_rng, ae_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
-    train_idx, val_idx = clf_mod._stratified_split(bin_labels, cfg.val_fraction, split_rng)
+    train_idx, val_idx = clf_mod._stratified_split(bin_ids, cfg.val_fraction, split_rng)
     train_part = fm.select(train_idx)
     val_part = fm.select(val_idx)
-    normals_train = train_part.select(train_part.labels == NORMAL)
-    normals_val = val_part.select(val_part.labels == NORMAL)
+    normals_train = train_part.select(train_part.labels == NORMAL_ID)
+    normals_val = val_part.select(val_part.labels == NORMAL_ID)
     if normals_val.n_rows == 0:
         # degenerate tiny input: fall back to the training normals so the
         # early-stopping and calibration sets are never empty
@@ -305,8 +315,7 @@ def run_train_multiclass(cfg: RunConfig) -> list[Path]:
 
 def _train_multiclass(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> list[Path]:
     t0 = time.perf_counter()
-    attack_rows = np.nonzero(cats != "Normal")[0]
-    attacks = FeatureMatrix(values=values[attack_rows], labels=cats[attack_rows])
+    attacks = FeatureMatrix(values=values[cats != NORMAL_CATEGORY], labels=_attack_ids(cats))
 
     out = _out(cfg)
     written: list[Path] = []
@@ -380,15 +389,15 @@ def _evaluate(cfg: RunConfig, test: LabeledDataset, cats: np.ndarray, pipe: Fitt
     t0 = time.perf_counter()
     values = pipe.transform(test)
     timings["preprocess"] = time.perf_counter() - t0
-    true_bin = binary_of(cats)
-    is_attack_true = true_bin == ATTACK
+    true_bin = _binary_ids(cats)
+    is_attack_true = true_bin == ATTACK_ID
 
     files: dict[str, str] = {}  # name -> text, written in this order at the end
     t0 = time.perf_counter()
     errors, verdicts = det_mod.verdict_array(det, values)
     timings["stage1"] = time.perf_counter() - t0
     files["scores.csv"] = det_mod.scores_to_csv(errors, verdicts)
-    cm1 = metrics_mod.confusion(true_bin, verdicts, BINARY_CLASS_ORDER)
+    cm1 = _binary_confusion(true_bin, verdicts)
     stage1 = _binary_report(cm1)
     stage1["alpha"] = det.alpha
     stage1["calibration"] = det.calibration
@@ -400,12 +409,12 @@ def _evaluate(cfg: RunConfig, test: LabeledDataset, cats: np.ndarray, pipe: Fitt
         "stage2": {},
         "counts": {
             "test_rows": len(values),
-            "stage1_predicted_attacks": int((verdicts == ATTACK).sum()),
+            "stage1_predicted_attacks": int((verdicts == ATTACK_ID).sum()),
         },
     }
 
-    is_attack_pred = verdicts == ATTACK
-    attack_labels = cats[is_attack_true]
+    is_attack_pred = verdicts == ATTACK_ID
+    attack_labels = _attack_ids(cats)
     attack_values = values[is_attack_true]
     # survivors: the true attacks that stage 1 flags
     survivors = is_attack_pred[is_attack_true]
@@ -415,7 +424,7 @@ def _evaluate(cfg: RunConfig, test: LabeledDataset, cats: np.ndarray, pipe: Fitt
         section: dict = {"trained_with_oversampling": clf.trained_with_oversampling}
 
         predicted, _ = clf_mod.predict(clf, attack_values)
-        gt_report = metrics_mod.multiclass_report(attack_labels, predicted, clf.class_order)
+        gt_report = metrics_mod.multiclass_report(attack_labels, predicted, clf_mod.CLASS_ORDER)
         section["ground_truth"] = gt_report.to_dict()
         files[f"stage2_{variant}_groundtruth_confusion.csv"] = gt_report.confusion.to_csv()
 
@@ -423,14 +432,15 @@ def _evaluate(cfg: RunConfig, test: LabeledDataset, cats: np.ndarray, pipe: Fitt
         surv_pred = predicted[survivors]
         if surv_pred.size:
             surv_report = metrics_mod.multiclass_report(
-                attack_labels[survivors], surv_pred, clf.class_order)
+                attack_labels[survivors], surv_pred, clf_mod.CLASS_ORDER)
             section["survivors"] = surv_report.to_dict()
             files[f"stage2_{variant}_survivors_confusion.csv"] = surv_report.confusion.to_csv()
         else:
             section["survivors"] = None
-        dispositions = {"normal": int((verdicts == NORMAL).sum()),
+        typed = np.bincount(surv_pred, minlength=len(clf_mod.CLASS_ORDER)).tolist()
+        dispositions = {"normal": int((verdicts == NORMAL_ID).sum()),
                         "false_positive_normal": false_positive_normals,
-                        **{c: int((surv_pred == c).sum()) for c in clf.class_order}}
+                        **dict(zip(clf_mod.CLASS_ORDER, typed))}
         section["dispositions"] = dispositions
         if sum(dispositions.values()) != len(values):
             raise RuntimeError("disposition counts do not conserve the test rows")
@@ -450,22 +460,19 @@ def _evaluate(cfg: RunConfig, test: LabeledDataset, cats: np.ndarray, pipe: Fitt
 
 
 def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfig):
-    """Returns a predict(values) -> label array callable; ``name`` is one of
-    BASELINE_NAMES (``RunConfig`` checks)."""
+    """Returns a predict(values) -> binary id array callable, fitted on the
+    binary ids ``labels``; ``name`` is one of BASELINE_NAMES (``RunConfig``
+    checks)."""
     if name == "svm":
-        y = np.where(labels == ATTACK, 1.0, -1.0)
+        y = np.where(labels == ATTACK_ID, 1.0, -1.0)
         svm = bl.fit_linear_svm(data, y, bl.LinearSvmConfig(seed=cfg.seed))
-        return lambda values: np.where(svm.predict(values) > 0, ATTACK, NORMAL).astype(object)
+        return lambda values: np.where(svm.predict(values) > 0, ATTACK_ID, NORMAL_ID)
     if name == "mlp":
-        # the stage-2 network, 41-80-2 over the sorted binary labels
-        classes = tuple(np.unique(labels))
-        model, _ = clf_mod.train_network(
-            data, labels, classes,
-            clf_mod.DnnConfig(input_dim=data.shape[1], output_dim=len(classes)),
-            cfg.train_config(), np.random.default_rng(cfg.seed + 29),
-        )
-        net = clf_mod.AttackClassifier(model=model, class_order=classes)
-        return lambda values: clf_mod.predict(net, values)[0]
+        # the stage-2 network, 41-80-2 over the binary ids
+        dnn = clf_mod.DnnConfig(input_dim=data.shape[1], output_dim=len(BINARY_CLASSES))
+        model, _ = clf_mod.train_network(data, labels, dnn, cfg.train_config(),
+                                         np.random.default_rng(cfg.seed + 29))
+        return lambda values: np.argmax(neural.forward(model, values)[0], axis=1)
     if name == "random_forest":
         return bl.fit_forest(data, labels, bl.ForestConfig(seed=cfg.seed)).predict
     fit = {"decision_tree": bl.fit_tree, "naive_bayes": bl.fit_gnb,
@@ -479,8 +486,8 @@ def run_baselines(cfg: RunConfig) -> Path:
     test, test_cats = _load(cfg, "test")
     pipe, train_values = fit_transform(train)
     test_values = pipe.transform(test)
-    y_train = binary_of(train_cats)
-    y_test = binary_of(test_cats)
+    y_train = _binary_ids(train_cats)
+    y_test = _binary_ids(test_cats)
     lines = ["model,accuracy,precision,recall,f1"]
     details: dict[str, dict] = {}
     for name in cfg.baselines:
@@ -488,7 +495,7 @@ def run_baselines(cfg: RunConfig) -> Path:
         predictor = _fit_baseline(name, train_values, y_train, cfg)
         predicted = predictor(test_values)
         seconds = time.perf_counter() - t0
-        cm = metrics_mod.confusion(y_test, predicted, BINARY_CLASS_ORDER)
+        cm = _binary_confusion(y_test, predicted)
         attack_pos = metrics_mod.binary_metrics(cm, positive_class=ATTACK)
         lines.append(f"{BASELINE_DISPLAY[name]},{attack_pos.accuracy:.4f},"
                      f"{attack_pos.precision:.4f},{attack_pos.recall:.4f},{attack_pos.f1:.4f}")

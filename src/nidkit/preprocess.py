@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import VersionSkewError
+from .errors import VersionSkewError, reading
 from .schema import DEFAULT_SCHEMA
 
 PIPELINE_FORMAT_VERSION = 1
@@ -26,7 +26,7 @@ class FeatureMatrix:
     """Dense numeric matrix with a row-aligned label vector."""
 
     values: np.ndarray           # (n, d) float64
-    labels: np.ndarray           # (n,) object
+    labels: np.ndarray           # (n,) int class ids, in one of the spaces ``dataset`` names
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
@@ -75,6 +75,8 @@ class Standardizer:
             raise ValueError("mu and sigma shapes differ")
         if (self.sigma < 0).any():
             raise ValueError("negative sigma")
+        if not (np.isfinite(self.mu).all() and np.isfinite(self.sigma).all()):
+            raise ValueError("non-finite mu or sigma")
 
 
 @dataclass(frozen=True)
@@ -108,25 +110,26 @@ class FittedPipeline:
 
     @classmethod
     def from_json(cls, text: str) -> "FittedPipeline":
-        doc = json.loads(text)
-        version = doc.get("format_version")
-        if version != PIPELINE_FORMAT_VERSION:
-            raise VersionSkewError(
-                f"pipeline format version {version!r} unsupported (expected {PIPELINE_FORMAT_VERSION})"
+        """Raises VersionSkewError for text that is not a pipeline over the schema."""
+        with reading("pipeline"):
+            doc = json.loads(text)
+            version = doc.get("format_version")
+            if version != PIPELINE_FORMAT_VERSION:
+                raise VersionSkewError(f"pipeline format version {version!r} unsupported "
+                                       f"(expected {PIPELINE_FORMAT_VERSION})")
+            names = [f["name"] for f in doc["features"]]
+            if list(DEFAULT_SCHEMA.names) != names:
+                raise ValueError("pipeline feature names do not match schema")
+            mu = np.array([f["mu"] for f in doc["features"]], dtype=np.float64)
+            sigma = np.array([f["sigma"] for f in doc["features"]], dtype=np.float64)
+            tables = {
+                feature: {cat: (int(c[0]), int(c[1])) for cat, c in table.items()}
+                for feature, table in doc["encoders"].items()
+            }
+            return cls(
+                encoder=LabelCountEncoder(tables=tables),
+                standardizer=Standardizer(mu=mu, sigma=sigma),
             )
-        names = [f["name"] for f in doc["features"]]
-        if list(DEFAULT_SCHEMA.names) != names:
-            raise ValueError("pipeline feature names do not match schema")
-        mu = np.array([f["mu"] for f in doc["features"]], dtype=np.float64)
-        sigma = np.array([f["sigma"] for f in doc["features"]], dtype=np.float64)
-        tables = {
-            feature: {cat: (int(c[0]), int(c[1])) for cat, c in table.items()}
-            for feature, table in doc["encoders"].items()
-        }
-        return cls(
-            encoder=LabelCountEncoder(tables=tables),
-            standardizer=Standardizer(mu=mu, sigma=sigma),
-        )
 
 
 def fit_encoder(train: LabeledDataset) -> LabelCountEncoder:

@@ -47,11 +47,7 @@ class SvmSmoteConfig:
 class ResampledSet:
     matrix: FeatureMatrix
     synthetic_mask: np.ndarray  # True for generated rows
-    log: tuple[str, ...] = ()
-
-    def class_counts(self) -> dict[str, int]:
-        values, counts = np.unique(self.matrix.labels, return_counts=True)
-        return {str(v): int(c) for v, c in zip(values, counts)}
+    log: dict[int, str]  # per oversampled class id, what it did
 
 
 def _batch_knn(
@@ -133,15 +129,18 @@ def _synthesize(seeds, seed_neighbors, pool, n_new, rng, *, extrapolate=None, ou
 def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
     """Oversample every class up to the count of the largest class.
 
-    Per class: a one-vs-rest linear SVM picks the borderline rows
-    (positive hinge loss); those seed the generation. A seed with a
-    majority-dominated m-neighbourhood interpolates toward its k
-    within-class neighbours, otherwise it extrapolates away from them
-    by ``OUT_STEP``. Classes with no violators fall back to plain SMOTE
-    over the whole class (recorded in the log).
+    Classes go in ascending id order, each drawing from its own child of
+    ``SeedSequence(cfg.smote.seed)``. Per class: a one-vs-rest linear SVM
+    picks the borderline rows (positive hinge loss); those seed the
+    generation. A seed with a majority-dominated m-neighbourhood
+    interpolates toward its k within-class neighbours, otherwise it
+    extrapolates away from them by ``OUT_STEP``. Classes with no violators
+    fall back to plain SMOTE over the whole class (recorded in the log).
     """
     values, labels = fm.values, fm.labels
-    classes, class_counts = np.unique(labels, return_counts=True)
+    counts = np.bincount(labels)
+    classes = np.flatnonzero(counts)
+    class_counts = counts[classes]
     if len(classes) < 2:
         raise ValueError("svm_smote needs at least 2 classes present")
     target = int(class_counts.max())
@@ -150,18 +149,17 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
     n = values.shape[0]
     all_values = np.empty((n + int((target - class_counts).sum()), values.shape[1]))
     all_values[:n] = values
-    all_labels = np.empty(all_values.shape[0], dtype=object)
+    all_labels = np.empty(all_values.shape[0], dtype=labels.dtype)
     all_labels[:n] = labels
     stop = n
-    log: list[str] = []
+    log: dict[int, str] = {}
     children = np.random.SeedSequence(cfg.smote.seed).spawn(len(classes))
-    for cls, n_cls, child in zip(classes, class_counts.tolist(), children):
-        cls = str(cls)
+    for cls, n_cls, child in zip(classes.tolist(), class_counts.tolist(), children):
         need = target - n_cls
         if need == 0:
             continue
         if n_cls < 2:
-            raise ValueError(f"class {cls!r} has {n_cls} row(s); need >= 2 to oversample")
+            raise ValueError(f"class {cls} has {n_cls} row(s); need >= 2 to oversample")
         start, stop = stop, stop + need
         all_labels[start:stop] = cls
         rng = np.random.default_rng(child)
@@ -172,7 +170,7 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
         svm = fit_linear_svm(values, y, cfg.svm)
         seed_rows = np.intersect1d(svm.margin_violators, member_idx)
         if seed_rows.size == 0:
-            log.append(f"class {cls}: no margin violators, plain SMOTE fallback over {n_cls} rows")
+            log[cls] = f"no margin violators, plain SMOTE fallback over {n_cls} rows"
             neighbors = _batch_knn(members, members, k_eff, exclude=np.arange(n_cls))
             _synthesize(members, neighbors, members, need, rng, out=all_values[start:stop])
         else:
@@ -189,12 +187,10 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
                 seeds, near, members, need, rng,
                 extrapolate=~interpolate_seed, out=all_values[start:stop],
             )
-            log.append(
-                f"class {cls}: {seed_rows.size} borderline seeds "
-                f"({int(interpolate_seed.sum())} interpolating), {need} synthetics"
-            )
+            log[cls] = (f"{seed_rows.size} borderline seeds "
+                        f"({int(interpolate_seed.sum())} interpolating), {need} synthetics")
 
     mask = np.zeros(all_values.shape[0], dtype=bool)
     mask[n:] = True
     out = FeatureMatrix(values=all_values, labels=all_labels)
-    return ResampledSet(matrix=out, synthetic_mask=mask, log=tuple(log))
+    return ResampledSet(matrix=out, synthetic_mask=mask, log=log)

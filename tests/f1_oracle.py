@@ -6,14 +6,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from nidkit.dataset import ATTACK
+from nidkit.dataset import ATTACK_ID
 
 
 def best_f1_threshold(errors: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """(alpha, f1) over the verdict rule error > alpha, positive = attack."""
+    """(alpha, f1) over the verdict rule error > alpha, positive = attack;
+    ``labels`` are binary ids."""
     order = np.argsort(errors, kind="stable")
     e = errors[order]
-    is_attack = (labels[order] == ATTACK).astype(np.int64)
+    is_attack = (labels[order] == ATTACK_ID).astype(np.int64)
     total_attack = int(is_attack.sum())
     # after cutting at position i (alpha = e[i]): predictions are rows > i
     attack_up_to = np.cumsum(is_attack)

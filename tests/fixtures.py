@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 
 from nidkit.dataset import CATEGORIES, LabeledDataset, parse_kdd_lines
-from nidkit.schema import BINARY, CATEGORICAL, DEFAULT_SCHEMA
+from nidkit.schema import CATEGORICAL, DEFAULT_SCHEMA
+
+# the 0/1 flag features: a category's blob sets each one to 1 or 0, never a drawn value
+_BINARY_FEATURES = ("land", "logged_in", "root_shell", "is_host_login", "is_guest_login")
 
 
 # Per-category blob centers on a handful of discriminative features; all
@@ -81,7 +84,7 @@ def make_fixture(n_per_class: int, seed: int) -> LabeledDataset:
             for e in DEFAULT_SCHEMA.entries:
                 if e.kind == CATEGORICAL:
                     fields.append(categorical[e.name])
-                elif e.kind == BINARY:
+                elif e.name in _BINARY_FEATURES:
                     fields.append("1" if e.name in on else "0")
                 else:
                     center = centers.get(e.name, 0.0)

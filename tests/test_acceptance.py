@@ -15,6 +15,7 @@ import pytest
 from nidkit import neural
 from nidkit.dataset import (
     ATTACK,
+    ATTACK_ID,
     binary_labels,
     categories,
     load_taxonomy,
@@ -218,14 +219,14 @@ def test_criterion_6d_softmax_invariants():
 def test_criterion_6e_confusion_conservation_macro_micro():
     rng = np.random.default_rng(9)
     classes = ("DoS", "Probe", "R2L", "U2R")
-    true = rng.choice(classes, size=400)
-    pred = rng.choice(classes, size=400)
+    true = rng.choice(len(classes), size=400)
+    pred = rng.choice(len(classes), size=400)
     cm = confusion(true, pred, classes)
     conserved = cm.total == 400 and (cm.counts.sum(axis=1) == np.array(
-        [(true == c).sum() for c in classes])).all()
+        [(true == c).sum() for c in range(len(classes))])).all()
     # equal supports force macro == micro
-    true_eq = np.repeat(classes, 50)
-    pred_eq = rng.choice(classes, size=200)
+    true_eq = np.repeat(np.arange(len(classes)), 50)
+    pred_eq = rng.choice(len(classes), size=200)
     report = multiclass_report(true_eq, pred_eq, classes)
     macro, micro = report.macro_f1, report.micro_f1
     ok = conserved and abs(macro - micro) < 1e-12
@@ -245,7 +246,7 @@ def test_criterion_6f_threshold_monotonicity():
         previous = None
         for alpha in ladder:
             det = AnomalyDetector(model=model, alpha=float(alpha), calibration={})
-            flagged = set(np.nonzero(verdict_array(det, values)[1] == ATTACK)[0].tolist())
+            flagged = set(np.nonzero(verdict_array(det, values)[1] == ATTACK_ID)[0].tolist())
             if previous is not None and not flagged <= previous:
                 violations += 1
             previous = flagged

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -17,15 +19,12 @@ from nidkit.resample import SmoteConfig, SvmSmoteConfig
 def _four_blobs(counts=(30, 20, 12, 8), d=6, seed=0, spread=0.3):
     rng = np.random.default_rng(seed)
     values, labels = [], []
-    for i, (cls, n) in enumerate(zip(CLASS_ORDER, counts)):
+    for i, n in enumerate(counts):  # attack id i
         center = np.zeros(d)
         center[i % d] = 8.0 * (i + 1)
         values.append(center + rng.normal(0.0, spread, size=(n, d)))
-        labels += [cls] * n
-    return FeatureMatrix(
-        values=np.vstack(values),
-        labels=np.array(labels, dtype=object),
-    )
+        labels += [i] * n
+    return FeatureMatrix(values=np.vstack(values), labels=np.array(labels))
 
 
 def _tcfg(**kw):
@@ -57,7 +56,7 @@ def test_train_fourclass_separable_fixture():
 
 def test_train_fourclass_missing_class_rejected():
     fm = _four_blobs()
-    keep = fm.labels != "U2R"
+    keep = fm.labels != CLASS_ORDER.index("U2R")
     fm2 = FeatureMatrix(values=fm.values[keep], labels=fm.labels[keep])
     with pytest.raises(ValueError, match="U2R"):
         train_fourclass(fm2, tcfg=_tcfg(), rng=_rng(), dnn=DnnConfig(input_dim=6, hidden_dim=8))
@@ -66,7 +65,7 @@ def test_train_fourclass_missing_class_rejected():
 def test_train_fourclass_rejects_foreign_labels():
     fm = _four_blobs()
     labels = fm.labels.copy()
-    labels[0] = "Normal"
+    labels[0] = len(CLASS_ORDER)
     foreign = FeatureMatrix(values=fm.values, labels=labels)
     with pytest.raises(ValueError, match="outside"):
         train_fourclass(foreign, tcfg=_tcfg(), rng=_rng(),
@@ -114,7 +113,7 @@ def test_train_fourclass_deterministic():
 
 
 def _evaluate(clf, fm):
-    return multiclass_report(fm.labels, predict(clf, fm.values)[0], clf.class_order)
+    return multiclass_report(fm.labels, predict(clf, fm.values)[0], CLASS_ORDER)
 
 
 def _uniform_classifier(d=4):
@@ -127,8 +126,8 @@ def _uniform_classifier(d=4):
 
 def test_predict_tie_breaks_to_lower_class_index():
     clf = _uniform_classifier()
-    cats, probs = predict(clf, np.ones((3, 4)))
-    assert (cats == "DoS").all()
+    ids, probs = predict(clf, np.ones((3, 4)))
+    assert (ids == 0).all()
     assert np.allclose(probs, 0.25)
 
 
@@ -168,20 +167,19 @@ def test_evaluate_row_sums_match_true_counts():
 
 
 def test_classifier_json_roundtrip():
-    fm = _four_blobs()
+    # an artifact holds a network over the 41 features
+    fm = _four_blobs(d=41)
     clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=3), rng=_rng(),
-                             dnn=DnnConfig(input_dim=6, hidden_dim=8))
+                             dnn=DnnConfig(hidden_dim=8))
     loaded = AttackClassifier.from_json(clf.to_json())
-    x = np.random.default_rng(5).normal(size=(10, 6))
+    x = np.random.default_rng(5).normal(size=(10, 41))
     c1, p1 = predict(clf, x)
     c2, p2 = predict(loaded, x)
     assert (c1 == c2).all() and (p1 == p2).all()
-    assert loaded.class_order == CLASS_ORDER
+    assert json.loads(clf.to_json())["class_order"] == list(CLASS_ORDER)
 
 
 def test_classifier_version_guard():
-    import json
-
     from nidkit.errors import VersionSkewError
 
     clf = _uniform_classifier()

@@ -1,12 +1,15 @@
 import json
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from nidkit import cli, neural, pipeline, preprocess
+from nidkit.classifier import DnnConfig
 from nidkit.cli import build_parser, build_config, main
 from nidkit.dataset import CATEGORIES, categorize, load_taxonomy
+from nidkit.detector import AutoencoderConfig
 from nidkit.errors import TrainingDivergedError
 from nidkit.pipeline import RunConfig
 
@@ -453,3 +456,94 @@ def test_reports_hold_per_epoch_loss_curves(tmp_path, data_files):
     for report in (binary, multi["plain"], multi["oversampled"]):
         assert len(report["train_loss"]) == len(report["val_loss"]) == report["epochs"]
         assert report["val_loss"][report["best_epoch"]] == min(report["val_loss"])
+
+
+@pytest.fixture(scope="module")
+def trained_out(tmp_path_factory, data_files):
+    """An --out directory holding the artifacts of one finished pipeline run."""
+    train, test = data_files
+    out = tmp_path_factory.mktemp("trained") / "out"
+    assert _run("pipeline", "--train", train, "--test", test, "--out", out, *FAST) == 0
+    return out
+
+
+def _network(layers):
+    return json.loads(neural.init_model(layers, np.random.default_rng(0)).to_json())
+
+
+# each case: the artifact to damage and its new text, from its parsed JSON
+UNREADABLE = {
+    "detector-not-json": ("detector.json", lambda doc: "{"),
+    "pipeline-not-json": ("pipeline.json", lambda doc: "not json"),
+    "detector-without-model": ("detector.json",
+                               lambda doc: {k: v for k, v in doc.items() if k != "model"}),
+    "classifier-without-model": ("classifier_oversampled.json",
+                                 lambda doc: {k: v for k, v in doc.items() if k != "model"}),
+    "pipeline-features-mistyped": ("pipeline.json", lambda doc: {**doc, "features": 5}),
+    "pipeline-nan-mean": ("pipeline.json", lambda doc: {
+        **doc, "features": [{**doc["features"][0], "mu": float("nan")}, *doc["features"][1:]]}),
+    "alpha-zero": ("detector.json", lambda doc: {**doc, "alpha": 0}),
+    "alpha-text": ("detector.json", lambda doc: {**doc, "alpha": "x"}),
+    "alpha-infinite": ("detector.json", lambda doc: {**doc, "alpha": float("inf")}),
+    "detector-nan-bias": ("detector.json", lambda doc: {**doc, "model": {
+        **doc["model"], "biases": [[float("nan")] * 15, doc["model"]["biases"][1]]}}),
+    "detector-narrow-network": ("detector.json", lambda doc: {
+        **doc, "model": _network(AutoencoderConfig(input_dim=8, hidden_dim=3).layers())}),
+    "classifier-narrow-network": ("classifier_oversampled.json", lambda doc: {
+        **doc, "model": _network(DnnConfig(input_dim=8).layers())}),
+    "classifier-five-outputs": ("classifier_oversampled.json", lambda doc: {
+        **doc, "model": _network(DnnConfig(output_dim=5).layers())}),
+    "class-order-of-three": ("classifier_oversampled.json",
+                             lambda doc: {**doc, "class_order": ["DoS", "Probe", "R2L"]}),
+    "class-order-naming-normal": ("classifier_oversampled.json", lambda doc: {
+        **doc, "class_order": ["Normal", "Probe", "R2L", "U2R"]}),
+    "class-order-permuted": ("classifier_oversampled.json", lambda doc: {
+        **doc, "class_order": ["Probe", "DoS", "R2L", "U2R"]}),
+    "oversampling-flag-text": ("classifier_oversampled.json",
+                               lambda doc: {**doc, "trained_with_oversampling": "yes"}),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_artifact_exits_3_and_leaves_out_unchanged(
+        tmp_path, data_files, trained_out, capsys, case):
+    _, test = data_files
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in trained_out.iterdir():
+        (out / path.name).write_bytes(path.read_bytes())
+    name, damage = UNREADABLE[case]
+    text = damage(json.loads((out / name).read_text()))
+    (out / name).write_text(text if isinstance(text, str) else json.dumps(text))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert _run("evaluate", "--test", test, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("nidkit: invalid data: ") and err.count("\n") == 1, err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_no_label_array_of_objects_reaches_np_unique(tmp_path, data_files, monkeypatch):
+    # past the parse, labels are integer ids: no stage sorts names again
+    train, test = data_files
+    unique = np.unique
+    calls = []
+
+    def spy(values, *args, **kwargs):
+        # the caller, or the function consuming the caller's generator
+        frame = sys._getframe(1)
+        callers = (frame.f_code.co_name, frame.f_back.f_code.co_name)
+        calls.append((np.asarray(values).dtype, callers))
+        return unique(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    out = tmp_path / "out"
+    common = ["--train", train, "--test", test, "--out", out, *FAST]
+    assert _run("pipeline", *common, "--oversample", "both") == 0
+    assert _run("baselines", *common) == 0
+    assert _run("evaluate", *common, "--oversample", "both") == 0
+    assert _run("explore", *common) == 0
+    assert calls
+    objects = [callers for dtype, callers in calls
+               if dtype == object and "parse_kdd_lines" not in callers]
+    assert objects == []

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nidkit import neural
-from nidkit.dataset import ATTACK, NORMAL
+from nidkit.dataset import ATTACK_ID, BINARY_CLASSES, NORMAL_ID
 from nidkit.detector import (
     AnomalyDetector,
     _best_f1_threshold,
@@ -22,12 +22,9 @@ from nidkit.preprocess import FeatureMatrix
 from .f1_oracle import best_f1_threshold
 
 
-def _fm(values, label=NORMAL):
+def _fm(values, label=NORMAL_ID):
     values = np.asarray(values, dtype=np.float64)
-    return FeatureMatrix(
-        values=values,
-        labels=np.array([label] * values.shape[0], dtype=object),
-    )
+    return FeatureMatrix(values=values, labels=np.full(values.shape[0], label))
 
 
 def _normal_blob(n=80, d=8, seed=0):
@@ -55,7 +52,7 @@ def test_autoencoder_config_shape():
 
 
 def test_train_on_normal_rejects_attacks():
-    fm = _fm(np.ones((4, 8)), label=ATTACK)
+    fm = _fm(np.ones((4, 8)), label=ATTACK_ID)
     with pytest.raises(ValueError, match="non-normal"):
         train_on_normal(fm, _small_ae_cfg(), TrainConfig(max_epochs=1),
                         np.random.default_rng(0), validation=fm)
@@ -135,13 +132,13 @@ def test_calibrate_quantile_uses_normal_rows():
 def test_calibrate_labeled_f1_separated():
     model = MlpModel([LayerSpec(1, 1, "identity")], [np.zeros((1, 1))], [np.zeros(1)])
     values = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
-    labels = np.array([NORMAL] * 3 + [ATTACK] * 3, dtype=object)
+    labels = np.array([NORMAL_ID] * 3 + [ATTACK_ID] * 3)
     fm = FeatureMatrix(values=values, labels=labels)
     alpha, info = calibrate_threshold(model, fm, method="labeled_f1")
     assert info["validation_f1"] == 1.0
     assert 9.0 <= alpha < 100.0  # any threshold between the populations
     errors = reconstruction_errors(model, values)
-    verdicts = np.where(errors > alpha, ATTACK, NORMAL)
+    verdicts = np.where(errors > alpha, ATTACK_ID, NORMAL_ID)
     assert (verdicts == labels).all()
 
 
@@ -154,8 +151,8 @@ def test_best_f1_threshold_matches_the_per_cut_oracle(data):
     n = draw(st.integers(1, 80))
     levels = draw(st.lists(st.floats(0.0, 50.0, allow_nan=False), min_size=1, max_size=6))
     errors = np.array(draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n)))
-    labels = np.array(draw(st.lists(st.sampled_from([NORMAL, ATTACK]), min_size=n, max_size=n)),
-                      dtype=object)
+    labels = np.array(draw(st.lists(st.sampled_from([NORMAL_ID, ATTACK_ID]),
+                                    min_size=n, max_size=n)))
     got = _best_f1_threshold(errors, labels)
     want = best_f1_threshold(errors, labels)
     assert got == want
@@ -164,7 +161,7 @@ def test_best_f1_threshold_matches_the_per_cut_oracle(data):
 def test_best_f1_threshold_tie_goes_to_the_smallest_alpha():
     # cutting at 1.0 or at 4.0 both give F1 = 2/3; the smaller alpha wins
     errors = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    labels = np.array([NORMAL, ATTACK, NORMAL, NORMAL, ATTACK], dtype=object)
+    labels = np.array([NORMAL_ID, ATTACK_ID, NORMAL_ID, NORMAL_ID, ATTACK_ID])
     assert _best_f1_threshold(errors, labels) == (1.0, 2.0 / 3.0)
 
 
@@ -176,7 +173,7 @@ def test_calibrate_labeled_f1_needs_both_classes():
 
 def test_calibrate_empty_validation():
     model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)])
-    empty = FeatureMatrix(values=np.empty((0, 1)), labels=np.array([], dtype=object))
+    empty = FeatureMatrix(values=np.empty((0, 1)), labels=np.array([], dtype=np.intp))
     with pytest.raises(ValueError, match="empty"):
         calibrate_threshold(model, empty)
 
@@ -189,7 +186,7 @@ def test_detect_boundary_is_normal():
     det = AnomalyDetector(model=_zero_model(), alpha=4.0, calibration={"method": "quantile"})
     # errors are x^2: 4.0 sits exactly on alpha -> normal; above -> attack
     errors, verdicts = verdict_array(det, np.array([[2.0], [2.0001], [1.0]]))
-    assert verdicts.tolist() == [NORMAL, ATTACK, NORMAL]
+    assert verdicts.tolist() == [NORMAL_ID, ATTACK_ID, NORMAL_ID]
     assert errors[0] == 4.0
 
 
@@ -202,7 +199,7 @@ def test_detect_monotone_in_alpha():
     previous = None
     for alpha in ladder:
         det = AnomalyDetector(model=model, alpha=float(alpha), calibration={})
-        flagged = set(np.nonzero(verdict_array(det, values)[1] == ATTACK)[0].tolist())
+        flagged = set(np.nonzero(verdict_array(det, values)[1] == ATTACK_ID)[0].tolist())
         if previous is not None:
             assert flagged <= previous
         previous = flagged
@@ -212,15 +209,16 @@ def test_verdict_consistent_with_stored_error():
     det = AnomalyDetector(model=_zero_model(3), alpha=1.5, calibration={})
     values = np.random.default_rng(8).normal(size=(30, 3))
     for e, v in zip(*verdict_array(det, values)):
-        assert v == (ATTACK if e > det.alpha else NORMAL)
+        assert v == (ATTACK_ID if e > det.alpha else NORMAL_ID)
 
 
 def test_detector_json_roundtrip_identical_verdicts():
+    # an artifact holds a network over the 41 features
     rng = np.random.default_rng(9)
-    model = neural.init_model(_small_ae_cfg().layers(), rng)
+    model = neural.init_model(AutoencoderConfig().layers(), rng)
     det = AnomalyDetector(model=model, alpha=2.5, calibration={"method": "quantile", "q": 0.95})
     loaded = AnomalyDetector.from_json(det.to_json())
-    values = rng.normal(size=(20, 8))
+    values = rng.normal(size=(20, 41))
     e1, v1 = verdict_array(det, values)
     e2, v2 = verdict_array(loaded, values)
     assert (e1 == e2).all() and (v1 == v2).all()
@@ -240,7 +238,7 @@ def test_detector_version_guard():
 
 
 def test_scores_csv_shape():
-    text = scores_to_csv(np.array([1.0, 2.0]), np.array([NORMAL, ATTACK], dtype=object))
+    text = scores_to_csv(np.array([1.0, 2.0]), np.array([NORMAL_ID, ATTACK_ID]))
     lines = text.splitlines()
     assert lines[0] == "row_index,reconstruction_error,verdict"
     assert lines[1].startswith("0,") and lines[1].endswith(",normal")
@@ -255,7 +253,7 @@ def test_scores_csv_errors_read_back_bit_for_bit():
     rows = [line.split(",") for line in scores_to_csv(errors, verdicts).splitlines()[1:]]
     assert [int(r[0]) for r in rows] == list(range(200))
     assert np.array([float(r[1]) for r in rows]).tobytes() == errors.tobytes()
-    assert [r[2] for r in rows] == verdicts.tolist()
+    assert [r[2] for r in rows] == [BINARY_CLASSES[v] for v in verdicts]
 
 
 def test_alpha_must_be_positive():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidkit.dataset import categories, parse_kdd_file, parse_kdd_lines
+from nidkit.dataset import category_ids, parse_kdd_file, parse_kdd_lines
 from nidkit.explore import (
     find_constant_features,
     histogram,
@@ -39,7 +39,7 @@ def _ds(duration_values, labels=None):
 
 def test_histogram_single_value_one_bin(taxonomy):
     ds = _ds([5, 5, 5, 5])
-    report = histogram(ds, categories(ds, taxonomy), "duration", bins=3)
+    report = histogram(ds, category_ids(ds, taxonomy), "duration", bins=3)
     total = sum(c.sum() for c in report.counts.values())
     per_bin = sum(report.counts.values())
     assert total == 4
@@ -49,19 +49,19 @@ def test_histogram_single_value_one_bin(taxonomy):
 
 def test_histogram_hand_binning(taxonomy):
     ds = _ds([0, 1, 2, 3])
-    report = histogram(ds, categories(ds, taxonomy), "duration", bins=2)
+    report = histogram(ds, category_ids(ds, taxonomy), "duration", bins=2)
     assert report.edges.tolist() == [0.0, 1.5, 3.0]
     assert report.counts["Normal"].tolist() == [2, 2]
 
 
 def test_histogram_last_bin_right_closed(taxonomy):
     ds = _ds([0, 10])
-    report = histogram(ds, categories(ds, taxonomy), "duration", bins=5)
+    report = histogram(ds, category_ids(ds, taxonomy), "duration", bins=5)
     assert report.counts["Normal"][-1] == 1  # the max lands inside, not past, the last bin
 
 
 def test_histogram_per_class_conservation(taxonomy, fixture_ds):
-    report = histogram(fixture_ds, categories(fixture_ds, taxonomy), "count", bins=7)
+    report = histogram(fixture_ds, category_ids(fixture_ds, taxonomy), "count", bins=7)
     for cat, counts in report.counts.items():
         assert counts.sum() == 30  # fixture rows per category
 
@@ -69,9 +69,9 @@ def test_histogram_per_class_conservation(taxonomy, fixture_ds):
 def test_histogram_rejects_bad_args(taxonomy):
     ds = _ds([1, 2])
     with pytest.raises(ValueError):
-        histogram(ds, categories(ds, taxonomy), "duration", bins=0)
+        histogram(ds, category_ids(ds, taxonomy), "duration", bins=0)
     with pytest.raises(KeyError):
-        histogram(ds, categories(ds, taxonomy), "no_such_feature")
+        histogram(ds, category_ids(ds, taxonomy), "no_such_feature")
 
 
 def test_pearson_self_and_linear():
@@ -119,7 +119,7 @@ def test_pearson_matrix_product_matches_pairwise_oracle(rows, cols, constant, se
 
 
 def test_scatter_rows_roundtrip(taxonomy, small_ds):
-    rows = scatter_rows(small_ds, "count", "serror_rate", categories(small_ds, taxonomy))
+    rows = scatter_rows(small_ds, "count", "serror_rate", category_ids(small_ds, taxonomy))
     assert len(rows) == len(small_ds)
     jx = DEFAULT_SCHEMA.index_of("count")
     jy = DEFAULT_SCHEMA.index_of("serror_rate")
@@ -133,7 +133,7 @@ def test_scatter_rows_roundtrip(taxonomy, small_ds):
 
 def test_scatter_unknown_feature(taxonomy, small_ds):
     with pytest.raises(KeyError):
-        scatter_rows(small_ds, "bogus", "count", categories(small_ds, taxonomy))
+        scatter_rows(small_ds, "bogus", "count", category_ids(small_ds, taxonomy))
 
 
 def test_explore_reads_values_not_spellings(tmp_path, taxonomy):
@@ -141,7 +141,7 @@ def test_explore_reads_values_not_spellings(tmp_path, taxonomy):
     path.write_text("\n".join(_lines(["0.00", "0"])) + "\n")
     ds = parse_kdd_file(path, split="train")
     assert ("duration", "0") in find_constant_features(ds).constant_features
-    rows = scatter_rows(ds, "duration", "protocol_type", categories(ds, taxonomy))
+    rows = scatter_rows(ds, "duration", "protocol_type", category_ids(ds, taxonomy))
     assert rows == [("0", "tcp", "Normal")] * 2
 
 
@@ -165,7 +165,7 @@ def test_real_train_constant_features():
 
 
 def test_write_exploration_outputs(tmp_path, taxonomy, fixture_ds):
-    files = write_exploration(fixture_ds, categories(fixture_ds, taxonomy), tmp_path / "explore")
+    files = write_exploration(fixture_ds, category_ids(fixture_ds, taxonomy), tmp_path / "explore")
     for path in files:
         assert path.exists()
     corr = (tmp_path / "explore" / "correlation.csv").read_text().splitlines()
@@ -173,7 +173,7 @@ def test_write_exploration_outputs(tmp_path, taxonomy, fixture_ds):
     assert corr[0].split(",")[1:] == list(DEFAULT_SCHEMA.names)
     # deterministic re-run: byte-identical artifacts
     before = {p: p.read_bytes() for p in files}
-    write_exploration(fixture_ds, categories(fixture_ds, taxonomy), tmp_path / "explore")
+    write_exploration(fixture_ds, category_ids(fixture_ds, taxonomy), tmp_path / "explore")
     for p, content in before.items():
         assert p.read_bytes() == content
 
@@ -193,5 +193,5 @@ def test_write_exploration_encodes_at_most_once(tmp_path, taxonomy, fixture_ds, 
     calls = []
     encode = explore.encode
     monkeypatch.setattr(explore, "encode", lambda *a, **k: calls.append(1) or encode(*a, **k))
-    write_exploration(fixture_ds, categories(fixture_ds, taxonomy), tmp_path / "explore")
+    write_exploration(fixture_ds, category_ids(fixture_ds, taxonomy), tmp_path / "explore")
     assert len(calls) == 1

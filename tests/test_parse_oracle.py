@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nidkit.dataset import (
     KddParseError,
-    categories,
+    category_ids,
     categorize,
     load_taxonomy,
     parse_kdd_file,
@@ -103,7 +103,7 @@ def test_columnar_parse_encode_transform_match_oracle(train_lines, test_lines, p
         train_records)
     jx, jy = pair
     names = DEFAULT_SCHEMA.names
-    assert scatter_rows(train, names[jx], names[jy], categories(train, TAXONOMY)) == [
+    assert scatter_rows(train, names[jx], names[jy], category_ids(train, TAXONOMY)) == [
         (oracle.spelled(r.features[jx], jx), oracle.spelled(r.features[jy], jy),
          categorize(r.label, TAXONOMY)) for r in train_records]
 

@@ -19,20 +19,17 @@ from .knn_oracle import knn
 
 
 def _labelled(values, labels):
-    return FeatureMatrix(
-        values=np.asarray(values, dtype=np.float64),
-        labels=np.asarray(labels, dtype=object),
-    )
+    return FeatureMatrix(values=np.asarray(values, dtype=np.float64), labels=np.asarray(labels))
 
 
-def _blobs(counts: dict, seed=0, spread=0.2, scale=10.0):
-    """Well-separated per-class Gaussian blobs in 2-D."""
+def _blobs(counts: tuple, seed=0, spread=0.2, scale=10.0):
+    """Well-separated Gaussian blobs in 2-D, ``counts[i]`` rows of class id i."""
     rng = np.random.default_rng(seed)
     values, labels = [], []
-    for i, (cls, n) in enumerate(sorted(counts.items())):
+    for i, n in enumerate(counts):
         center = np.array([scale * i, -scale * i])
         values.append(center + rng.normal(0.0, spread, size=(n, 2)))
-        labels += [cls] * n
+        labels += [i] * n
     return _labelled(np.vstack(values), labels)
 
 
@@ -174,7 +171,7 @@ def test_smote_deterministic():
 # --- SVM-SMOTE ----------------------------------------------------------------
 
 def test_svm_smote_balanced_input_is_identity():
-    fm = _blobs({"A": 10, "B": 10})
+    fm = _blobs((10, 10))
     rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
     assert rs.matrix.n_rows == 20
     assert not rs.synthetic_mask.any()
@@ -183,20 +180,20 @@ def test_svm_smote_balanced_input_is_identity():
 
 
 def test_svm_smote_fills_to_majority():
-    fm = _blobs({"A": 100, "B": 10})
+    fm = _blobs((100, 10))
     rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
-    assert rs.class_counts() == {"A": 100, "B": 100}
+    assert np.bincount(rs.matrix.labels).tolist() == [100, 100]
     assert int(rs.synthetic_mask.sum()) == 90
 
 
 def test_svm_smote_four_class_targets():
-    fm = _blobs({"DoS": 40, "Probe": 20, "R2L": 10, "U2R": 5})
+    fm = _blobs((40, 20, 10, 5))
     rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
-    assert rs.class_counts() == {"DoS": 40, "Probe": 40, "R2L": 40, "U2R": 40}
+    assert np.bincount(rs.matrix.labels).tolist() == [40, 40, 40, 40]
 
 
 def test_svm_smote_originals_first_bit_exact():
-    fm = _blobs({"A": 30, "B": 6})
+    fm = _blobs((30, 6))
     rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=2)))
     n = fm.n_rows
     assert not rs.synthetic_mask[:n].any()
@@ -206,7 +203,7 @@ def test_svm_smote_originals_first_bit_exact():
 
 
 def test_svm_smote_deterministic():
-    fm = _blobs({"A": 25, "B": 8}, seed=4)
+    fm = _blobs((25, 8), seed=4)
     cfg = SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3, seed=5))
     r1 = svm_smote(fm, cfg)
     r2 = svm_smote(fm, cfg)
@@ -216,13 +213,13 @@ def test_svm_smote_deterministic():
 
 
 def test_svm_smote_single_class_rejected():
-    fm = _labelled(np.ones((5, 2)), ["A"] * 5)
+    fm = _labelled(np.ones((5, 2)), [0] * 5)
     with pytest.raises(ValueError, match="2 classes"):
         svm_smote(fm, SvmSmoteConfig())
 
 
 def test_svm_smote_tiny_class_rejected():
-    fm = _blobs({"A": 10, "B": 1})
+    fm = _blobs((10, 1))
     with pytest.raises(ValueError, match="need >= 2"):
         svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=1)))
 
@@ -230,20 +227,20 @@ def test_svm_smote_tiny_class_rejected():
 def test_svm_smote_fallback_without_violators():
     # margins huge and the SVM trained hard: no violators remain, so the
     # class falls back to plain SMOTE (and says so in the log)
-    fm = _blobs({"A": 40, "B": 10}, spread=0.01, scale=1000.0)
+    fm = _blobs((40, 10), spread=0.01, scale=1000.0)
     cfg = SvmSmoteConfig(
         smote=SmoteConfig(k_neighbors=3, seed=1),
         svm=LinearSvmConfig(epochs=300, learning_rate=5.0, lam=1e-6),
     )
     rs = svm_smote(fm, cfg)
-    assert rs.class_counts() == {"A": 40, "B": 40}
-    assert any("fallback" in line for line in rs.log)
+    assert np.bincount(rs.matrix.labels).tolist() == [40, 40]
+    assert "fallback" in rs.log[1]
 
 
 def test_svm_smote_interpolated_synthetics_stay_in_class_box():
-    fm = _blobs({"A": 50, "B": 12}, seed=2)
+    fm = _blobs((50, 12), seed=2)
     rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3, seed=3)))
-    b_rows = fm.values[fm.labels == "B"]
+    b_rows = fm.values[fm.labels == 1]
     lo, hi = b_rows.min(axis=0), b_rows.max(axis=0)
     span = hi - lo
     synth = rs.matrix.values[rs.synthetic_mask]
@@ -259,7 +256,7 @@ def test_svm_smote_working_memory_is_bounded_by_its_result():
     rng = np.random.default_rng(0)
     values = np.vstack([rng.normal(0.0, 1.0, size=(8000, 41)),
                         rng.normal(0.3, 1.0, size=(4000, 41))])
-    fm = _labelled(values, ["A"] * 8000 + ["B"] * 4000)
+    fm = _labelled(values, [0] * 8000 + [1] * 4000)
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
@@ -268,7 +265,7 @@ def test_svm_smote_working_memory_is_bounded_by_its_result():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert int(rs.log[0].split()[2]) >= 256  # "class B: <n> borderline seeds ..."
+    assert int(rs.log[1].split()[0]) >= 256  # "<n> borderline seeds ..."
     assert peak - entry <= 3 * rs.matrix.values.nbytes
 
 

@@ -1,6 +1,6 @@
 """The benchmark tracer must still find every nidkit name it wraps, the
 count of settable values in ``src/nidkit`` only changes on purpose, and no
-command leaves a process running once it has exited."""
+command starts a process pool or leaves a process running once it has exited."""
 
 import ast
 import json
@@ -155,7 +155,20 @@ def test_settable_value_count_is_pinned():
     found = []
     for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
         found += [f"{path.stem}.{name}" for name in _settable_values(ast.parse(path.read_text()))]
-    assert len(found) == 70, found
+    assert len(found) == 68, found
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a worker pool and the resource tracker it starts come from these
+    # modules; a command that never imports them can leave no worker behind
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, nidkit.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _live_members(session: int) -> list[str]:
