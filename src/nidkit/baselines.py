@@ -20,9 +20,9 @@ upper value always go right. A forest's trees each draw from their own
 ``SeedSequence`` child and grow one after another in the calling
 process.
 
-Labels may be of any sortable kind (``nidkit baselines`` passes binary ids):
-class index ``i`` is the ``i``-th smallest label, and a model predicts labels
-of the kind it was fitted on.
+Labels are class ids 0..k-1 (``nidkit baselines`` passes binary ids) and
+every model predicts ids. The SVM, AdaBoost and gradient boosting take
+binary ids only, with id 1 the positive class.
 
 The linear SVM doubles as the borderline detector for SVM-SMOTE via
 its ``margin_violators`` (training rows with positive hinge loss at
@@ -40,6 +40,23 @@ import numpy as np
 # search here and of the neighbour search in ``resample``: a block never
 # grows with the row count.
 CELLS = 1 << 18
+
+
+def _class_ids(labels) -> tuple[np.ndarray, int]:
+    """(``labels`` as an intp array, class count k): ids are integers in
+    0..k-1, and the largest one sets k (``bincount`` rejects any other)."""
+    k = len(np.bincount(labels))
+    return np.asarray(labels, dtype=np.intp), k
+
+
+def _binary_ids(labels) -> np.ndarray:
+    """``labels`` as an intp array of binary ids; ValueError unless ids 0
+    and 1 both occur and nothing else does."""
+    labels = np.asarray(labels)
+    positive = labels == 1
+    if not ((positive | (labels == 0)).all() and 0 < positive.sum() < labels.size):
+        raise ValueError("labels must be the binary ids 0 and 1, both present")
+    return positive.astype(np.intp)
 
 
 # --- decision trees -------------------------------------------------------
@@ -246,14 +263,13 @@ def _route_leaves(root: _Node, data: np.ndarray) -> list[tuple[_Node, np.ndarray
 @dataclass
 class DecisionTree:
     root: _Node
-    classes: tuple
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
         out = np.empty(data.shape[0], dtype=np.intp)
         for node, rows in _route_leaves(self.root, data):
             out[rows] = node.value
-        return np.asarray(self.classes)[out]
+        return out
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """Leaf id per row."""
@@ -266,16 +282,15 @@ class DecisionTree:
 def fit_tree(
     data: np.ndarray, labels, cfg: DecisionTreeConfig = DecisionTreeConfig()
 ) -> DecisionTree:
-    """Greedy Gini tree; leaves store the majority class."""
+    """Greedy Gini tree; leaves store the majority class id."""
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels)
     if data.shape[0] < 1:
         raise ValueError("need at least one row")
-    classes, class_ids = np.unique(labels, return_inverse=True)
-    stats = _class_stats(class_ids, np.ones(len(labels)), len(classes))
+    class_ids, k = _class_ids(labels)
+    stats = _class_stats(class_ids, np.ones(len(class_ids)), k)
     grower = _TreeGrower(np.ascontiguousarray(data.T), cfg.max_depth, stats,
                          _gini_scores, _gini_leaf)
-    return DecisionTree(root=grower.grow(_presort(data)), classes=tuple(classes))
+    return DecisionTree(root=grower.grow(_presort(data)))
 
 
 # --- random forest --------------------------------------------------------
@@ -297,16 +312,15 @@ class ForestConfig:
 @dataclass
 class RandomForest:
     trees: list[DecisionTree]
-    classes: tuple
+    n_classes: int
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
-        votes = np.zeros((data.shape[0], len(self.classes)), dtype=np.int64)
-        for tree in self.trees:  # every tree indexes the forest's classes
+        votes = np.zeros((data.shape[0], self.n_classes), dtype=np.int64)
+        for tree in self.trees:
             for node, rows in _route_leaves(tree.root, data):
                 votes[rows, node.value] += 1
-        winners = np.argmax(votes, axis=1)  # ties -> lower class index
-        return np.asarray(self.classes)[winners]
+        return np.argmax(votes, axis=1)  # ties -> lower class id
 
 
 def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> RandomForest:
@@ -317,11 +331,10 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
     calling process.
     """
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels)
     if data.shape[0] < 1:
         raise ValueError("need at least one row")
     n, d = data.shape
-    classes, class_ids = np.unique(labels, return_inverse=True)
+    class_ids, k = _class_ids(labels)
     max_features = min(cfg.max_features if cfg.max_features is not None
                        else int(round(np.sqrt(d))), d)
     data_t, presorted = np.ascontiguousarray(data.T), _presort(data)
@@ -335,10 +348,10 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
         else:
             weights, orders = np.ones(n), presorted
         grower = _TreeGrower(data_t, DecisionTreeConfig().max_depth,
-                             _class_stats(class_ids, weights, len(classes)),
+                             _class_stats(class_ids, weights, k),
                              _gini_scores, _gini_leaf, max_features, rng)
-        trees.append(DecisionTree(root=grower.grow(orders), classes=tuple(classes)))
-    return RandomForest(trees=trees, classes=tuple(classes))
+        trees.append(DecisionTree(root=grower.grow(orders)))
+    return RandomForest(trees=trees, n_classes=k)
 
 
 # --- Gaussian naive Bayes ---------------------------------------------------
@@ -348,15 +361,14 @@ VARIANCE_FLOOR = 1e-9
 
 @dataclass
 class GaussianNB:
-    classes: tuple
     priors: np.ndarray     # (k,)
     means: np.ndarray      # (k, d)
     variances: np.ndarray  # (k, d), floored
 
     def log_posteriors(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
-        out = np.empty((data.shape[0], len(self.classes)))
-        for i in range(len(self.classes)):
+        out = np.empty((data.shape[0], len(self.priors)))
+        for i in range(len(self.priors)):
             diff = data - self.means[i]
             out[:, i] = (
                 np.log(self.priors[i])
@@ -366,25 +378,24 @@ class GaussianNB:
         return out
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        return np.asarray(self.classes)[np.argmax(self.log_posteriors(data), axis=1)]
+        return np.argmax(self.log_posteriors(data), axis=1)
 
 
 def fit_gnb(data: np.ndarray, labels) -> GaussianNB:
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = tuple(np.unique(labels))
-    k, d = len(classes), data.shape[1]
+    class_ids, k = _class_ids(labels)
+    d = data.shape[1]
     priors = np.empty(k)
     means = np.empty((k, d))
     variances = np.empty((k, d))
-    for i, c in enumerate(classes):
-        rows = data[labels == c]
+    for i in range(k):
+        rows = data[class_ids == i]
         if rows.shape[0] < 1:
-            raise ValueError(f"class {c!r} has no rows")
+            raise ValueError(f"class id {i} has no rows")
         priors[i] = rows.shape[0] / data.shape[0]
         means[i] = rows.mean(axis=0)
         variances[i] = np.maximum(rows.var(axis=0), VARIANCE_FLOOR)
-    return GaussianNB(classes=classes, priors=priors, means=means, variances=variances)
+    return GaussianNB(priors=priors, means=means, variances=variances)
 
 
 # --- linear SVM -------------------------------------------------------------
@@ -416,22 +427,19 @@ class LinearSvm:
         return np.asarray(data, dtype=np.float64) @ self.w + self.b
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        """Signs in {-1, +1}; the boundary itself goes to -1."""
-        return np.where(self.decision(data) > 0, 1, -1)
+        """Binary ids; the boundary itself goes to id 0."""
+        return (self.decision(data) > 0).astype(np.intp)
 
 
 def fit_linear_svm(data: np.ndarray, labels, cfg: LinearSvmConfig = LinearSvmConfig()) -> LinearSvm:
-    """Primal hinge loss + lam*||w||^2, minibatch subgradient, epoch-decayed step.
+    """Primal hinge loss + lam*||w||^2, minibatch subgradient, epoch-decayed step,
+    on binary ids with id 1 on the positive side.
 
     Optimizes on mean-centered features (the bias dimension conditions
     badly otherwise); the shift is folded back into the stored intercept.
     """
     data = np.asarray(data, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if set(np.unique(y)) - {-1.0, 1.0}:
-        raise ValueError("labels must be in {-1, +1}")
-    if len(np.unique(y)) < 2:
-        raise ValueError("both classes must be present")
+    y = np.where(_binary_ids(labels) == 1, 1.0, -1.0)
     n, d = data.shape
     center = data.mean(axis=0)
     centered = data - center
@@ -473,7 +481,6 @@ class AdaBoostConfig:
 class AdaBoost:
     stumps: list[DecisionTree]
     alphas: list[float]
-    classes: tuple  # classes[0] -> -1, classes[1] -> +1
 
     def decision(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
@@ -483,11 +490,11 @@ class AdaBoost:
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        return np.asarray(self.classes)[(self.decision(data) > 0).astype(np.intp)]
+        return (self.decision(data) > 0).astype(np.intp)
 
 
 def _stump_votes(stump: DecisionTree, data: np.ndarray) -> np.ndarray:
-    """+1 on rows whose leaf holds class index 1, -1 elsewhere."""
+    """+1 on rows whose leaf holds id 1, -1 elsewhere."""
     votes = np.empty(data.shape[0])
     for node, rows in _route_leaves(stump.root, data):
         votes[rows] = 1.0 if node.value == 1 else -1.0
@@ -502,10 +509,7 @@ def stump_weight(err: float) -> float:
 
 def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig()) -> AdaBoost:
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes, class_ids = np.unique(labels, return_inverse=True)
-    if len(classes) != 2:
-        raise ValueError("AdaBoost needs binary labels")
+    class_ids = _binary_ids(labels)
     y = np.where(class_ids == 1, 1.0, -1.0)
     n = data.shape[0]
     orders = _presort(data)
@@ -514,7 +518,7 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
     def fit_stump(weights):
         grower = _TreeGrower(data_t, 1, _class_stats(class_ids, weights, 2),
                              _gini_scores, _gini_leaf)
-        return DecisionTree(root=grower.grow(orders), classes=tuple(classes))
+        return DecisionTree(root=grower.grow(orders))
 
     weights = np.full(n, 1.0 / n)
     stumps: list[DecisionTree] = []
@@ -536,7 +540,7 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
         # degenerate data: fall back to the single best stump regardless of err
         stumps = [fit_stump(weights)]
         alphas = [0.0]
-    return AdaBoost(stumps=stumps, alphas=alphas, classes=tuple(classes))
+    return AdaBoost(stumps=stumps, alphas=alphas)
 
 
 # --- gradient boosting --------------------------------------------------------
@@ -568,7 +572,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class GradientBoost:
     f0: float
     trees: list[tuple[DecisionTree, np.ndarray]]  # (tree, per-leaf additive value)
-    classes: tuple  # classes[0] -> score <= 0, classes[1] -> score > 0
 
     def decision(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=np.float64)
@@ -578,7 +581,7 @@ class GradientBoost:
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        return np.asarray(self.classes)[(self.decision(data) > 0).astype(np.intp)]
+        return (self.decision(data) > 0).astype(np.intp)  # id 1 where score > 0
 
 
 def fit_gradient_boost(
@@ -586,11 +589,7 @@ def fit_gradient_boost(
 ) -> GradientBoost:
     """Additive regression trees on logistic-loss gradients, Newton leaf steps."""
     data = np.asarray(data, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes, class_ids = np.unique(labels, return_inverse=True)
-    if len(classes) != 2:
-        raise ValueError("gradient boosting needs binary labels")
-    y = class_ids.astype(np.float64)  # classes[1] -> 1
+    y = _binary_ids(labels).astype(np.float64)
     p0 = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
     f0 = float(np.log(p0 / (1.0 - p0)))
     scores = np.full(data.shape[0], f0)
@@ -602,7 +601,7 @@ def fit_gradient_boost(
         residual = y - prob
         stats = np.column_stack((residual, residual * residual))
         grower = _TreeGrower(data_t, GB_MAX_DEPTH, stats, _sse_scores, _sse_leaf)
-        tree = DecisionTree(root=grower.grow(orders), classes=tuple(classes))
+        tree = DecisionTree(root=grower.grow(orders))
         leaf_of_row = tree.apply(data)
         n_leaves = grower.n_leaves
         num = np.bincount(leaf_of_row, weights=residual, minlength=n_leaves)
@@ -610,4 +609,4 @@ def fit_gradient_boost(
         leaf_values = num / np.maximum(den, 1e-12)
         trees.append((tree, leaf_values))
         scores = scores + GB_LEARNING_RATE * leaf_values[leaf_of_row]
-    return GradientBoost(f0=f0, trees=trees, classes=tuple(classes))
+    return GradientBoost(f0=f0, trees=trees)

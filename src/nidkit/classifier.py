@@ -4,7 +4,8 @@ The network is 41 -> 80 (ReLU) -> 4 (softmax) with cross-entropy loss.
 Class indices are fixed as DoS=0, Probe=1, R2L=2, U2R=3. Oversampling,
 when requested, happens strictly after the train/validation split and
 only on the training rows. The MLP baseline trains through the same
-``train_network`` path, as a 41 -> 80 -> 2 network over the binary ids.
+``train_network`` path and the same ``_stratified_split``, as a
+41 -> 80 -> 2 network over the binary ids.
 Labels are attack ids (see ``dataset``); only the training report names them.
 """
 
@@ -124,15 +125,15 @@ def train_network(
     dnn: DnnConfig,
     tcfg: neural.TrainConfig,
     rng: np.random.Generator,
-    validation: tuple[np.ndarray, np.ndarray] | None = None,
+    validation: tuple[np.ndarray, np.ndarray],
 ) -> tuple[neural.MlpModel, neural.TrainHistory]:
     """Initialize the ``dnn`` network from ``rng`` and train it on one-hot
-    targets of the class ids ``labels``. ``validation`` is a (values, ids)
-    pair; without it ``neural.train`` splits off its own validation rows."""
+    targets of the class ids ``labels``, early-stopping on ``validation``, a
+    (values, ids) pair drawn by ``_stratified_split`` (empty: the training rows)."""
     model = neural.init_model(dnn.layers(), rng)
     one_hot = np.eye(dnn.output_dim)  # row i: the target of class id i
-    val = None if validation is None else (validation[0], one_hot[validation[1]])
-    return neural.train(model, data, one_hot[labels], tcfg, rng, validation=val)
+    return neural.train(model, data, one_hot[labels], tcfg, rng,
+                        validation=(validation[0], one_hot[validation[1]]))
 
 
 def train_fourclass(
@@ -148,10 +149,7 @@ def train_fourclass(
 
     train_idx, val_idx = _stratified_split(labels, tcfg.val_fraction, rng)
     train_x, train_labels = attacks.values[train_idx], labels[train_idx]
-    if val_idx.size == 0:
-        val_x, val_labels = train_x, train_labels
-    else:
-        val_x, val_labels = attacks.values[val_idx], labels[val_idx]
+    val_x, val_labels = attacks.values[val_idx], labels[val_idx]
 
     info: dict = {
         "class_counts_before": _named_counts(train_labels),

@@ -4,7 +4,8 @@ Supports exactly what the two networks in this toolkit need: ReLU /
 SeLU / softmax / identity activations, additive Gaussian input noise
 and inverted dropout (applied only when the forward pass is given an
 rng), bias-corrected Adam over one flat parameter buffer, shuffled
-mini-batches, and early stopping on a validation split. The output
+mini-batches, and early stopping on the validation rows the caller
+hands in (``classifier._stratified_split`` chooses them). The output
 layer picks the loss: cross-entropy after a softmax, MSE otherwise.
 Everything is float64 and deterministic given a seed: all randomness
 flows through an explicit ``numpy.random.Generator`` and the draw order
@@ -350,35 +351,21 @@ def train(
     targets: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
-    validation: tuple[np.ndarray, np.ndarray] | None = None,
+    validation: tuple[np.ndarray, np.ndarray],
 ) -> tuple[MlpModel, TrainHistory]:
     """Mini-batch Adam with early stopping; returns the best-validation model.
 
-    Without an explicit ``validation`` pair, ``cfg.val_fraction`` of the
-    rows is split off, shuffled by ``rng``. The input model is left
-    untouched; the returned model is frozen with the parameters of the
-    best validation epoch.
+    ``validation`` is the caller's (values, targets) pair; an empty pair
+    validates on the training rows. The input model is left untouched; the
+    returned model is frozen with the parameters of the best validation epoch.
     """
-    data = np.asarray(data, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if data.shape[0] == 0:
+    train_x = np.asarray(data, dtype=np.float64)
+    train_t = np.asarray(targets, dtype=np.float64)
+    if train_x.shape[0] == 0:
         raise ValueError("empty training data")
-    if data.shape[0] != targets.shape[0]:
+    if train_x.shape[0] != train_t.shape[0]:
         raise ValueError("data/target row mismatch")
-
-    if validation is not None:
-        train_x, train_t = data, targets
-        val_x, val_t = validation
-    elif data.shape[0] == 1:
-        train_x, train_t = data, targets
-        val_x, val_t = data, targets
-    else:
-        n = data.shape[0]
-        n_val = min(max(1, int(round(n * cfg.val_fraction))), n - 1)
-        perm = rng.permutation(n)
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
-        train_x, train_t = data[train_idx], targets[train_idx]
-        val_x, val_t = data[val_idx], targets[val_idx]
+    val_x, val_t = validation if len(validation[0]) else (train_x, train_t)
 
     work = model.copy()
     kind = "cross_entropy" if work.layers[-1].activation == "softmax" else "mse"

@@ -89,6 +89,10 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("calibration_q", "val_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.calibration not in ("quantile", "labeled_f1"):
@@ -464,14 +468,16 @@ def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfi
     binary ids ``labels``; ``name`` is one of BASELINE_NAMES (``RunConfig``
     checks)."""
     if name == "svm":
-        y = np.where(labels == ATTACK_ID, 1.0, -1.0)
-        svm = bl.fit_linear_svm(data, y, bl.LinearSvmConfig(seed=cfg.seed))
-        return lambda values: np.where(svm.predict(values) > 0, ATTACK_ID, NORMAL_ID)
+        return bl.fit_linear_svm(data, labels, bl.LinearSvmConfig(seed=cfg.seed)).predict
     if name == "mlp":
-        # the stage-2 network, 41-80-2 over the binary ids
+        # the stage-2 network, 41-80-2 over the binary ids, early-stopping on
+        # the one stratified split
+        rng = np.random.default_rng(cfg.seed + 29)
+        train_idx, val_idx = clf_mod._stratified_split(labels, cfg.val_fraction, rng)
         dnn = clf_mod.DnnConfig(input_dim=data.shape[1], output_dim=len(BINARY_CLASSES))
-        model, _ = clf_mod.train_network(data, labels, dnn, cfg.train_config(),
-                                         np.random.default_rng(cfg.seed + 29))
+        model, _ = clf_mod.train_network(data[train_idx], labels[train_idx], dnn,
+                                         cfg.train_config(), rng,
+                                         validation=(data[val_idx], labels[val_idx]))
         return lambda values: np.argmax(neural.forward(model, values)[0], axis=1)
     if name == "random_forest":
         return bl.fit_forest(data, labels, bl.ForestConfig(seed=cfg.seed)).predict

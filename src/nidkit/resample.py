@@ -166,8 +166,7 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
         member_idx = np.nonzero(labels == cls)[0]
         members = values[member_idx]
         k_eff = min(cfg.smote.k_neighbors, n_cls - 1)
-        y = np.where(labels == cls, 1.0, -1.0)
-        svm = fit_linear_svm(values, y, cfg.svm)
+        svm = fit_linear_svm(values, labels == cls, cfg.svm)
         seed_rows = np.intersect1d(svm.margin_violators, member_idx)
         if seed_rows.size == 0:
             log[cls] = f"no margin violators, plain SMOTE fallback over {n_cls} rows"

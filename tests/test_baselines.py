@@ -27,7 +27,8 @@ from nidkit.baselines import (
     fit_tree,
     stump_weight,
 )
-from nidkit.classifier import AttackClassifier, DnnConfig, predict, train_network
+from nidkit.classifier import (AttackClassifier, DnnConfig, _stratified_split, predict,
+                               train_network)
 from nidkit.neural import TrainConfig
 
 from . import split_oracle
@@ -48,7 +49,7 @@ def _two_blobs(n=40, d=3, gap=6.0, seed=0):
     b = rng.normal(0.0, 0.5, size=(n // 2, d))
     b[:, 0] += gap
     data = np.vstack([a, b])
-    labels = np.array(["neg"] * (n // 2) + ["pos"] * (n // 2), dtype=object)
+    labels = np.array([0] * (n // 2) + [1] * (n // 2))
     return data, labels
 
 
@@ -60,17 +61,17 @@ def test_gini_fifty_fifty():
 
 
 def test_tree_pure_data_single_leaf():
-    tree = fit_tree(np.random.default_rng(0).normal(size=(10, 3)), ["A"] * 10)
+    tree = fit_tree(np.random.default_rng(0).normal(size=(10, 3)), [0] * 10)
     assert tree.root.is_leaf
-    assert (tree.predict(np.zeros((4, 3))) == "A").all()
+    assert (tree.predict(np.zeros((4, 3))) == 0).all()
 
 
 def test_tree_one_dim_split_at_midpoint():
-    tree = fit_tree(np.array([[0.0], [1.0]]), ["A", "B"])
+    tree = fit_tree(np.array([[0.0], [1.0]]), [0, 1])
     assert not tree.root.is_leaf
     assert tree.root.feature == 0
     assert tree.root.threshold == 0.5
-    assert tree.predict(np.array([[0.2], [0.8]])).tolist() == ["A", "B"]
+    assert tree.predict(np.array([[0.2], [0.8]])).tolist() == [0, 1]
 
 
 def test_tree_threshold_between_adjacent_doubles_keeps_upper_rows_right():
@@ -79,9 +80,9 @@ def test_tree_threshold_between_adjacent_doubles_keeps_upper_rows_right():
     lo, hi = 1.0 + 2.0**-52, 1.0 + 2.0**-51
     assert (lo + hi) / 2.0 == hi
     data = np.array([[lo], [hi]])
-    tree = fit_tree(data, ["x", "y"])
+    tree = fit_tree(data, [0, 1])
     assert tree.root.threshold == lo
-    assert tree.predict(data).tolist() == ["x", "y"]
+    assert tree.predict(data).tolist() == [0, 1]
     stats = _class_stats(np.array([0, 1]), np.ones(2), 2)
     assert split_oracle.best_split(data, stats, _presort(data), np.array([0]),
                                    split_oracle.gini_scores) == (0, lo, 1)
@@ -110,7 +111,7 @@ def test_tree_root_split_matches_exhaustive_oracle():
     rng = np.random.default_rng(7)
     for trial in range(10):
         data = rng.normal(size=(30, 3)).round(1)  # coarse values force ties
-        labels = np.array(rng.choice(["A", "B"], size=30), dtype=object)
+        labels = rng.choice(2, size=30)
         if len(set(labels)) < 2:
             continue
         tree = fit_tree(data, labels, DecisionTreeConfig(max_depth=1))
@@ -119,9 +120,9 @@ def test_tree_root_split_matches_exhaustive_oracle():
         got_left = data[:, tree.root.feature] <= tree.root.threshold
         got_score = (
             got_left.sum() * gini_impurity(np.array([
-                (labels[got_left] == "A").sum(), (labels[got_left] == "B").sum()], float))
+                (labels[got_left] == 0).sum(), (labels[got_left] == 1).sum()], float))
             + (~got_left).sum() * gini_impurity(np.array([
-                (labels[~got_left] == "A").sum(), (labels[~got_left] == "B").sum()], float))
+                (labels[~got_left] == 0).sum(), (labels[~got_left] == 1).sum()], float))
         ) / 30
         assert got_score == pytest.approx(score, abs=1e-12)
 
@@ -129,14 +130,14 @@ def test_tree_root_split_matches_exhaustive_oracle():
 def test_tree_path_replay_oracle():
     rng = np.random.default_rng(3)
     data = rng.normal(size=(60, 4))
-    labels = np.array(rng.choice(["x", "y"], size=60), dtype=object)
+    labels = rng.choice(2, size=60)
     tree = fit_tree(data, labels, DecisionTreeConfig(max_depth=5))
 
     def walk(row):
         node = tree.root
         while not node.is_leaf:
             node = node.left if row[node.feature] <= node.threshold else node.right
-        return tree.classes[node.value]
+        return node.value
 
     probe = rng.normal(size=(25, 4))
     assert tree.predict(probe).tolist() == [walk(r) for r in probe]
@@ -236,10 +237,10 @@ def _golden_data():
     rng = np.random.default_rng(20240)
     data = rng.integers(0, 4, size=(160, 5)).astype(np.float64) / 2.0
     score = data[:, 0] - data[:, 1] + 0.5 * data[:, 2] + rng.normal(0.0, 0.6, size=160)
-    three = np.array(["a", "b", "c"], dtype=object)[np.digitize(score, [-0.5, 0.5])]
-    two = np.where(score > 0.0, "p", "n").astype(object)
-    step = np.where((data[:, 0] > 1.0) | ((data[:, 0] == 1.0) & (score > 0.5)), "p", "n")
-    return data, three, two, step.astype(object)
+    three = np.digitize(score, [-0.5, 0.5])
+    two = (score > 0.0).astype(np.intp)
+    step = ((data[:, 0] > 1.0) | ((data[:, 0] == 1.0) & (score > 0.5))).astype(np.intp)
+    return data, three, two, step
 
 
 def _tree_digest(roots, with_value=True, extra=()):
@@ -300,11 +301,11 @@ def test_forest_degenerate_equals_tree():
 def test_forest_majority_vote_with_tie_rule():
     leaf_a = _Node(value=0)
     leaf_b = _Node(value=1)
-    mk = lambda leaf: DecisionTree(root=leaf, classes=("A", "B"))
-    forest = RandomForest(trees=[mk(leaf_a), mk(leaf_a), mk(leaf_b)], classes=("A", "B"))
-    assert forest.predict(np.zeros((2, 1))).tolist() == ["A", "A"]
-    tied = RandomForest(trees=[mk(leaf_a), mk(leaf_b)], classes=("A", "B"))
-    assert tied.predict(np.zeros((1, 1))).tolist() == ["A"]  # tie -> lower index
+    mk = lambda leaf: DecisionTree(root=leaf)
+    forest = RandomForest(trees=[mk(leaf_a), mk(leaf_a), mk(leaf_b)], n_classes=2)
+    assert forest.predict(np.zeros((2, 1))).tolist() == [0, 0]
+    tied = RandomForest(trees=[mk(leaf_a), mk(leaf_b)], n_classes=2)
+    assert tied.predict(np.zeros((1, 1))).tolist() == [0]  # tie -> lower id
 
 
 def test_forest_deterministic_per_seed():
@@ -330,54 +331,51 @@ def test_forest_rejects_bad_input_before_growing(max_features, rows, message):
 
 def test_gnb_symmetric_blob_boundary_at_midpoint():
     data = np.array([[0.0], [0.2], [-0.2], [2.0], [2.2], [1.8]])
-    labels = np.array(["a", "a", "a", "b", "b", "b"], dtype=object)
+    labels = np.array([0, 0, 0, 1, 1, 1])
     gnb = fit_gnb(data, labels)
-    assert gnb.predict(np.array([[0.99]]))[0] == "a"
-    assert gnb.predict(np.array([[1.01]]))[0] == "b"
+    assert gnb.predict(np.array([[0.99]]))[0] == 0
+    assert gnb.predict(np.array([[1.01]]))[0] == 1
 
 
 def test_gnb_prior_decides_on_equal_likelihood():
     data = np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0], [0.0], [1.0]])
-    labels = np.array(["a"] * 6 + ["b"] * 2, dtype=object)
+    labels = np.array([0] * 6 + [1] * 2)
     gnb = fit_gnb(data, labels)
     # identical per-class distributions: {0,1} shows up the same way, so
     # only the prior differs
     assert gnb.means[0] == pytest.approx(gnb.means[1])
-    assert gnb.predict(np.array([[0.5]]))[0] == "a"
+    assert gnb.predict(np.array([[0.5]]))[0] == 0
 
 
 def test_gnb_variance_floor_on_constant_feature():
     data = np.array([[1.0, 5.0], [1.0, 6.0], [1.0, 0.0], [1.0, 1.0]])
-    labels = np.array(["a", "a", "b", "b"], dtype=object)
+    labels = np.array([0, 0, 1, 1])
     gnb = fit_gnb(data, labels)
     assert (gnb.variances >= 1e-9).all()
     out = gnb.predict(np.array([[1.0, 5.5], [1.0, 0.5]]))
-    assert out.tolist() == ["a", "b"]
+    assert out.tolist() == [0, 1]
 
 
 # --- linear SVM ------------------------------------------------------------------
 
 def test_svm_separable_blobs_perfect_training_accuracy():
     data, labels = _two_blobs(n=60, gap=8.0, seed=6)
-    y = np.where(labels == "pos", 1.0, -1.0)
-    svm = fit_linear_svm(data, y, LinearSvmConfig(seed=0))
-    assert (svm.predict(data) == y).all()
+    svm = fit_linear_svm(data, labels, LinearSvmConfig(seed=0))
+    assert (svm.predict(data) == labels).all()
 
 
 def test_svm_deterministic_per_seed():
     data, labels = _two_blobs(seed=7)
-    y = np.where(labels == "pos", 1.0, -1.0)
-    a = fit_linear_svm(data, y, LinearSvmConfig(seed=3))
-    b = fit_linear_svm(data, y, LinearSvmConfig(seed=3))
+    a = fit_linear_svm(data, labels, LinearSvmConfig(seed=3))
+    b = fit_linear_svm(data, labels, LinearSvmConfig(seed=3))
     assert (a.w == b.w).all() and a.b == b.b
     assert (a.margin_violators == b.margin_violators).all()
 
 
 def test_svm_wrong_side_point_is_margin_violator():
     data, labels = _two_blobs(n=40, gap=10.0, seed=8)
-    y = np.where(labels == "pos", 1.0, -1.0)
-    y[0] = 1.0  # mislabel one far-negative point
-    svm = fit_linear_svm(data, y, LinearSvmConfig(seed=1))
+    labels[0] = 1  # mislabel one far-negative point
+    svm = fit_linear_svm(data, labels, LinearSvmConfig(seed=1))
     assert 0 in svm.margin_violators
 
 
@@ -387,8 +385,8 @@ def test_svm_single_class_rejected():
 
 
 def test_svm_rejects_bad_labels():
-    with pytest.raises(ValueError, match="-1"):
-        fit_linear_svm(np.ones((4, 2)), np.array([0.0, 1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="binary ids"):
+        fit_linear_svm(np.ones((4, 2)), np.array([-1, 1, -1, 1]))
 
 
 # --- AdaBoost ----------------------------------------------------------------------
@@ -410,13 +408,13 @@ def test_adaboost_weights_stay_distribution():
     # round; each round's weighted error must then give exactly its alpha
     rng = np.random.default_rng(10)
     data = rng.normal(size=(50, 3))
-    labels = np.array(rng.choice(["a", "b"], size=50), dtype=object)
+    labels = rng.choice(2, size=50)
     boost = fit_adaboost(data, labels, AdaBoostConfig(n_rounds=12))
     assert len(boost.stumps) > 1
-    y = np.where(labels == boost.classes[1], 1.0, -1.0)
+    y = np.where(labels == 1, 1.0, -1.0)
     weights = np.full(len(labels), 1.0 / len(labels))
     for stump, alpha in zip(boost.stumps, boost.alphas):
-        pred = np.where(stump.predict(data) == boost.classes[1], 1.0, -1.0)
+        pred = np.where(stump.predict(data) == 1, 1.0, -1.0)
         err = float(weights[pred != y].sum())
         assert alpha == stump_weight(err)
         weights = weights * np.exp(-alpha * y * pred)
@@ -426,7 +424,7 @@ def test_adaboost_weights_stay_distribution():
 def test_adaboost_stops_when_no_stump_beats_chance():
     # one feature value, two balanced classes: any stump has err = 0.5
     data = np.zeros((4, 1))
-    labels = np.array(["a", "b", "a", "b"], dtype=object)
+    labels = np.array([0, 1, 0, 1])
     boost = fit_adaboost(data, labels, AdaBoostConfig(n_rounds=10))
     assert len(boost.stumps) == 1  # fallback stump, no useful rounds
     assert boost.alphas == [0.0]
@@ -443,10 +441,10 @@ def test_adaboost_perfect_stump_stops_early():
 
 def test_gradient_boost_zero_rounds_prior_sign():
     data = np.random.default_rng(12).normal(size=(10, 2))
-    labels = np.array(["a"] * 7 + ["b"] * 3, dtype=object)
+    labels = np.array([0] * 7 + [1] * 3)
     model = fit_gradient_boost(data, labels, GradientBoostConfig(n_rounds=0))
     assert model.f0 == pytest.approx(np.log(0.3 / 0.7), abs=1e-12)
-    assert (model.predict(data) == "a").all()  # majority prior
+    assert (model.predict(data) == 0).all()  # majority prior
 
 
 def test_gradient_boost_learns_separable():
@@ -470,13 +468,14 @@ def test_mlp_baseline_separable():
     data = (data - data.mean(axis=0)) / data.std(axis=0)  # production path standardizes
     # few batches per epoch at this scale, so the paper's step needs many epochs
     cfg = TrainConfig(max_epochs=300)
-    _, ids = np.unique(labels, return_inverse=True)
+    rng = np.random.default_rng(0)
+    train_idx, val_idx = _stratified_split(labels, cfg.val_fraction, rng)
     model, _ = train_network(
-        data, ids, DnnConfig(input_dim=3, hidden_dim=8, output_dim=2),
-        cfg, np.random.default_rng(0),
+        data[train_idx], labels[train_idx], DnnConfig(input_dim=3, hidden_dim=8, output_dim=2),
+        cfg, rng, validation=(data[val_idx], labels[val_idx]),
     )
     predicted, _ = predict(AttackClassifier(model=model), data)
-    assert (predicted == ids).mean() > 0.95
+    assert (predicted == labels).mean() > 0.95
 
 
 # --- shared invariant --------------------------------------------------------------------
@@ -491,8 +490,8 @@ def test_mlp_baseline_separable():
 def test_training_accuracy_beats_majority(fitter):
     rng = np.random.default_rng(16)
     data = rng.normal(size=(80, 4))
-    labels = np.where(data[:, 0] + 0.3 * rng.normal(size=80) > 0, "p", "n").astype(object)
+    labels = (data[:, 0] + 0.3 * rng.normal(size=80) > 0).astype(np.intp)
     predictor = fitter(data, labels)
     acc = (predictor(data) == labels).mean()
-    majority = max((labels == "p").mean(), (labels == "n").mean())
+    majority = max((labels == 1).mean(), (labels == 0).mean())
     assert acc >= majority

@@ -209,6 +209,10 @@ def test_config_rejects_unknown_fields(tmp_path):
     ("explore", [], {"histogram_features": ["nope"]}),
     ("explore", [], {"scatter_pairs": [["count"]]}),
     ("baselines", [], {"baselines": 5}),
+    ("train-binary", [], {"calibration_q": True}),
+    ("train-binary", [], {"calibration_q": "0.9"}),
+    ("pipeline", [], {"val_fraction": True}),
+    ("pipeline", [], {"val_fraction": "0.2"}),
 ])
 def test_invalid_setting_exits_2_before_any_output(tmp_path, data_files, capsys,
                                                     command, flags, file_values):
@@ -524,7 +528,8 @@ def test_unreadable_artifact_exits_3_and_leaves_out_unchanged(
 
 
 def test_no_label_array_of_objects_reaches_np_unique(tmp_path, data_files, monkeypatch):
-    # past the parse, labels are integer ids: no stage sorts names again
+    # past the parse, labels are integer ids: no stage sorts labels again, so
+    # np.unique runs only where the parser codes and spells columns
     train, test = data_files
     unique = np.unique
     calls = []
@@ -544,6 +549,45 @@ def test_no_label_array_of_objects_reaches_np_unique(tmp_path, data_files, monke
     assert _run("evaluate", *common, "--oversample", "both") == 0
     assert _run("explore", *common) == 0
     assert calls
-    objects = [callers for dtype, callers in calls
-               if dtype == object and "parse_kdd_lines" not in callers]
-    assert objects == []
+    elsewhere = [(dtype, callers) for dtype, callers in calls
+                 if not {"parse_kdd_lines", "spell_column"} & set(callers)]
+    assert elsewhere == []
+
+
+def test_every_network_trains_on_a_validation_pair_from_the_one_split(
+        tmp_path, data_files, monkeypatch):
+    # neural.train draws no rows of its own: every caller, the MLP baseline
+    # included, hands it the validation rows of classifier._stratified_split
+    train, test = data_files
+    real_train = neural.train
+    calls = []
+
+    def recording_train(model, data, targets, cfg, rng, validation=None):
+        calls.append(validation)
+        return real_train(model, data, targets, cfg, rng, validation)
+
+    monkeypatch.setattr(neural, "train", recording_train)
+
+    def run(out, command, train_file, *flags):
+        calls.clear()
+        assert _run(command, "--train", train_file, "--test", test, "--out", tmp_path / out,
+                    *FAST, *flags) == 0
+        assert calls and all(v is not None and len(v[0]) == len(v[1]) for v in calls)
+        return calls
+
+    # the autoencoder, then the plain and the oversampled typer
+    assert len(run("pipe", "pipeline", train, "--oversample", "both")) == 3
+    # 160 attack rows (id 0) and 40 normal rows (id 1): 15% of each class,
+    # rounded, validates: _n_validation(160, 0.15) and _n_validation(40, 0.15)
+    (validation,) = run("mlp", "baselines", train, "--baselines", "mlp")
+    assert np.bincount(validation[1].argmax(axis=1)).tolist() == [24, 6]
+
+    # at most 3 rows per class leave no validation rows, so the networks
+    # validate on their training rows
+    tiny = tmp_path / "tiny.txt"
+    write_kdd_file(make_fixture(3, seed=5), tiny)
+    assert len(run("tiny-pipe", "pipeline", tiny, "--oversample", "both")) == 3
+    few = tmp_path / "few.txt"
+    few.write_text("\n".join(tiny.read_text().splitlines()[:6]) + "\n")  # 3 normal, 3 DoS
+    (validation,) = run("few-mlp", "baselines", few, "--baselines", "mlp")
+    assert len(validation[0]) == 0

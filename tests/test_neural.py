@@ -273,7 +273,7 @@ def test_train_reduces_loss_and_freezes():
     rng = np.random.default_rng(0)
     model = init_model([LayerSpec(3, 8, "relu"), LayerSpec(8, 2, "softmax")], rng)
     cfg = TrainConfig(max_epochs=30)
-    trained, history = train(model, x, t, cfg, rng)
+    trained, history = train(model, x[::2], t[::2], cfg, rng, (x[1::2], t[1::2]))
     assert history.train_loss[-1] < history.train_loss[0]
     with pytest.raises(ValueError):
         trained.weights[0][0, 0] = 99.0  # frozen arrays are read-only
@@ -284,7 +284,7 @@ def test_train_returns_best_validation_params():
     rng = np.random.default_rng(1)
     model = init_model([LayerSpec(3, 16, "relu"), LayerSpec(16, 2, "softmax")], rng)
     cfg = TrainConfig(max_epochs=40, patience=6)
-    trained, history = train(model, x, t, cfg, rng)
+    trained, history = train(model, x[::2], t[::2], cfg, rng, (x[1::2], t[1::2]))
     assert history.best_epoch == int(np.argmin(history.val_loss))
     # patience: after the best epoch, at most `patience` more epochs ran
     assert history.n_epochs - 1 - history.best_epoch <= cfg.patience
@@ -297,7 +297,7 @@ def test_train_deterministic_per_seed():
         rng = np.random.default_rng(9)
         model = init_model([LayerSpec(3, 5, "selu"), LayerSpec(5, 2, "softmax")], rng)
         trained, _ = train(
-            model, x, t, TrainConfig(max_epochs=8), rng
+            model, x[::2], t[::2], TrainConfig(max_epochs=8), rng, (x[1::2], t[1::2])
         )
         results.append(trained)
     for w1, w2 in zip(results[0].weights, results[1].weights):
@@ -310,7 +310,7 @@ def test_train_empty_data_rejected():
     model = _identity_model(2)
     with pytest.raises(ValueError):
         train(model, np.empty((0, 2)), np.empty((0, 2)), TrainConfig(),
-              np.random.default_rng(0))
+              np.random.default_rng(0), (np.empty((0, 2)), np.empty((0, 2))))
 
 
 def test_train_does_not_mutate_input_model():
@@ -318,7 +318,7 @@ def test_train_does_not_mutate_input_model():
     rng = np.random.default_rng(4)
     model = init_model([LayerSpec(3, 4, "relu"), LayerSpec(4, 2, "softmax")], rng)
     snapshot = [w.copy() for w in model.weights]
-    train(model, x, t, TrainConfig(max_epochs=3), rng)
+    train(model, x, t, TrainConfig(max_epochs=3), rng, (x, t))
     for w, s in zip(model.weights, snapshot):
         assert (w == s).all()
 
@@ -356,7 +356,7 @@ def test_train_diverging_before_any_finite_epoch_raises_typed_error():
     x = rng.normal(size=(40, 4))
     x[5, 2] = 1e200
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch 0"):
-        train(model, x, x, TrainConfig(max_epochs=5), rng)
+        train(model, x, x, TrainConfig(max_epochs=5), rng, (x, x))
 
 
 # --- golden networks --------------------------------------------------------------
@@ -413,11 +413,11 @@ def test_golden_network_digests(monkeypatch):
                     > sum(info["class_counts_before"].values()))
         assert _net_digest(clf.model, info["epochs"], info["best_epoch"]) == want, variant
 
-    # the MLP baseline: train_network without a validation pair
+    # the MLP baseline: train_network on a validation pair from the stratified split
     trained = []
 
     def recording_train_network(*args, **kwargs):
-        assert kwargs.get("validation") is None
+        assert len(kwargs["validation"][0]) > 0
         trained.append(real_train_network(*args, **kwargs))
         return trained[-1]
 
@@ -428,4 +428,4 @@ def test_golden_network_digests(monkeypatch):
     _fit_baseline("mlp", data, labels, RunConfig(max_epochs=15, seed=4))
     (mlp, mlp_history), = trained
     assert _net_digest(mlp, mlp_history.n_epochs, mlp_history.best_epoch) == (
-        "06629946f2ee17173c3fd29b10838823551c14ee8a62bfee1da2ca26bbbb66e1", 15, 14)
+        "4996fc6af9aead9328df34f049aa02f81653c79a34eeb7d05a24bba55ca6c75d", 15, 14)

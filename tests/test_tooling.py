@@ -59,7 +59,8 @@ def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
     assert fits["baselines.fit.gradient_boosting"]["trees"] == 100
     # the forest's one span holds every tree and leaf an untraced fit returns
     from nidkit.baselines import ForestConfig, fit_forest
-    from nidkit.dataset import binary_labels, load_taxonomy, parse_kdd_file
+    from nidkit.dataset import category_ids, load_taxonomy, parse_kdd_file
+    from nidkit.pipeline import _binary_ids
     from nidkit.preprocess import fit_transform
 
     forest_spans = [s for s in json.loads(spans.read_text())["spans"]
@@ -67,7 +68,8 @@ def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
     assert len(forest_spans) == 1
     parsed = parse_kdd_file(train, split="train")
     _, values = fit_transform(parsed)
-    forest = fit_forest(values, binary_labels(parsed, load_taxonomy()), ForestConfig(seed=0))
+    forest = fit_forest(values, _binary_ids(category_ids(parsed, load_taxonomy())),
+                        ForestConfig(seed=0))
     leaves = sum(1 for t in forest.trees for _ in _leaf_nodes(t.root))
     assert forest_spans[0]["counts"] == {"leaves": leaves, "trees": 100}
 
@@ -155,7 +157,7 @@ def test_settable_value_count_is_pinned():
     found = []
     for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
         found += [f"{path.stem}.{name}" for name in _settable_values(ast.parse(path.read_text()))]
-    assert len(found) == 68, found
+    assert len(found) == 66, found
 
 
 def test_importing_the_cli_loads_no_process_pool():
