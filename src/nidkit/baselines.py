@@ -5,20 +5,33 @@ trees (Gini), bagged forests, Gaussian naive Bayes, a primal
 hinge-loss linear SVM, AdaBoost over stumps, and gradient boosting
 with depth-3 regression trees on logistic-loss gradients.
 
-One engine grows every tree. Columns are presorted once into a (d, n)
-row order; at each node a single split search sums a per-row
-statistics block on both sides of every boundary (the weighted class
-one-hot for Gini, y and y^2 for squared error), a score function turns
-the sums and the row counts of both sides into the child cost, and a
-leaf rule reads a node's value and purity from its rows of the block. The search scores all candidate
-features of a node together, in blocks bounded by ``CELLS``. Split
-tie-breaking is deterministic everywhere: lower feature index first,
-then lower threshold; a candidate threshold is the midpoint of two
-consecutive distinct sorted values, or the lower value when that
-midpoint rounds to the upper one (scikit-learn's rule), so rows at the
-upper value always go right. A forest's trees each draw from their own
-``SeedSequence`` child and grow one after another in the calling
-process.
+One grower makes every tree. Columns are presorted once into a (d, n)
+row order. A node holds, as column ids of a per-row statistics block
+(the weighted class one-hot for Gini, y and y^2 for squared error), its
+row set, which is its order by feature 0, and the orders of the
+features it searched. A child gets a candidate's order by partitioning
+its parent's when the parent held it, and otherwise by sorting its rows
+on their presort rank, the (value, row index) key, which gives the same
+order; so the decision tree and the boosting trees partition every
+order, and a forest node moves only the few it searched.
+
+The grower advances a group of trees in lockstep. Each step takes the
+next depth-first node of every tree, runs one leaf test over them all,
+draws each tree's candidates from its own generator in its own
+preorder, and runs one split search over every (node, candidate) row:
+one gather and one cumsum per block of rows bounded by ``CELLS`` sum the
+statistics on both sides of every boundary, each sum starting at its
+row, and a score function turns the sums and row counts into the child
+cost. ``fit_tree``, AdaBoost and gradient boosting grow one-tree groups;
+a forest groups as many trees as keep their state within
+``GROUP_CELLS``, so its groups shrink as the rows grow, and no tree
+depends on the grouping. Split tie-breaking is deterministic
+everywhere: lower feature index first, then lower threshold; a
+candidate threshold is the midpoint of two consecutive distinct sorted
+values, or the lower value when that midpoint rounds to the upper one
+(scikit-learn's rule), so rows at the upper value always go right. A
+forest's trees each draw from their own ``SeedSequence`` child and grow
+in the calling process.
 
 Labels are class ids 0..k-1 (``nidkit baselines`` passes binary ids) and
 every model predicts ids. The SVM, AdaBoost and gradient boosting take
@@ -40,6 +53,12 @@ import numpy as np
 # search here and of the neighbour search in ``resample``: a block never
 # grows with the row count.
 CELLS = 1 << 18
+# Budget, in cells (32 MB), of the lockstep state of one group of forest
+# trees; see ``_tree_cells``.
+GROUP_CELLS = 1 << 22
+# A node of at least this many rows sorts its missing candidate orders row
+# by row; smaller nodes share one sort per step, which saves calls.
+SORT_ROWS = 1024
 
 
 def _class_ids(labels) -> tuple[np.ndarray, int]:
@@ -91,6 +110,12 @@ def _presort(data: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(data, axis=0, kind="stable").T)
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The index ranges [starts[i], starts[i] + lengths[i]), concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
 def _gini_scores(left, right, n_left, n_right) -> np.ndarray:
     """Weighted child Gini per boundary; ``left`` and ``right`` are (k, m)
     per-class weight sums, which weigh the sides in place of the row
@@ -120,144 +145,358 @@ def _class_stats(class_ids: np.ndarray, weights: np.ndarray, n_classes: int) -> 
     return stats
 
 
-def _gini_leaf(stats: np.ndarray) -> tuple[int, bool]:
-    """(weighted majority class, pure) of a node's Gini statistics rows."""
-    totals = stats.sum(axis=0)
-    return int(np.argmax(totals)), int((totals > 0).sum()) <= 1
+def _gini_leaf(block: np.ndarray, sizes: list[int]):
+    """(weighted majority class, pure) of each node; ``block`` is the (k, m)
+    Gini statistics of the nodes' rows, node after node, ``sizes`` their
+    row counts. ``bincount`` adds each node's rows in order, as a row sum
+    would."""
+    node = np.repeat(np.arange(len(sizes)), sizes)
+    totals = np.array([np.bincount(node, weights=w, minlength=len(sizes)) for w in block])
+    return np.argmax(totals, axis=0), (totals > 0).sum(axis=0) <= 1
 
 
-def _sse_leaf(stats: np.ndarray) -> tuple[None, bool]:
-    """(no value, pure) of a node's squared-error statistics rows."""
-    t = stats[:, 0]
-    return None, bool((t == t[0]).all())
+def _sse_leaf(block: np.ndarray, sizes: list[int]):
+    """(no value, pure) of each node's squared-error statistics rows: pure
+    when every target is equal."""
+    starts = np.cumsum([0, *sizes[:-1]])
+    return None, np.minimum.reduceat(block[0], starts) == np.maximum.reduceat(block[0], starts)
 
 
-def _best_split(data_t, stats_t, orders, candidates, score, cells: int = CELLS):
-    """Best split of a node by ``score`` of the summed statistics on each
-    side of every boundary.
+def _first_minima(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of the first minimum of ``values`` in each run of equal
+    ``groups``; a run holding a NaN gives none."""
+    run = np.flatnonzero(np.concatenate(([True], groups[1:] != groups[:-1])))
+    low = np.repeat(np.minimum.reduceat(values, run), np.diff(np.append(run, len(values))))
+    hit = np.flatnonzero(values == low)
+    return hit[np.concatenate(([True], groups[hit][1:] != groups[hit][:-1]))]
 
-    ``data_t`` is the (d, N) feature-major data, ``stats_t`` the (k, N)
-    class-major statistics block, ``orders`` the node's (d, n) row order
-    and ``candidates`` an ascending array of feature indices. Features go
-    in blocks of ``cells // (k * n)`` (at least one): one gather and one
-    cumsum per block, then only the boundaries between two distinct values
-    are scored. Each feature's sums run over its rows in ascending value
-    order, so the result does not depend on the block size. Row counts
-    come from the boundary positions, exact as float64.
 
-    Returns (feature, threshold, n_left_in_feature_order) or None. Ties
-    resolve to the lower feature index, then the lower threshold (the
+def _search_blocks(data_t, src, starts, shifts, lengths, k: int, cells: int = CELLS):
+    """The blocks of a split search over the candidate rows of ``starts``
+    (see ``_best_splits``), longest rows first: per block the (rows, width)
+    column ids of its rows, their flat row indices and lengths, the width,
+    and the flat positions in the block after which a boundary falls."""
+    n_nodes, c = starts.shape
+    data_flat = data_t.ravel()
+    starts, shifts = starts.ravel(), shifts.ravel()
+    if n_nodes == 1:
+        by_length, lens = np.arange(c), np.full(c, lengths[0])
+    else:  # a node's rows stay adjacent, in feature order
+        by_length = (np.argsort(-lengths, kind="stable")[:, None] * c + np.arange(c)).ravel()
+        lens = lengths[by_length // c]
+    blocks = []
+    a = 0
+    while a < len(by_length):
+        width = int(lens[a])
+        stop = a + max(1, cells // (k * width))
+        rows_of, n = by_length[a:stop], lens[a:stop]
+        if 2 * n[-1] <= width:
+            n = n[2 * n > width]
+            rows_of = rows_of[: len(n)]
+        a += len(n)
+        first = starts[rows_of]
+        if (first[1:] - first[:-1] == width).all() and n[-1] == width:
+            cols = src[first[0] : first[0] + len(first) * width].reshape(-1, width)
+        else:
+            # each row is a whole run of src, copied row by row; a padded
+            # row reads on past its end, and its boundaries there are masked
+            cols = np.ndarray((len(src) - width + 1, width), src.dtype, src, 0,
+                              src.strides * 2)[first]
+        xs = np.take(data_flat, cols + shifts[rows_of, None], mode="clip")
+        # a boundary follows flat position p of the block when the value
+        # changes there; a row's last entry never starts one
+        changes = np.zeros(cols.shape, dtype=bool)
+        np.not_equal(xs[:, :-1], xs[:, 1:], out=changes[:, :-1])
+        if n[-1] < width:
+            changes &= np.arange(width) < n[:, None] - 1
+        at = np.flatnonzero(changes)
+        if at.size:
+            blocks.append((cols, rows_of, n, width, at))
+    return blocks
+
+
+def _best_splits(data_t, stats_t, src, starts, shifts, lengths, score, cells: int = CELLS,
+                 blocks=None):
+    """Best split of each of s nodes by ``score`` of the summed statistics
+    on each side of every boundary.
+
+    ``stats_t`` is the (k, N) class-major statistics block and ``src`` a
+    flat array of its column ids. Node i offers c candidates, row j of the
+    (s, c) ``starts`` and ``shifts`` in ascending feature order: the node's
+    rows in that feature's order are ``src[starts[i, j]:][:lengths[i]]``,
+    and column p's value of the feature is ``data_t.flat[p + shifts[i, j]]``.
+    ``src`` holds ``max(lengths)`` column ids past every start.
+    Rows go in blocks of ``cells // (k * length)`` (at least one), longest
+    first and padded to the first row's length, at most doubling a block:
+    one gather and one cumsum per block, then only the boundaries between
+    two distinct values are scored, all of them at once. Each prefix sum
+    starts at its row and runs in ascending value order, so the result does
+    not depend on the blocks. Row counts come from the boundary positions,
+    exact as float64.
+
+    ``blocks`` are the search's ``_search_blocks``, made here when not given.
+
+    Returns (node, row, threshold, n_left) arrays over the nodes that have a
+    boundary: ``row`` is the flat index i * c + j of the winning candidate.
+    Ties resolve to the lower feature index, then the lower threshold (the
     first minimal boundary in (feature, ascending value) order).
     """
-    k, n_all = stats_t.shape
-    n = orders.shape[1]
-    step = max(1, cells // (k * n))
-    best = None
-    best_score = np.inf
-    for start in range(0, len(candidates), step):
-        feats = candidates[start : start + step]
-        rows = orders[feats]
-        xs = np.take(data_t, rows + (feats * n_all)[:, None])
-        # a boundary follows flat position p of the (f, n) block when the
-        # value changes there; the last column never starts one
-        changes = np.zeros(rows.shape, dtype=bool)
-        np.not_equal(xs[:, :-1], xs[:, 1:], out=changes[:, :-1])
-        at = np.flatnonzero(changes)
-        if at.size == 0:
-            continue
-        cum = np.cumsum(np.take(stats_t, rows, axis=1), axis=2).reshape(k, -1)
-        left = np.take(cum, at, axis=1)
-        totals = np.take(cum, at - at % n + (n - 1), axis=1)
-        n_left = (at % n + 1).astype(np.float64)
-        scores = score(left, totals - left, n_left, n - n_left)
-        pos = int(np.argmin(scores))
-        if scores[pos] < best_score:
-            f, i = divmod(int(at[pos]), n)
-            best_score = scores[pos]
-            lo, hi = xs[f, i], xs[f, i + 1]
-            # the midpoint of adjacent doubles can round up to hi, which
-            # would send hi's rows left; lo keeps them right
-            mid = (lo + hi) / 2.0
-            best = (int(feats[f]), lo if mid == hi else mid, i + 1)
-    return best
+    k = stats_t.shape[0]
+    c = starts.shape[1]
+    if blocks is None:
+        blocks = _search_blocks(data_t, src, starts, shifts, lengths, k, cells)
+    if not blocks:
+        return (np.zeros(0, dtype=np.intp),) * 4
+    if len(starts) == 1:
+        # one node, whose rows all have its length: keep the first best
+        # boundary over the blocks, in row order
+        best, q, i = np.inf, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        for cols, rows_of, _, width, at in blocks:
+            cum = np.cumsum(np.take(stats_t, cols, axis=1, mode="clip"), axis=2).reshape(k, -1)
+            pos = at % width
+            left = np.take(cum, at, axis=1)
+            totals = np.take(cum, at - pos + (width - 1), axis=1)
+            n_left = (pos + 1).astype(np.float64)
+            scores = score(left, totals - left, n_left, width - n_left)
+            first = int(np.argmin(scores))
+            if scores[first] < best:
+                best, q = scores[first], rows_of[at[first : first + 1] // width]
+                i = pos[first : first + 1]
+    else:
+        found = []
+        for cols, rows_of, n, width, at in blocks:
+            cum = np.cumsum(np.take(stats_t, cols, axis=1, mode="clip"), axis=2).reshape(k, -1)
+            r, i = np.divmod(at, width)
+            n_row = n[r]
+            found.append((rows_of[r], i, n_row, np.take(cum, at, axis=1),
+                          np.take(cum, at - i + (n_row - 1), axis=1)))
+        q, i, n_row, left, totals = (found[0] if len(found) == 1 else
+                                     (np.concatenate(parts, axis=-1) for parts in zip(*found)))
+        n_left = (i + 1).astype(np.float64)
+        scores = score(left, totals - left, n_left, n_row - n_left)
+        # each node's boundaries form one run, in (feature, position) order
+        first = _first_minima(q // c, scores)
+        first = first[scores[first] < np.inf]
+        q, i = q[first], i[first]
+    at = starts.ravel()[q] + i
+    shift = shifts.ravel()[q]
+    lo = data_t.ravel()[src[at] + shift]
+    hi = data_t.ravel()[src[at + 1] + shift]
+    # the midpoint of adjacent doubles can round up to hi, which would send
+    # hi's rows left; lo keeps them right
+    mid = (lo + hi) / 2.0
+    return q // c, q, np.where(mid == hi, lo, mid), i + 1
 
 
 class _TreeGrower:
-    """The one grower over a per-row ``stats`` block, to ``max_depth``;
-    ``score`` rates the boundaries and ``leaf`` gives a node's (value, pure)."""
+    """The one grower: trees over one presorted data set, grown to
+    ``max_depth`` in lockstep. ``score`` rates the boundaries and ``leaf``
+    gives each node's (value, pure); with ``max_features`` below d each node
+    searches that many features drawn from its tree's generator.
 
-    def __init__(self, data_t, max_depth, stats, score, leaf, max_features=None, rng=None):
+    A node holds the orders of feature 0 (its row set) and of the features
+    its parent searched, as column ids of the statistics block. A child
+    gets the order of a candidate its parent held by the parent's
+    partition, and any other by sorting its rows on their presort rank,
+    the (value, row index) key, which gives the same order."""
+
+    def __init__(self, data_t, presorted, max_depth, score, leaf, max_features=None):
         self.data_t = data_t
+        self.presorted = presorted
         self.max_depth = max_depth
-        self.stats = stats
-        self.stats_t = np.ascontiguousarray(stats.T)
         self.score = score
         self.leaf = leaf
-        self.max_features = max_features
-        self.rng = rng
-        self.features = np.arange(data_t.shape[0])
-        self.n_leaves = 0
+        d, n = presorted.shape
+        self.features = np.arange(d)
+        self.max_features = max_features if max_features is not None and max_features < d else d
+        self.root_blocks = None
+        self.rank = None  # each row's place in each column's presort, made when first needed
 
-    def grow(self, orders: np.ndarray) -> _Node:
-        """Tree over the (d, n) row order ``orders``, grown depth first:
-        nodes are visited in preorder, which fixes the order of candidate
-        draws and leaf ids. Only the pending right siblings' row orders stay
-        alive, not every ancestor's."""
-        root = _Node()
-        pending = [(root, orders, 0)]
-        del orders
-        while pending:
-            node, orders, depth = pending.pop()
-            value, pure = self.leaf(np.take(self.stats, orders[0], axis=0))
-            d, n_rows = orders.shape
-            split = None
-            if depth < self.max_depth and not pure:
-                if self.max_features is not None and self.max_features < d:
-                    candidates = np.sort(self.rng.choice(d, size=self.max_features,
-                                                         replace=False))
-                else:
-                    candidates = self.features
-                split = _best_split(self.data_t, self.stats_t, orders, candidates, self.score)
-            if split is None:
-                node.value, node.leaf_id = value, self.n_leaves
-                self.n_leaves += 1
-                continue
-            node.feature, node.threshold, n_left = split
-            # children at the depth limit are leaves, which read only the
-            # first feature's order
-            kept = orders if depth + 1 < self.max_depth else orders[:1]
-            left, right = _partition(kept, orders[node.feature, :n_left], self.data_t.shape[1])
+    def grow(self, stats_t, roots, rngs=()):
+        """Trees over the class-major statistics ``stats_t`` (k, g * n):
+        tree t reads columns t * n onwards, starts from ``roots[t]``, its
+        root's (features, column orders) with feature 0 first, and draws its
+        candidates from ``rngs[t]``. Each step takes the next node of every
+        tree in depth-first preorder, which fixes each tree's candidate draws
+        and leaf ids. Returns each tree's (root, leaf count)."""
+        tops = [_Node() for _ in roots]
+        n_leaves = [0] * len(roots)
+        pending = [[(top, 0, feats, orders)] for top, (feats, orders) in zip(tops, roots)]
+        while any(pending):
+            step = [(t, *stack.pop()) for t, stack in enumerate(pending) if stack]
+            rows = [orders[0] for *_, orders in step]
+            values, pure = self.leaf(
+                np.take(stats_t, rows[0] if len(rows) == 1 else np.concatenate(rows), axis=1),
+                [len(r) for r in rows])
+            search = [e for e, p in zip(step, pure.tolist()) if e[2] < self.max_depth and not p]
+            if search:
+                for t, left, right in self._split(stats_t, search, rngs):
+                    pending[t] += (right, left)
+            for (t, node, *_), value in zip(step, [None] * len(step) if values is None
+                                            else values.tolist()):
+                if node.is_leaf:
+                    node.value, node.leaf_id = value, n_leaves[t]
+                    n_leaves[t] += 1
+        return list(zip(tops, n_leaves))
+
+    def _split(self, stats_t, search, rngs):
+        """One split search over the nodes ``search`` (tree, node, depth,
+        features, orders); splits each node that has a boundary and returns
+        its (tree, left, right) pending entries."""
+        d, n_all = self.presorted.shape
+        c = self.max_features
+        trees = np.array([t for t, *_ in search])
+        sizes = np.array([orders.shape[1] for *_, orders in search])
+        held = np.array([len(feats) for *_, feats, _ in search])
+        if c == d:
+            cands = np.repeat(self.features[None], len(search), axis=0)
+        else:
+            cands = np.sort([rngs[t].choice(d, size=c, replace=False) for t, *_ in search],
+                            axis=1)
+        ends = np.cumsum(held * sizes)
+        offsets, n_held = ends - held * sizes, ends[-1]
+        whole = (held == d).all()  # every node holds every order, in feature order
+        if whole:
+            slot, node_of = cands, []
+        else:
+            table = np.full((len(search), d), -1)
+            table[np.repeat(np.arange(len(search)), held),
+                  np.concatenate([feats for *_, feats, _ in search])] = (
+                np.arange(held.sum()) - np.repeat(np.cumsum(held) - held, held))
+            slot = table[np.arange(len(search))[:, None], cands]
+            node_of = np.nonzero(slot < 0)[0]
+        starts = offsets[:, None] + slot * sizes[:, None]
+        shifts = (cands - trees[:, None]) * n_all
+        if len(search) == 1 and not len(node_of):
+            src = search[0][4].ravel()
+        else:
+            # held orders, then the missing candidates' orders, then a tail
+            # that lets every row of a padded search block read as one run
+            lens = sizes[node_of]
+            src = np.empty(n_held + lens.sum() + sizes.max(), dtype=np.intp)
+            np.concatenate([orders.ravel() for *_, orders in search], out=src[:n_held])
+            src[n_held + lens.sum() :] = 0
+        if len(node_of):
+            # a missing candidate's order: the node's row set sorted by
+            # presort rank
+            if self.rank is None:
+                self.rank = np.empty(d * n_all, dtype=np.int32 if n_all <= 2**31 else np.int64)
+                self.rank[(self.presorted + (self.features * n_all)[:, None]).ravel()] = (
+                    np.tile(np.arange(n_all), d))
+            missing = slot < 0
+            shared = missing & (sizes < SORT_ROWS)[:, None]
+            at = n_held
+            if shared.any():
+                # small nodes: one sort of the step's (segment, rank) keys, in
+                # 32 bits where they fit
+                node_of = np.nonzero(shared)[0]
+                lens = sizes[node_of]
+                seg = np.repeat(np.arange(len(node_of)), lens)
+                key = np.take(self.rank, src[_ranges(offsets[node_of], lens)] + shifts[shared][seg],
+                              mode="clip")
+                offset = np.arange(len(node_of)) * n_all
+                key = key.astype(np.int32 if offset[-1] + n_all <= 2**31 else np.int64, copy=False)
+                key += offset.astype(key.dtype)[seg]
+                key.sort()
+                dest = src[at : at + len(key)]
+                np.take(self.presorted.ravel(), key + (cands[shared] * n_all - offset)[seg],
+                        out=dest, mode="clip")
+                dest += (trees[node_of] * n_all)[seg]
+                starts[shared] = at + np.cumsum(lens) - lens
+                at += len(key)
+            for s in np.flatnonzero((missing & ~shared).any(axis=1)).tolist():
+                # a large node: one row of ranks per candidate, sorted in place;
+                # its rows in ascending order read the rank table in order
+                feats, n, base = cands[s, missing[s]], sizes[s], trees[s] * n_all
+                rows = np.sort(src[offsets[s] : offsets[s] + n])
+                ranks = np.take(self.rank, (feats * n_all - base)[:, None] + rows, mode="clip")
+                ranks.sort(axis=1)
+                block = src[at : at + len(feats) * n].reshape(len(feats), n)
+                np.take(self.presorted.ravel(), ranks + (feats * n_all)[:, None], out=block,
+                        mode="clip")
+                block += base
+                starts[s, missing[s]] = at + n * np.arange(len(feats))
+                at += len(feats) * n
+        blocks = None
+        if len(search) == 1 and search[0][4] is self.presorted:
+            # a root over every row in feature order, as each boosting round
+            # and stump regrows: its blocks do not depend on the statistics
+            if self.root_blocks is None:
+                self.root_blocks = _search_blocks(self.data_t, src, starts, shifts, sizes,
+                                                  len(stats_t))
+            blocks = self.root_blocks
+        won, row, threshold, n_left = _best_splits(self.data_t, stats_t, src, starts, shifts,
+                                                   sizes, self.score, blocks=blocks)
+        if not len(won):
+            return []
+        split_at = starts.ravel()[row]
+        in_left = np.zeros(stats_t.shape[1], dtype=bool)
+        if len(won) == 1:
+            in_left[src[split_at[0] : split_at[0] + n_left[0]]] = True
+        else:
+            in_left[src[_ranges(split_at, n_left)]] = True
+        # children hold feature 0 and the node's candidates, feature 0 once;
+        # at the depth limit only feature 0, which the leaf test reads
+        kept, at = [], []
+        for s in won.tolist():
+            if search[s][2] + 1 == self.max_depth:
+                kept.append(self.features[:1])
+                at.append(offsets[s])
+            elif whole:
+                kept.append(self.features)
+                at += range(offsets[s], offsets[s] + d * sizes[s], sizes[s])
+            elif cands[s, 0] == 0:
+                kept.append(cands[s])
+                at += starts[s].tolist()
+            else:
+                kept.append(np.concatenate((self.features[:1], cands[s])))
+                at += [offsets[s], *starts[s].tolist()]
+        m = [len(f) for f in kept]
+        n = sizes[won]
+        if len(search) == 1 and at == list(range(at[0], at[0] + m[0] * n[0], n[0])):
+            flat = src[at[0] : at[0] + m[0] * n[0]]  # the node's own orders: no copy
+        elif len(search) == 1:  # every row of src is one of the node's orders
+            flat = src[: len(src) // n[0] * n[0]].reshape(-1, n[0])[np.array(at) // n[0]]
+        else:
+            flat = src[_ranges(np.array(at), np.repeat(n, m))]
+        flat = flat.ravel()
+        go_left = in_left[flat]
+        left, right = flat[np.flatnonzero(go_left)], flat[np.flatnonzero(~go_left)]
+        out = []
+        lo = ro = 0
+        for s, q, thr, feats, m_s, n_s, nl in zip(won.tolist(), row.tolist(), threshold.tolist(),
+                                                  kept, m, n.tolist(), n_left.tolist()):
+            t, node, depth, *_ = search[s]
+            node.feature = int(cands[s, q % c])
+            node.threshold = thr
             node.left, node.right = _Node(), _Node()
-            pending.append((node.right, right, depth + 1))
-            pending.append((node.left, left, depth + 1))
-        return root
+            nr = n_s - nl
+            out.append((t, (node.left, depth + 1, feats,
+                            left[lo : lo + m_s * nl].reshape(m_s, nl)),
+                        (node.right, depth + 1, feats,
+                         right[ro : ro + m_s * nr].reshape(m_s, nr))))
+            lo += m_s * nl
+            ro += m_s * nr
+        return out
 
 
-def _partition(orders: np.ndarray, left_rows: np.ndarray, n_all: int):
-    """(left, right) row orders of a split: each row of ``orders`` keeps its
-    order on both sides. Positions from ``flatnonzero`` gather faster than
-    a boolean mask selects."""
-    in_left = np.zeros(n_all, dtype=bool)
-    in_left[left_rows] = True
-    go_left = in_left[orders]
-    flat = orders.ravel()
-    d = orders.shape[0]
-    return (flat[np.flatnonzero(go_left)].reshape(d, len(left_rows)),
-            flat[np.flatnonzero(~go_left)].reshape(d, -1))
-
-
-def _route_leaves(root: _Node, data: np.ndarray) -> list[tuple[_Node, np.ndarray]]:
+def _route_leaves(root: _Node, data_t: np.ndarray) -> list[tuple[_Node, np.ndarray]]:
+    """(leaf, rows) pairs of the feature-major (d, n) data ``data_t``."""
     out = []
-    stack = [(root, np.arange(data.shape[0]))]
+    stack = [(root, np.arange(data_t.shape[1]))]
     while stack:
         node, rows = stack.pop()
         if node.is_leaf:
             out.append((node, rows))
             continue
-        go_left = data[rows, node.feature] <= node.threshold
+        go_left = data_t[node.feature][rows] <= node.threshold
         stack.append((node.left, rows[go_left]))
         stack.append((node.right, rows[~go_left]))
     return out
+
+
+def _feature_major(data: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.asarray(data, dtype=np.float64).T)
 
 
 @dataclass
@@ -265,18 +504,23 @@ class DecisionTree:
     root: _Node
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=np.float64)
-        out = np.empty(data.shape[0], dtype=np.intp)
-        for node, rows in _route_leaves(self.root, data):
+        data_t = _feature_major(data)
+        out = np.empty(data_t.shape[1], dtype=np.intp)
+        for node, rows in _route_leaves(self.root, data_t):
             out[rows] = node.value
         return out
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """Leaf id per row."""
-        out = np.empty(data.shape[0], dtype=np.int64)
-        for node, rows in _route_leaves(self.root, np.asarray(data, dtype=np.float64)):
-            out[rows] = node.leaf_id
-        return out
+        return _apply(self.root, _feature_major(data))
+
+
+def _apply(root: _Node, data_t: np.ndarray) -> np.ndarray:
+    """Leaf id per column of the feature-major data ``data_t``."""
+    out = np.empty(data_t.shape[1], dtype=np.int64)
+    for node, rows in _route_leaves(root, data_t):
+        out[rows] = node.leaf_id
+    return out
 
 
 def fit_tree(
@@ -287,13 +531,31 @@ def fit_tree(
     if data.shape[0] < 1:
         raise ValueError("need at least one row")
     class_ids, k = _class_ids(labels)
-    stats = _class_stats(class_ids, np.ones(len(class_ids)), k)
-    grower = _TreeGrower(np.ascontiguousarray(data.T), cfg.max_depth, stats,
+    presorted = _presort(data)
+    grower = _TreeGrower(np.ascontiguousarray(data.T), presorted, cfg.max_depth,
                          _gini_scores, _gini_leaf)
-    return DecisionTree(root=grower.grow(_presort(data)))
+    stats_t = np.ascontiguousarray(_class_stats(class_ids, np.ones(len(class_ids)), k).T)
+    ((root, _),) = grower.grow(stats_t, [(grower.features, presorted)])
+    return DecisionTree(root=root)
 
 
 # --- random forest --------------------------------------------------------
+
+
+
+def _tree_cells(n_rows: int, n_classes: int, max_features: int) -> int:
+    """Cells of one forest tree's lockstep state: its bootstrap weights and
+    statistics block (``n_classes + 1`` per row), and per row at most
+    ``max_features + 1`` held orders in its pending nodes, as many again in
+    a step's search source, and twice that in the step's sort and partition."""
+    return n_rows * (n_classes + 1 + 4 * (max_features + 1))
+
+
+def _group_size(n_rows: int, n_classes: int, max_features: int) -> int:
+    """Trees grown together: as many as keep their lockstep state within
+    ``GROUP_CELLS``, at least one."""
+    return max(1, GROUP_CELLS // _tree_cells(n_rows, n_classes, max_features))
+
 
 @dataclass(frozen=True)
 class ForestConfig:
@@ -315,10 +577,10 @@ class RandomForest:
     n_classes: int
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=np.float64)
-        votes = np.zeros((data.shape[0], self.n_classes), dtype=np.int64)
+        data_t = _feature_major(data)
+        votes = np.zeros((data_t.shape[1], self.n_classes), dtype=np.int64)
         for tree in self.trees:
-            for node, rows in _route_leaves(tree.root, data):
+            for node, rows in _route_leaves(tree.root, data_t):
                 votes[rows, node.value] += 1
         return np.argmax(votes, axis=1)  # ties -> lower class id
 
@@ -327,8 +589,9 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
     """Bagged Gini trees with ``max_features`` candidates per node.
 
     Tree i draws its bootstrap and candidates from the i-th child of
-    ``SeedSequence(cfg.seed)``; the trees grow one after another in the
-    calling process.
+    ``SeedSequence(cfg.seed)``. Consecutive trees grow in lockstep groups
+    of ``_group_size`` trees in the calling process; the trees do not
+    depend on the grouping.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.shape[0] < 1:
@@ -337,20 +600,22 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
     class_ids, k = _class_ids(labels)
     max_features = min(cfg.max_features if cfg.max_features is not None
                        else int(round(np.sqrt(d))), d)
-    data_t, presorted = np.ascontiguousarray(data.T), _presort(data)
+    presorted = _presort(data)
+    grower = _TreeGrower(np.ascontiguousarray(data.T), presorted,
+                         DecisionTreeConfig().max_depth, _gini_scores, _gini_leaf, max_features)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    n_groups = -(-cfg.n_trees // _group_size(n, k, max_features))
+    group = -(-cfg.n_trees // n_groups)  # as many trees in each
     trees = []
-    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
-        rng = np.random.default_rng(seed)
-        if cfg.bootstrap:
-            weights = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-            drawn = np.flatnonzero((weights > 0)[presorted])
-            orders = presorted.ravel()[drawn].reshape(d, -1)
-        else:
-            weights, orders = np.ones(n), presorted
-        grower = _TreeGrower(data_t, DecisionTreeConfig().max_depth,
-                             _class_stats(class_ids, weights, k),
-                             _gini_scores, _gini_leaf, max_features, rng)
-        trees.append(DecisionTree(root=grower.grow(orders)))
+    for first in range(0, cfg.n_trees, group):
+        part = rngs[first : first + group]
+        weights = [np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+                   if cfg.bootstrap else np.ones(n) for rng in part]
+        stats_t = np.ascontiguousarray(
+            np.vstack([_class_stats(class_ids, w, k) for w in weights]).T)
+        roots = [(grower.features[:1], (presorted[0][w[presorted[0]] > 0] + t * n)[None])
+                 for t, w in enumerate(weights)]
+        trees += [DecisionTree(root=root) for root, _ in grower.grow(stats_t, roots, part)]
     return RandomForest(trees=trees, n_classes=k)
 
 
@@ -483,20 +748,21 @@ class AdaBoost:
     alphas: list[float]
 
     def decision(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=np.float64)
-        score = np.zeros(data.shape[0])
+        data_t = _feature_major(data)
+        score = np.zeros(data_t.shape[1])
         for stump, alpha in zip(self.stumps, self.alphas):
-            score += alpha * _stump_votes(stump, data)
+            score += alpha * _stump_votes(stump, data_t)
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
         return (self.decision(data) > 0).astype(np.intp)
 
 
-def _stump_votes(stump: DecisionTree, data: np.ndarray) -> np.ndarray:
-    """+1 on rows whose leaf holds id 1, -1 elsewhere."""
-    votes = np.empty(data.shape[0])
-    for node, rows in _route_leaves(stump.root, data):
+def _stump_votes(stump: DecisionTree, data_t: np.ndarray) -> np.ndarray:
+    """+1 on columns of the feature-major ``data_t`` whose leaf holds id 1,
+    -1 elsewhere."""
+    votes = np.empty(data_t.shape[1])
+    for node, rows in _route_leaves(stump.root, data_t):
         votes[rows] = 1.0 if node.value == 1 else -1.0
     return votes
 
@@ -512,20 +778,21 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
     class_ids = _binary_ids(labels)
     y = np.where(class_ids == 1, 1.0, -1.0)
     n = data.shape[0]
-    orders = _presort(data)
+    presorted = _presort(data)
     data_t = np.ascontiguousarray(data.T)
+    grower = _TreeGrower(data_t, presorted, 1, _gini_scores, _gini_leaf)
 
     def fit_stump(weights):
-        grower = _TreeGrower(data_t, 1, _class_stats(class_ids, weights, 2),
-                             _gini_scores, _gini_leaf)
-        return DecisionTree(root=grower.grow(orders))
+        stats_t = np.ascontiguousarray(_class_stats(class_ids, weights, 2).T)
+        ((root, _),) = grower.grow(stats_t, [(grower.features, presorted)])
+        return DecisionTree(root=root)
 
     weights = np.full(n, 1.0 / n)
     stumps: list[DecisionTree] = []
     alphas: list[float] = []
     for _ in range(cfg.n_rounds):
         stump = fit_stump(weights)
-        pred = _stump_votes(stump, data)
+        pred = _stump_votes(stump, data_t)
         err = float(weights[pred != y].sum())
         if err >= 0.5:
             break  # weak learner no better than chance; keep prior rounds
@@ -574,10 +841,10 @@ class GradientBoost:
     trees: list[tuple[DecisionTree, np.ndarray]]  # (tree, per-leaf additive value)
 
     def decision(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=np.float64)
-        score = np.full(data.shape[0], self.f0)
+        data_t = _feature_major(data)
+        score = np.full(data_t.shape[1], self.f0)
         for tree, leaf_values in self.trees:
-            score += GB_LEARNING_RATE * leaf_values[tree.apply(data)]
+            score += GB_LEARNING_RATE * leaf_values[_apply(tree.root, data_t)]
         return score
 
     def predict(self, data: np.ndarray) -> np.ndarray:
@@ -593,17 +860,17 @@ def fit_gradient_boost(
     p0 = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
     f0 = float(np.log(p0 / (1.0 - p0)))
     scores = np.full(data.shape[0], f0)
-    orders = _presort(data)
+    presorted = _presort(data)
     data_t = np.ascontiguousarray(data.T)
+    grower = _TreeGrower(data_t, presorted, GB_MAX_DEPTH, _sse_scores, _sse_leaf)
     trees: list[tuple[DecisionTree, np.ndarray]] = []
     for _ in range(cfg.n_rounds):
         prob = _sigmoid(scores)
         residual = y - prob
-        stats = np.column_stack((residual, residual * residual))
-        grower = _TreeGrower(data_t, GB_MAX_DEPTH, stats, _sse_scores, _sse_leaf)
-        tree = DecisionTree(root=grower.grow(orders))
-        leaf_of_row = tree.apply(data)
-        n_leaves = grower.n_leaves
+        ((root, n_leaves),) = grower.grow(np.vstack((residual, residual * residual)),
+                                          [(grower.features, presorted)])
+        tree = DecisionTree(root=root)
+        leaf_of_row = _apply(root, data_t)
         num = np.bincount(leaf_of_row, weights=residual, minlength=n_leaves)
         den = np.bincount(leaf_of_row, weights=prob * (1.0 - prob), minlength=n_leaves)
         leaf_values = num / np.maximum(den, 1e-12)

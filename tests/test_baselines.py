@@ -1,11 +1,15 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nidkit import baselines
 from nidkit.baselines import (
+    CELLS,
+    GROUP_CELLS,
     AdaBoostConfig,
     DecisionTree,
     DecisionTreeConfig,
@@ -14,11 +18,13 @@ from nidkit.baselines import (
     LinearSvmConfig,
     RandomForest,
     _Node,
-    _best_split,
+    _best_splits,
     _class_stats,
     _gini_scores,
+    _group_size,
     _presort,
     _sse_scores,
+    _tree_cells,
     fit_adaboost,
     fit_forest,
     fit_gnb,
@@ -31,7 +37,7 @@ from nidkit.classifier import (AttackClassifier, DnnConfig, _stratified_split, p
                                train_network)
 from nidkit.neural import TrainConfig
 
-from . import split_oracle
+from . import split_oracle, tree_oracle
 
 
 def gini_impurity(counts: np.ndarray) -> float:
@@ -151,6 +157,16 @@ def test_tree_separable_perfect_fit():
 
 # --- batched split search -------------------------------------------------------
 
+def _split_search(values, stats_t, orders, candidates, score, cells=CELLS):
+    """(feature, threshold, n_left) of ``_best_splits`` over one node whose
+    (d, n) row order is ``orders``, or None when it has no boundary."""
+    n_all, n = values.shape[0], orders.shape[1]
+    node, row, threshold, n_left = _best_splits(
+        np.ascontiguousarray(values.T), stats_t, orders.ravel(), (candidates * n)[None],
+        (candidates * n_all)[None], np.array([n]), score, cells=cells)
+    return (int(candidates[row[0]]), threshold[0], int(n_left[0])) if len(node) else None
+
+
 def _node_block(draw, n_all, d):
     """Tie-heavy integer grid or float values with duplicated rows."""
     if draw(st.booleans()):
@@ -207,8 +223,7 @@ def test_batched_split_search_matches_per_feature_oracle(data):
     stats_t = np.ascontiguousarray((stats[:, :2] if kind == "sse" else stats).T)
     k, n = stats_t.shape[0], orders.shape[1]
     for step in range(1, len(candidates) + 1):
-        got = _best_split(np.ascontiguousarray(values.T), stats_t, orders, candidates, score,
-                          cells=step * k * n)
+        got = _split_search(values, stats_t, orders, candidates, score, cells=step * k * n)
         if want is None:
             assert got is None, step
         else:
@@ -225,8 +240,8 @@ def test_split_search_on_constant_candidates_returns_none():
     candidates = np.array([1])
     assert split_oracle.best_split(values, stats, orders, candidates,
                                    split_oracle.gini_scores) is None
-    assert _best_split(np.ascontiguousarray(values.T), np.ascontiguousarray(stats.T),
-                       orders, candidates, _gini_scores) is None
+    assert _split_search(values, np.ascontiguousarray(stats.T), orders, candidates,
+                         _gini_scores) is None
 
 
 # --- golden trees ---------------------------------------------------------------
@@ -314,6 +329,73 @@ def test_forest_deterministic_per_seed():
     p1 = fit_forest(data, labels, ForestConfig(n_trees=7, seed=11)).predict(probe)
     p2 = fit_forest(data, labels, ForestConfig(n_trees=7, seed=11)).predict(probe)
     assert (p1 == p2).all()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_forest_trees_match_the_depth_first_oracle(data):
+    # tie-heavy grids and duplicated rows, bootstrap on and off, every
+    # max_features from 1 to d, 1-7 trees and 2-3 classes: the lockstep
+    # grower must give the oracle's trees, node for node and bit for bit
+    draw = data.draw
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    values = _node_block(draw, n, d)
+    class_ids = np.array(draw(st.lists(st.integers(0, draw(st.integers(1, 2))),
+                                       min_size=n, max_size=n)))
+    n_trees, bootstrap = draw(st.integers(1, 7)), draw(st.booleans())
+    max_features, seed = draw(st.integers(1, d)), draw(st.integers(0, 2**16))
+    # every node sorts its missing orders row by row, or every one shares
+    # the step's sort
+    sort_rows = draw(st.sampled_from([1, baselines.SORT_ROWS]))
+    kept, baselines.SORT_ROWS = baselines.SORT_ROWS, sort_rows
+    try:
+        forest = fit_forest(values, class_ids, ForestConfig(
+            n_trees=n_trees, bootstrap=bootstrap, max_features=max_features, seed=seed))
+    finally:
+        baselines.SORT_ROWS = kept
+    want = tree_oracle.fit_forest(values, class_ids, class_ids.max() + 1, n_trees, bootstrap,
+                                  max_features, seed)
+    assert _tree_digest([t.root for t in forest.trees]) == _tree_digest(want)
+
+
+def _with_group_size(monkeypatch, group, rows, n_classes, max_features):
+    """Sets the lockstep budget to ``group`` trees of that shape."""
+    monkeypatch.setattr(baselines, "GROUP_CELLS",
+                        group * _tree_cells(rows, n_classes, max_features))
+
+
+def test_forest_trees_do_not_depend_on_the_group_size(monkeypatch):
+    data, three, _, _ = _golden_data()
+    for cfg, max_features in ((ForestConfig(n_trees=7, seed=3), 2),
+                              (ForestConfig(n_trees=7, max_features=5, seed=4), 5)):
+        digests = set()
+        for group in (1, 3, 7):
+            _with_group_size(monkeypatch, group, len(data), 3, max_features)
+            assert _group_size(len(data), 3, max_features) == group
+            digests.add(_tree_digest([t.root for t in fit_forest(data, three, cfg).trees]))
+        assert len(digests) == 1, cfg
+
+
+def test_group_size_shrinks_as_rows_grow_and_keeps_its_budget(monkeypatch):
+    sizes = [_group_size(n, 2, 6) for n in (300, 3_000, 30_000, 125_973)]
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1] >= 1
+    # at NSL-KDD scale a group's state stays within the budget
+    assert _group_size(125_973, 2, 6) * _tree_cells(125_973, 2, 6) <= GROUP_CELLS
+    # and a tree's state is no larger than its cell count says: each tree a
+    # group adds raises the traced peak of a fit by at most that many cells
+    rng = np.random.default_rng(0)
+    data = rng.integers(0, 50, size=(2_000, 41)) / 7.0
+    labels = (data[:, 0] + rng.normal(size=2_000) > 3.5).astype(np.intp)
+    peaks = {}
+    for group in (1, 9):
+        _with_group_size(monkeypatch, group, 2_000, 2, 6)
+        tracemalloc.start()
+        try:
+            fit_forest(data, labels, ForestConfig(n_trees=9, seed=1))
+            peaks[group] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[9] - peaks[1] <= 8 * _tree_cells(2_000, 2, 6) * 8
 
 
 @pytest.mark.parametrize("max_features, rows, message", [
