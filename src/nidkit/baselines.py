@@ -12,26 +12,28 @@ row set, which is its order by feature 0, and the orders of the
 features it searched. A child gets a candidate's order by partitioning
 its parent's when the parent held it, and otherwise by sorting its rows
 on their presort rank, the (value, row index) key, which gives the same
-order; so the decision tree and the boosting trees partition every
-order, and a forest node moves only the few it searched.
+order. The decision tree, the boosting trees and a forest tree grown
+alone hold every order from the root, so they partition every order; a
+forest tree grown in a group moves only the few its node searched.
 
 The grower advances a group of trees in lockstep. Each step takes the
 next depth-first node of every tree, runs one leaf test over them all,
 draws each tree's candidates from its own generator in its own
 preorder, and runs one split search over every (node, candidate) row:
-one gather and one cumsum per block of rows bounded by ``CELLS`` sum the
-statistics on both sides of every boundary, each sum starting at its
-row, and a score function turns the sums and row counts into the child
-cost. ``fit_tree``, AdaBoost and gradient boosting grow one-tree groups;
-a forest groups as many trees as keep their state within
-``GROUP_CELLS``, so its groups shrink as the rows grow, and no tree
-depends on the grouping. Split tie-breaking is deterministic
-everywhere: lower feature index first, then lower threshold; a
-candidate threshold is the midpoint of two consecutive distinct sorted
-values, or the lower value when that midpoint rounds to the upper one
-(scikit-learn's rule), so rows at the upper value always go right. A
-forest's trees each draw from their own ``SeedSequence`` child and grow
-in the calling process.
+one gather and one cumsum per chunk of rows bounded by ``CELLS`` sum the
+statistics on both sides of every boundary, and a score function turns
+the sums and row counts into the child cost. ``fit_tree``, AdaBoost and
+gradient boosting grow one-tree groups; a forest groups as many trees
+as keep their state within ``GROUP_CELLS``, so its groups shrink as the
+rows grow (one tree each at NSL-KDD scale), and no tree depends on the
+grouping. With integer weights (the decision tree and the forest) a
+child whose split sums show one class only is a leaf at once. Split
+tie-breaking is deterministic everywhere: lower feature index first,
+then lower threshold; a candidate threshold is the midpoint of two
+consecutive distinct sorted values, or the lower value when that
+midpoint rounds to the upper one (scikit-learn's rule), so rows at the
+upper value always go right. A forest's trees each draw from their own
+``SeedSequence`` child and grow in the calling process.
 
 Labels are class ids 0..k-1 (``nidkit baselines`` passes binary ids) and
 every model predicts ids. The SVM, AdaBoost and gradient boosting take
@@ -49,16 +51,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Working-memory budget, in float64 cells (2 MB), of one block of the split
-# search here and of the neighbour search in ``resample``: a block never
+# Working-memory budget, in float64 cells (2 MB), of one chunk of the split
+# search here and of the neighbour search in ``resample``: a chunk never
 # grows with the row count.
 CELLS = 1 << 18
 # Budget, in cells (32 MB), of the lockstep state of one group of forest
 # trees; see ``_tree_cells``.
 GROUP_CELLS = 1 << 22
-# A node of at least this many rows sorts its missing candidate orders row
-# by row; smaller nodes share one sort per step, which saves calls.
-SORT_ROWS = 1024
 
 
 def _class_ids(labels) -> tuple[np.ndarray, int]:
@@ -105,15 +104,18 @@ class _Node:
         return self.feature < 0
 
 
-def _presort(data: np.ndarray) -> np.ndarray:
-    """(d, n) row order: row j lists the rows by ascending column j, stable."""
-    return np.ascontiguousarray(np.argsort(data, axis=0, kind="stable").T)
+def _presort(data_t: np.ndarray) -> np.ndarray:
+    """(d, n) row order of the feature-major (d, n) data: row j lists the
+    rows by ascending feature j, stable."""
+    return np.argsort(data_t, axis=1, kind="stable")
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The index ranges [starts[i], starts[i] + lengths[i]), concatenated."""
     ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+    out = np.repeat(starts - ends + lengths, lengths)
+    out += np.arange(len(out))
+    return out
 
 
 def _gini_scores(left, right, n_left, n_right) -> np.ndarray:
@@ -145,14 +147,19 @@ def _class_stats(class_ids: np.ndarray, weights: np.ndarray, n_classes: int) -> 
     return stats
 
 
-def _gini_leaf(block: np.ndarray, sizes: list[int]):
-    """(weighted majority class, pure) of each node; ``block`` is the (k, m)
-    Gini statistics of the nodes' rows, node after node, ``sizes`` their
-    row counts. ``bincount`` adds each node's rows in order, as a row sum
-    would."""
-    node = np.repeat(np.arange(len(sizes)), sizes)
-    totals = np.array([np.bincount(node, weights=w, minlength=len(sizes)) for w in block])
+def _class_leaf(totals: np.ndarray):
+    """(weighted majority class, pure) of nodes with (k, s) class weight
+    totals: pure when at most one class has weight."""
     return np.argmax(totals, axis=0), (totals > 0).sum(axis=0) <= 1
+
+
+def _gini_leaf(block: np.ndarray, sizes: list[int]):
+    """``_class_leaf`` of each node; ``block`` is the (k, m) Gini statistics
+    of the nodes' rows, node after node, ``sizes`` their row counts.
+    ``bincount`` adds each node's rows in order, as a row sum would."""
+    node = np.repeat(np.arange(len(sizes)), sizes)
+    return _class_leaf(np.array([np.bincount(node, weights=w, minlength=len(sizes))
+                                 for w in block]))
 
 
 def _sse_leaf(block: np.ndarray, sizes: list[int]):
@@ -171,52 +178,7 @@ def _first_minima(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
     return hit[np.concatenate(([True], groups[hit][1:] != groups[hit][:-1]))]
 
 
-def _search_blocks(data_t, src, starts, shifts, lengths, k: int, cells: int = CELLS):
-    """The blocks of a split search over the candidate rows of ``starts``
-    (see ``_best_splits``), longest rows first: per block the (rows, width)
-    column ids of its rows, their flat row indices and lengths, the width,
-    and the flat positions in the block after which a boundary falls."""
-    n_nodes, c = starts.shape
-    data_flat = data_t.ravel()
-    starts, shifts = starts.ravel(), shifts.ravel()
-    if n_nodes == 1:
-        by_length, lens = np.arange(c), np.full(c, lengths[0])
-    else:  # a node's rows stay adjacent, in feature order
-        by_length = (np.argsort(-lengths, kind="stable")[:, None] * c + np.arange(c)).ravel()
-        lens = lengths[by_length // c]
-    blocks = []
-    a = 0
-    while a < len(by_length):
-        width = int(lens[a])
-        stop = a + max(1, cells // (k * width))
-        rows_of, n = by_length[a:stop], lens[a:stop]
-        if 2 * n[-1] <= width:
-            n = n[2 * n > width]
-            rows_of = rows_of[: len(n)]
-        a += len(n)
-        first = starts[rows_of]
-        if (first[1:] - first[:-1] == width).all() and n[-1] == width:
-            cols = src[first[0] : first[0] + len(first) * width].reshape(-1, width)
-        else:
-            # each row is a whole run of src, copied row by row; a padded
-            # row reads on past its end, and its boundaries there are masked
-            cols = np.ndarray((len(src) - width + 1, width), src.dtype, src, 0,
-                              src.strides * 2)[first]
-        xs = np.take(data_flat, cols + shifts[rows_of, None], mode="clip")
-        # a boundary follows flat position p of the block when the value
-        # changes there; a row's last entry never starts one
-        changes = np.zeros(cols.shape, dtype=bool)
-        np.not_equal(xs[:, :-1], xs[:, 1:], out=changes[:, :-1])
-        if n[-1] < width:
-            changes &= np.arange(width) < n[:, None] - 1
-        at = np.flatnonzero(changes)
-        if at.size:
-            blocks.append((cols, rows_of, n, width, at))
-    return blocks
-
-
-def _best_splits(data_t, stats_t, src, starts, shifts, lengths, score, cells: int = CELLS,
-                 blocks=None):
+def _best_splits(data_t, stats_t, src, starts, shifts, lengths, score, cells: int = CELLS):
     """Best split of each of s nodes by ``score`` of the summed statistics
     on each side of every boundary.
 
@@ -226,73 +188,113 @@ def _best_splits(data_t, stats_t, src, starts, shifts, lengths, score, cells: in
     rows in that feature's order are ``src[starts[i, j]:][:lengths[i]]``,
     and column p's value of the feature is ``data_t.flat[p + shifts[i, j]]``.
     ``src`` holds ``max(lengths)`` column ids past every start.
-    Rows go in blocks of ``cells // (k * length)`` (at least one), longest
-    first and padded to the first row's length, at most doubling a block:
-    one gather and one cumsum per block, then only the boundaries between
-    two distinct values are scored, all of them at once. Each prefix sum
-    starts at its row and runs in ascending value order, so the result does
-    not depend on the blocks. Row counts come from the boundary positions,
-    exact as float64.
 
-    ``blocks`` are the search's ``_search_blocks``, made here when not given.
+    The candidate rows go in node order, in chunks of at most ``cells // k``
+    cells (at least one row): one gather and one cumsum per chunk, then
+    only the boundaries between two distinct values are scored. A chunk of
+    rows of one length sums each row on its own. A chunk of rows of several
+    lengths, which only a search over several nodes makes, sums them as one
+    run and subtracts each row's sum before it; that is exact only for
+    integer-valued statistics, such as a forest's bootstrap counts. Either
+    way each sum runs over its row's entries in ascending value order, so
+    the result does not depend on the chunks. Row counts come from the
+    boundary positions, exact as float64.
 
-    Returns (node, row, threshold, n_left) arrays over the nodes that have a
-    boundary: ``row`` is the flat index i * c + j of the winning candidate.
+    Returns (node, row, threshold, n_left, left, right) over the nodes that
+    have a boundary: ``row`` is the flat index i * c + j of the winning
+    candidate, and ``left`` and ``right`` are the (k, nodes) statistics
+    summed on each side of the winning boundary.
     Ties resolve to the lower feature index, then the lower threshold (the
     first minimal boundary in (feature, ascending value) order).
     """
     k = stats_t.shape[0]
     c = starts.shape[1]
-    if blocks is None:
-        blocks = _search_blocks(data_t, src, starts, shifts, lengths, k, cells)
-    if not blocks:
-        return (np.zeros(0, dtype=np.intp),) * 4
-    if len(starts) == 1:
-        # one node, whose rows all have its length: keep the first best
-        # boundary over the blocks, in row order
-        best, q, i = np.inf, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-        for cols, rows_of, _, width, at in blocks:
-            cum = np.cumsum(np.take(stats_t, cols, axis=1, mode="clip"), axis=2).reshape(k, -1)
-            pos = at % width
-            left = np.take(cum, at, axis=1)
-            totals = np.take(cum, at - pos + (width - 1), axis=1)
-            n_left = (pos + 1).astype(np.float64)
-            scores = score(left, totals - left, n_left, width - n_left)
-            first = int(np.argmin(scores))
-            if scores[first] < best:
-                best, q = scores[first], rows_of[at[first : first + 1] // width]
-                i = pos[first : first + 1]
-    else:
-        found = []
-        for cols, rows_of, n, width, at in blocks:
-            cum = np.cumsum(np.take(stats_t, cols, axis=1, mode="clip"), axis=2).reshape(k, -1)
-            r, i = np.divmod(at, width)
-            n_row = n[r]
-            found.append((rows_of[r], i, n_row, np.take(cum, at, axis=1),
-                          np.take(cum, at - i + (n_row - 1), axis=1)))
-        q, i, n_row, left, totals = (found[0] if len(found) == 1 else
-                                     (np.concatenate(parts, axis=-1) for parts in zip(*found)))
+    starts, shifts = starts.ravel(), shifts.ravel()
+    n = np.repeat(lengths, c)
+    ends = np.cumsum(n)
+    data_flat = data_t.ravel()
+    found = []
+    a = 0
+    while a < len(n):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - n[a] + cells // k, side="right")))
+        first, w = starts[a:b], n[a:b]
+        width = int(w[0])
+        # a boundary follows flat position p of the chunk when the value
+        # changes there; a row's last entry never starts one
+        if (w == width).all():
+            # rows of one length: a (rows, width) block, each row summed on its own
+            cols = np.ndarray((len(src) - width + 1, width), src.dtype, src, 0,
+                              src.strides * 2)[first]
+            xs = np.take(data_flat, cols + shifts[a:b, None])
+            changes = np.empty(cols.shape, dtype=bool)
+            np.not_equal(xs[:, :-1], xs[:, 1:], out=changes[:, :-1])
+            changes[:, -1] = False
+            at = np.flatnonzero(changes)
+            if at.size:
+                cum = np.cumsum(np.take(stats_t, cols, axis=1), axis=2).reshape(k, -1)
+                r = at // width
+                i = at - r * width
+                left = np.take(cum, at, axis=1)
+                right = np.take(cum, at - i + (width - 1), axis=1) - left
+                n_row = width
+        else:
+            # rows of several lengths: one run, each row's sums less the sum
+            # before the row
+            cols = src[_ranges(first, w)]
+            row_of = np.repeat(np.arange(b - a), w)
+            xs = np.take(data_flat, cols + shifts[a:b][row_of])
+            last = np.cumsum(w) - 1
+            changes = np.empty(len(cols), dtype=bool)
+            np.not_equal(xs[:-1], xs[1:], out=changes[:-1])
+            changes[last] = False
+            at = np.flatnonzero(changes)
+            if at.size:
+                cum = np.zeros((k, len(cols) + 1))
+                np.cumsum(np.take(stats_t, cols, axis=1), axis=1, out=cum[:, 1:])
+                r = row_of[at]
+                i = at - (last[r] + 1 - w[r])
+                base = np.take(cum, at - i, axis=1)
+                left = np.take(cum, at + 1, axis=1) - base
+                right = np.take(cum, last[r] + 1, axis=1) - base - left
+                n_row = w[r]
+        if not at.size:
+            a = b
+            continue
         n_left = (i + 1).astype(np.float64)
-        scores = score(left, totals - left, n_left, n_row - n_left)
-        # each node's boundaries form one run, in (feature, position) order
-        first = _first_minima(q // c, scores)
-        first = first[scores[first] < np.inf]
-        q, i = q[first], i[first]
-    at = starts.ravel()[q] + i
-    shift = shifts.ravel()[q]
-    lo = data_t.ravel()[src[at] + shift]
-    hi = data_t.ravel()[src[at + 1] + shift]
+        scores = score(left, right, n_left, n_row - n_left)
+        q = a + r
+        best = (np.argmin(scores, keepdims=True) if len(lengths) == 1 else
+                _first_minima(q // c, scores))
+        best = best[scores[best] < np.inf]  # a NaN splits nothing
+        at = at[best]
+        xs = xs.ravel()
+        found.append((q[best], i[best], scores[best], xs[at], xs[at + 1],
+                      left[:, best], right[:, best]))
+        a = b
+    if not found:
+        return (np.zeros(0, dtype=np.intp),) * 4 + (np.zeros((k, 0)),) * 2
+    q, i, scores, lo, hi, left, right = (found[0] if len(found) == 1 else
+                                         (np.concatenate(p, axis=-1) for p in zip(*found)))
+    if len(found) > 1:
+        # a node split over chunks keeps its first best, chunk by chunk
+        best = _first_minima(q // c, scores)
+        q, i, lo, hi = q[best], i[best], lo[best], hi[best]
+        left, right = left[:, best], right[:, best]
     # the midpoint of adjacent doubles can round up to hi, which would send
     # hi's rows left; lo keeps them right
     mid = (lo + hi) / 2.0
-    return q // c, q, np.where(mid == hi, lo, mid), i + 1
+    return q // c, q, np.where(mid == hi, lo, mid), i + 1, left, right
 
 
 class _TreeGrower:
     """The one grower: trees over one presorted data set, grown to
     ``max_depth`` in lockstep. ``score`` rates the boundaries and ``leaf``
     gives each node's (value, pure); with ``max_features`` below d each node
-    searches that many features drawn from its tree's generator.
+    searches that many features drawn from its tree's generator. ``known``,
+    given only for integer-valued statistics, whose sums are exact in any
+    order, gives a child's (value, pure) from the statistics its parent's
+    split sums on its side: a child it reports pure is a leaf at once, with
+    no orders, leaf test or step.
 
     A node holds the orders of feature 0 (its row set) and of the features
     its parent searched, as column ids of the statistics block. A child
@@ -300,44 +302,60 @@ class _TreeGrower:
     partition, and any other by sorting its rows on their presort rank,
     the (value, row index) key, which gives the same order."""
 
-    def __init__(self, data_t, presorted, max_depth, score, leaf, max_features=None):
+    def __init__(self, data_t, max_depth, score, leaf, max_features=None, known=None):
         self.data_t = data_t
-        self.presorted = presorted
+        self.presorted = _presort(data_t)
         self.max_depth = max_depth
         self.score = score
         self.leaf = leaf
-        d, n = presorted.shape
+        self.known = known
+        d = len(data_t)
         self.features = np.arange(d)
         self.max_features = max_features if max_features is not None and max_features < d else d
-        self.root_blocks = None
         self.rank = None  # each row's place in each column's presort, made when first needed
 
     def grow(self, stats_t, roots, rngs=()):
         """Trees over the class-major statistics ``stats_t`` (k, g * n):
         tree t reads columns t * n onwards, starts from ``roots[t]``, its
         root's (features, column orders) with feature 0 first, and draws its
-        candidates from ``rngs[t]``. Each step takes the next node of every
-        tree in depth-first preorder, which fixes each tree's candidate draws
-        and leaf ids. Returns each tree's (root, leaf count)."""
+        candidates from ``rngs[t]``. Several trees need integer-valued
+        statistics (see ``_best_splits``). Each step takes the next node of
+        every tree in depth-first preorder, which fixes each tree's candidate draws
+        and leaf ids; a leaf known at its parent's split takes its id on the
+        way. Returns each tree's (root, leaf count)."""
         tops = [_Node() for _ in roots]
         n_leaves = [0] * len(roots)
         pending = [[(top, 0, feats, orders)] for top, (feats, orders) in zip(tops, roots)]
         while any(pending):
-            step = [(t, *stack.pop()) for t, stack in enumerate(pending) if stack]
-            rows = [orders[0] for *_, orders in step]
-            values, pure = self.leaf(
-                np.take(stats_t, rows[0] if len(rows) == 1 else np.concatenate(rows), axis=1),
-                [len(r) for r in rows])
-            search = [e for e, p in zip(step, pure.tolist()) if e[2] < self.max_depth and not p]
-            if search:
-                for t, left, right in self._split(stats_t, search, rngs):
-                    pending[t] += (right, left)
-            for (t, node, *_), value in zip(step, [None] * len(step) if values is None
-                                            else values.tolist()):
-                if node.is_leaf:
-                    node.value, node.leaf_id = value, n_leaves[t]
+            step = []
+            for t, stack in enumerate(pending):
+                while stack and stack[-1][3] is None:
+                    stack.pop()[0].leaf_id = n_leaves[t]
                     n_leaves[t] += 1
+                if stack:
+                    step.append((t, *stack.pop()))
+            if step:
+                for t, left, right in self._step(stats_t, step, rngs, n_leaves):
+                    pending[t] += (right, left)
         return list(zip(tops, n_leaves))
+
+    def _step(self, stats_t, step, rngs, n_leaves):
+        """Leaf test and split search over the nodes ``step`` (tree, node,
+        depth, features, orders), one per tree: splits each node that has a
+        boundary, numbers the others as their trees' next leaves, and returns
+        the children's (tree, left, right) pending entries."""
+        rows = [orders[0] for *_, orders in step]
+        values, pure = self.leaf(
+            np.take(stats_t, rows[0] if len(rows) == 1 else np.concatenate(rows), axis=1),
+            [len(r) for r in rows])
+        search = [e for e, p in zip(step, pure.tolist()) if e[2] < self.max_depth and not p]
+        out = self._split(stats_t, search, rngs) if search else []
+        for (t, node, *_), value in zip(step, [None] * len(step) if values is None
+                                        else values.tolist()):
+            if node.is_leaf:
+                node.value, node.leaf_id = value, n_leaves[t]
+                n_leaves[t] += 1
+        return out
 
     def _split(self, stats_t, search, rngs):
         """One split search over the nodes ``search`` (tree, node, depth,
@@ -345,17 +363,17 @@ class _TreeGrower:
         its (tree, left, right) pending entries."""
         d, n_all = self.presorted.shape
         c = self.max_features
-        trees = np.array([t for t, *_ in search])
-        sizes = np.array([orders.shape[1] for *_, orders in search])
-        held = np.array([len(feats) for *_, feats, _ in search])
+        trees, sizes, held = np.array([(t, orders.shape[1], len(feats))
+                                       for t, _, _, feats, orders in search]).T
         if c == d:
             cands = np.repeat(self.features[None], len(search), axis=0)
         else:
             cands = np.sort([rngs[t].choice(d, size=c, replace=False) for t, *_ in search],
                             axis=1)
-        ends = np.cumsum(held * sizes)
-        offsets, n_held = ends - held * sizes, ends[-1]
-        whole = (held == d).all()  # every node holds every order, in feature order
+        offsets = np.cumsum(held * sizes) - held * sizes
+        n_held = int(offsets[-1] + held[-1] * sizes[-1])
+        # every node holds every order, in feature order
+        whole = all(len(feats) == d for *_, feats, _ in search)
         if whole:
             slot, node_of = cands, []
         else:
@@ -371,74 +389,55 @@ class _TreeGrower:
             src = search[0][4].ravel()
         else:
             # held orders, then the missing candidates' orders, then a tail
-            # that lets every row of a padded search block read as one run
+            # that lets a search block read its longest row's length past
+            # every start
             lens = sizes[node_of]
             src = np.empty(n_held + lens.sum() + sizes.max(), dtype=np.intp)
             np.concatenate([orders.ravel() for *_, orders in search], out=src[:n_held])
             src[n_held + lens.sum() :] = 0
         if len(node_of):
-            # a missing candidate's order: the node's row set sorted by
-            # presort rank
             if self.rank is None:
                 self.rank = np.empty(d * n_all, dtype=np.int32 if n_all <= 2**31 else np.int64)
                 self.rank[(self.presorted + (self.features * n_all)[:, None]).ravel()] = (
                     np.tile(np.arange(n_all), d))
+            # a missing candidate's order: its node's row set sorted by presort
+            # rank, for every node of the step in one sort of (segment, rank)
+            # keys, in 32 bits where they fit
             missing = slot < 0
-            shared = missing & (sizes < SORT_ROWS)[:, None]
-            at = n_held
-            if shared.any():
-                # small nodes: one sort of the step's (segment, rank) keys, in
-                # 32 bits where they fit
-                node_of = np.nonzero(shared)[0]
-                lens = sizes[node_of]
-                seg = np.repeat(np.arange(len(node_of)), lens)
-                key = np.take(self.rank, src[_ranges(offsets[node_of], lens)] + shifts[shared][seg],
-                              mode="clip")
-                offset = np.arange(len(node_of)) * n_all
-                key = key.astype(np.int32 if offset[-1] + n_all <= 2**31 else np.int64, copy=False)
-                key += offset.astype(key.dtype)[seg]
-                key.sort()
-                dest = src[at : at + len(key)]
-                np.take(self.presorted.ravel(), key + (cands[shared] * n_all - offset)[seg],
-                        out=dest, mode="clip")
-                dest += (trees[node_of] * n_all)[seg]
-                starts[shared] = at + np.cumsum(lens) - lens
-                at += len(key)
-            for s in np.flatnonzero((missing & ~shared).any(axis=1)).tolist():
-                # a large node: one row of ranks per candidate, sorted in place;
-                # its rows in ascending order read the rank table in order
-                feats, n, base = cands[s, missing[s]], sizes[s], trees[s] * n_all
-                rows = np.sort(src[offsets[s] : offsets[s] + n])
-                ranks = np.take(self.rank, (feats * n_all - base)[:, None] + rows, mode="clip")
-                ranks.sort(axis=1)
-                block = src[at : at + len(feats) * n].reshape(len(feats), n)
-                np.take(self.presorted.ravel(), ranks + (feats * n_all)[:, None], out=block,
-                        mode="clip")
-                block += base
-                starts[s, missing[s]] = at + n * np.arange(len(feats))
-                at += len(feats) * n
-        blocks = None
-        if len(search) == 1 and search[0][4] is self.presorted:
-            # a root over every row in feature order, as each boosting round
-            # and stump regrows: its blocks do not depend on the statistics
-            if self.root_blocks is None:
-                self.root_blocks = _search_blocks(self.data_t, src, starts, shifts, sizes,
-                                                  len(stats_t))
-            blocks = self.root_blocks
-        won, row, threshold, n_left = _best_splits(self.data_t, stats_t, src, starts, shifts,
-                                                   sizes, self.score, blocks=blocks)
+            dest = src[n_held : n_held + lens.sum()]
+            np.take(src, _ranges(offsets[node_of], lens), out=dest)
+            dest += np.repeat(shifts[missing], lens)
+            offset = np.arange(len(node_of)) * n_all
+            key = np.take(self.rank, dest, mode="clip").astype(
+                np.int32 if offset[-1] + n_all <= 2**31 else np.int64, copy=False)
+            key += np.repeat(offset.astype(key.dtype), lens)
+            key.sort()
+            np.take(self.presorted.ravel(), key + np.repeat(cands[missing] * n_all - offset, lens),
+                    out=dest, mode="clip")
+            dest += np.repeat(trees[node_of] * n_all, lens)
+            starts[missing] = n_held + np.cumsum(lens) - lens
+        won, row, threshold, n_left, sums_l, sums_r = _best_splits(
+            self.data_t, stats_t, src, starts, shifts, sizes, self.score)
         if not len(won):
             return []
-        split_at = starts.ravel()[row]
-        in_left = np.zeros(stats_t.shape[1], dtype=bool)
-        if len(won) == 1:
-            in_left[src[split_at[0] : split_at[0] + n_left[0]]] = True
+        if self.known is None:
+            values, pure = [None] * (2 * len(won)), np.zeros(2 * len(won), dtype=bool)
         else:
-            in_left[src[_ranges(split_at, n_left)]] = True
+            values, pure = self.known(np.concatenate((sums_l, sums_r), axis=1))
+            values = values.tolist()
+        # a node both of whose children are known leaves moves no orders
+        moved = ~(pure[: len(won)] & pure[len(won) :])
+        split_at = starts.ravel()[row[moved]]
+        in_left = np.zeros(stats_t.shape[1], dtype=bool)
+        if len(split_at) == 1:
+            in_left[src[split_at[0] : split_at[0] + n_left[moved][0]]] = True
+        elif len(split_at):
+            in_left[src[_ranges(split_at, n_left[moved])]] = True
         # children hold feature 0 and the node's candidates, feature 0 once;
         # at the depth limit only feature 0, which the leaf test reads
         kept, at = [], []
-        for s in won.tolist():
+        offsets, sizes = offsets.tolist(), sizes.tolist()
+        for s in won[moved].tolist():
             if search[s][2] + 1 == self.max_depth:
                 kept.append(self.features[:1])
                 at.append(offsets[s])
@@ -452,8 +451,10 @@ class _TreeGrower:
                 kept.append(np.concatenate((self.features[:1], cands[s])))
                 at += [offsets[s], *starts[s].tolist()]
         m = [len(f) for f in kept]
-        n = sizes[won]
-        if len(search) == 1 and at == list(range(at[0], at[0] + m[0] * n[0], n[0])):
+        n = [sizes[s] for s in won[moved].tolist()]
+        if not kept:
+            flat = src[:0]
+        elif len(search) == 1 and at == list(range(at[0], at[0] + m[0] * n[0], n[0])):
             flat = src[at[0] : at[0] + m[0] * n[0]]  # the node's own orders: no copy
         elif len(search) == 1:  # every row of src is one of the node's orders
             flat = src[: len(src) // n[0] * n[0]].reshape(-1, n[0])[np.array(at) // n[0]]
@@ -463,20 +464,28 @@ class _TreeGrower:
         go_left = in_left[flat]
         left, right = flat[np.flatnonzero(go_left)], flat[np.flatnonzero(~go_left)]
         out = []
-        lo = ro = 0
-        for s, q, thr, feats, m_s, n_s, nl in zip(won.tolist(), row.tolist(), threshold.tolist(),
-                                                  kept, m, n.tolist(), n_left.tolist()):
+        lo = ro = p = 0
+        for j, (s, q, thr, nl) in enumerate(zip(won.tolist(), row.tolist(), threshold.tolist(),
+                                                n_left.tolist())):
             t, node, depth, *_ = search[s]
             node.feature = int(cands[s, q % c])
             node.threshold = thr
             node.left, node.right = _Node(), _Node()
-            nr = n_s - nl
-            out.append((t, (node.left, depth + 1, feats,
-                            left[lo : lo + m_s * nl].reshape(m_s, nl)),
-                        (node.right, depth + 1, feats,
-                         right[ro : ro + m_s * nr].reshape(m_s, nr))))
-            lo += m_s * nl
-            ro += m_s * nr
+            entries = []
+            for child, i, side, start, size in ((node.left, j, left, lo, nl),
+                                                (node.right, j + len(won), right, ro,
+                                                 sizes[s] - nl)):
+                if pure[i]:
+                    child.value = values[i]
+                    entries.append((child, depth + 1, None, None))
+                else:
+                    entries.append((child, depth + 1, kept[p],
+                                    side[start : start + m[p] * size].reshape(m[p], size)))
+            if moved[j]:
+                lo += m[p] * nl
+                ro += m[p] * (sizes[s] - nl)
+                p += 1
+            out.append((t, *entries))
         return out
 
 
@@ -496,6 +505,8 @@ def _route_leaves(root: _Node, data_t: np.ndarray) -> list[tuple[_Node, np.ndarr
 
 
 def _feature_major(data: np.ndarray) -> np.ndarray:
+    """(d, n) copy of ``data``, which many trees route: each node then
+    gathers from one contiguous feature row."""
     return np.ascontiguousarray(np.asarray(data, dtype=np.float64).T)
 
 
@@ -504,7 +515,8 @@ class DecisionTree:
     root: _Node
 
     def predict(self, data: np.ndarray) -> np.ndarray:
-        data_t = _feature_major(data)
+        # one tree routes a transposed view: a copy would cost more than it saves
+        data_t = np.asarray(data, dtype=np.float64).T
         out = np.empty(data_t.shape[1], dtype=np.intp)
         for node, rows in _route_leaves(self.root, data_t):
             out[rows] = node.value
@@ -512,7 +524,7 @@ class DecisionTree:
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """Leaf id per row."""
-        return _apply(self.root, _feature_major(data))
+        return _apply(self.root, np.asarray(data, dtype=np.float64).T)
 
 
 def _apply(root: _Node, data_t: np.ndarray) -> np.ndarray:
@@ -531,11 +543,10 @@ def fit_tree(
     if data.shape[0] < 1:
         raise ValueError("need at least one row")
     class_ids, k = _class_ids(labels)
-    presorted = _presort(data)
-    grower = _TreeGrower(np.ascontiguousarray(data.T), presorted, cfg.max_depth,
-                         _gini_scores, _gini_leaf)
+    grower = _TreeGrower(_feature_major(data), cfg.max_depth, _gini_scores, _gini_leaf,
+                         known=_class_leaf)
     stats_t = np.ascontiguousarray(_class_stats(class_ids, np.ones(len(class_ids)), k).T)
-    ((root, _),) = grower.grow(stats_t, [(grower.features, presorted)])
+    ((root, _),) = grower.grow(stats_t, [(grower.features, grower.presorted)])
     return DecisionTree(root=root)
 
 
@@ -546,9 +557,11 @@ def fit_tree(
 def _tree_cells(n_rows: int, n_classes: int, max_features: int) -> int:
     """Cells of one forest tree's lockstep state: its bootstrap weights and
     statistics block (``n_classes + 1`` per row), and per row at most
-    ``max_features + 1`` held orders in its pending nodes, as many again in
-    a step's search source, and twice that in the step's sort and partition."""
-    return n_rows * (n_classes + 1 + 4 * (max_features + 1))
+    ``max_features + 1`` held orders in its pending nodes, twice that in a
+    step's search source (held and sorted orders), and as much again in each
+    of the partition's gather and its two sides. The search's own working
+    memory is bounded by ``CELLS``."""
+    return n_rows * (n_classes + 1 + 5 * (max_features + 1))
 
 
 def _group_size(n_rows: int, n_classes: int, max_features: int) -> int:
@@ -600,9 +613,9 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
     class_ids, k = _class_ids(labels)
     max_features = min(cfg.max_features if cfg.max_features is not None
                        else int(round(np.sqrt(d))), d)
-    presorted = _presort(data)
-    grower = _TreeGrower(np.ascontiguousarray(data.T), presorted,
-                         DecisionTreeConfig().max_depth, _gini_scores, _gini_leaf, max_features)
+    grower = _TreeGrower(_feature_major(data), DecisionTreeConfig().max_depth, _gini_scores,
+                         _gini_leaf, max_features, known=_class_leaf)
+    presorted = grower.presorted
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
     n_groups = -(-cfg.n_trees // _group_size(n, k, max_features))
     group = -(-cfg.n_trees // n_groups)  # as many trees in each
@@ -613,8 +626,14 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
                    if cfg.bootstrap else np.ones(n) for rng in part]
         stats_t = np.ascontiguousarray(
             np.vstack([_class_stats(class_ids, w, k) for w in weights]).T)
-        roots = [(grower.features[:1], (presorted[0][w[presorted[0]] > 0] + t * n)[None])
-                 for t, w in enumerate(weights)]
+        if group == 1:
+            # a tree grown alone holds every order of its drawn rows, so its
+            # children partition them all, as the decision tree's do
+            drawn = np.flatnonzero((weights[0] > 0)[presorted])
+            roots = [(grower.features, presorted.ravel()[drawn].reshape(d, -1))]
+        else:
+            roots = [(grower.features[:1], (presorted[0][w[presorted[0]] > 0] + t * n)[None])
+                     for t, w in enumerate(weights)]
         trees += [DecisionTree(root=root) for root, _ in grower.grow(stats_t, roots, part)]
     return RandomForest(trees=trees, n_classes=k)
 
@@ -778,13 +797,12 @@ def fit_adaboost(data: np.ndarray, labels, cfg: AdaBoostConfig = AdaBoostConfig(
     class_ids = _binary_ids(labels)
     y = np.where(class_ids == 1, 1.0, -1.0)
     n = data.shape[0]
-    presorted = _presort(data)
-    data_t = np.ascontiguousarray(data.T)
-    grower = _TreeGrower(data_t, presorted, 1, _gini_scores, _gini_leaf)
+    data_t = _feature_major(data)
+    grower = _TreeGrower(data_t, 1, _gini_scores, _gini_leaf)
 
     def fit_stump(weights):
         stats_t = np.ascontiguousarray(_class_stats(class_ids, weights, 2).T)
-        ((root, _),) = grower.grow(stats_t, [(grower.features, presorted)])
+        ((root, _),) = grower.grow(stats_t, [(grower.features, grower.presorted)])
         return DecisionTree(root=root)
 
     weights = np.full(n, 1.0 / n)
@@ -860,15 +878,14 @@ def fit_gradient_boost(
     p0 = min(max(float(y.mean()), 1e-12), 1.0 - 1e-12)
     f0 = float(np.log(p0 / (1.0 - p0)))
     scores = np.full(data.shape[0], f0)
-    presorted = _presort(data)
-    data_t = np.ascontiguousarray(data.T)
-    grower = _TreeGrower(data_t, presorted, GB_MAX_DEPTH, _sse_scores, _sse_leaf)
+    data_t = _feature_major(data)
+    grower = _TreeGrower(data_t, GB_MAX_DEPTH, _sse_scores, _sse_leaf)
     trees: list[tuple[DecisionTree, np.ndarray]] = []
     for _ in range(cfg.n_rounds):
         prob = _sigmoid(scores)
         residual = y - prob
         ((root, n_leaves),) = grower.grow(np.vstack((residual, residual * residual)),
-                                          [(grower.features, presorted)])
+                                          [(grower.features, grower.presorted)])
         tree = DecisionTree(root=root)
         leaf_of_row = _apply(root, data_t)
         num = np.bincount(leaf_of_row, weights=residual, minlength=n_leaves)

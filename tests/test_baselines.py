@@ -90,7 +90,7 @@ def test_tree_threshold_between_adjacent_doubles_keeps_upper_rows_right():
     assert tree.root.threshold == lo
     assert tree.predict(data).tolist() == [0, 1]
     stats = _class_stats(np.array([0, 1]), np.ones(2), 2)
-    assert split_oracle.best_split(data, stats, _presort(data), np.array([0]),
+    assert split_oracle.best_split(data, stats, _presort(data.T), np.array([0]),
                                    split_oracle.gini_scores) == (0, lo, 1)
 
 
@@ -161,7 +161,7 @@ def _split_search(values, stats_t, orders, candidates, score, cells=CELLS):
     """(feature, threshold, n_left) of ``_best_splits`` over one node whose
     (d, n) row order is ``orders``, or None when it has no boundary."""
     n_all, n = values.shape[0], orders.shape[1]
-    node, row, threshold, n_left = _best_splits(
+    node, row, threshold, n_left, *_ = _best_splits(
         np.ascontiguousarray(values.T), stats_t, orders.ravel(), (candidates * n)[None],
         (candidates * n_all)[None], np.array([n]), score, cells=cells)
     return (int(candidates[row[0]]), threshold[0], int(n_left[0])) if len(node) else None
@@ -213,7 +213,7 @@ def test_batched_split_search_matches_per_feature_oracle(data):
     # a node holds a subset of the rows, in the presorted order
     keep = np.array(draw(st.lists(st.booleans(), min_size=n_all, max_size=n_all)))
     keep[draw(st.integers(0, n_all - 1))] = True
-    orders = _presort(values)
+    orders = _presort(values.T)
     orders = orders[keep[orders]].reshape(d, -1)
     chosen = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
     candidates = np.array(sorted(chosen))
@@ -236,7 +236,7 @@ def test_split_search_on_constant_candidates_returns_none():
     # features 0 and 2 vary, but the node only offers the constant feature 1
     values = np.array([[0.0, 5.0, 1.0], [1.0, 5.0, 0.0], [2.0, 5.0, 1.0], [3.0, 5.0, 0.0]])
     stats = _class_stats(np.array([0, 1, 0, 1]), np.ones(4), 2)
-    orders = _presort(values)
+    orders = _presort(values.T)
     candidates = np.array([1])
     assert split_oracle.best_split(values, stats, orders, candidates,
                                    split_oracle.gini_scores) is None
@@ -344,15 +344,15 @@ def test_forest_trees_match_the_depth_first_oracle(data):
                                        min_size=n, max_size=n)))
     n_trees, bootstrap = draw(st.integers(1, 7)), draw(st.booleans())
     max_features, seed = draw(st.integers(1, d)), draw(st.integers(0, 2**16))
-    # every node sorts its missing orders row by row, or every one shares
-    # the step's sort
-    sort_rows = draw(st.sampled_from([1, baselines.SORT_ROWS]))
-    kept, baselines.SORT_ROWS = baselines.SORT_ROWS, sort_rows
+    # each tree grows alone, holding every order, or all grow in one group
+    # whose nodes sort their missing orders
+    group_cells = draw(st.sampled_from([1, baselines.GROUP_CELLS]))
+    kept, baselines.GROUP_CELLS = baselines.GROUP_CELLS, group_cells
     try:
         forest = fit_forest(values, class_ids, ForestConfig(
             n_trees=n_trees, bootstrap=bootstrap, max_features=max_features, seed=seed))
     finally:
-        baselines.SORT_ROWS = kept
+        baselines.GROUP_CELLS = kept
     want = tree_oracle.fit_forest(values, class_ids, class_ids.max() + 1, n_trees, bootstrap,
                                   max_features, seed)
     assert _tree_digest([t.root for t in forest.trees]) == _tree_digest(want)
@@ -378,16 +378,17 @@ def test_forest_trees_do_not_depend_on_the_group_size(monkeypatch):
 
 def test_group_size_shrinks_as_rows_grow_and_keeps_its_budget(monkeypatch):
     sizes = [_group_size(n, 2, 6) for n in (300, 3_000, 30_000, 125_973)]
-    assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1] >= 1
-    # at NSL-KDD scale a group's state stays within the budget
-    assert _group_size(125_973, 2, 6) * _tree_cells(125_973, 2, 6) <= GROUP_CELLS
-    # and a tree's state is no larger than its cell count says: each tree a
-    # group adds raises the traced peak of a fit by at most that many cells
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
+    # at NSL-KDD scale each tree grows alone, holding every order
+    assert _group_size(125_973, 2, 6) == 1
+    # a tree's lockstep state is no larger than its cell count says: each
+    # tree a group adds raises the traced peak of a fit by at most that many
+    # cells
     rng = np.random.default_rng(0)
     data = rng.integers(0, 50, size=(2_000, 41)) / 7.0
     labels = (data[:, 0] + rng.normal(size=2_000) > 3.5).astype(np.intp)
     peaks = {}
-    for group in (1, 9):
+    for group in (2, 9):
         _with_group_size(monkeypatch, group, 2_000, 2, 6)
         tracemalloc.start()
         try:
@@ -395,7 +396,7 @@ def test_group_size_shrinks_as_rows_grow_and_keeps_its_budget(monkeypatch):
             peaks[group] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[9] - peaks[1] <= 8 * _tree_cells(2_000, 2, 6) * 8
+    assert peaks[9] - peaks[2] <= 7 * _tree_cells(2_000, 2, 6) * 8
 
 
 @pytest.mark.parametrize("max_features, rows, message", [
