@@ -27,7 +27,8 @@ gradient boosting grow one-tree groups; a forest groups as many trees
 as keep their state within ``GROUP_CELLS``, so its groups shrink as the
 rows grow (one tree each at NSL-KDD scale), and no tree depends on the
 grouping. With integer weights (the decision tree and the forest) a
-child whose split sums show one class only is a leaf at once. Split
+child whose split sums show one class only, or that sits at the depth
+limit, is a leaf at once. Split
 tie-breaking is deterministic everywhere: lower feature index first,
 then lower threshold; a candidate threshold is the midpoint of two
 consecutive distinct sorted values, or the lower value when that
@@ -262,13 +263,12 @@ def _best_splits(data_t, stats_t, src, starts, shifts, lengths, score, cells: in
             continue
         n_left = (i + 1).astype(np.float64)
         scores = score(left, right, n_left, n_row - n_left)
-        q = a + r
         best = (np.argmin(scores, keepdims=True) if len(lengths) == 1 else
-                _first_minima(q // c, scores))
+                _first_minima((a + r) // c, scores))
         best = best[scores[best] < np.inf]  # a NaN splits nothing
         at = at[best]
         xs = xs.ravel()
-        found.append((q[best], i[best], scores[best], xs[at], xs[at + 1],
+        found.append((a + r[best], i[best], scores[best], xs[at], xs[at + 1],
                       left[:, best], right[:, best]))
         a = b
     if not found:
@@ -293,8 +293,9 @@ class _TreeGrower:
     searches that many features drawn from its tree's generator. ``known``,
     given only for integer-valued statistics, whose sums are exact in any
     order, gives a child's (value, pure) from the statistics its parent's
-    split sums on its side: a child it reports pure is a leaf at once, with
-    no orders, leaf test or step.
+    split sums on its side: such a child takes no leaf test, and one it
+    reports pure, or one at the depth limit, is a leaf at once, with no
+    orders or step.
 
     A node holds the orders of feature 0 (its row set) and of the features
     its parent searched, as column ids of the statistics block. A child
@@ -343,17 +344,26 @@ class _TreeGrower:
         """Leaf test and split search over the nodes ``step`` (tree, node,
         depth, features, orders), one per tree: splits each node that has a
         boundary, numbers the others as their trees' next leaves, and returns
-        the children's (tree, left, right) pending entries."""
-        rows = [orders[0] for *_, orders in step]
-        values, pure = self.leaf(
-            np.take(stats_t, rows[0] if len(rows) == 1 else np.concatenate(rows), axis=1),
-            [len(r) for r in rows])
-        search = [e for e, p in zip(step, pure.tolist()) if e[2] < self.max_depth and not p]
+        the children's (tree, left, right) pending entries. A child that
+        ``known`` rated at its parent's split already has its value and is
+        not pure, so only the other nodes take the leaf test."""
+        test = [e for e in step if self.known is None or e[1].value is None]
+        pure = set()
+        if test:
+            rows = [orders[0] for *_, orders in test]
+            values, is_pure = self.leaf(
+                np.take(stats_t, rows[0] if len(rows) == 1 else np.concatenate(rows), axis=1),
+                [len(r) for r in rows])
+            for (_, node, *_), value, p in zip(test, [None] * len(test) if values is None
+                                               else values.tolist(), is_pure.tolist()):
+                node.value = value
+                if p:
+                    pure.add(node)
+        search = [e for e in step if e[2] < self.max_depth and e[1] not in pure]
         out = self._split(stats_t, search, rngs) if search else []
-        for (t, node, *_), value in zip(step, [None] * len(step) if values is None
-                                        else values.tolist()):
+        for t, node, *_ in step:
             if node.is_leaf:
-                node.value, node.leaf_id = value, n_leaves[t]
+                node.leaf_id = n_leaves[t]
                 n_leaves[t] += 1
         return out
 
@@ -421,12 +431,14 @@ class _TreeGrower:
         if not len(won):
             return []
         if self.known is None:
-            values, pure = [None] * (2 * len(won)), np.zeros(2 * len(won), dtype=bool)
+            values, done = [None] * (2 * len(won)), np.zeros(2 * len(won), dtype=bool)
         else:
             values, pure = self.known(np.concatenate((sums_l, sums_r), axis=1))
             values = values.tolist()
+            at_limit = np.array([search[s][2] + 1 == self.max_depth for s in won.tolist()])
+            done = pure | np.concatenate((at_limit, at_limit))
         # a node both of whose children are known leaves moves no orders
-        moved = ~(pure[: len(won)] & pure[len(won) :])
+        moved = ~(done[: len(won)] & done[len(won) :])
         split_at = starts.ravel()[row[moved]]
         in_left = np.zeros(stats_t.shape[1], dtype=bool)
         if len(split_at) == 1:
@@ -475,8 +487,8 @@ class _TreeGrower:
             for child, i, side, start, size in ((node.left, j, left, lo, nl),
                                                 (node.right, j + len(won), right, ro,
                                                  sizes[s] - nl)):
-                if pure[i]:
-                    child.value = values[i]
+                child.value = values[i]
+                if done[i]:
                     entries.append((child, depth + 1, None, None))
                 else:
                     entries.append((child, depth + 1, kept[p],
