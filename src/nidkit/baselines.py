@@ -480,8 +480,7 @@ class _TreeGrower:
         for j, (s, q, thr, nl) in enumerate(zip(won.tolist(), row.tolist(), threshold.tolist(),
                                                 n_left.tolist())):
             t, node, depth, *_ = search[s]
-            node.feature = int(cands[s, q % c])
-            node.threshold = thr
+            node.feature, node.threshold, node.value = int(cands[s, q % c]), thr, None
             node.left, node.right = _Node(), _Node()
             entries = []
             for child, i, side, start, size in ((node.left, j, left, lo, nl),

@@ -356,6 +356,13 @@ def test_forest_trees_match_the_depth_first_oracle(data):
     want = tree_oracle.fit_forest(values, class_ids, class_ids.max() + 1, n_trees, bootstrap,
                                   max_features, seed)
     assert _tree_digest([t.root for t in forest.trees]) == _tree_digest(want)
+    # as in the oracle, a split node keeps no class value
+    stack = [t.root for t in forest.trees]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            assert node.value is None
+            stack += (node.left, node.right)
 
 
 def _with_group_size(monkeypatch, group, rows, n_classes, max_features):
