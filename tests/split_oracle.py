@@ -1,5 +1,7 @@
-"""Reference oracle for ``nidkit.baselines._best_split``: one candidate
-feature at a time, over a row-major (rows, columns) statistics block.
+"""Reference oracle for the batched split search ``nidkit.baselines._best_splits``,
+which ``tests/test_baselines.py`` reaches through its one-node helper
+``_split_search``: one candidate feature at a time, over a row-major
+(rows, columns) statistics block.
 
 Each feature's rows are gathered in ascending value order and summed with
 one cumsum; every boundary between two distinct values is scored, and the
