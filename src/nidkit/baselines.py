@@ -533,10 +533,6 @@ class DecisionTree:
             out[rows] = node.value
         return out
 
-    def apply(self, data: np.ndarray) -> np.ndarray:
-        """Leaf id per row."""
-        return _apply(self.root, np.asarray(data, dtype=np.float64).T)
-
 
 def _apply(root: _Node, data_t: np.ndarray) -> np.ndarray:
     """Leaf id per column of the feature-major data ``data_t``."""

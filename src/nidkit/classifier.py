@@ -6,7 +6,8 @@ when requested, happens strictly after the train/validation split and
 only on the training rows. The MLP baseline trains through the same
 ``train_network`` path and the same ``_stratified_split``, as a
 41 -> 80 -> 2 network over the binary ids.
-Labels are attack ids (see ``dataset``); only the training report names them.
+Rows are standardized (n, 41) float64 arrays and labels are arrays of
+attack ids (see ``dataset``), row for row; only the training report names them.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import numpy as np
 from . import neural
 from .dataset import ATTACK_CATEGORIES
 from .errors import InsufficientDataError, VersionSkewError, reading
-from .preprocess import FeatureMatrix
 from .resample import SvmSmoteConfig, svm_smote
-from .schema import DEFAULT_SCHEMA
+from .schema import NAMES
 
 CLASS_ORDER = ATTACK_CATEGORIES
 CLASSIFIER_FORMAT_VERSION = 1
@@ -68,9 +68,9 @@ class AttackClassifier:
                 raise VersionSkewError(
                     f"classifier format version {doc.get('format_version')!r} unsupported")
             model = neural.MlpModel.from_json(json.dumps(doc["model"]))
-            if (model.in_dim, model.out_dim) != (len(DEFAULT_SCHEMA.names), len(CLASS_ORDER)):
+            if (model.in_dim, model.out_dim) != (len(NAMES), len(CLASS_ORDER)):
                 raise ValueError(f"network maps {model.in_dim} inputs to {model.out_dim} "
-                                 f"outputs, not {len(DEFAULT_SCHEMA.names)} to {len(CLASS_ORDER)}")
+                                 f"outputs, not {len(NAMES)} to {len(CLASS_ORDER)}")
             if doc["class_order"] != list(CLASS_ORDER):
                 raise ValueError(f"class_order {doc['class_order']!r} is not {list(CLASS_ORDER)}")
             if not isinstance(doc["trained_with_oversampling"], bool):
@@ -137,28 +137,30 @@ def train_network(
 
 
 def train_fourclass(
-    attacks: FeatureMatrix,
+    values: np.ndarray,
+    labels: np.ndarray,
+    val_fraction: float,
     tcfg: neural.TrainConfig,
     rng: np.random.Generator,
     oversample: SvmSmoteConfig | None = None,
     dnn: DnnConfig = DnnConfig(),
 ) -> tuple[AttackClassifier, dict]:
-    """Train on attack rows labelled by attack id; returns (classifier, training info)."""
-    labels = attacks.labels
-    check_attack_counts(labels, tcfg.val_fraction, oversample is not None)
+    """Train on the attack rows ``values`` labelled by the attack ids
+    ``labels``, ``val_fraction`` of each class held out for early stopping;
+    returns (classifier, training info)."""
+    check_attack_counts(labels, val_fraction, oversample is not None)
 
-    train_idx, val_idx = _stratified_split(labels, tcfg.val_fraction, rng)
-    train_x, train_labels = attacks.values[train_idx], labels[train_idx]
-    val_x, val_labels = attacks.values[val_idx], labels[val_idx]
+    train_idx, val_idx = _stratified_split(labels, val_fraction, rng)
+    train_x, train_labels = values[train_idx], labels[train_idx]
+    val_x, val_labels = values[val_idx], labels[val_idx]
 
     info: dict = {
         "class_counts_before": _named_counts(train_labels),
         "oversampled": oversample is not None,
     }
     if oversample is not None:
-        resampled = svm_smote(FeatureMatrix(values=train_x, labels=train_labels), oversample)
-        train_x = resampled.matrix.values
-        train_labels = resampled.matrix.labels
+        resampled = svm_smote(train_x, train_labels, oversample)
+        train_x, train_labels = resampled.values, resampled.labels
         info["class_counts_after"] = _named_counts(train_labels)
         info["resample_log"] = [f"class {CLASS_ORDER[c]}: {line}"
                                 for c, line in resampled.log.items()]

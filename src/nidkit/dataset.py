@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .schema import DEFAULT_SCHEMA
+from .schema import CATEGORICAL_INDICES, NAMES, NUMERIC_INDICES
 
 CATEGORIES = ("Normal", "DoS", "Probe", "R2L", "U2R")
 ATTACK_CATEGORIES = CATEGORIES[1:]
@@ -67,9 +67,6 @@ class ConnectionRecord:
     label: str
     difficulty: int
 
-    def to_line(self) -> str:
-        return ",".join(self.features) + f",{self.label},{self.difficulty}"
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
@@ -100,10 +97,10 @@ class LabeledDataset:
 
     def column(self, index: int) -> np.ndarray:
         """Parsed values of feature ``index``: str if categorical, else float64."""
-        if index in DEFAULT_SCHEMA.categorical_indices:
-            k = DEFAULT_SCHEMA.categorical_indices.index(index)
+        if index in CATEGORICAL_INDICES:
+            k = CATEGORICAL_INDICES.index(index)
             return self.vocab[k][self.codes[:, k]]
-        return self.numeric[:, DEFAULT_SCHEMA.numeric_indices.index(index)]
+        return self.numeric[:, NUMERIC_INDICES.index(index)]
 
     @property
     def records(self) -> tuple[ConnectionRecord, ...]:
@@ -195,8 +192,8 @@ def _line_error(line: str) -> str | None:
     fields = line.split(",")
     if len(fields) != N_FIELDS:
         return f"expected {N_FIELDS} fields, got {len(fields)}"
-    for j in DEFAULT_SCHEMA.numeric_indices:
-        message = _numeric_error(fields[j], DEFAULT_SCHEMA.names[j])
+    for j in NUMERIC_INDICES:
+        message = _numeric_error(fields[j], NAMES[j])
         if message is not None:
             return message
     difficulty = _difficulty(fields[DIFFICULTY_FIELD])
@@ -239,10 +236,10 @@ def parse_kdd_lines(lines: Iterable[str], split: str) -> LabeledDataset:
         raise KddParseError("no records found")
     if any(line.count(",") != N_FIELDS - 1 or "\0" in line for line in kept):
         raise _first_error(kept, blanks)
-    text_fields = (*DEFAULT_SCHEMA.categorical_indices, LABEL_FIELD, DIFFICULTY_FIELD)
+    text_fields = (*CATEGORICAL_INDICES, LABEL_FIELD, DIFFICULTY_FIELD)
     load = partial(np.loadtxt, kept, delimiter=",", comments=None, ndmin=2)
     try:
-        numeric = load(usecols=DEFAULT_SCHEMA.numeric_indices, dtype=np.float64)
+        numeric = load(usecols=NUMERIC_INDICES, dtype=np.float64)
         text = load(usecols=text_fields, dtype=object)
     except ValueError as exc:
         raise _first_error(kept, blanks, exc) from None

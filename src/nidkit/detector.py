@@ -4,8 +4,9 @@ A 41-15-41 denoising autoencoder is trained on normal traffic only
 (noisy forward pass, clean targets). A sample's anomaly score is the
 squared Euclidean distance between the input and its reconstruction;
 scores strictly above the calibrated threshold are verdicts of attack,
-scores at or below it are normal. Labels and verdicts are binary ids (see
-``dataset``); ``scores.csv`` spells the verdicts.
+scores at or below it are normal. Rows are standardized (n, 41) float64
+arrays, and labels and verdicts are arrays of binary ids (see ``dataset``);
+``scores.csv`` spells the verdicts.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 from . import neural
 from .dataset import ATTACK_ID, BINARY_CLASSES, NORMAL_ID
 from .errors import VersionSkewError, reading
-from .preprocess import FeatureMatrix
-from .schema import DEFAULT_SCHEMA
+from .schema import NAMES
 
 DETECTOR_FORMAT_VERSION = 1
 
@@ -81,7 +81,7 @@ class AnomalyDetector:
                 raise VersionSkewError(
                     f"detector format version {doc.get('format_version')!r} unsupported")
             model = neural.MlpModel.from_json(json.dumps(doc["model"]))
-            width = len(DEFAULT_SCHEMA.names)
+            width = len(NAMES)
             if (model.in_dim, model.out_dim) != (width, width):
                 raise ValueError(f"network maps {model.in_dim} inputs to {model.out_dim} "
                                  f"outputs, not {width} to {width}")
@@ -93,21 +93,17 @@ class AnomalyDetector:
 
 
 def train_on_normal(
-    normals: FeatureMatrix,
+    normals: np.ndarray,
     cfg: AutoencoderConfig,
     tcfg: neural.TrainConfig,
     rng: np.random.Generator,
-    validation: FeatureMatrix,
+    validation: np.ndarray,
 ) -> tuple[neural.MlpModel, neural.TrainHistory]:
-    """Train the autoencoder with inputs as targets, early-stopping on the
-    reconstruction of ``validation``; rejects attack rows in either set."""
-    for fm in (normals, validation):
-        bad = np.nonzero(fm.labels != NORMAL_ID)[0]
-        if bad.size:
-            raise ValueError(f"non-normal row at index {bad[0]} (binary id {fm.labels[bad[0]]})")
+    """Train the autoencoder with inputs as targets on the normal rows
+    ``normals``, early-stopping on the reconstruction of the normal rows
+    ``validation``; the caller selects both by binary id."""
     model = neural.init_model(cfg.layers(), rng)
-    return neural.train(model, normals.values, normals.values, tcfg, rng,
-                        validation=(validation.values, validation.values))
+    return neural.train(model, normals, normals, tcfg, rng, validation=(validation, validation))
 
 
 def reconstruction_errors(model: neural.MlpModel, batch: np.ndarray) -> np.ndarray:
@@ -153,20 +149,22 @@ def _best_f1_threshold(errors: np.ndarray, labels: np.ndarray) -> tuple[float, f
 
 def calibrate_threshold(
     model: neural.MlpModel,
-    validation: FeatureMatrix,
+    values: np.ndarray,
+    labels: np.ndarray,
     method: str = "quantile",
     q: float = 0.95,
 ) -> tuple[float, dict]:
-    """Pick alpha from validation reconstruction errors.
+    """Pick alpha from the reconstruction errors of the validation rows
+    ``values``, whose binary ids are ``labels``.
 
     quantile: alpha is the q-quantile (nearest rank) of the errors of
     the normal validation rows. labeled_f1: alpha maximizes attack-F1
     over the observed validation errors; needs both classes present.
     """
-    if validation.n_rows == 0:
+    if len(values) == 0:
         raise ValueError("empty validation set")
-    errors = reconstruction_errors(model, validation.values)
-    normal_rows = validation.labels == NORMAL_ID
+    errors = reconstruction_errors(model, values)
+    normal_rows = labels == NORMAL_ID
     if method == "quantile":
         use = errors[normal_rows] if normal_rows.any() else errors
         alpha = nearest_rank_quantile(use, q)
@@ -174,7 +172,7 @@ def calibrate_threshold(
     if method == "labeled_f1":
         if normal_rows.all() or not normal_rows.any():
             raise ValueError("labeled_f1 calibration needs both normal and attack rows")
-        alpha, f1 = _best_f1_threshold(errors, validation.labels)
+        alpha, f1 = _best_f1_threshold(errors, labels)
         return alpha, {
             "method": "labeled_f1", "validation_f1": f1, "n_validation": int(errors.size),
         }

@@ -13,7 +13,7 @@ import numpy as np
 
 from .dataset import CATEGORIES, LabeledDataset, spell_column
 from .preprocess import fit_encoder, encode
-from .schema import DEFAULT_SCHEMA
+from .schema import CATEGORICAL_INDICES, INDEX, NAMES
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,10 @@ def _numeric_view(ds: LabeledDataset) -> np.ndarray:
 
 def _feature_view(ds: LabeledDataset, feature: str) -> np.ndarray:
     """One column of the encoded matrix, without encoding the others."""
-    j = DEFAULT_SCHEMA.index_of(feature)
-    if j not in DEFAULT_SCHEMA.categorical_indices:
+    j = INDEX[feature]
+    if j not in CATEGORICAL_INDICES:
         return ds.column(j)
-    k = DEFAULT_SCHEMA.categorical_indices.index(j)
+    k = CATEGORICAL_INDICES.index(j)
     return fit_encoder(ds).encode_column(feature, ds.vocab[k], ds.codes[:, k])
 
 
@@ -127,7 +127,7 @@ def scatter_rows(
 ) -> list[tuple[str, str, str]]:
     """(x, y, category name) per record, each value spelled from its parsed
     column; ``cats`` is the per-row category id."""
-    x, y = (spell_column(ds.column(DEFAULT_SCHEMA.index_of(f))) for f in (feature_x, feature_y))
+    x, y = (spell_column(ds.column(INDEX[f])) for f in (feature_x, feature_y))
     return list(zip(x.tolist(), y.tolist(), np.take(CATEGORIES, cats).tolist()))
 
 
@@ -140,7 +140,7 @@ def scatter_csv(rows: list[tuple[str, str, str]], feature_x: str, feature_y: str
 def find_constant_features(ds: LabeledDataset) -> RedundancyReport:
     """Features whose parsed value never varies across the dataset."""
     found: list[tuple[str, str]] = []
-    for j, name in enumerate(DEFAULT_SCHEMA.names):
+    for j, name in enumerate(NAMES):
         values = ds.column(j)
         if (values == values[0]).all():
             found.append((name, str(spell_column(values[:1])[0])))
@@ -176,7 +176,7 @@ def write_exploration(
         written.append(path)
     corr = pearson_matrix(_numeric_view(ds))
     path = out / "correlation.csv"
-    path.write_text(corr.to_csv(DEFAULT_SCHEMA.names))
+    path.write_text(corr.to_csv(NAMES))
     written.append(path)
     for fx, fy in scatter_pairs:
         rows = scatter_rows(ds, fx, fy, cats)

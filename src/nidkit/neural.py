@@ -4,9 +4,12 @@ Supports exactly what the two networks in this toolkit need: ReLU /
 SeLU / softmax / identity activations, additive Gaussian input noise
 and inverted dropout (applied only when the forward pass is given an
 rng), bias-corrected Adam over one flat parameter buffer, shuffled
-mini-batches, and early stopping on the validation rows the caller
-hands in (``classifier._stratified_split`` chooses them). The output
-layer picks the loss: cross-entropy after a softmax, MSE otherwise.
+mini-batches, and early stopping. ``train`` takes the training rows and
+their targets as two row-aligned float64 arrays, and the validation rows as
+a (values, targets) pair of such arrays; the caller draws that split
+(``classifier._stratified_split``), so the validation fraction is its
+setting. The output layer picks the loss: cross-entropy after a softmax,
+MSE otherwise.
 Everything is float64 and deterministic given a seed: all randomness
 flows through an explicit ``numpy.random.Generator`` and the draw order
 is fixed by the layer configuration.
@@ -324,13 +327,10 @@ class EarlyStopper:
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
-    val_fraction: float = 0.15
     patience: int = 6
     max_epochs: int = 200
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must be in (0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1:

@@ -34,9 +34,9 @@ from . import neural
 from .dataset import (ATTACK, ATTACK_ID, BINARY_CLASSES, NORMAL, NORMAL_CATEGORY, NORMAL_ID,
                       LabeledDataset, category_ids, load_taxonomy, parse_kdd_file)
 from .errors import InsufficientDataError, StaleArtifactError
-from .preprocess import FeatureMatrix, FittedPipeline, fit_transform
+from .preprocess import FittedPipeline, fit_transform
 from .resample import SmoteConfig, SvmSmoteConfig
-from .schema import DEFAULT_SCHEMA
+from .schema import INDEX
 
 log = logging.getLogger("nidkit")
 
@@ -93,6 +93,8 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.calibration not in ("quantile", "labeled_f1"):
@@ -107,7 +109,7 @@ class RunConfig:
         if any(len(pair) != 2 for pair in self.scatter_pairs):
             raise ValueError(f"each scatter pair names two features, got {self.scatter_pairs!r}")
         for name in (*self.histogram_features, *(f for pair in self.scatter_pairs for f in pair)):
-            if name not in DEFAULT_SCHEMA.names:
+            if name not in INDEX:
                 raise ValueError(f"unknown feature {name!r}")
         if not (isinstance(self.baselines, tuple)
                 and all(name in BASELINE_NAMES for name in self.baselines)):
@@ -118,7 +120,6 @@ class RunConfig:
     def train_config(self) -> neural.TrainConfig:
         return neural.TrainConfig(
             batch_size=self.batch_size,
-            val_fraction=self.val_fraction,
             patience=self.patience,
             max_epochs=self.max_epochs,
         )
@@ -258,28 +259,26 @@ def run_train_binary(cfg: RunConfig) -> Path:
 def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> Path:
     t0 = time.perf_counter()
     bin_ids = _binary_ids(cats)
-    fm = FeatureMatrix(values=values, labels=bin_ids)
 
     ss = np.random.SeedSequence(cfg.seed)
     split_rng, ae_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
     train_idx, val_idx = clf_mod._stratified_split(bin_ids, cfg.val_fraction, split_rng)
-    train_part = fm.select(train_idx)
-    val_part = fm.select(val_idx)
-    normals_train = train_part.select(train_part.labels == NORMAL_ID)
-    normals_val = val_part.select(val_part.labels == NORMAL_ID)
-    if normals_val.n_rows == 0:
+    normal_train_idx = train_idx[bin_ids[train_idx] == NORMAL_ID]
+    normal_val_idx = val_idx[bin_ids[val_idx] == NORMAL_ID]
+    if normal_val_idx.size == 0:
         # degenerate tiny input: fall back to the training normals so the
         # early-stopping and calibration sets are never empty
         log.warning("validation split holds no normal rows; calibrating on training normals")
-        normals_val = normals_train
+        normal_val_idx = normal_train_idx
+    normals_train, normals_val = values[normal_train_idx], values[normal_val_idx]
 
     model, history = det_mod.train_on_normal(
         normals_train, det_mod.AutoencoderConfig(), cfg.train_config(), ae_rng,
         validation=normals_val,
     )
-    calib_set = normals_val if cfg.calibration == "quantile" else val_part
+    calib_idx = normal_val_idx if cfg.calibration == "quantile" else val_idx
     alpha, calib = det_mod.calibrate_threshold(
-        model, calib_set, method=cfg.calibration, q=cfg.calibration_q
+        model, values[calib_idx], bin_ids[calib_idx], method=cfg.calibration, q=cfg.calibration_q
     )
     det = det_mod.AnomalyDetector(model=model, alpha=alpha, calibration=calib)
     out = _out(cfg)
@@ -292,8 +291,8 @@ def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> Path:
         "final_val_loss": history.val_loss[history.best_epoch],
         "train_loss": history.train_loss,
         "val_loss": history.val_loss,
-        "n_train_normals": int(normals_train.n_rows),
-        "n_val_rows": int(val_part.n_rows),
+        "n_train_normals": len(normal_train_idx),
+        "n_val_rows": len(val_idx),
         "seconds": time.perf_counter() - t0,
     }
     (out / "train_binary_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -319,7 +318,7 @@ def run_train_multiclass(cfg: RunConfig) -> list[Path]:
 
 def _train_multiclass(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> list[Path]:
     t0 = time.perf_counter()
-    attacks = FeatureMatrix(values=values[cats != NORMAL_CATEGORY], labels=_attack_ids(cats))
+    attack_values, attack_labels = values[cats != NORMAL_CATEGORY], _attack_ids(cats)
 
     out = _out(cfg)
     written: list[Path] = []
@@ -335,7 +334,7 @@ def _train_multiclass(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> l
                 svm=bl.LinearSvmConfig(seed=cfg.seed),
             )
         clf, info = clf_mod.train_fourclass(
-            attacks,
+            attack_values, attack_labels, cfg.val_fraction,
             oversample=oversample,
             tcfg=cfg.train_config(),
             rng=rng,

@@ -4,7 +4,10 @@ The three categorical features are replaced by integer codes ranked by
 training-set frequency (codes 1..K ascending with frequency, 0 reserved
 for categories never seen in training), counted and looked up over the
 dataset's parse-time codes and vocabularies. Every column is then
-standardized with the population mean/std of the training matrix.
+standardized with the population mean/std of the training matrix. The
+result is a plain (n, 41) float64 array in schema order, checked finite
+here; the later stages take its rows as arrays, with each row's label in a
+separate integer array.
 """
 
 from __future__ import annotations
@@ -16,32 +19,9 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import VersionSkewError, reading
-from .schema import DEFAULT_SCHEMA
+from .schema import CATEGORICAL_INDICES, NAMES, NUMERIC_INDICES
 
 PIPELINE_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Dense numeric matrix with a row-aligned label vector."""
-
-    values: np.ndarray           # (n, d) float64
-    labels: np.ndarray           # (n,) int class ids, in one of the spaces ``dataset`` names
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {self.values.shape}")
-        if len(self.labels) != self.values.shape[0]:
-            raise ValueError("row count does not match label count")
-        if not np.isfinite(self.values).all():
-            raise ValueError("matrix contains non-finite entries")
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    def select(self, mask: np.ndarray) -> "FeatureMatrix":
-        return FeatureMatrix(values=self.values[mask], labels=self.labels[mask])
 
 
 @dataclass(frozen=True)
@@ -97,9 +77,7 @@ class FittedPipeline:
             "kind": "pipeline",
             "features": [
                 {"name": name, "mu": float(m), "sigma": float(s)}
-                for name, m, s in zip(
-                    DEFAULT_SCHEMA.names, self.standardizer.mu, self.standardizer.sigma
-                )
+                for name, m, s in zip(NAMES, self.standardizer.mu, self.standardizer.sigma)
             ],
             "encoders": {
                 feature: {cat: [int(count), int(code)] for cat, (count, code) in table.items()}
@@ -118,7 +96,7 @@ class FittedPipeline:
                 raise VersionSkewError(f"pipeline format version {version!r} unsupported "
                                        f"(expected {PIPELINE_FORMAT_VERSION})")
             names = [f["name"] for f in doc["features"]]
-            if list(DEFAULT_SCHEMA.names) != names:
+            if list(NAMES) != names:
                 raise ValueError("pipeline feature names do not match schema")
             mu = np.array([f["mu"] for f in doc["features"]], dtype=np.float64)
             sigma = np.array([f["sigma"] for f in doc["features"]], dtype=np.float64)
@@ -135,12 +113,12 @@ class FittedPipeline:
 def fit_encoder(train: LabeledDataset) -> LabelCountEncoder:
     """Count categories per categorical feature and assign frequency-ranked codes."""
     tables: dict[str, dict[str, tuple[int, int]]] = {}
-    for k, j in enumerate(DEFAULT_SCHEMA.categorical_indices):
+    for k, j in enumerate(CATEGORICAL_INDICES):
         vocab = train.vocab[k].tolist()
         counts = np.bincount(train.codes[:, k], minlength=len(vocab))
         # ascending frequency; stable over the sorted vocabulary, so ties go to the smaller name
         ordered = np.argsort(counts, kind="stable")
-        tables[DEFAULT_SCHEMA.names[j]] = {
+        tables[NAMES[j]] = {
             vocab[i]: (int(counts[i]), code) for code, i in enumerate(ordered, start=1)
         }
     return LabelCountEncoder(tables=tables)
@@ -148,10 +126,10 @@ def fit_encoder(train: LabeledDataset) -> LabelCountEncoder:
 
 def encode(enc: LabelCountEncoder, ds: LabeledDataset) -> np.ndarray:
     """Dataset columns to a float matrix; unseen categories map to code 0."""
-    out = np.empty((len(ds), len(DEFAULT_SCHEMA.names)), dtype=np.float64)
-    out[:, list(DEFAULT_SCHEMA.numeric_indices)] = ds.numeric
-    for k, j in enumerate(DEFAULT_SCHEMA.categorical_indices):
-        out[:, j] = enc.encode_column(DEFAULT_SCHEMA.names[j], ds.vocab[k], ds.codes[:, k])
+    out = np.empty((len(ds), len(NAMES)), dtype=np.float64)
+    out[:, list(NUMERIC_INDICES)] = ds.numeric
+    for k, j in enumerate(CATEGORICAL_INDICES):
+        out[:, j] = enc.encode_column(NAMES[j], ds.vocab[k], ds.codes[:, k])
     return out
 
 

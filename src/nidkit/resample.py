@@ -4,9 +4,10 @@ Synthetics interpolate between a seed row and one of its k nearest
 minority neighbours. The SVM variant seeds generation at borderline
 minority rows (hinge-loss violators of a one-vs-rest linear SVM); a
 seed whose m-neighbourhood is majority-dominated interpolates inward,
-otherwise it extrapolates outward by ``OUT_STEP``. Original rows always
-come first and bit-exact in the result, and everything is deterministic
-per seed.
+otherwise it extrapolates outward by ``OUT_STEP``. Rows are (n, d)
+float64 arrays with a row-aligned array of integer class ids. Original rows
+always come first and bit-exact in the result, and everything is
+deterministic per seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import CELLS, LinearSvmConfig, fit_linear_svm
-from .preprocess import FeatureMatrix
 
 # Fraction of the seed-to-neighbour distance an extrapolating seed steps out.
 OUT_STEP = 0.5
@@ -45,7 +45,8 @@ class SvmSmoteConfig:
 
 @dataclass(frozen=True)
 class ResampledSet:
-    matrix: FeatureMatrix
+    values: np.ndarray          # (n + synthetics, d) float64
+    labels: np.ndarray          # class id per row
     synthetic_mask: np.ndarray  # True for generated rows
     log: dict[int, str]  # per oversampled class id, what it did
 
@@ -126,8 +127,9 @@ def _synthesize(seeds, seed_neighbors, pool, n_new, rng, *, extrapolate=None, ou
     return out
 
 
-def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
-    """Oversample every class up to the count of the largest class.
+def svm_smote(values: np.ndarray, labels: np.ndarray, cfg: SvmSmoteConfig) -> ResampledSet:
+    """Oversample the rows ``values``, whose class ids are ``labels``, so
+    every class reaches the count of the largest class.
 
     Classes go in ascending id order, each drawing from its own child of
     ``SeedSequence(cfg.smote.seed)``. Per class: a one-vs-rest linear SVM
@@ -137,7 +139,6 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
     extrapolates away from them by ``OUT_STEP``. Classes with no violators
     fall back to plain SMOTE over the whole class (recorded in the log).
     """
-    values, labels = fm.values, fm.labels
     counts = np.bincount(labels)
     classes = np.flatnonzero(counts)
     class_counts = counts[classes]
@@ -191,5 +192,4 @@ def svm_smote(fm: FeatureMatrix, cfg: SvmSmoteConfig) -> ResampledSet:
 
     mask = np.zeros(all_values.shape[0], dtype=bool)
     mask[n:] = True
-    out = FeatureMatrix(values=all_values, labels=all_labels)
-    return ResampledSet(matrix=out, synthetic_mask=mask, log=log)
+    return ResampledSet(values=all_values, labels=all_labels, synthetic_mask=mask, log=log)

@@ -6,16 +6,11 @@ suspicious payload behaviour (``hot`` to ``is_guest_login``), and 19
 traffic features computed over a 100-connection window (``count`` to
 ``dst_host_srv_rerror_rate``). The commands read only the names, in the
 pinned column order below (the common KDDTrain+/KDDTest+ dump order), and
-which three are categorical. 1-based indices are ``index + 1``, so feature
-20 is ``num_outbound_cmds`` and feature 21 is ``is_host_login``.
+which three are categorical. ``INDEX`` maps a name to its 0-based index,
+and looking up an unknown name raises KeyError. 1-based indices are
+``index + 1``, so feature 20 is ``num_outbound_cmds`` and feature 21 is
+``is_host_login``.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-CONTINUOUS = "continuous"
-CATEGORICAL = "categorical"
 
 NAMES = (
     "duration", "protocol_type", "service", "flag", "src_bytes", "dst_bytes", "land",
@@ -30,45 +25,6 @@ NAMES = (
     "dst_host_serror_rate", "dst_host_srv_serror_rate", "dst_host_rerror_rate",
     "dst_host_srv_rerror_rate",
 )
-CATEGORICAL_NAMES = ("protocol_type", "service", "flag")
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    index: int
-    name: str
-    kind: str
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Ordered feature descriptions for one connection record."""
-
-    entries: tuple[FeatureSpec, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.entries) != 41:
-            raise ValueError(f"schema must have 41 entries, got {len(self.entries)}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.entries)
-
-    @property
-    def categorical_indices(self) -> tuple[int, ...]:
-        return tuple(e.index for e in self.entries if e.kind == CATEGORICAL)
-
-    @property
-    def numeric_indices(self) -> tuple[int, ...]:
-        return tuple(e.index for e in self.entries if e.kind != CATEGORICAL)
-
-    def index_of(self, name: str) -> int:
-        for e in self.entries:
-            if e.name == name:
-                return e.index
-        raise KeyError(f"unknown feature: {name!r}")
-
-
-DEFAULT_SCHEMA = FeatureSchema(entries=tuple(
-    FeatureSpec(i, name, CATEGORICAL if name in CATEGORICAL_NAMES else CONTINUOUS)
-    for i, name in enumerate(NAMES)))
+INDEX = {name: j for j, name in enumerate(NAMES)}
+CATEGORICAL_INDICES = tuple(INDEX[name] for name in ("protocol_type", "service", "flag"))
+NUMERIC_INDICES = tuple(j for j in range(len(NAMES)) if j not in CATEGORICAL_INDICES)

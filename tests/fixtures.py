@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from nidkit.dataset import CATEGORIES, LabeledDataset, parse_kdd_lines
-from nidkit.schema import CATEGORICAL, DEFAULT_SCHEMA
+from nidkit.dataset import CATEGORIES, ConnectionRecord, LabeledDataset, parse_kdd_lines
+from nidkit.schema import CATEGORICAL_INDICES, NAMES
 
 # the 0/1 flag features: a category's blob sets each one to 1 or 0, never a drawn value
 _BINARY_FEATURES = ("land", "logged_in", "root_shell", "is_host_login", "is_guest_login")
@@ -81,16 +81,16 @@ def make_fixture(n_per_class: int, seed: int) -> LabeledDataset:
             categorical = dict(zip(("protocol_type", "service", "flag"),
                                    _FIXTURE_ALT_CATEGORICALS if use_alt
                                    else _FIXTURE_CATEGORICALS[cat]))
-            for e in DEFAULT_SCHEMA.entries:
-                if e.kind == CATEGORICAL:
-                    fields.append(categorical[e.name])
-                elif e.name in _BINARY_FEATURES:
-                    fields.append("1" if e.name in on else "0")
+            for j, name in enumerate(NAMES):
+                if j in CATEGORICAL_INDICES:
+                    fields.append(categorical[name])
+                elif name in _BINARY_FEATURES:
+                    fields.append("1" if name in on else "0")
                 else:
-                    center = centers.get(e.name, 0.0)
+                    center = centers.get(name, 0.0)
                     sigma = max(0.02 * center, 0.01) if center else 0.0
                     value = max(0.0, center + sigma * rng.standard_normal())
-                    if e.name == "num_outbound_cmds":
+                    if name == "num_outbound_cmds":
                         value = 0.0  # constant column, as in the real dumps
                     fields.append(f"{value:.3f}")
             difficulty = int(rng.integers(0, 22))
@@ -98,7 +98,12 @@ def make_fixture(n_per_class: int, seed: int) -> LabeledDataset:
     return parse_kdd_lines(lines, split="fixture")
 
 
+def kdd_line(record: ConnectionRecord) -> str:
+    """One record in the 43-field layout: 41 features, label, difficulty."""
+    return ",".join(record.features) + f",{record.label},{record.difficulty}"
+
+
 def write_kdd_file(ds: LabeledDataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in ds.records:
-            fh.write(record.to_line() + "\n")
+            fh.write(kdd_line(record) + "\n")

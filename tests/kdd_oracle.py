@@ -16,7 +16,7 @@ import numpy as np
 
 from nidkit.dataset import ConnectionRecord, KddParseError, spell_column
 from nidkit.preprocess import LabelCountEncoder
-from nidkit.schema import DEFAULT_SCHEMA, FeatureSchema
+from nidkit.schema import CATEGORICAL_INDICES, NAMES
 
 
 def _validate_numeric(value: str, feature_name: str, lineno: int) -> None:
@@ -32,11 +32,7 @@ def _validate_numeric(value: str, feature_name: str, lineno: int) -> None:
         )
 
 
-def parse_lines(
-    lines: Iterable[str], schema: FeatureSchema = DEFAULT_SCHEMA
-) -> tuple[ConnectionRecord, ...]:
-    categorical = set(schema.categorical_indices)
-    names = schema.names
+def parse_lines(lines: Iterable[str]) -> tuple[ConnectionRecord, ...]:
     records: list[ConnectionRecord] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n").rstrip()
@@ -46,8 +42,8 @@ def parse_lines(
         if len(fields) != 43:
             raise KddParseError(f"line {lineno}: expected 43 fields, got {len(fields)}")
         for j in range(41):
-            if j not in categorical:
-                _validate_numeric(fields[j], names[j], lineno)
+            if j not in CATEGORICAL_INDICES:
+                _validate_numeric(fields[j], NAMES[j], lineno)
         try:
             difficulty = int(fields[42])
         except ValueError:
@@ -66,59 +62,49 @@ def parse_lines(
     return tuple(records)
 
 
-def fit_encoder(
-    records: tuple[ConnectionRecord, ...], schema: FeatureSchema = DEFAULT_SCHEMA
-) -> LabelCountEncoder:
+def fit_encoder(records: tuple[ConnectionRecord, ...]) -> LabelCountEncoder:
     tables: dict[str, dict[str, tuple[int, int]]] = {}
-    for j in schema.categorical_indices:
+    for j in CATEGORICAL_INDICES:
         counts: dict[str, int] = {}
         for rec in records:
             counts[rec.features[j]] = counts.get(rec.features[j], 0) + 1
         ordered = sorted(counts.items(), key=lambda kv: (kv[1], kv[0]))
-        tables[schema.names[j]] = {
+        tables[NAMES[j]] = {
             cat: (count, code) for code, (cat, count) in enumerate(ordered, start=1)
         }
     return LabelCountEncoder(tables=tables)
 
 
-def encode(
-    enc: LabelCountEncoder,
-    records: tuple[ConnectionRecord, ...],
-    schema: FeatureSchema = DEFAULT_SCHEMA,
-) -> np.ndarray:
-    categorical = set(schema.categorical_indices)
-    names = schema.names
-    n, d = len(records), len(names)
+def encode(enc: LabelCountEncoder, records: tuple[ConnectionRecord, ...]) -> np.ndarray:
+    n, d = len(records), len(NAMES)
     out = np.empty((n, d), dtype=np.float64)
     for i, rec in enumerate(records):
         f = rec.features
         for j in range(d):
-            if j in categorical:
-                out[i, j] = enc.code(names[j], f[j])
+            if j in CATEGORICAL_INDICES:
+                out[i, j] = enc.code(NAMES[j], f[j])
             else:
                 out[i, j] = float(f[j])
     return out
 
 
-def field_value(field: str, index: int, schema: FeatureSchema = DEFAULT_SCHEMA) -> str | float:
+def field_value(field: str, index: int) -> str | float:
     """A raw feature field's parsed value: verbatim if categorical, else float."""
-    return field if index in schema.categorical_indices else float(field)
+    return field if index in CATEGORICAL_INDICES else float(field)
 
 
-def spelled(field: str, index: int, schema: FeatureSchema = DEFAULT_SCHEMA) -> str:
+def spelled(field: str, index: int) -> str:
     """A raw feature field as the explore exports write it."""
-    value = field_value(field, index, schema)
+    value = field_value(field, index)
     return value if isinstance(value, str) else spell_column(np.array([value]))[0]
 
 
-def constant_features(
-    records: tuple[ConnectionRecord, ...], schema: FeatureSchema = DEFAULT_SCHEMA
-) -> tuple[tuple[str, str], ...]:
+def constant_features(records: tuple[ConnectionRecord, ...]) -> tuple[tuple[str, str], ...]:
     found = []
-    for e in schema.entries:
-        first = field_value(records[0].features[e.index], e.index, schema)
-        if all(field_value(rec.features[e.index], e.index, schema) == first for rec in records):
-            found.append((e.name, spelled(records[0].features[e.index], e.index, schema)))
+    for j, name in enumerate(NAMES):
+        first = field_value(records[0].features[j], j)
+        if all(field_value(rec.features[j], j) == first for rec in records):
+            found.append((name, spelled(records[0].features[j], j)))
     return tuple(found)
 
 

@@ -559,7 +559,7 @@ def test_mlp_baseline_separable():
     # few batches per epoch at this scale, so the paper's step needs many epochs
     cfg = TrainConfig(max_epochs=300)
     rng = np.random.default_rng(0)
-    train_idx, val_idx = _stratified_split(labels, cfg.val_fraction, rng)
+    train_idx, val_idx = _stratified_split(labels, 0.15, rng)
     model, _ = train_network(
         data[train_idx], labels[train_idx], DnnConfig(input_dim=3, hidden_dim=8, output_dim=2),
         cfg, rng, validation=(data[val_idx], labels[val_idx]),

@@ -12,8 +12,9 @@ from nidkit.classifier import (
 )
 from nidkit.metrics import multiclass_report
 from nidkit.neural import LayerSpec, MlpModel, TrainConfig
-from nidkit.preprocess import FeatureMatrix
 from nidkit.resample import SmoteConfig, SvmSmoteConfig
+
+VAL_FRACTION = 0.15
 
 
 def _four_blobs(counts=(30, 20, 12, 8), d=6, seed=0, spread=0.3):
@@ -24,7 +25,7 @@ def _four_blobs(counts=(30, 20, 12, 8), d=6, seed=0, spread=0.3):
         center[i % d] = 8.0 * (i + 1)
         values.append(center + rng.normal(0.0, spread, size=(n, d)))
         labels += [i] * n
-    return FeatureMatrix(values=np.vstack(values), labels=np.array(labels))
+    return np.vstack(values), np.array(labels)
 
 
 def _tcfg(**kw):
@@ -44,39 +45,38 @@ def test_dnn_config_shape():
 
 
 def test_train_fourclass_separable_fixture():
-    fm = _four_blobs()
+    values, labels = _four_blobs()
     clf, info = train_fourclass(
-        fm, tcfg=_tcfg(max_epochs=200), rng=_rng(), dnn=DnnConfig(input_dim=6, hidden_dim=16)
+        values, labels, VAL_FRACTION, tcfg=_tcfg(max_epochs=200), rng=_rng(),
+        dnn=DnnConfig(input_dim=6, hidden_dim=16),
     )
-    predicted, _ = predict(clf, fm.values)
-    assert (predicted == fm.labels).mean() > 0.9
+    predicted, _ = predict(clf, values)
+    assert (predicted == labels).mean() > 0.9
     assert info["oversampled"] is False
     assert clf.trained_with_oversampling is False
 
 
 def test_train_fourclass_missing_class_rejected():
-    fm = _four_blobs()
-    keep = fm.labels != CLASS_ORDER.index("U2R")
-    fm2 = FeatureMatrix(values=fm.values[keep], labels=fm.labels[keep])
+    values, labels = _four_blobs()
+    keep = labels != CLASS_ORDER.index("U2R")
     with pytest.raises(ValueError, match="U2R"):
-        train_fourclass(fm2, tcfg=_tcfg(), rng=_rng(), dnn=DnnConfig(input_dim=6, hidden_dim=8))
+        train_fourclass(values[keep], labels[keep], VAL_FRACTION, tcfg=_tcfg(), rng=_rng(),
+                        dnn=DnnConfig(input_dim=6, hidden_dim=8))
 
 
 def test_train_fourclass_rejects_foreign_labels():
-    fm = _four_blobs()
-    labels = fm.labels.copy()
+    values, labels = _four_blobs()
     labels[0] = len(CLASS_ORDER)
-    foreign = FeatureMatrix(values=fm.values, labels=labels)
     with pytest.raises(ValueError, match="outside"):
-        train_fourclass(foreign, tcfg=_tcfg(), rng=_rng(),
+        train_fourclass(values, labels, VAL_FRACTION, tcfg=_tcfg(), rng=_rng(),
                         dnn=DnnConfig(input_dim=6, hidden_dim=8))
 
 
 def test_train_fourclass_with_oversampling_balances_counts():
-    fm = _four_blobs(counts=(40, 16, 10, 6))
+    values, labels = _four_blobs(counts=(40, 16, 10, 6))
     oversample = SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3, seed=1))
     clf, info = train_fourclass(
-        fm, oversample=oversample, tcfg=_tcfg(), rng=_rng(1),
+        values, labels, VAL_FRACTION, oversample=oversample, tcfg=_tcfg(), rng=_rng(1),
         dnn=DnnConfig(input_dim=6, hidden_dim=16),
     )
     after = info["class_counts_after"]
@@ -87,24 +87,24 @@ def test_train_fourclass_with_oversampling_balances_counts():
 
 
 def test_train_fourclass_does_not_mutate_input():
-    fm = _four_blobs(counts=(20, 10, 8, 6))
-    snapshot = fm.values.copy()
+    values, labels = _four_blobs(counts=(20, 10, 8, 6))
+    snapshot = values.copy()
     train_fourclass(
-        fm,
+        values, labels, VAL_FRACTION,
         oversample=SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)),
         tcfg=_tcfg(),
         rng=_rng(),
         dnn=DnnConfig(input_dim=6, hidden_dim=8),
     )
-    assert (fm.values == snapshot).all()
+    assert (values == snapshot).all()
 
 
 def test_train_fourclass_deterministic():
-    fm = _four_blobs()
+    values, labels = _four_blobs()
     models = []
     for _ in range(2):
         clf, _ = train_fourclass(
-            fm, tcfg=_tcfg(), rng=np.random.default_rng(7),
+            values, labels, VAL_FRACTION, tcfg=_tcfg(), rng=np.random.default_rng(7),
             dnn=DnnConfig(input_dim=6, hidden_dim=8),
         )
         models.append(clf.model)
@@ -112,8 +112,8 @@ def test_train_fourclass_deterministic():
         assert (w1 == w2).all()
 
 
-def _evaluate(clf, fm):
-    return multiclass_report(fm.labels, predict(clf, fm.values)[0], CLASS_ORDER)
+def _evaluate(clf, values, labels):
+    return multiclass_report(labels, predict(clf, values)[0], CLASS_ORDER)
 
 
 def _uniform_classifier(d=4):
@@ -133,8 +133,7 @@ def test_predict_tie_breaks_to_lower_class_index():
 
 def test_predict_probabilities_sum_to_one():
     rng = np.random.default_rng(2)
-    fm = _four_blobs()
-    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=5), rng=rng,
+    clf, _ = train_fourclass(*_four_blobs(), VAL_FRACTION, tcfg=_tcfg(max_epochs=5), rng=rng,
                              dnn=DnnConfig(input_dim=6, hidden_dim=8))
     _, probs = predict(clf, rng.normal(size=(50, 6)))
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
@@ -147,29 +146,28 @@ def test_predict_width_mismatch():
 
 
 def test_evaluate_perfect_predictions():
-    fm = _four_blobs(counts=(5, 5, 5, 5))
-    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=60), rng=_rng(3),
-                             dnn=DnnConfig(input_dim=6, hidden_dim=16))
-    report = _evaluate(clf, fm)
-    if (predict(clf, fm.values)[0] == fm.labels).all():
+    values, labels = _four_blobs(counts=(5, 5, 5, 5))
+    clf, _ = train_fourclass(values, labels, VAL_FRACTION, tcfg=_tcfg(max_epochs=60),
+                             rng=_rng(3), dnn=DnnConfig(input_dim=6, hidden_dim=16))
+    report = _evaluate(clf, values, labels)
+    if (predict(clf, values)[0] == labels).all():
         assert np.trace(report.confusion.counts) == 20
         assert all(v == 1.0 for v in report.per_class_f1.values())
 
 
 def test_evaluate_row_sums_match_true_counts():
-    fm = _four_blobs(counts=(12, 9, 7, 5), seed=4)
-    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=5), rng=_rng(4),
-                             dnn=DnnConfig(input_dim=6, hidden_dim=8))
-    report = _evaluate(clf, fm)
+    values, labels = _four_blobs(counts=(12, 9, 7, 5), seed=4)
+    clf, _ = train_fourclass(values, labels, VAL_FRACTION, tcfg=_tcfg(max_epochs=5),
+                             rng=_rng(4), dnn=DnnConfig(input_dim=6, hidden_dim=8))
+    report = _evaluate(clf, values, labels)
     sums = report.confusion.counts.sum(axis=1).tolist()
     assert sums == [12, 9, 7, 5]
-    assert report.confusion.total == fm.n_rows
+    assert report.confusion.total == len(values)
 
 
 def test_classifier_json_roundtrip():
     # an artifact holds a network over the 41 features
-    fm = _four_blobs(d=41)
-    clf, _ = train_fourclass(fm, tcfg=_tcfg(max_epochs=3), rng=_rng(),
+    clf, _ = train_fourclass(*_four_blobs(d=41), VAL_FRACTION, tcfg=_tcfg(max_epochs=3), rng=_rng(),
                              dnn=DnnConfig(hidden_dim=8))
     loaded = AttackClassifier.from_json(clf.to_json())
     x = np.random.default_rng(5).normal(size=(10, 41))

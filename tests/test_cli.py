@@ -8,7 +8,8 @@ import pytest
 from nidkit import cli, neural, pipeline, preprocess
 from nidkit.classifier import DnnConfig
 from nidkit.cli import build_parser, build_config, main
-from nidkit.dataset import CATEGORIES, categorize, load_taxonomy
+from nidkit.dataset import (CATEGORIES, NORMAL_CATEGORY, categorize, category_ids,
+                            load_taxonomy, parse_kdd_file)
 from nidkit.detector import AutoencoderConfig
 from nidkit.errors import TrainingDivergedError
 from nidkit.pipeline import RunConfig
@@ -243,7 +244,7 @@ def test_default_runconfig_matches_paper_settings():
     cfg = RunConfig()
     tc = cfg.train_config()
     assert tc.batch_size == 32
-    assert tc.val_fraction == 0.15
+    assert cfg.val_fraction == 0.15
     assert tc.patience == 6
     assert neural.ADAM_LR == 0.001
 
@@ -560,16 +561,18 @@ def test_every_network_trains_on_a_validation_pair_from_the_one_split(
     # included, hands it the validation rows of classifier._stratified_split
     train, test = data_files
     real_train = neural.train
-    calls = []
+    calls, inputs = [], []
 
     def recording_train(model, data, targets, cfg, rng, validation=None):
         calls.append(validation)
+        inputs.append(data)
         return real_train(model, data, targets, cfg, rng, validation)
 
     monkeypatch.setattr(neural, "train", recording_train)
 
     def run(out, command, train_file, *flags):
         calls.clear()
+        inputs.clear()
         assert _run(command, "--train", train_file, "--test", test, "--out", tmp_path / out,
                     *FAST, *flags) == 0
         assert calls and all(v is not None and len(v[0]) == len(v[1]) for v in calls)
@@ -577,6 +580,15 @@ def test_every_network_trains_on_a_validation_pair_from_the_one_split(
 
     # the autoencoder, then the plain and the oversampled typer
     assert len(run("pipe", "pipeline", train, "--oversample", "both")) == 3
+    # the autoencoder trains and validates on standardized Normal rows of the
+    # train file alone, and the two sets share out all of them
+    parsed = parse_kdd_file(train, split="train")
+    _, standardized = preprocess.fit_transform(parsed)
+    normals = standardized[category_ids(parsed, load_taxonomy()) == NORMAL_CATEGORY]
+    normal_rows = {row.tobytes() for row in normals}
+    ae_train, ae_val = inputs[0], calls[0][0]
+    assert len(ae_train) + len(ae_val) == len(normals)
+    assert all(row.tobytes() in normal_rows for row in (*ae_train, *ae_val))
     # 160 attack rows (id 0) and 40 normal rows (id 1): 15% of each class,
     # rounded, validates: _n_validation(160, 0.15) and _n_validation(40, 0.15)
     (validation,) = run("mlp", "baselines", train, "--baselines", "mlp")

@@ -17,28 +17,26 @@ from nidkit.dataset import (
     parse_kdd_lines,
     spell_column,
 )
-from nidkit.schema import DEFAULT_SCHEMA
+from nidkit.schema import CATEGORICAL_INDICES, NAMES
 
 from .fixtures import make_fixture, write_kdd_file
 
 
 def _line(label="neptune", difficulty=17):
     fields = []
-    for e in DEFAULT_SCHEMA.entries:
-        if e.kind == "categorical":
-            fields.append({"protocol_type": "tcp", "service": "http", "flag": "SF"}[e.name])
+    for j, name in enumerate(NAMES):
+        if j in CATEGORICAL_INDICES:
+            fields.append({"protocol_type": "tcp", "service": "http", "flag": "SF"}[name])
         else:
             fields.append("0")
     return ",".join(fields) + f",{label},{difficulty}"
 
 
 def test_schema_shape():
-    assert len(DEFAULT_SCHEMA.entries) == 41
-    assert [e.name for e in DEFAULT_SCHEMA.entries if e.kind == "categorical"] == [
-        "protocol_type", "service", "flag",
-    ]
+    assert len(NAMES) == 41
+    assert [NAMES[j] for j in CATEGORICAL_INDICES] == ["protocol_type", "service", "flag"]
     # pinned 1-based ordering: feature 20 is the outbound-commands count
-    assert DEFAULT_SCHEMA.entries[19].name == "num_outbound_cmds"
+    assert NAMES[19] == "num_outbound_cmds"
 
 
 def test_parse_label_passthrough():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidkit import neural
-from nidkit.dataset import ATTACK_ID, BINARY_CLASSES, NORMAL_ID
+from nidkit import detector, neural, pipeline
+from nidkit.dataset import ATTACK_ID, BINARY_CLASSES, CATEGORIES, NORMAL_CATEGORY, NORMAL_ID
 from nidkit.detector import (
     AnomalyDetector,
     _best_f1_threshold,
@@ -17,19 +17,13 @@ from nidkit.detector import (
     verdict_array,
 )
 from nidkit.neural import LayerSpec, MlpModel, TrainConfig
-from nidkit.preprocess import FeatureMatrix
 
 from .f1_oracle import best_f1_threshold
 
 
-def _fm(values, label=NORMAL_ID):
-    values = np.asarray(values, dtype=np.float64)
-    return FeatureMatrix(values=values, labels=np.full(values.shape[0], label))
-
-
 def _normal_blob(n=80, d=8, seed=0):
     rng = np.random.default_rng(seed)
-    return _fm(rng.normal(0.0, 1.0, size=(n, d)))
+    return rng.normal(0.0, 1.0, size=(n, d))
 
 
 def _small_ae_cfg(d=8, hidden=3):
@@ -51,11 +45,32 @@ def test_autoencoder_config_shape():
         AutoencoderConfig(input_dim=10, hidden_dim=10)
 
 
-def test_train_on_normal_rejects_attacks():
-    fm = _fm(np.ones((4, 8)), label=ATTACK_ID)
-    with pytest.raises(ValueError, match="non-normal"):
-        train_on_normal(fm, _small_ae_cfg(), TrainConfig(max_epochs=1),
-                        np.random.default_rng(0), validation=fm)
+def test_train_on_normal_rejects_attacks(tmp_path, monkeypatch):
+    # train_on_normal takes unlabeled rows, so the binary stage selects them:
+    # every attack row is kept out of the autoencoder's training and
+    # validation rows, and the two sets share out all the normal rows
+    n_normal, n_attack = 30, 40
+    cats = np.array([NORMAL_CATEGORY] * n_normal
+                    + [c for c in range(len(CATEGORIES)) if c != NORMAL_CATEGORY] * (n_attack // 4))
+    rng = np.random.default_rng(0)
+    values = rng.normal(0.0, 1.0, size=(len(cats), 41))
+    values[cats != NORMAL_CATEGORY, 0] = 100.0  # marks the attack rows
+    real = detector.train_on_normal
+    seen = []
+
+    def recording(normals, cfg, tcfg, rng, validation):
+        seen.append((normals, validation))
+        return real(normals, cfg, tcfg, rng, validation=validation)
+
+    monkeypatch.setattr(detector, "train_on_normal", recording)
+    cfg = pipeline.RunConfig(out_dir=str(tmp_path), max_epochs=2)
+    pipeline._train_binary(cfg, cats, values)
+    ((normals, validation),) = seen
+    assert len(normals) and len(validation)
+    assert not (normals[:, 0] == 100.0).any() and not (validation[:, 0] == 100.0).any()
+    normal_rows = {row.tobytes() for row in values[cats == NORMAL_CATEGORY]}
+    assert all(row.tobytes() in normal_rows for row in (*normals, *validation))
+    assert len(normals) + len(validation) == n_normal
 
 
 def test_train_on_normal_improves_and_separates():
@@ -67,8 +82,8 @@ def test_train_on_normal_improves_and_separates():
     )
     assert history.val_loss[history.best_epoch] < history.val_loss[0] or history.n_epochs == 1
     assert model.in_dim == 8 and model.out_dim == 8
-    shifted = _normal_blob(n=40, seed=2).values + 6.0
-    normal_err = reconstruction_errors(model, normals.values).mean()
+    shifted = _normal_blob(n=40, seed=2) + 6.0
+    normal_err = reconstruction_errors(model, normals).mean()
     attack_err = reconstruction_errors(model, shifted).mean()
     assert normal_err < attack_err
 
@@ -123,8 +138,8 @@ def test_calibrate_quantile_uses_normal_rows():
     model = MlpModel([LayerSpec(1, 1, "identity")], [np.zeros((1, 1))], [np.zeros(1)])
     # reconstruction of 0 -> error = x^2
     values = np.array([[float(i)] for i in range(1, 11)])
-    fm = _fm(values)
-    alpha, info = calibrate_threshold(model, fm, method="quantile", q=0.95)
+    labels = np.full(len(values), NORMAL_ID)
+    alpha, info = calibrate_threshold(model, values, labels, method="quantile", q=0.95)
     assert alpha == 100.0  # 10th of {1,4,...,100}
     assert info["method"] == "quantile"
 
@@ -133,8 +148,7 @@ def test_calibrate_labeled_f1_separated():
     model = MlpModel([LayerSpec(1, 1, "identity")], [np.zeros((1, 1))], [np.zeros(1)])
     values = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
     labels = np.array([NORMAL_ID] * 3 + [ATTACK_ID] * 3)
-    fm = FeatureMatrix(values=values, labels=labels)
-    alpha, info = calibrate_threshold(model, fm, method="labeled_f1")
+    alpha, info = calibrate_threshold(model, values, labels, method="labeled_f1")
     assert info["validation_f1"] == 1.0
     assert 9.0 <= alpha < 100.0  # any threshold between the populations
     errors = reconstruction_errors(model, values)
@@ -168,14 +182,13 @@ def test_best_f1_threshold_tie_goes_to_the_smallest_alpha():
 def test_calibrate_labeled_f1_needs_both_classes():
     model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)])
     with pytest.raises(ValueError, match="both"):
-        calibrate_threshold(model, _fm(np.ones((3, 1))), method="labeled_f1")
+        calibrate_threshold(model, np.ones((3, 1)), np.full(3, NORMAL_ID), method="labeled_f1")
 
 
 def test_calibrate_empty_validation():
     model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)])
-    empty = FeatureMatrix(values=np.empty((0, 1)), labels=np.array([], dtype=np.intp))
     with pytest.raises(ValueError, match="empty"):
-        calibrate_threshold(model, empty)
+        calibrate_threshold(model, np.empty((0, 1)), np.array([], dtype=np.intp))
 
 
 def _zero_model(d=1):

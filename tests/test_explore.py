@@ -12,7 +12,7 @@ from nidkit.explore import (
     scatter_rows,
     write_exploration,
 )
-from nidkit.schema import DEFAULT_SCHEMA
+from nidkit.schema import CATEGORICAL_INDICES, INDEX, NAMES
 
 from .pearson_oracle import pearson_pairs
 
@@ -22,10 +22,10 @@ def _lines(duration_values, labels=None):
     lines = []
     for v, lab in zip(duration_values, labels):
         fields = []
-        for e in DEFAULT_SCHEMA.entries:
-            if e.kind == "categorical":
-                fields.append({"protocol_type": "tcp", "service": "http", "flag": "SF"}[e.name])
-            elif e.name == "duration":
+        for j, name in enumerate(NAMES):
+            if j in CATEGORICAL_INDICES:
+                fields.append({"protocol_type": "tcp", "service": "http", "flag": "SF"}[name])
+            elif name == "duration":
                 fields.append(str(v))
             else:
                 fields.append("0")
@@ -121,8 +121,8 @@ def test_pearson_matrix_product_matches_pairwise_oracle(rows, cols, constant, se
 def test_scatter_rows_roundtrip(taxonomy, small_ds):
     rows = scatter_rows(small_ds, "count", "serror_rate", category_ids(small_ds, taxonomy))
     assert len(rows) == len(small_ds)
-    jx = DEFAULT_SCHEMA.index_of("count")
-    jy = DEFAULT_SCHEMA.index_of("serror_rate")
+    jx = INDEX["count"]
+    jy = INDEX["serror_rate"]
     for rec, (x, y, cat) in zip(small_ds.records, rows):
         assert rec.features[jx] == x and rec.features[jy] == y
         assert cat in ("Normal", "DoS", "Probe", "R2L", "U2R")
@@ -170,7 +170,7 @@ def test_write_exploration_outputs(tmp_path, taxonomy, fixture_ds):
         assert path.exists()
     corr = (tmp_path / "explore" / "correlation.csv").read_text().splitlines()
     assert len(corr) == 42  # header + 41 rows
-    assert corr[0].split(",")[1:] == list(DEFAULT_SCHEMA.names)
+    assert corr[0].split(",")[1:] == list(NAMES)
     # deterministic re-run: byte-identical artifacts
     before = {p: p.read_bytes() for p in files}
     write_exploration(fixture_ds, category_ids(fixture_ds, taxonomy), tmp_path / "explore")
@@ -182,7 +182,7 @@ def test_feature_view_matches_the_encoded_matrix(fixture_ds):
     from nidkit import explore
 
     full = explore._numeric_view(fixture_ds)
-    for j, name in enumerate(DEFAULT_SCHEMA.names):
+    for j, name in enumerate(NAMES):
         assert explore._feature_view(fixture_ds, name).tobytes() == (
             full[:, j].tobytes()), name
 

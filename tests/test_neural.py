@@ -23,7 +23,6 @@ from nidkit.neural import (
 )
 
 from nidkit.pipeline import RunConfig, _fit_baseline
-from nidkit.preprocess import FeatureMatrix
 from nidkit.resample import SmoteConfig, SvmSmoteConfig
 
 from .gradcheck import check_model_gradients, random_small_model
@@ -380,24 +379,23 @@ def _golden_attacks():
         center[i] = 2.0
         values.append(center + rng.normal(0.0, 1.0, size=(n, 5)))
         labels += [i] * n
-    return FeatureMatrix(values=np.vstack(values), labels=np.array(labels))
+    return np.vstack(values), np.array(labels)
 
 
 def test_golden_network_digests(monkeypatch):
     # any change to init, noise/dropout draws, batching, the loss gradient,
     # the Adam arithmetic or the kept epoch changes a digest
     rng = np.random.default_rng(20240)
-    normals = FeatureMatrix(values=rng.normal(size=(120, 8)),
-                            labels=np.full(120, NORMAL_ID))
+    normals = rng.normal(size=(120, 8))
     model, history = train_on_normal(
-        normals.select(np.arange(96)), AutoencoderConfig(input_dim=8, hidden_dim=3),
+        normals[:96], AutoencoderConfig(input_dim=8, hidden_dim=3),
         TrainConfig(max_epochs=12, patience=3), np.random.default_rng(1),
-        validation=normals.select(np.arange(96, 120)),
+        validation=normals[96:],
     )
     assert _net_digest(model, history.n_epochs, history.best_epoch) == (
         "bc7c7225e4efbca6103c4c9fd4206899436bc03ae6233f8d1d704bfd2e5da103", 12, 11)
 
-    attacks = _golden_attacks()
+    attack_values, attack_labels = _golden_attacks()
     dnn = DnnConfig(input_dim=5, hidden_dim=12)
     oversample = SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3, seed=1), m_neighbors=5)
     for variant, smote, want in (
@@ -406,8 +404,8 @@ def test_golden_network_digests(monkeypatch):
         ("oversampled", oversample,
          ("7b6ba00c49c1317dd26a0751b5693589c2b85b5dd4b6f1c2a8e5c969cfc85124", 128, 121)),
     ):
-        clf, info = train_fourclass(attacks, TrainConfig(), np.random.default_rng(17),
-                                    oversample=smote, dnn=dnn)
+        clf, info = train_fourclass(attack_values, attack_labels, 0.15, TrainConfig(),
+                                    np.random.default_rng(17), oversample=smote, dnn=dnn)
         if smote is not None:
             assert (sum(info["class_counts_after"].values())
                     > sum(info["class_counts_before"].values()))
@@ -423,9 +421,8 @@ def test_golden_network_digests(monkeypatch):
 
     real_train_network = classifier.train_network
     monkeypatch.setattr(classifier, "train_network", recording_train_network)
-    data = attacks.values
-    labels = np.where(attacks.labels == CLASS_ORDER.index("DoS"), NORMAL_ID, ATTACK_ID)
-    _fit_baseline("mlp", data, labels, RunConfig(max_epochs=15, seed=4))
+    labels = np.where(attack_labels == CLASS_ORDER.index("DoS"), NORMAL_ID, ATTACK_ID)
+    _fit_baseline("mlp", attack_values, labels, RunConfig(max_epochs=15, seed=4))
     (mlp, mlp_history), = trained
     assert _net_digest(mlp, mlp_history.n_epochs, mlp_history.best_epoch) == (
         "4996fc6af9aead9328df34f049aa02f81653c79a34eeb7d05a24bba55ca6c75d", 15, 14)

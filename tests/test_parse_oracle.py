@@ -19,14 +19,12 @@ from nidkit.dataset import (
 )
 from nidkit.explore import find_constant_features, scatter_rows
 from nidkit.preprocess import encode, fit_encoder, fit_pipeline, fit_standardizer, standardize
-from nidkit.schema import DEFAULT_SCHEMA
+from nidkit.schema import CATEGORICAL_INDICES, NAMES, NUMERIC_INDICES
 
 from . import kdd_oracle as oracle
 from .fixtures import write_kdd_file
 
 TAXONOMY = load_taxonomy()
-NUMERIC = DEFAULT_SCHEMA.numeric_indices
-CATEGORICAL = DEFAULT_SCHEMA.categorical_indices
 
 numeric_text = st.one_of(
     st.integers(0, 10**7).map(str),
@@ -44,7 +42,7 @@ blank_line = st.sampled_from(["", "   ", "\t", "\r"])
 
 @st.composite
 def valid_row(draw) -> str:
-    fields = [draw(category_text) if j in CATEGORICAL else draw(numeric_text)
+    fields = [draw(category_text) if j in CATEGORICAL_INDICES else draw(numeric_text)
               for j in range(41)]
     fields.append(draw(st.sampled_from(sorted(TAXONOMY.mapping))))
     fields.append(draw(difficulty_text))
@@ -60,10 +58,10 @@ def valid_lines() -> st.SearchStrategy[list[str]]:
 def _assert_columns_hold(ds, records):
     """The columns hold each oracle field's parsed value: numbers bit for
     bit as ``float`` reads them, text and difficulty exactly."""
-    numeric = np.array([[float(r.features[j]) for j in NUMERIC] for r in records])
+    numeric = np.array([[float(r.features[j]) for j in NUMERIC_INDICES] for r in records])
     assert ds.numeric.shape == numeric.shape
     assert ds.numeric.tobytes() == numeric.tobytes()
-    text = [[*(r.features[j] for j in CATEGORICAL), r.label] for r in records]
+    text = [[*(r.features[j] for j in CATEGORICAL_INDICES), r.label] for r in records]
     assert ds.codes.shape == (len(records), 4)
     assert np.stack([v[ds.codes[:, k]] for k, v in enumerate(ds.vocab)], axis=1).tolist() == text
     for vocab in ds.vocab:  # the encoder's tie order rests on sorted vocabularies
@@ -102,8 +100,7 @@ def test_columnar_parse_encode_transform_match_oracle(train_lines, test_lines, p
     assert find_constant_features(train).constant_features == oracle.constant_features(
         train_records)
     jx, jy = pair
-    names = DEFAULT_SCHEMA.names
-    assert scatter_rows(train, names[jx], names[jy], category_ids(train, TAXONOMY)) == [
+    assert scatter_rows(train, NAMES[jx], NAMES[jy], category_ids(train, TAXONOMY)) == [
         (oracle.spelled(r.features[jx], jx), oracle.spelled(r.features[jy], jy),
          categorize(r.label, TAXONOMY)) for r in train_records]
 
@@ -140,7 +137,7 @@ def malformed_row(draw) -> str:
     elif kind.startswith("difficulty"):
         fields[42] = draw(st.sampled_from(MALFORMED[kind]))
     else:
-        fields[draw(st.sampled_from(NUMERIC))] = draw(st.sampled_from(MALFORMED[kind]))
+        fields[draw(st.sampled_from(NUMERIC_INDICES))] = draw(st.sampled_from(MALFORMED[kind]))
     return ",".join(fields)
 
 

@@ -15,7 +15,9 @@ from nidkit.preprocess import (
     fit_standardizer,
     standardize,
 )
-from nidkit.schema import DEFAULT_SCHEMA
+from nidkit.schema import CATEGORICAL_INDICES, INDEX, NAMES
+
+from .fixtures import kdd_line
 
 
 def _ds_with_protocols(protos, services=None, flags=None):
@@ -24,14 +26,14 @@ def _ds_with_protocols(protos, services=None, flags=None):
     lines = []
     for p, s, f in zip(protos, services, flags):
         fields = []
-        for e in DEFAULT_SCHEMA.entries:
-            if e.name == "protocol_type":
+        for j, name in enumerate(NAMES):
+            if name == "protocol_type":
                 fields.append(p)
-            elif e.name == "service":
+            elif name == "service":
                 fields.append(s)
-            elif e.name == "flag":
+            elif name == "flag":
                 fields.append(f)
-            elif e.kind == "categorical":
+            elif j in CATEGORICAL_INDICES:
                 raise AssertionError
             else:
                 fields.append("0")
@@ -71,7 +73,7 @@ def test_encode_seen_unseen_and_determinism():
     train = _ds_with_protocols(["tcp", "tcp", "udp"])
     enc = fit_encoder(train)
     test = _ds_with_protocols(["udp", "icmp"])
-    j = DEFAULT_SCHEMA.index_of("protocol_type")
+    j = INDEX["protocol_type"]
     m = encode(enc, test)
     assert m[0, j] == enc.code("protocol_type", "udp")
     assert m[1, j] == 0  # unseen -> reserved code
@@ -158,8 +160,8 @@ def test_transform_returns_the_matrix_and_rejects_a_non_finite_result(fixture_ds
     pipe = fit_pipeline(fixture_ds)
     z = pipe.transform(fixture_ds)
     assert isinstance(z, np.ndarray) and z.dtype == np.float64 and z.shape == (len(fixture_ds), 41)
-    fields = fixture_ds.records[0].to_line().split(",")
-    fields[DEFAULT_SCHEMA.index_of("serror_rate")] = "1.7e308"  # overflows once divided by sigma
+    fields = kdd_line(fixture_ds.records[0]).split(",")
+    fields[INDEX["serror_rate"]] = "1.7e308"  # overflows once divided by sigma
     huge = parse_kdd_lines([",".join(fields)], split="test")
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         pipe.transform(huge)
@@ -179,7 +181,7 @@ def test_pipeline_json_golden_fields():
     doc = json.loads(pipe.to_json())
     assert set(doc) == {"format_version", "kind", "features", "encoders"}
     assert doc["format_version"] == 1
-    assert [f["name"] for f in doc["features"]] == list(DEFAULT_SCHEMA.names)
+    assert [f["name"] for f in doc["features"]] == list(NAMES)
     assert set(doc["features"][0]) == {"name", "mu", "sigma"}
     assert set(doc["encoders"]) == {"protocol_type", "service", "flag"}
     assert doc["encoders"]["protocol_type"]["tcp"] == [2, 2]

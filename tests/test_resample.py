@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nidkit.baselines import LinearSvmConfig
-from nidkit.preprocess import FeatureMatrix
 from nidkit.resample import (
     SmoteConfig,
     SvmSmoteConfig,
@@ -18,10 +17,6 @@ from nidkit.resample import (
 from .knn_oracle import knn
 
 
-def _labelled(values, labels):
-    return FeatureMatrix(values=np.asarray(values, dtype=np.float64), labels=np.asarray(labels))
-
-
 def _blobs(counts: tuple, seed=0, spread=0.2, scale=10.0):
     """Well-separated Gaussian blobs in 2-D, ``counts[i]`` rows of class id i."""
     rng = np.random.default_rng(seed)
@@ -30,7 +25,7 @@ def _blobs(counts: tuple, seed=0, spread=0.2, scale=10.0):
         center = np.array([scale * i, -scale * i])
         values.append(center + rng.normal(0.0, spread, size=(n, 2)))
         labels += [i] * n
-    return _labelled(np.vstack(values), labels)
+    return np.vstack(values), np.array(labels)
 
 
 # --- knn ----------------------------------------------------------------
@@ -171,79 +166,78 @@ def test_smote_deterministic():
 # --- SVM-SMOTE ----------------------------------------------------------------
 
 def test_svm_smote_balanced_input_is_identity():
-    fm = _blobs((10, 10))
-    rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
-    assert rs.matrix.n_rows == 20
+    values, labels = _blobs((10, 10))
+    rs = svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
+    assert len(rs.values) == 20
     assert not rs.synthetic_mask.any()
-    assert (rs.matrix.values == fm.values).all()
-    assert (rs.matrix.labels == fm.labels).all()
+    assert (rs.values == values).all()
+    assert (rs.labels == labels).all()
 
 
 def test_svm_smote_fills_to_majority():
-    fm = _blobs((100, 10))
-    rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
-    assert np.bincount(rs.matrix.labels).tolist() == [100, 100]
+    values, labels = _blobs((100, 10))
+    rs = svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
+    assert np.bincount(rs.labels).tolist() == [100, 100]
     assert int(rs.synthetic_mask.sum()) == 90
 
 
 def test_svm_smote_four_class_targets():
-    fm = _blobs((40, 20, 10, 5))
-    rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
-    assert np.bincount(rs.matrix.labels).tolist() == [40, 40, 40, 40]
+    values, labels = _blobs((40, 20, 10, 5))
+    rs = svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
+    assert np.bincount(rs.labels).tolist() == [40, 40, 40, 40]
 
 
 def test_svm_smote_originals_first_bit_exact():
-    fm = _blobs((30, 6))
-    rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=2)))
-    n = fm.n_rows
+    values, labels = _blobs((30, 6))
+    rs = svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=2)))
+    n = len(values)
     assert not rs.synthetic_mask[:n].any()
     assert rs.synthetic_mask[n:].all()
-    assert (rs.matrix.values[:n] == fm.values).all()
-    assert (rs.matrix.labels[:n] == fm.labels).all()
+    assert (rs.values[:n] == values).all()
+    assert (rs.labels[:n] == labels).all()
 
 
 def test_svm_smote_deterministic():
-    fm = _blobs((25, 8), seed=4)
+    values, labels = _blobs((25, 8), seed=4)
     cfg = SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3, seed=5))
-    r1 = svm_smote(fm, cfg)
-    r2 = svm_smote(fm, cfg)
-    assert (r1.matrix.values == r2.matrix.values).all()
-    assert (r1.matrix.labels == r2.matrix.labels).all()
+    r1 = svm_smote(values, labels, cfg)
+    r2 = svm_smote(values, labels, cfg)
+    assert (r1.values == r2.values).all()
+    assert (r1.labels == r2.labels).all()
     assert r1.log == r2.log
 
 
 def test_svm_smote_single_class_rejected():
-    fm = _labelled(np.ones((5, 2)), [0] * 5)
     with pytest.raises(ValueError, match="2 classes"):
-        svm_smote(fm, SvmSmoteConfig())
+        svm_smote(np.ones((5, 2)), np.zeros(5, dtype=np.intp), SvmSmoteConfig())
 
 
 def test_svm_smote_tiny_class_rejected():
-    fm = _blobs((10, 1))
+    values, labels = _blobs((10, 1))
     with pytest.raises(ValueError, match="need >= 2"):
-        svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=1)))
+        svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=1)))
 
 
 def test_svm_smote_fallback_without_violators():
     # margins huge and the SVM trained hard: no violators remain, so the
     # class falls back to plain SMOTE (and says so in the log)
-    fm = _blobs((40, 10), spread=0.01, scale=1000.0)
+    values, labels = _blobs((40, 10), spread=0.01, scale=1000.0)
     cfg = SvmSmoteConfig(
         smote=SmoteConfig(k_neighbors=3, seed=1),
         svm=LinearSvmConfig(epochs=300, learning_rate=5.0, lam=1e-6),
     )
-    rs = svm_smote(fm, cfg)
-    assert np.bincount(rs.matrix.labels).tolist() == [40, 40]
+    rs = svm_smote(values, labels, cfg)
+    assert np.bincount(rs.labels).tolist() == [40, 40]
     assert "fallback" in rs.log[1]
 
 
 def test_svm_smote_interpolated_synthetics_stay_in_class_box():
-    fm = _blobs((50, 12), seed=2)
-    rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3, seed=3)))
-    b_rows = fm.values[fm.labels == 1]
+    values, labels = _blobs((50, 12), seed=2)
+    rs = svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3, seed=3)))
+    b_rows = values[labels == 1]
     lo, hi = b_rows.min(axis=0), b_rows.max(axis=0)
     span = hi - lo
-    synth = rs.matrix.values[rs.synthetic_mask]
+    synth = rs.values[rs.synthetic_mask]
     # extrapolation can leave the box by at most OUT_STEP * box span
     assert (synth >= lo - 0.5 * span - 1e-9).all()
     assert (synth <= hi + 0.5 * span + 1e-9).all()
@@ -256,17 +250,17 @@ def test_svm_smote_working_memory_is_bounded_by_its_result():
     rng = np.random.default_rng(0)
     values = np.vstack([rng.normal(0.0, 1.0, size=(8000, 41)),
                         rng.normal(0.3, 1.0, size=(4000, 41))])
-    fm = _labelled(values, [0] * 8000 + [1] * 4000)
+    labels = np.array([0] * 8000 + [1] * 4000)
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        rs = svm_smote(fm, SvmSmoteConfig(smote=SmoteConfig(seed=1),
+        rs = svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(seed=1),
                                           svm=LinearSvmConfig(epochs=3)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert int(rs.log[1].split()[0]) >= 256  # "<n> borderline seeds ..."
-    assert peak - entry <= 3 * rs.matrix.values.nbytes
+    assert peak - entry <= 3 * rs.values.nbytes
 
 
 def test_config_invariants():

@@ -1,10 +1,12 @@
 """The benchmark tracer must still find every nidkit name it wraps, the
-count of settable values in ``src/nidkit`` only changes on purpose, and no
-command starts a process pool or leaves a process running once it has exited."""
+count of settable values in ``src/nidkit`` only changes on purpose, every
+public name in ``src/nidkit`` has a caller outside tests, and no command
+starts a process pool or leaves a process running once it has exited."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -157,7 +159,38 @@ def test_settable_value_count_is_pinned():
     found = []
     for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
         found += [f"{path.stem}.{name}" for name in _settable_values(ast.parse(path.read_text()))]
-    assert len(found) == 66, found
+    assert len(found) == 65, found
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(qualified name, bare name, def line) of each public function, class
+    and method; dunder methods are left out."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node.name, node.lineno))
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += [(f"{node.name}.{item.name}", item.name, item.lineno) for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def test_every_public_name_in_the_package_has_a_caller():
+    # src/nidkit keeps only what a command or the benchmark calls: a name
+    # that no other line of the package, scripts/ or perfbench/ mentions
+    # belongs in tests/ (as an oracle) or nowhere
+    sources = [*sorted((ROOT / "src" / "nidkit").glob("*.py")),
+               *sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+    lines = {path: path.read_text().splitlines() for path in sources}
+    unused = []
+    for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
+        for qualified, name, lineno in _public_definitions(ast.parse(path.read_text())):
+            word = re.compile(rf"\b{name}\b")
+            if not any(word.search(line) for other, text in lines.items()
+                       for i, line in enumerate(text, start=1)
+                       if (other, i) != (path, lineno)):
+                unused.append(f"{path.stem}.{qualified}")
+    assert unused == []
 
 
 def test_importing_the_cli_loads_no_process_pool():
