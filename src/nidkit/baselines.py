@@ -9,12 +9,13 @@ One grower makes every tree. Columns are presorted once into a (d, n)
 row order. A node holds, as column ids of a per-row statistics block
 (the weighted class one-hot for Gini, y and y^2 for squared error), its
 row set, which is its order by feature 0, and the orders of the
-features it searched. A child gets a candidate's order by partitioning
-its parent's when the parent held it, and otherwise by sorting its rows
-on their presort rank, the (value, row index) key, which gives the same
-order. The decision tree, the boosting trees and a forest tree grown
-alone hold every order from the root, so they partition every order; a
-forest tree grown in a group moves only the few its node searched.
+features its parent searched. A child gets a candidate's order by
+partitioning its parent's when the parent held it, and otherwise by
+sorting its rows on their presort rank, the (value, row index) key,
+which gives the same order. Trees that search every feature (the
+decision tree and the boosting trees) so hold every order from the root
+and partition them all; a forest node, at any group size, holds its row
+set and the few orders its parent searched, and moves only those.
 
 The grower advances a group of trees in lockstep. Each step takes the
 next depth-first node of every tree, runs one leaf test over them all,
@@ -129,9 +130,9 @@ def _gini_scores(left, right, n_left, n_right) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         gini_l = 1.0 - ((left / wl) ** 2).sum(axis=0)
         gini_r = 1.0 - ((right / wr) ** 2).sum(axis=0)
-    gini_l = np.where(wl > 0, gini_l, 0.0)
-    gini_r = np.where(wr > 0, gini_r, 0.0)
-    return (wl * gini_l + wr * gini_r) / (wl + wr)
+        gini_l = np.where(wl > 0, gini_l, 0.0)
+        gini_r = np.where(wr > 0, gini_r, 0.0)
+        return (wl * gini_l + wr * gini_r) / (wl + wr)  # NaN where no side has weight
 
 
 def _sse_scores(left, right, n_left, n_right) -> np.ndarray:
@@ -453,26 +454,18 @@ class _TreeGrower:
             if search[s][2] + 1 == self.max_depth:
                 kept.append(self.features[:1])
                 at.append(offsets[s])
-            elif whole:
-                kept.append(self.features)
-                at += range(offsets[s], offsets[s] + d * sizes[s], sizes[s])
-            elif cands[s, 0] == 0:
-                kept.append(cands[s])
-                at += starts[s].tolist()
             else:
-                kept.append(np.concatenate((self.features[:1], cands[s])))
-                at += [offsets[s], *starts[s].tolist()]
+                rest = int(cands[s, 0] == 0)  # candidates are sorted: 0 comes first
+                kept.append(np.concatenate((self.features[:1], cands[s, rest:])))
+                at += [offsets[s], *starts[s, rest:].tolist()]
         m = [len(f) for f in kept]
         n = [sizes[s] for s in won[moved].tolist()]
         if not kept:
             flat = src[:0]
         elif len(search) == 1 and at == list(range(at[0], at[0] + m[0] * n[0], n[0])):
             flat = src[at[0] : at[0] + m[0] * n[0]]  # the node's own orders: no copy
-        elif len(search) == 1:  # every row of src is one of the node's orders
-            flat = src[: len(src) // n[0] * n[0]].reshape(-1, n[0])[np.array(at) // n[0]]
         else:
             flat = src[_ranges(np.array(at), np.repeat(n, m))]
-        flat = flat.ravel()
         go_left = in_left[flat]
         left, right = flat[np.flatnonzero(go_left)], flat[np.flatnonzero(~go_left)]
         out = []
@@ -633,14 +626,10 @@ def fit_forest(data: np.ndarray, labels, cfg: ForestConfig = ForestConfig()) -> 
                    if cfg.bootstrap else np.ones(n) for rng in part]
         stats_t = np.ascontiguousarray(
             np.vstack([_class_stats(class_ids, w, k) for w in weights]).T)
-        if group == 1:
-            # a tree grown alone holds every order of its drawn rows, so its
-            # children partition them all, as the decision tree's do
-            drawn = np.flatnonzero((weights[0] > 0)[presorted])
-            roots = [(grower.features, presorted.ravel()[drawn].reshape(d, -1))]
-        else:
-            roots = [(grower.features[:1], (presorted[0][w[presorted[0]] > 0] + t * n)[None])
-                     for t, w in enumerate(weights)]
+        # at any group size a root holds only its drawn rows' feature-0 order,
+        # and each node its row set and the orders its parent searched
+        roots = [(grower.features[:1], (presorted[0][w[presorted[0]] > 0] + t * n)[None])
+                 for t, w in enumerate(weights)]
         trees += [DecisionTree(root=root) for root, _ in grower.grow(stats_t, roots, part)]
     return RandomForest(trees=trees, n_classes=k)
 

@@ -209,12 +209,11 @@ def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset) -> np.ndarray:
     train file it was fitted on; a pipeline.json whose manifest is missing
     or names another file is refused, never reused."""
     train_path = Path(cfg.train_path)
-    out = _out(cfg)
-    path = out / "pipeline.json"
+    path = Path(cfg.out_dir) / "pipeline.json"
     manifest = {"train_rows": len(train_ds), "train_sha256": _sha256(train_path)}
     if path.exists():
         try:
-            fitted_on = json.loads((out / "manifest.json").read_text())["train_sha256"]
+            fitted_on = json.loads((path.parent / "manifest.json").read_text())["train_sha256"]
         except (OSError, ValueError, KeyError, TypeError):
             fitted_on = None
         if fitted_on != manifest["train_sha256"]:
@@ -226,7 +225,8 @@ def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset) -> np.ndarray:
             )
         log.info("reusing fitted pipeline at %s", path)
         return FittedPipeline.from_json(path.read_text()).transform(train_ds)
-    pipe, values = fit_transform(train_ds)
+    pipe, values = fit_transform(train_ds)  # fitted first: a refused fit writes nothing
+    out = _out(cfg)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     path.write_text(pipe.to_json() + "\n")
     log.info("fitted preprocessing pipeline -> %s", path)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset
+from .dataset import KddParseError, LabeledDataset
 from .errors import VersionSkewError, reading
 from .schema import CATEGORICAL_INDICES, NAMES, NUMERIC_INDICES
 
@@ -134,13 +134,20 @@ def encode(enc: LabelCountEncoder, ds: LabeledDataset) -> np.ndarray:
 
 
 def fit_standardizer(matrix: np.ndarray) -> Standardizer:
-    """Per-column mean and population (divide-by-n) standard deviation."""
+    """Per-column mean and population (divide-by-n) standard deviation of a
+    matrix in schema order. Raises KddParseError, naming the feature, when
+    a column's values are too large for either to be finite."""
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise ValueError("need a non-empty 2-D matrix")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix contains non-finite entries")
-    mu = matrix.mean(axis=0)
-    sigma = matrix.std(axis=0)  # ddof=0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = matrix.mean(axis=0)
+        sigma = matrix.std(axis=0)  # ddof=0
+    bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sigma)))
+    if bad.size:
+        raise KddParseError(f"training feature {NAMES[bad[0]]!r} is too large to standardize: "
+                            "its mean or standard deviation is not finite")
     return Standardizer(mu=mu, sigma=sigma)
 
 

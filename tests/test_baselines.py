@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,17 @@ def test_split_search_on_constant_candidates_returns_none():
                          _gini_scores) is None
 
 
+def test_split_search_on_all_zero_weights_returns_none_without_a_warning():
+    # weights that all underflowed to zero, as in a long AdaBoost run: every
+    # boundary scores 0/0, which splits nothing and warns of nothing
+    values = np.array([[0.0], [1.0], [2.0], [3.0]])
+    stats = _class_stats(np.array([0, 1, 0, 1]), np.zeros(4), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _split_search(values, np.ascontiguousarray(stats.T), _presort(values.T),
+                             np.array([0]), _gini_scores) is None
+
+
 # --- golden trees ---------------------------------------------------------------
 
 def _golden_data():
@@ -344,8 +356,8 @@ def test_forest_trees_match_the_depth_first_oracle(data):
                                        min_size=n, max_size=n)))
     n_trees, bootstrap = draw(st.integers(1, 7)), draw(st.booleans())
     max_features, seed = draw(st.integers(1, d)), draw(st.integers(0, 2**16))
-    # each tree grows alone, holding every order, or all grow in one group
-    # whose nodes sort their missing orders
+    # each tree grows alone or all grow in one group; either way a node
+    # sorts the orders of the candidates its parent did not search
     group_cells = draw(st.sampled_from([1, baselines.GROUP_CELLS]))
     kept, baselines.GROUP_CELLS = baselines.GROUP_CELLS, group_cells
     try:
@@ -386,16 +398,16 @@ def test_forest_trees_do_not_depend_on_the_group_size(monkeypatch):
 def test_group_size_shrinks_as_rows_grow_and_keeps_its_budget(monkeypatch):
     sizes = [_group_size(n, 2, 6) for n in (300, 3_000, 30_000, 125_973)]
     assert sizes == sorted(sizes, reverse=True) and sizes[0] > sizes[-1]
-    # at NSL-KDD scale each tree grows alone, holding every order
+    # at NSL-KDD scale each tree grows alone
     assert _group_size(125_973, 2, 6) == 1
     # a tree's lockstep state is no larger than its cell count says: each
     # tree a group adds raises the traced peak of a fit by at most that many
-    # cells
+    # cells, and a tree grown alone holds no more than one grown in a pair
     rng = np.random.default_rng(0)
     data = rng.integers(0, 50, size=(2_000, 41)) / 7.0
     labels = (data[:, 0] + rng.normal(size=2_000) > 3.5).astype(np.intp)
     peaks = {}
-    for group in (2, 9):
+    for group in (1, 2, 9):
         _with_group_size(monkeypatch, group, 2_000, 2, 6)
         tracemalloc.start()
         try:
@@ -404,6 +416,7 @@ def test_group_size_shrinks_as_rows_grow_and_keeps_its_budget(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[9] - peaks[2] <= 7 * _tree_cells(2_000, 2, 6) * 8
+    assert peaks[1] <= peaks[2]
 
 
 @pytest.mark.parametrize("max_features, rows, message", [

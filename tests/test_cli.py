@@ -334,14 +334,28 @@ def _subset(src, dst, counts):
     return dst
 
 
-def _unknown_name(src, dst):
-    """Copy of ``src`` whose sixth row names an attack outside the taxonomy."""
+def _sixth_row_reads(src, dst, column, text):
+    """Copy of ``src`` whose sixth row reads ``text`` in field ``column``."""
     lines = src.read_text().splitlines()
     fields = lines[5].split(",")
-    fields[41] = "zeroday"
+    fields[column] = text
     lines[5] = ",".join(fields)
     dst.write_text("\n".join(lines) + "\n")
     return dst
+
+
+def _unknown_name(src, dst):
+    """Copy of ``src`` whose sixth row names an attack outside the taxonomy."""
+    return _sixth_row_reads(src, dst, 41, "zeroday")
+
+
+def _huge_duration(src, dst):
+    """Copy of ``src`` whose sixth row has a finite ``duration`` too large to
+    standardize: its square overflows the variance."""
+    return _sixth_row_reads(src, dst, 0, "1e200")
+
+
+HUGE = "training feature 'duration' is too large to standardize"
 
 
 @pytest.mark.parametrize("command, counts, message, which", [
@@ -359,15 +373,21 @@ def _unknown_name(src, dst):
     ("baselines", {"Normal": 10**6}, "needs both normal and attack rows", "train"),
     ("baselines", {**ALL, "Normal": 0}, "needs both normal and attack rows", "train"),
     ("explore", {"Normal": 1}, "training data has fewer than 2 rows", "train"),
+    # the standardizer is fitted before the output directory is made
+    ("train-binary", _huge_duration, HUGE, "train"),
+    ("pipeline", _huge_duration, HUGE, "train"),
+    ("baselines", _huge_duration, HUGE, "train"),
 ])
 def test_data_that_cannot_train_a_stage_exits_3_before_any_output(
         tmp_path, data_files, capsys, command, counts, message, which):
     """``counts`` keeps that many rows per category of the ``which`` file;
-    None keeps every row and renames one attack."""
+    None keeps every row and renames one attack, and a function writes its
+    own edited copy."""
     files = dict(zip(("train", "test"), data_files))
     part = tmp_path / "part.txt"
-    files[which] = _unknown_name(files[which], part) if counts is None else (
-        _subset(files[which], part, counts))
+    edit = (_unknown_name if counts is None else counts if callable(counts) else
+            lambda src, dst: _subset(src, dst, counts))
+    files[which] = edit(files[which], part)
     out = tmp_path / "out"
     assert _run(command, "--train", files["train"], "--test", files["test"],
                 "--out", out, *FAST) == 3
