@@ -107,13 +107,16 @@ def train_on_normal(
 
 
 def reconstruction_errors(model: neural.MlpModel, batch: np.ndarray) -> np.ndarray:
-    """Per-row squared L2 distance to the (noise- and dropout-free) reconstruction."""
+    """Per-row squared L2 distance to the (noise- and dropout-free)
+    reconstruction. A row too far off for its square to be finite scores
+    inf, which every threshold calls an attack."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.in_dim:
         raise ValueError(f"batch width {batch.shape} does not match model input {model.in_dim}")
     recon, _ = neural.forward(model, batch)
     diff = batch - recon
-    return (diff * diff).sum(axis=1)
+    with np.errstate(over="ignore"):
+        return (diff * diff).sum(axis=1)
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:

@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import CATEGORIES, LabeledDataset, spell_column
-from .preprocess import fit_encoder, encode
+from .preprocess import encode, fit_encoder, fit_standardizer
 from .schema import CATEGORICAL_INDICES, INDEX, NAMES
 
 
@@ -102,12 +101,15 @@ def histogram(
 def pearson_matrix(matrix: np.ndarray) -> CorrelationMatrix:
     """Pearson r per column pair from one product of the centered matrix,
     its upper triangle mirrored so the result is exactly symmetric; constant
-    columns are masked as undefined rather than propagating NaN."""
+    columns are masked as undefined rather than propagating NaN. The column
+    moments are the standardizer's, so a column too large for them to be
+    finite raises its KddParseError."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise ValueError("need at least 2 rows")
-    centered = matrix - matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+    moments = fit_standardizer(matrix)
+    centered = matrix - moments.mu
+    std = moments.sigma
     mask = std == 0
     # an infinite scale zeroes every pair with a constant column
     scale = np.where(mask, np.inf, std)
@@ -156,34 +158,20 @@ DEFAULT_SCATTER_PAIRS = (
 )
 
 
-def write_exploration(
+def exploration_files(
     ds: LabeledDataset,
     cats: np.ndarray,
-    out_dir: str | Path,
-    features: tuple[str, ...] = DEFAULT_HISTOGRAM_FEATURES,
-    scatter_pairs: tuple[tuple[str, str], ...] = DEFAULT_SCATTER_PAIRS,
-    bins: int = 40,
-) -> list[Path]:
-    """Emit histograms/, correlation.csv, scatter_*.csv and redundancy.json.
-    ``cats`` is the per-row category id, as from ``dataset.category_ids``."""
-    out = Path(out_dir)
-    (out / "histograms").mkdir(parents=True, exist_ok=True)
-    written = []
-    for feature in features:
-        report = histogram(ds, cats, feature, bins=bins)
-        path = out / "histograms" / f"{feature}.csv"
-        path.write_text(report.to_csv())
-        written.append(path)
-    corr = pearson_matrix(_numeric_view(ds))
-    path = out / "correlation.csv"
-    path.write_text(corr.to_csv(NAMES))
-    written.append(path)
+    features: tuple[str, ...],
+    scatter_pairs: tuple[tuple[str, str], ...],
+    bins: int,
+) -> dict[str, str]:
+    """histograms/, correlation.csv, scatter_*.csv and redundancy.json, as
+    ``{relative path: text}``. ``cats`` is the per-row category id, as from
+    ``dataset.category_ids``."""
+    files = {f"histograms/{feature}.csv": histogram(ds, cats, feature, bins=bins).to_csv()
+             for feature in features}
+    files["correlation.csv"] = pearson_matrix(_numeric_view(ds)).to_csv(NAMES)
     for fx, fy in scatter_pairs:
-        rows = scatter_rows(ds, fx, fy, cats)
-        path = out / f"scatter_{fx}_{fy}.csv"
-        path.write_text(scatter_csv(rows, fx, fy))
-        written.append(path)
-    path = out / "redundancy.json"
-    path.write_text(find_constant_features(ds).to_json() + "\n")
-    written.append(path)
-    return written
+        files[f"scatter_{fx}_{fy}.csv"] = scatter_csv(scatter_rows(ds, fx, fy, cats), fx, fy)
+    files["redundancy.json"] = find_constant_features(ds).to_json() + "\n"
+    return files

@@ -8,10 +8,12 @@ are deterministic given (config, seed).
 Every command loads, checks, computes and writes, in that order. ``_load``
 parses one input file and gives each row its category id; labels stay
 integer ids (see ``dataset``) up to the files written. Each stage's data
-rule is one check on what was loaded, so input a stage cannot use fails
-before the first write. ``pipeline`` loads and checks the train and the
-test file, then runs the two training stages and evaluate over those
-parsed files; evaluate reads the artifacts back from the output directory.
+rule is one check on what was loaded. Each stage returns its outputs as
+``{relative path: text}``, and ``_write``, the only code that writes a
+file, writes a command's outputs once all of them are computed: a refused
+or diverged run leaves the output directory as it found it. ``pipeline``
+loads and checks the train and the test file, then runs the two training
+stages and evaluate over those parsed files and the models in memory.
 """
 
 from __future__ import annotations
@@ -125,9 +127,14 @@ class RunConfig:
         )
 
 
-def _out(cfg: RunConfig) -> Path:
+def _write(cfg: RunConfig, files: dict[str, str]) -> Path:
+    """Writes each ``{relative path: text}`` under the output directory, in
+    order, and returns that directory; the only code that makes a directory
+    or writes a file."""
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).parent.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text)
     return out
 
 
@@ -201,9 +208,11 @@ def _explore_data(ds: LabeledDataset) -> None:
         raise InsufficientDataError("training data has fewer than 2 rows; cannot correlate features")
 
 
-def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset) -> np.ndarray:
-    """The training matrix through the pipeline.json in the output directory,
-    fitting and writing that file first when it is absent.
+def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset
+                         ) -> tuple[FittedPipeline, np.ndarray, dict[str, str]]:
+    """The pipeline.json in the output directory and the training matrix
+    through it, fitting it when it is absent; the files are pipeline.json
+    and its manifest when fitted here, and none when reused.
 
     ``manifest.json`` beside it records the SHA-256 and row count of the
     train file it was fitted on; a pipeline.json whose manifest is missing
@@ -224,13 +233,12 @@ def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset) -> np.ndarray:
                 "use a fresh --out"
             )
         log.info("reusing fitted pipeline at %s", path)
-        return FittedPipeline.from_json(path.read_text()).transform(train_ds)
-    pipe, values = fit_transform(train_ds)  # fitted first: a refused fit writes nothing
-    out = _out(cfg)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    path.write_text(pipe.to_json() + "\n")
-    log.info("fitted preprocessing pipeline -> %s", path)
-    return values
+        pipe = FittedPipeline.from_json(path.read_text())
+        return pipe, pipe.transform(train_ds), {}
+    pipe, values = fit_transform(train_ds)
+    log.info("fitted preprocessing pipeline")
+    return pipe, values, {"manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                          "pipeline.json": pipe.to_json() + "\n"}
 
 
 # --- commands: load, check, compute, write ------------------------------------
@@ -239,24 +247,23 @@ def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset) -> np.ndarray:
 def run_explore(cfg: RunConfig) -> list[Path]:
     train, cats = _load(cfg, "train")
     _explore_data(train)
-    out = _out(cfg) / "explore"
-    written = explore_mod.write_exploration(
-        train, cats, out,
-        features=cfg.histogram_features,
-        scatter_pairs=cfg.scatter_pairs,
-        bins=cfg.histogram_bins,
-    )
-    log.info("wrote %d exploration files under %s", len(written), out)
-    return written
+    files = {f"explore/{name}": text for name, text in explore_mod.exploration_files(
+        train, cats, cfg.histogram_features, cfg.scatter_pairs, cfg.histogram_bins).items()}
+    out = _write(cfg, files)
+    log.info("wrote %d exploration files under %s", len(files), out / "explore")
+    return [out / name for name in files]
 
 
 def run_train_binary(cfg: RunConfig) -> Path:
     train, cats = _load(cfg, "train")
     _detector_data(cats)
-    return _train_binary(cfg, cats, _standardized_train(cfg, train))
+    _, values, files = _standardized_train(cfg, train)
+    _, trained = _train_binary(cfg, cats, values)
+    return _write(cfg, {**files, **trained}) / "detector.json"
 
 
-def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> Path:
+def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray
+                  ) -> tuple[det_mod.AnomalyDetector, dict[str, str]]:
     t0 = time.perf_counter()
     bin_ids = _binary_ids(cats)
 
@@ -281,8 +288,6 @@ def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> Path:
         model, values[calib_idx], bin_ids[calib_idx], method=cfg.calibration, q=cfg.calibration_q
     )
     det = det_mod.AnomalyDetector(model=model, alpha=alpha, calibration=calib)
-    out = _out(cfg)
-    (out / "detector.json").write_text(det.to_json() + "\n")
     report = {
         "alpha": alpha,
         "calibration": calib,
@@ -295,9 +300,9 @@ def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> Path:
         "n_val_rows": len(val_idx),
         "seconds": time.perf_counter() - t0,
     }
-    (out / "train_binary_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    log.info("trained detector (alpha=%.6g, %d epochs) -> %s", alpha, history.n_epochs, out)
-    return out / "detector.json"
+    log.info("trained detector (alpha=%.6g, %d epochs)", alpha, history.n_epochs)
+    return det, {"detector.json": det.to_json() + "\n",
+                 "train_binary_report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"}
 
 
 def _variants(cfg: RunConfig) -> list[str]:
@@ -306,22 +311,22 @@ def _variants(cfg: RunConfig) -> list[str]:
     return ["oversampled" if cfg.oversample == "on" else "plain"]
 
 
-def classifier_filename(variant: str) -> str:
-    return f"classifier_{variant}.json"
-
-
 def run_train_multiclass(cfg: RunConfig) -> list[Path]:
     train, cats = _load(cfg, "train")
     _typer_data(cfg, cats)
-    return _train_multiclass(cfg, cats, _standardized_train(cfg, train))
+    _, values, files = _standardized_train(cfg, train)
+    classifiers, trained = _train_multiclass(cfg, cats, values)
+    out = _write(cfg, {**files, **trained})
+    return [out / f"classifier_{variant}.json" for variant in classifiers]
 
 
-def _train_multiclass(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> list[Path]:
+def _train_multiclass(cfg: RunConfig, cats: np.ndarray, values: np.ndarray
+                      ) -> tuple[dict[str, clf_mod.AttackClassifier], dict[str, str]]:
     t0 = time.perf_counter()
     attack_values, attack_labels = values[cats != NORMAL_CATEGORY], _attack_ids(cats)
 
-    out = _out(cfg)
-    written: list[Path] = []
+    classifiers: dict[str, clf_mod.AttackClassifier] = {}
+    files: dict[str, str] = {}
     info_all: dict[str, dict] = {}
     for variant in _variants(cfg):
         # same init/shuffle stream for both variants: the only difference
@@ -339,18 +344,15 @@ def _train_multiclass(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> l
             tcfg=cfg.train_config(),
             rng=rng,
         )
-        path = out / classifier_filename(variant)
-        path.write_text(clf.to_json() + "\n")
+        classifiers[variant] = clf
+        files[f"classifier_{variant}.json"] = clf.to_json() + "\n"
         info_all[variant] = info
-        written.append(path)
         if oversample is not None:
             log.info("oversampled class counts: %s", info.get("class_counts_after"))
-        log.info("trained %s classifier (%d epochs) -> %s", variant, info["epochs"], path)
+        log.info("trained %s classifier (%d epochs)", variant, info["epochs"])
     info_all["seconds"] = {"total": time.perf_counter() - t0}
-    (out / "train_multiclass_report.json").write_text(
-        json.dumps(info_all, indent=2, sort_keys=True) + "\n"
-    )
-    return written
+    files["train_multiclass_report.json"] = json.dumps(info_all, indent=2, sort_keys=True) + "\n"
+    return classifiers, files
 
 
 def _binary_report(cm: metrics_mod.ConfusionMatrix) -> dict:
@@ -372,7 +374,7 @@ def _artifacts(cfg: RunConfig) -> tuple:
     return (FittedPipeline.from_json(read("pipeline.json", "pipeline")),
             det_mod.AnomalyDetector.from_json(read("detector.json", "detector")),
             {variant: clf_mod.AttackClassifier.from_json(
-                read(classifier_filename(variant), "classifier")) for variant in _variants(cfg)})
+                read(f"classifier_{variant}.json", "classifier")) for variant in _variants(cfg)})
 
 
 def run_evaluate(cfg: RunConfig) -> Path:
@@ -382,12 +384,11 @@ def run_evaluate(cfg: RunConfig) -> Path:
     artifacts = _artifacts(cfg)
     test, cats = _load(cfg, "test")
     _test_data(cats)
-    return _evaluate(cfg, test, cats, *artifacts)
+    return _write(cfg, _evaluate(test, cats, *artifacts)) / "report.json"
 
 
-def _evaluate(cfg: RunConfig, test: LabeledDataset, cats: np.ndarray, pipe: FittedPipeline,
-              det: det_mod.AnomalyDetector, classifiers: dict) -> Path:
-    out = Path(cfg.out_dir)
+def _evaluate(test: LabeledDataset, cats: np.ndarray, pipe: FittedPipeline,
+              det: det_mod.AnomalyDetector, classifiers: dict) -> dict[str, str]:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     values = pipe.transform(test)
@@ -395,7 +396,7 @@ def _evaluate(cfg: RunConfig, test: LabeledDataset, cats: np.ndarray, pipe: Fitt
     true_bin = _binary_ids(cats)
     is_attack_true = true_bin == ATTACK_ID
 
-    files: dict[str, str] = {}  # name -> text, written in this order at the end
+    files: dict[str, str] = {}
     t0 = time.perf_counter()
     errors, verdicts = det_mod.verdict_array(det, values)
     timings["stage1"] = time.perf_counter() - t0
@@ -452,14 +453,12 @@ def _evaluate(cfg: RunConfig, test: LabeledDataset, cats: np.ndarray, pipe: Fitt
 
     report["timings_seconds"] = timings
     files["report.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    for name, text in files.items():
-        (out / name).write_text(text)
     log.info(
         "stage1 accuracy %.4f / f1 %.4f; %d predicted attacks of %d rows",
         stage1["attack_positive"]["accuracy"], stage1["attack_positive"]["f1"],
         report["counts"]["stage1_predicted_attacks"], len(values),
     )
-    return out / "report.json"
+    return files
 
 
 def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfig):
@@ -509,22 +508,22 @@ def run_baselines(cfg: RunConfig) -> Path:
         log.info("%s: accuracy %.4f f1 %.4f (%.1fs)", BASELINE_DISPLAY[name],
                  attack_pos.accuracy, attack_pos.f1, seconds)
 
-    out = _out(cfg)
-    csv_path = out / "baselines.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    (out / "baselines.json").write_text(json.dumps(details, indent=2, sort_keys=True) + "\n")
-    return csv_path
+    out = _write(cfg, {"baselines.csv": "\n".join(lines) + "\n",
+                       "baselines.json": json.dumps(details, indent=2, sort_keys=True) + "\n"})
+    return out / "baselines.csv"
 
 
 def run_pipeline(cfg: RunConfig) -> Path:
     """train-binary, train-multiclass and evaluate over the train and test
-    files parsed once, both checked before pipeline.json is fitted."""
+    files parsed once, both checked before pipeline.json is fitted, and the
+    outputs of all three written together."""
     train, train_cats = _load(cfg, "train")
     _detector_data(train_cats)
     _typer_data(cfg, train_cats)
     test, test_cats = _load(cfg, "test")
     _test_data(test_cats)
-    values = _standardized_train(cfg, train)
-    _train_binary(cfg, train_cats, values)
-    _train_multiclass(cfg, train_cats, values)
-    return _evaluate(cfg, test, test_cats, *_artifacts(cfg))
+    pipe, values, files = _standardized_train(cfg, train)
+    det, trained = _train_binary(cfg, train_cats, values)
+    classifiers, typed = _train_multiclass(cfg, train_cats, values)
+    scored = _evaluate(test, test_cats, pipe, det, classifiers)
+    return _write(cfg, {**files, **trained, **typed, **scored}) / "report.json"

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -373,10 +374,11 @@ HUGE = "training feature 'duration' is too large to standardize"
     ("baselines", {"Normal": 10**6}, "needs both normal and attack rows", "train"),
     ("baselines", {**ALL, "Normal": 0}, "needs both normal and attack rows", "train"),
     ("explore", {"Normal": 1}, "training data has fewer than 2 rows", "train"),
-    # the standardizer is fitted before the output directory is made
+    # the standardizer's moments are taken before the output directory is made
     ("train-binary", _huge_duration, HUGE, "train"),
     ("pipeline", _huge_duration, HUGE, "train"),
     ("baselines", _huge_duration, HUGE, "train"),
+    ("explore", _huge_duration, HUGE, "train"),
 ])
 def test_data_that_cannot_train_a_stage_exits_3_before_any_output(
         tmp_path, data_files, capsys, command, counts, message, which):
@@ -422,6 +424,64 @@ def test_refused_evaluate_leaves_a_finished_run_untouched(tmp_path, data_files):
     assert _run("evaluate", "--test", fewer, "--out", out, "--oversample", "both") == 2
     assert _run("evaluate", "--test", normals, "--out", out) == 3
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _files_under(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _diverge_on_call(monkeypatch, k):
+    """Makes the ``k``-th neural.train call after each ``calls.clear()``
+    raise TrainingDivergedError; returns ``calls``."""
+    real, calls = neural.train, []
+
+    def train(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise TrainingDivergedError(f"validation loss is nan at epoch 0 (call {k})")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(neural, "train", train)
+    return calls
+
+
+@pytest.mark.parametrize("command, k", [
+    # the autoencoder, then the plain and the oversampled typer
+    ("pipeline", 1), ("pipeline", 2), ("pipeline", 3), ("train-multiclass", 2),
+])
+def test_a_run_that_fails_mid_way_leaves_out_as_it_found_it(
+        tmp_path, data_files, monkeypatch, command, k):
+    train, test = data_files
+    finished, fresh = tmp_path / "finished", tmp_path / "fresh"
+    common = ["--train", train, "--test", test, "--oversample", "both", *FAST]
+    assert _run("pipeline", *common, "--out", finished) == 0
+    before = _files_under(finished)
+    calls = _diverge_on_call(monkeypatch, k)
+    for out in (fresh, finished):
+        calls.clear()
+        # another seed: a partial write would mix two runs' models
+        assert _run(command, *common, "--seed", 2, "--out", out) == 3
+        assert len(calls) == k
+    assert not fresh.exists()
+    assert _files_under(finished) == before
+
+
+def test_an_overflowing_reconstruction_error_scores_inf_attack(tmp_path, data_files):
+    train, test = data_files
+    lines = test.read_text().splitlines()
+    taxonomy = load_taxonomy()
+    row = next(i for i, line in enumerate(lines)
+               if categorize(line.split(",")[41], taxonomy) != CATEGORIES[NORMAL_CATEGORY])
+    fields = lines[row].split(",")
+    fields[0] = "1e308"  # a duration whose squared error is not finite
+    lines[row] = ",".join(fields)
+    far = tmp_path / "far.txt"
+    far.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("pipeline", "--train", train, "--test", far, "--out", out, *FAST) == 0
+    assert (out / "scores.csv").read_text().splitlines()[1 + row] == f"{row},inf,attack"
 
 
 def _other_train_file(tmp_path):

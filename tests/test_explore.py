@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from nidkit.dataset import category_ids, parse_kdd_file, parse_kdd_lines
 from nidkit.explore import (
+    DEFAULT_HISTOGRAM_FEATURES,
+    DEFAULT_SCATTER_PAIRS,
+    exploration_files,
     find_constant_features,
     histogram,
     pearson_matrix,
     scatter_csv,
     scatter_rows,
-    write_exploration,
 )
 from nidkit.schema import CATEGORICAL_INDICES, INDEX, NAMES
 
@@ -164,18 +166,20 @@ def test_real_train_constant_features():
     assert "num_outbound_cmds" in names
 
 
-def test_write_exploration_outputs(tmp_path, taxonomy, fixture_ds):
-    files = write_exploration(fixture_ds, category_ids(fixture_ds, taxonomy), tmp_path / "explore")
-    for path in files:
-        assert path.exists()
-    corr = (tmp_path / "explore" / "correlation.csv").read_text().splitlines()
+def _exploration_files(ds, taxonomy):
+    return exploration_files(ds, category_ids(ds, taxonomy), DEFAULT_HISTOGRAM_FEATURES,
+                             DEFAULT_SCATTER_PAIRS, 40)
+
+
+def test_exploration_files_outputs(taxonomy, fixture_ds):
+    files = _exploration_files(fixture_ds, taxonomy)
+    for text in files.values():
+        assert text
+    corr = files["correlation.csv"].splitlines()
     assert len(corr) == 42  # header + 41 rows
     assert corr[0].split(",")[1:] == list(NAMES)
-    # deterministic re-run: byte-identical artifacts
-    before = {p: p.read_bytes() for p in files}
-    write_exploration(fixture_ds, category_ids(fixture_ds, taxonomy), tmp_path / "explore")
-    for p, content in before.items():
-        assert p.read_bytes() == content
+    # deterministic re-run: identical texts
+    assert _exploration_files(fixture_ds, taxonomy) == files
 
 
 def test_feature_view_matches_the_encoded_matrix(fixture_ds):
@@ -187,11 +191,11 @@ def test_feature_view_matches_the_encoded_matrix(fixture_ds):
             full[:, j].tobytes()), name
 
 
-def test_write_exploration_encodes_at_most_once(tmp_path, taxonomy, fixture_ds, monkeypatch):
+def test_exploration_files_encodes_at_most_once(taxonomy, fixture_ds, monkeypatch):
     from nidkit import explore
 
     calls = []
     encode = explore.encode
     monkeypatch.setattr(explore, "encode", lambda *a, **k: calls.append(1) or encode(*a, **k))
-    write_exploration(fixture_ds, category_ids(fixture_ds, taxonomy), tmp_path / "explore")
+    _exploration_files(fixture_ds, taxonomy)
     assert len(calls) == 1

@@ -1,7 +1,8 @@
 """The benchmark tracer must still find every nidkit name it wraps, the
 count of settable values in ``src/nidkit`` only changes on purpose, every
-public name in ``src/nidkit`` has a caller outside tests, and no command
-starts a process pool or leaves a process running once it has exited."""
+public name in ``src/nidkit`` has a caller outside tests, only
+``pipeline._write`` writes a file, and no command starts a process pool or
+leaves a process running once it has exited."""
 
 import ast
 import json
@@ -159,7 +160,46 @@ def test_settable_value_count_is_pinned():
     found = []
     for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
         found += [f"{path.stem}.{name}" for name in _settable_values(ast.parse(path.read_text()))]
-    assert len(found) == 65, found
+    assert len(found) == 62, found
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A write_text, write_bytes, mkdir or makedirs call, or an open whose
+    mode is not a plain read."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+        return True
+    if name != "open":
+        return False
+    position = 0 if isinstance(func, ast.Attribute) else 1  # Path.open(mode), open(file, mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[position:position + 1]
+    return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")) for mode in modes)
+
+
+def _file_writes(node: ast.AST, owner: str = "") -> list[str]:
+    """``owner:line`` of each call in ``node`` that writes, ``owner`` being
+    its enclosing function or class."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += _file_writes(child, f"{owner}.{child.name}" if owner else child.name)
+            continue
+        if isinstance(child, ast.Call) and _writes_a_file(child):
+            found.append(f"{owner}:{child.lineno}")
+        found += _file_writes(child, owner)
+    return found
+
+
+def test_only_the_write_path_writes_files():
+    # every command computes all of its outputs before it hands them to
+    # pipeline._write, so a refused or diverged run leaves --out as it was
+    found = []
+    for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
+        found += [f"{path.stem}.{site}" for site in _file_writes(ast.parse(path.read_text()))]
+    assert found and all(site.startswith("pipeline._write:") for site in found), found
 
 
 def _public_definitions(tree: ast.Module) -> list[tuple[str, str, int]]:
