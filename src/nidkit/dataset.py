@@ -8,7 +8,10 @@ Parsing builds columns once: a float block for the 38 numeric features,
 integer codes into sorted vocabularies for the three categorical features
 and the label, and an integer difficulty array: the only copy of a file,
 no line is kept as text, and no later step sorts a text column again.
-Numeric fields must be ASCII decimal numbers; ``#`` is an ordinary character.
+One tokenizing pass reads all 43 fields; it codes each text field as it
+reads it, by first appearance, and only a column's distinct strings are
+sorted, to re-rank those codes. Numeric fields must be ASCII decimal
+numbers; ``#`` is an ordinary character. A file must be UTF-8 text.
 
 Past the parse, labels are integer ids in three spaces: a category id
 indexes ``CATEGORIES`` (see :func:`category_ids`), an attack id indexes
@@ -22,9 +25,10 @@ and the explore exports.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -234,38 +238,61 @@ def parse_kdd_lines(lines: Iterable[str], split: str) -> LabeledDataset:
             blanks.append(lineno)
     if not kept:
         raise KddParseError("no records found")
-    if any(line.count(",") != N_FIELDS - 1 or "\0" in line for line in kept):
+    if any("\0" in line for line in kept):
         raise _first_error(kept, blanks)
+    # one tokenizing pass over all 43 fields: a text field's converter codes
+    # each string by its first appearance, in C, and loadtxt itself rejects a
+    # line whose field count differs from the first line's
     text_fields = (*CATEGORICAL_INDICES, LABEL_FIELD, DIFFICULTY_FIELD)
-    load = partial(np.loadtxt, kept, delimiter=",", comments=None, ndmin=2)
+    seen = [defaultdict(itertools.count().__next__) for _ in text_fields]
     try:
-        numeric = load(usecols=NUMERIC_INDICES, dtype=np.float64)
-        text = load(usecols=text_fields, dtype=object)
+        table = np.loadtxt(kept, delimiter=",", comments=None, ndmin=2, dtype=np.float64,
+                           converters={j: codes.__getitem__ for j, codes in zip(text_fields, seen)})
     except ValueError as exc:
         raise _first_error(kept, blanks, exc) from None
+    if table.shape[1] != N_FIELDS:  # every line has the same wrong count
+        raise _first_error(kept, blanks)
+    # NUMERIC_INDICES are columns 0 and 4..40: slices copy them several
+    # times faster than a gather by index
+    numeric = np.concatenate((table[:, :1], table[:, 4:LABEL_FIELD]), axis=1)
     if not (np.isfinite(numeric) & (numeric >= 0)).all():
         raise _first_error(kept, blanks)
 
-    # one sort per text column: its vocabulary and every row's code; the
-    # difficulty column holds a few distinct strings, each checked once
-    vocab, codes = zip(*(np.unique(text[:, k].astype(str), return_inverse=True)
-                         for k in range(len(text_fields))))
-    parsed = [_difficulty(s) for s in vocab[-1].tolist()]
+    # a column's first-appearance codes re-ranked to its sorted vocabulary;
+    # the difficulty column holds a few distinct strings, each checked once
+    vocab, rank = zip(*(np.unique(np.array(list(codes)), return_inverse=True)
+                        for codes in seen[:-1]))
+    parsed = [_difficulty(text) for text in seen[-1]]
     if any(isinstance(d, str) for d in parsed):
         raise _first_error(kept, blanks)
+    first = table[:, text_fields].astype(np.intp)
     return LabeledDataset(
         numeric=numeric,
-        codes=np.stack(codes[:-1], axis=1),
-        vocab=vocab[:-1],
-        difficulty=np.array(parsed, dtype=np.int64)[codes[-1]],
+        codes=np.stack([r[first[:, k]] for k, r in enumerate(rank)], axis=1),
+        vocab=vocab,
+        difficulty=np.array(parsed, dtype=np.int64)[first[:, -1]],
         split=split,
     )
 
 
+def _undecodable(path: str | Path, cause: UnicodeDecodeError) -> KddParseError:
+    """Error naming the first line of ``path`` that is not UTF-8; lines
+    split and count as in text mode, blank ones included."""
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return KddParseError(f"line {lineno}: not UTF-8 text: {exc}")
+    return KddParseError(f"not UTF-8 text: {cause}")
+
+
 def parse_kdd_file(path: str | Path, split: str = "train") -> LabeledDataset:
     """Parse an NSL-KDD text file (43 comma-separated fields per line)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_kdd_lines(fh, split=split)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_kdd_lines(fh, split=split)
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
 
 
 def categorize(label: str, taxonomy: AttackTaxonomy) -> str:

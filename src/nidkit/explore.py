@@ -134,17 +134,21 @@ def scatter_rows(
 
 
 def scatter_csv(rows: list[tuple[str, str, str]], feature_x: str, feature_y: str) -> str:
-    lines = [f"{feature_x},{feature_y},category"]
-    lines += [",".join(r) for r in rows]
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{feature_x},{feature_y},category", *map(",".join, rows)]) + "\n"
 
 
 def find_constant_features(ds: LabeledDataset) -> RedundancyReport:
-    """Features whose parsed value never varies across the dataset."""
+    """Features whose parsed value never varies across the dataset; a
+    categorical one is constant when its vocabulary has one entry."""
     found: list[tuple[str, str]] = []
     for j, name in enumerate(NAMES):
-        values = ds.column(j)
-        if (values == values[0]).all():
+        if j in CATEGORICAL_INDICES:
+            values = ds.vocab[CATEGORICAL_INDICES.index(j)]
+            constant = len(values) == 1
+        else:
+            values = ds.column(j)
+            constant = (values == values[0]).all()
+        if constant:
             found.append((name, str(spell_column(values[:1])[0])))
     return RedundancyReport(constant_features=tuple(found))
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,11 +131,19 @@ class RunConfig:
 def _write(cfg: RunConfig, files: dict[str, str]) -> Path:
     """Writes each ``{relative path: text}`` under the output directory, in
     order, and returns that directory; the only code that makes a directory
-    or writes a file."""
+    or writes a file. Each file is written under a temporary name beside it
+    and then renamed over it, so a failed write leaves no partial file."""
     out = Path(cfg.out_dir)
     for name, text in files.items():
-        (out / name).parent.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text)
+        path = out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        temporary = path.with_name(f".{path.name}.tmp")
+        try:
+            temporary.write_text(text)
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import KddParseError, LabeledDataset
 from .errors import VersionSkewError, reading
-from .schema import CATEGORICAL_INDICES, NAMES, NUMERIC_INDICES
+from .schema import CATEGORICAL_INDICES, NAMES
 
 PIPELINE_FORMAT_VERSION = 1
 
@@ -127,7 +127,9 @@ def fit_encoder(train: LabeledDataset) -> LabelCountEncoder:
 def encode(enc: LabelCountEncoder, ds: LabeledDataset) -> np.ndarray:
     """Dataset columns to a float matrix; unseen categories map to code 0."""
     out = np.empty((len(ds), len(NAMES)), dtype=np.float64)
-    out[:, list(NUMERIC_INDICES)] = ds.numeric
+    # NUMERIC_INDICES are columns 0 and 4..40: slices copy them several
+    # times faster than a scatter by index
+    out[:, :1], out[:, 4:] = ds.numeric[:, :1], ds.numeric[:, 1:]
     for k, j in enumerate(CATEGORICAL_INDICES):
         out[:, j] = enc.encode_column(NAMES[j], ds.vocab[k], ds.codes[:, k])
     return out

@@ -1,7 +1,10 @@
 import json
+import os
+import shutil
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +402,38 @@ def test_data_that_cannot_train_a_stage_exits_3_before_any_output(
     assert not out.exists()
 
 
+def _not_utf8(src, dst):
+    """Copy of ``src`` whose sixth row's service field ends in byte 0xE9,
+    which is not UTF-8."""
+    lines = src.read_bytes().splitlines()
+    fields = lines[5].split(b",")
+    fields[2] += b"\xe9"
+    lines[5] = b",".join(fields)
+    dst.write_bytes(b"\n".join(lines) + b"\n")
+    return dst
+
+
+@pytest.mark.parametrize("command, which", [
+    ("explore", "train"), ("train-binary", "train"), ("train-multiclass", "train"),
+    ("baselines", "train"), ("pipeline", "train"), ("pipeline", "test"), ("evaluate", "test"),
+])
+def test_a_file_that_is_not_utf8_exits_3_naming_its_line(
+        tmp_path, data_files, trained_out, capsys, command, which):
+    files = dict(zip(("train", "test"), data_files))
+    files[which] = _not_utf8(files[which], tmp_path / "part.txt")
+    out = tmp_path / "out"
+    if command == "evaluate":
+        shutil.copytree(trained_out, out)
+    before = _files_under(out)
+    capsys.readouterr()
+    assert _run(command, "--train", files["train"], "--test", files["test"],
+                "--out", out, *FAST) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("nidkit: invalid data: line 6: not UTF-8 text: ") and err.count("\n") == 1
+    assert "0xe9" in err
+    assert _files_under(out) == before and out.exists() == (command == "evaluate")
+
+
 @pytest.mark.parametrize("test_name, message", [
     (None, "missing required test path"),
     ("missing.txt", "test file not found"),
@@ -464,6 +499,41 @@ def test_a_run_that_fails_mid_way_leaves_out_as_it_found_it(
         assert len(calls) == k
     assert not fresh.exists()
     assert _files_under(finished) == before
+
+
+@pytest.mark.parametrize("fails", ["write_text", "replace"])
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("earlier_run", [False, True])
+def test_a_failed_write_leaves_whole_files_and_no_temporary_one(
+        tmp_path, monkeypatch, fails, k, earlier_run):
+    # the k-th file's write fails: files before it hold the new text, it and
+    # the files after it hold the earlier run's text (or are absent), and
+    # no file is cut short or left under a temporary name
+    cfg = RunConfig(out_dir=str(tmp_path / "out"))
+    old = {"report.json": "{}\n" * 50, "explore/a.csv": "a\n" * 50,
+           "explore/b.csv": "b\n" * 50, "scores.csv": "s\n" * 50}
+    new = {name: text.upper() * 2 for name, text in old.items()}
+    if earlier_run:
+        pipeline._write(cfg, old)
+    owner = Path if fails == "write_text" else os
+    real, calls = getattr(owner, fails), []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            if fails == "write_text":  # the write is cut short
+                real(args[0], args[1][:10])
+            raise OSError(f"call {k} failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, fails, failing)
+    with pytest.raises(OSError, match=f"call {k} failed"):
+        pipeline._write(cfg, new)
+    names = list(new)
+    expected = {name: new[name] for name in names[:k - 1]}
+    if earlier_run:
+        expected |= {name: old[name] for name in names[k - 1:]}
+    assert _files_under(tmp_path / "out") == {n: t.encode() for n, t in expected.items()}
 
 
 def test_an_overflowing_reconstruction_error_scores_inf_attack(tmp_path, data_files):

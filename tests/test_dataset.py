@@ -19,6 +19,7 @@ from nidkit.dataset import (
 )
 from nidkit.schema import CATEGORICAL_INDICES, NAMES
 
+from . import kdd_oracle as oracle
 from .fixtures import make_fixture, write_kdd_file
 
 
@@ -50,6 +51,33 @@ def test_parse_wrong_field_count_names_line():
     bad = good.rsplit(",", 1)[0]  # 42 fields
     with pytest.raises(KddParseError, match="line 2"):
         parse_kdd_lines([good, bad], split="train")
+
+
+@pytest.mark.parametrize("count", [42, 44])
+def test_a_file_whose_every_line_has_the_same_wrong_field_count_fails_at_line_1(count):
+    # one tokenizing pass over every field finds the same count on each
+    # line; the error is still the oracle's, naming line 1
+    line = _line().rsplit(",", 1)[0] if count == 42 else _line() + ",0"
+    lines = [line + "\n"] * 3
+    with pytest.raises(KddParseError) as expected:
+        oracle.parse_lines(lines)
+    with pytest.raises(KddParseError) as got:
+        parse_kdd_lines(lines, split="train")
+    assert str(got.value) == str(expected.value) == f"line 1: expected 43 fields, got {count}"
+
+
+def test_a_file_is_tokenized_in_one_loadtxt_pass(tmp_path, monkeypatch):
+    path = tmp_path / "train.txt"
+    write_kdd_file(make_fixture(5, seed=0), path)
+    real, calls = np.loadtxt, []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    assert len(parse_kdd_file(path)) == 25
+    assert len(calls) == 1
 
 
 def test_parse_non_numeric_continuous_field():
