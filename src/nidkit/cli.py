@@ -6,8 +6,9 @@ evaluate, pipeline. Every config field can come from a JSON file
 stderr, machine-readable outputs only to files under --out.
 
 Exit codes: 0 success, 1 internal failure, 2 usage/config error (a bad
-setting, before any file is touched, or an --out whose pipeline.json was
-fitted on another train file), 3 invalid data or training that diverges.
+setting, before any file is touched, a path naming no file, a directory or,
+for --out, a file, or an --out whose pipeline.json was fitted on another
+train file), 3 invalid data or training that diverges.
 Every command parses and checks each input file, and computes every output,
 before its first write, so invalid data, data that lacks the rows a stage
 needs, or a diverged training run exits 3 and leaves --out as it found it.
@@ -67,23 +68,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bins", dest="histogram_bins", type=int, help="histogram bin count")
 
 
-def _parse_calibration(value: str) -> tuple[str, float]:
-    if value in ("labeled-f1", "labeled_f1"):
-        return "labeled_f1", 0.95
-    if value == "quantile":
-        return "quantile", 0.95
-    if value.startswith("quantile:"):
-        return "quantile", float(value.split(":", 1)[1])
-    raise ValueError(f"bad calibration spec {value!r}; use quantile:<q> or labeled-f1")
+def _tuples(value):
+    """A JSON value with each array in it made a tuple, as RunConfig holds lists."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """Each RunConfig field by flag > --config file > default; RunConfig checks it."""
     file_values: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
-        known = {f.name for f in fields(RunConfig)} | {"calibration"}
-        unknown = set(file_values) - known
+        if not isinstance(file_values, dict):
+            raise ValueError("a config file must hold one JSON object")
+        unknown = set(file_values) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
 
@@ -93,21 +91,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             merged[f.name] = flag
         elif f.name in file_values:
-            merged[f.name] = file_values[f.name]
+            merged[f.name] = _tuples(file_values[f.name])
     if isinstance(merged.get("baselines"), str):
         merged["baselines"] = tuple(s.strip() for s in merged["baselines"].split(",") if s.strip())
-    elif isinstance(merged.get("baselines"), list):
-        merged["baselines"] = tuple(merged["baselines"])
-    if isinstance(merged.get("scatter_pairs"), list):
-        merged["scatter_pairs"] = tuple(tuple(p) for p in merged["scatter_pairs"])
-    if isinstance(merged.get("histogram_features"), list):
-        merged["histogram_features"] = tuple(merged["histogram_features"])
-
-    calibration = getattr(args, "calibration", None) or file_values.get("calibration")
-    if calibration:
-        method, q = _parse_calibration(calibration)
-        merged["calibration"] = method
-        merged["calibration_q"] = q
     return RunConfig(**merged)
 
 
@@ -146,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         COMMANDS[args.command](cfg)
-    except (FileNotFoundError, NotADirectoryError) as exc:
+    except (FileNotFoundError, NotADirectoryError, IsADirectoryError, FileExistsError) as exc:
         print(f"nidkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StaleArtifactError as exc:

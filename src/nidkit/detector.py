@@ -154,8 +154,8 @@ def calibrate_threshold(
     model: neural.MlpModel,
     values: np.ndarray,
     labels: np.ndarray,
-    method: str = "quantile",
-    q: float = 0.95,
+    method: str,
+    q: float,
 ) -> tuple[float, dict]:
     """Pick alpha from the reconstruction errors of the validation rows
     ``values``, whose binary ids are ``labels``.

@@ -78,7 +78,7 @@ def histogram(
     ds: LabeledDataset,
     cats: np.ndarray,
     feature: str,
-    bins: int = 40,
+    bins: int,
 ) -> HistogramReport:
     """Uniform bins over the pooled [min, max]; the last bin is right-closed.
     ``cats`` is the per-row category id."""

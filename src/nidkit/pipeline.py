@@ -23,6 +23,7 @@ import json
 import logging
 import os
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,8 +75,7 @@ class RunConfig:
     taxonomy_path: str | None = None
     out_dir: str = "out"
     seed: int = 0
-    calibration: str = "quantile"  # quantile | labeled_f1
-    calibration_q: float = 0.95
+    calibration: str = "quantile"  # quantile | quantile:<q> | labeled_f1 | labeled-f1
     oversample: str = "on"         # on | off | both
     max_epochs: int = 200
     batch_size: int = 32
@@ -87,38 +87,52 @@ class RunConfig:
     scatter_pairs: tuple[tuple[str, str], ...] = explore_mod.DEFAULT_SCATTER_PAIRS
 
     def __post_init__(self) -> None:
-        """Rejects a bad setting before a command reads or writes a file."""
+        """Rejects a field of the wrong type or range, naming it, before a
+        command reads or writes a file."""
+        def require(name: str, ok: bool, what: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+        def drawn_from(values, allowed) -> bool:
+            return isinstance(values, tuple) and all(
+                isinstance(v, str) and v in allowed for v in values)
+
+        for name in ("train_path", "test_path", "taxonomy_path", "out_dir"):
+            value = getattr(self, name)
+            if value is not None or name == "out_dir":
+                require(name, isinstance(value, str) and "\0" not in value, "a path")
         for name in ("seed", "max_epochs", "batch_size", "patience", "histogram_bins"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("calibration_q", "val_fraction"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.calibration not in ("quantile", "labeled_f1"):
-            raise ValueError(f"calibration must be quantile or labeled_f1, "
-                             f"got {self.calibration!r}")
-        if not 0.0 < self.calibration_q <= 1.0:
-            raise ValueError(f"calibration_q must be in (0, 1], got {self.calibration_q!r}")
-        if self.oversample not in ("on", "off", "both"):
-            raise ValueError(f"oversample must be on, off or both, got {self.oversample!r}")
-        if self.histogram_bins < 1:
-            raise ValueError(f"histogram_bins must be >= 1, got {self.histogram_bins!r}")
-        if any(len(pair) != 2 for pair in self.scatter_pairs):
-            raise ValueError(f"each scatter pair names two features, got {self.scatter_pairs!r}")
-        for name in (*self.histogram_features, *(f for pair in self.scatter_pairs for f in pair)):
-            if name not in INDEX:
-                raise ValueError(f"unknown feature {name!r}")
-        if not (isinstance(self.baselines, tuple)
-                and all(name in BASELINE_NAMES for name in self.baselines)):
-            raise ValueError(f"baselines must be a list drawn from {', '.join(BASELINE_NAMES)}; "
-                             f"got {self.baselines!r}")
+            require(name, type(getattr(self, name)) is int, "an integer")  # bool is no integer
+        require("val_fraction", type(self.val_fraction) in (int, float)
+                and 0.0 < self.val_fraction < 1.0, "a number in (0, 1)")
+        require("seed", self.seed >= 0, ">= 0")
+        self.calibration_rule()
+        require("oversample", self.oversample in ("on", "off", "both"), "on, off or both")
+        # a histogram is a plot-ready table; far more bins only exhaust memory
+        require("histogram_bins", 1 <= self.histogram_bins <= 10_000, "in 1..10000")
+        require("baselines", drawn_from(self.baselines, BASELINE_NAMES),
+                f"a list drawn from {', '.join(BASELINE_NAMES)}")
+        require("histogram_features", drawn_from(self.histogram_features, INDEX),
+                "a list of feature names")
+        require("scatter_pairs", isinstance(self.scatter_pairs, tuple) and all(
+            drawn_from(pair, INDEX) and len(pair) == 2 for pair in self.scatter_pairs),
+            "a list of feature-name pairs")
         self.train_config()
+
+    def calibration_rule(self) -> tuple[str, float]:
+        """The calibration spec as (method, q): ``quantile`` takes q = 0.95,
+        ``quantile:<q>`` any q in (0, 1], and ``labeled_f1``, also spelled
+        ``labeled-f1``, ignores q."""
+        spec = self.calibration
+        if spec in ("quantile", "labeled_f1", "labeled-f1"):
+            return spec.replace("-", "_"), 0.95
+        if isinstance(spec, str) and spec.startswith("quantile:"):
+            with suppress(ValueError):
+                q = float(spec[len("quantile:"):])
+                if 0.0 < q <= 1.0:
+                    return "quantile", q
+        raise ValueError("calibration must be quantile, quantile:<q> with q in (0, 1], "
+                         f"labeled_f1 or labeled-f1, got {spec!r}")
 
     def train_config(self) -> neural.TrainConfig:
         return neural.TrainConfig(
@@ -190,9 +204,18 @@ def _binary_confusion(true: np.ndarray, predicted: np.ndarray) -> metrics_mod.Co
 # --- data checks: each stage's rule, run before the command's first write ----
 
 
-def _detector_data(cats: np.ndarray) -> None:
-    if not (cats == NORMAL_CATEGORY).any():
+def _detector_data(cfg: RunConfig, cats: np.ndarray) -> None:
+    n_normal = int((cats == NORMAL_CATEGORY).sum())
+    n_attack = len(cats) - n_normal
+    if not n_normal:
         raise InsufficientDataError("training data has no normal rows; cannot train the detector")
+    # the split's per-class sizes do not depend on its rng
+    if cfg.calibration_rule()[0] == "labeled_f1" and min(
+            clf_mod._n_validation(n, cfg.val_fraction) for n in (n_normal, n_attack)) < 1:
+        raise InsufficientDataError(
+            "labeled_f1 calibration needs normal and attack rows in the validation split, "
+            f"but a {cfg.val_fraction} share of {n_normal} normal and {n_attack} attack rows "
+            "leaves none of one class")
 
 
 def _typer_data(cfg: RunConfig, cats: np.ndarray) -> None:
@@ -265,7 +288,7 @@ def run_explore(cfg: RunConfig) -> list[Path]:
 
 def run_train_binary(cfg: RunConfig) -> Path:
     train, cats = _load(cfg, "train")
-    _detector_data(cats)
+    _detector_data(cfg, cats)
     _, values, files = _standardized_train(cfg, train)
     _, trained = _train_binary(cfg, cats, values)
     return _write(cfg, {**files, **trained}) / "detector.json"
@@ -292,10 +315,10 @@ def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray
         normals_train, det_mod.AutoencoderConfig(), cfg.train_config(), ae_rng,
         validation=normals_val,
     )
-    calib_idx = normal_val_idx if cfg.calibration == "quantile" else val_idx
-    alpha, calib = det_mod.calibrate_threshold(
-        model, values[calib_idx], bin_ids[calib_idx], method=cfg.calibration, q=cfg.calibration_q
-    )
+    method, q = cfg.calibration_rule()
+    calib_idx = normal_val_idx if method == "quantile" else val_idx
+    alpha, calib = det_mod.calibrate_threshold(model, values[calib_idx], bin_ids[calib_idx],
+                                               method, q)
     det = det_mod.AnomalyDetector(model=model, alpha=alpha, calibration=calib)
     report = {
         "alpha": alpha,
@@ -527,7 +550,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     files parsed once, both checked before pipeline.json is fitted, and the
     outputs of all three written together."""
     train, train_cats = _load(cfg, "train")
-    _detector_data(train_cats)
+    _detector_data(cfg, train_cats)
     _typer_data(cfg, train_cats)
     test, test_cats = _load(cfg, "test")
     _test_data(test_cats)

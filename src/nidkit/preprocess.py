@@ -100,6 +100,9 @@ class FittedPipeline:
                 raise ValueError("pipeline feature names do not match schema")
             mu = np.array([f["mu"] for f in doc["features"]], dtype=np.float64)
             sigma = np.array([f["sigma"] for f in doc["features"]], dtype=np.float64)
+            encoded = [NAMES[j] for j in CATEGORICAL_INDICES]
+            if sorted(doc["encoders"]) != sorted(encoded):
+                raise ValueError(f"pipeline encoders {sorted(doc['encoders'])} are not {encoded}")
             tables = {
                 feature: {cat: (int(c[0]), int(c[1])) for cat, c in table.items()}
                 for feature, table in doc["encoders"].items()
@@ -155,17 +158,21 @@ def fit_standardizer(matrix: np.ndarray) -> Standardizer:
 
 def standardize(s: Standardizer, matrix: np.ndarray) -> np.ndarray:
     """Z = (x - mu) / sigma per cell; sigma=0 columns map to 0 everywhere.
-    Raises ValueError when a cell of the result is not finite."""
+    Raises KddParseError, naming the feature, when a cell of the result is
+    not finite, as for a cell far outside its training range."""
     if matrix.ndim != 2 or matrix.shape[1] != s.mu.shape[0]:
         raise ValueError(
             f"column mismatch: matrix has {matrix.shape[1] if matrix.ndim == 2 else '?'} columns, "
             f"standardizer expects {s.mu.shape[0]}"
         )
     safe = np.where(s.sigma > 0, s.sigma, 1.0)
-    z = (matrix - s.mu) / safe
+    with np.errstate(over="ignore"):
+        z = (matrix - s.mu) / safe
     z[:, s.sigma == 0] = 0.0
-    if not np.isfinite(z).all():
-        raise ValueError("matrix contains non-finite entries")
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=0))
+    if bad.size:
+        raise KddParseError(f"feature {NAMES[bad[0]]!r} is too large to standardize: "
+                            "a standardized value is not finite")
     return z
 
 

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import sys
+import tempfile
 import warnings
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nidkit import cli, neural, pipeline, preprocess
 from nidkit.classifier import DnnConfig
@@ -17,6 +23,7 @@ from nidkit.dataset import (CATEGORIES, NORMAL_CATEGORY, categorize, category_id
 from nidkit.detector import AutoencoderConfig
 from nidkit.errors import TrainingDivergedError
 from nidkit.pipeline import RunConfig
+from nidkit.schema import INDEX
 
 from .fixtures import make_fixture, write_kdd_file
 
@@ -191,7 +198,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg.seed == 7          # flag wins
     assert cfg.oversample == "off"  # file value survives
     assert cfg.max_epochs == 3
-    assert cfg.calibration == "quantile" and cfg.calibration_q == 0.95  # defaults
+    assert cfg.calibration_rule() == ("quantile", 0.95)  # default
 
 
 def test_config_rejects_unknown_fields(tmp_path):
@@ -201,6 +208,9 @@ def test_config_rejects_unknown_fields(tmp_path):
     args = parser.parse_args(["pipeline", "--config", str(cfg_path)])
     with pytest.raises(ValueError, match="unknown config fields"):
         build_config(args)
+    cfg_path.write_text("[]")  # no key, but not an object either
+    with pytest.raises(ValueError, match="one JSON object"):
+        build_config(args)
 
 
 @pytest.mark.parametrize("command, flags, file_values", [
@@ -208,40 +218,66 @@ def test_config_rejects_unknown_fields(tmp_path):
     ("train-binary", [], {"max_epochs": 6.5}),
     ("pipeline", ["--val-fraction", "1.5"], None),
     ("explore", ["--bins", "0"], None),
-    ("train-binary", [], {"calibration_q": 5}),
+    ("train-binary", [], {"calibration": "quantile:5"}),
     ("pipeline", [], {"seed": "abc"}),
     ("train-multiclass", [], {"oversample": "yes"}),
     ("explore", [], {"histogram_features": ["nope"]}),
     ("explore", [], {"scatter_pairs": [["count"]]}),
     ("baselines", [], {"baselines": 5}),
-    ("train-binary", [], {"calibration_q": True}),
-    ("train-binary", [], {"calibration_q": "0.9"}),
+    ("train-binary", [], {"calibration": True}),
+    ("train-binary", [], {"calibration": 0.9}),
     ("pipeline", [], {"val_fraction": True}),
     ("pipeline", [], {"val_fraction": "0.2"}),
+    ("train-binary", ["--calibration", "bogus"], None),
+    ("train-binary", [], {"calibration": 5}),
+    ("train-binary", [], {"calibration": ["quantile"]}),
+    ("train-binary", [], {"calibration": "quantile", "calibration_q": 0.5}),
+    ("train-binary", [], {"out_dir": 5}),
+    ("train-binary", [], {"train_path": 5}),
+    ("evaluate", [], {"test_path": 5}),
+    ("explore", [], {"taxonomy_path": 5}),
+    ("explore", [], {"taxonomy_path": ["x"]}),
+    ("explore", [], {"histogram_features": "count"}),
+    ("explore", [], {"histogram_bins": 10_001}),
 ])
 def test_invalid_setting_exits_2_before_any_output(tmp_path, data_files, capsys,
                                                     command, flags, file_values):
+    """A file value is checked only when no flag overrides it, so the path
+    flags are left out for the path fields the file sets."""
     train, test = data_files
     out = tmp_path / "out"
-    argv = [command, "--train", train, "--test", test, "--out", out, *flags]
+    argv = [command, *flags]
+    for name, flag, path in (("train_path", "--train", train), ("test_path", "--test", test),
+                             ("out_dir", "--out", out)):
+        if name not in (file_values or {}):
+            argv += [flag, path]
     if file_values is not None:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(file_values))
         argv += ["--config", cfg_path]
     assert _run(*argv) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("nidkit: config error: ") and err.count("\n") == 1, err
+    assert all(name in err for name in file_values or ())
     assert not out.exists()
 
 
-def test_calibration_flag_parsing():
+def test_calibration_flag_parsing(tmp_path):
+    # each spelling, by flag and by file, beside a comma-form baselines and
+    # a JSON array of pairs in the file
     parser = build_parser()
-    args = parser.parse_args(["train-binary", "--calibration", "quantile:0.9"])
-    cfg = build_config(args)
-    assert cfg.calibration == "quantile" and cfg.calibration_q == 0.9
-    args = parser.parse_args(["train-binary", "--calibration", "labeled-f1"])
-    assert build_config(args).calibration == "labeled_f1"
-    args = parser.parse_args(["train-binary", "--calibration", "bogus"])
-    assert main(["train-binary", "--calibration", "bogus"]) == 2
+    cfg_path = tmp_path / "cfg.json"
+    for spec, rule in [("quantile", ("quantile", 0.95)), ("quantile:0.9", ("quantile", 0.9)),
+                       ("labeled-f1", ("labeled_f1", 0.95)), ("labeled_f1", ("labeled_f1", 0.95))]:
+        cfg_path.write_text(json.dumps({"calibration": spec, "baselines": "svm, mlp",
+                                        "scatter_pairs": [["count", "serror_rate"]]}))
+        by_flag = build_config(parser.parse_args(["train-binary", "--calibration", spec]))
+        by_file = build_config(parser.parse_args(["train-binary", "--config", str(cfg_path)]))
+        assert by_flag.calibration_rule() == by_file.calibration_rule() == rule
+        assert by_file.baselines == ("svm", "mlp")
+        assert by_file.scatter_pairs == (("count", "serror_rate"),)
+    args = parser.parse_args(["baselines", "--baselines", "svm,mlp"])
+    assert build_config(args).baselines == ("svm", "mlp")
 
 
 def test_default_runconfig_matches_paper_settings():
@@ -360,6 +396,7 @@ def _huge_duration(src, dst):
 
 
 HUGE = "training feature 'duration' is too large to standardize"
+LABELED_F1 = "labeled_f1 calibration needs normal and attack rows in the validation split"
 
 
 @pytest.mark.parametrize("command, counts, message, which", [
@@ -377,6 +414,9 @@ HUGE = "training feature 'duration' is too large to standardize"
     ("baselines", {"Normal": 10**6}, "needs both normal and attack rows", "train"),
     ("baselines", {**ALL, "Normal": 0}, "needs both normal and attack rows", "train"),
     ("explore", {"Normal": 1}, "training data has fewer than 2 rows", "train"),
+    # labeled-f1 calibrates on a validation split that holds both classes
+    ("train-binary --calibration labeled-f1", {**ALL, "Normal": 3}, LABELED_F1, "train"),
+    ("pipeline --calibration labeled-f1", {"Normal": 10**6}, LABELED_F1, "train"),
     # the standardizer's moments are taken before the output directory is made
     ("train-binary", _huge_duration, HUGE, "train"),
     ("pipeline", _huge_duration, HUGE, "train"),
@@ -385,16 +425,16 @@ HUGE = "training feature 'duration' is too large to standardize"
 ])
 def test_data_that_cannot_train_a_stage_exits_3_before_any_output(
         tmp_path, data_files, capsys, command, counts, message, which):
-    """``counts`` keeps that many rows per category of the ``which`` file;
-    None keeps every row and renames one attack, and a function writes its
-    own edited copy."""
+    """``command`` may carry flags; ``counts`` keeps that many rows per
+    category of the ``which`` file; None keeps every row and renames one
+    attack, and a function writes its own edited copy."""
     files = dict(zip(("train", "test"), data_files))
     part = tmp_path / "part.txt"
     edit = (_unknown_name if counts is None else counts if callable(counts) else
             lambda src, dst: _subset(src, dst, counts))
     files[which] = edit(files[which], part)
     out = tmp_path / "out"
-    assert _run(command, "--train", files["train"], "--test", files["test"],
+    assert _run(*command.split(), "--train", files["train"], "--test", files["test"],
                 "--out", out, *FAST) == 3
     err = capsys.readouterr().err
     assert err.startswith("nidkit: invalid data: ") and err.count("\n") == 1
@@ -446,6 +486,19 @@ def test_pipeline_without_a_test_file_exits_2_before_any_output(
     assert _run("pipeline", "--train", train, *flags, "--out", out, *FAST) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_directory_as_input_or_a_file_as_out_exits_2(tmp_path, data_files, capsys):
+    train, _ = data_files
+    out = tmp_path / "out"
+    out.write_text("not a directory")
+    for argv in (["--train", tmp_path, "--out", tmp_path / "fresh"],
+                 ["--train", train, "--taxonomy", tmp_path, "--out", tmp_path / "fresh"],
+                 ["--train", train, "--out", out]):
+        assert _run("explore", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("nidkit: ") and err.count("\n") == 1, err
+    assert out.read_text() == "not a directory" and not (tmp_path / "fresh").exists()
 
 
 def test_refused_evaluate_leaves_a_finished_run_untouched(tmp_path, data_files):
@@ -554,6 +607,26 @@ def test_an_overflowing_reconstruction_error_scores_inf_attack(tmp_path, data_fi
     assert (out / "scores.csv").read_text().splitlines()[1 + row] == f"{row},inf,attack"
 
 
+@pytest.mark.parametrize("command", ["evaluate", "baselines", "pipeline"])
+def test_a_test_cell_too_large_to_standardize_exits_3(
+        tmp_path, data_files, trained_out, capsys, command):
+    # unlike the duration above, whose z stays finite and whose squared
+    # error overflows, serror_rate's training deviation is below 1, so
+    # 1e308 has no finite z
+    train, test = data_files
+    far = _sixth_row_reads(test, tmp_path / "far.txt", INDEX["serror_rate"], "1e308")
+    out = tmp_path / "out"
+    if command == "evaluate":
+        shutil.copytree(trained_out, out)
+    before = _files_under(out) if out.exists() else None
+    capsys.readouterr()
+    assert _run(command, "--train", train, "--test", far, "--out", out, *FAST) == 3
+    assert capsys.readouterr().err == (
+        "nidkit: invalid data: feature 'serror_rate' is too large to standardize: "
+        "a standardized value is not finite\n")
+    assert (_files_under(out) if out.exists() else None) == before
+
+
 def _other_train_file(tmp_path):
     path = tmp_path / "other_train.txt"
     write_kdd_file(make_fixture(40, seed=9), path)
@@ -656,6 +729,13 @@ UNREADABLE = {
         **doc, "class_order": ["Probe", "DoS", "R2L", "U2R"]}),
     "oversampling-flag-text": ("classifier_oversampled.json",
                                lambda doc: {**doc, "trained_with_oversampling": "yes"}),
+    "pipeline-without-an-encoder": ("pipeline.json", lambda doc: {
+        **doc, "encoders": {k: v for k, v in doc["encoders"].items() if k != "service"}}),
+    "pipeline-extra-encoder": ("pipeline.json", lambda doc: {
+        **doc, "encoders": {**doc["encoders"], "label": {}}}),
+    # every test value off its training mean standardizes to an infinite z
+    "pipeline-subnormal-deviation": ("pipeline.json", lambda doc: {
+        **doc, "features": [{**f, "sigma": 1e-320} for f in doc["features"]]}),
 }
 
 
@@ -676,6 +756,106 @@ def test_unreadable_artifact_exits_3_and_leaves_out_unchanged(
     err = capsys.readouterr().err
     assert err.startswith("nidkit: invalid data: ") and err.count("\n") == 1, err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# JSON values of every kind, nested a little. The text is a setting's
+# spelling or made of "a", "b", "." and ":", so a path drawn from it stays
+# inside the parent of the directory a run starts in. An integer is small or
+# too large for any array, never a bin count that would allocate gigabytes.
+_TEXT = st.sampled_from(["quantile", "quantile:0.5", "labeled-f1", "count", "svm", "svm,mlp",
+                         "on"]) | st.text(alphabet="ab.:", max_size=4)
+_INTEGERS = st.integers(-20_000, 20_000) | st.sampled_from([-2**63, 2**63, 10**30])
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTEGERS | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=2),
+    max_leaves=6)
+_PATH_FIELDS = ("train_path", "test_path", "taxonomy_path", "out_dir")
+
+
+def _run_in(cwd, argv):
+    """(exit code, stderr lines) of ``main(argv)`` run in the directory ``cwd``."""
+    err, before = io.StringIO(), os.getcwd()
+    os.chdir(cwd)
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+    finally:
+        os.chdir(before)
+    return code, err.getvalue().splitlines()
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.sampled_from([f.name for f in fields(RunConfig)]), value=_JSON)
+@example(name="calibration", value=5)
+def test_a_generated_config_value_exits_0_or_2(data_files, name, value):
+    # one field comes from a --config file alone; explore runs on the rest
+    train, _ = data_files
+    with tempfile.TemporaryDirectory() as root:
+        work = Path(root) / "work"
+        work.mkdir()
+        cfg_path = Path(root) / "cfg.json"
+        cfg_path.write_text(json.dumps({name: value}))
+        argv = ["explore", "--config", cfg_path]
+        argv += [] if name == "train_path" else ["--train", train]
+        argv += [] if name == "out_dir" else ["--out", work / "out"]
+        before = _files_under(Path(root))
+        code, err = _run_in(work, argv)
+        assert code in (0, 2), err
+        if code == 2:
+            # a path that is null or text may name no file, or a directory
+            unchecked = name in _PATH_FIELDS and (value is None or isinstance(value, str))
+            prefix = "nidkit: " if unchecked else "nidkit: config error: "
+            assert len(err) == 1 and err[0].startswith(prefix), err
+            assert _files_under(Path(root)) == before
+
+
+def _kind(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _key_path(doc, steps):
+    """The path to an object key in ``doc``: each step picks, modulo their
+    count, a key of the object or an element of the array it reaches, and
+    the path ends at the last key picked."""
+    path, node, end = [], doc, 0
+    for step in steps:
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = sorted(node)[step % len(node)] if isinstance(node, dict) else step % len(node)
+        path.append(key)
+        node = node[key]
+        end = len(path) if isinstance(key, str) else end
+    return path[:end]
+
+
+@settings(max_examples=50, deadline=None)
+@given(artifact=st.sampled_from(["pipeline.json", "detector.json", "classifier_oversampled.json"]),
+       steps=st.lists(st.integers(0, 1000), min_size=1, max_size=5), delete=st.booleans(),
+       replacement=_JSON)
+@example(artifact="pipeline.json", steps=[0, 2], delete=True, replacement=None)  # no service
+def test_a_generated_artifact_field_exits_0_or_3(data_files, trained_out, artifact, steps,
+                                                 delete, replacement):
+    _, test = data_files
+    doc = json.loads((trained_out / artifact).read_text())
+    *parents, key = _key_path(doc, steps)
+    owner = doc
+    for parent in parents:
+        owner = owner[parent]
+    if delete:
+        del owner[key]
+    else:
+        assume(_kind(replacement) != _kind(owner[key]))
+        owner[key] = replacement
+    with tempfile.TemporaryDirectory() as root:
+        out = Path(root) / "out"
+        shutil.copytree(trained_out, out)
+        (out / artifact).write_text(json.dumps(doc))
+        before = _files_under(out)
+        code, err = _run_in(root, ["evaluate", "--test", test, "--out", out])
+        assert code in (0, 3), err
+        if code == 3:
+            assert len(err) == 1 and err[0].startswith("nidkit: invalid data: "), err
+            assert _files_under(out) == before
 
 
 def test_no_label_array_of_objects_reaches_np_unique(tmp_path, data_files, monkeypatch):

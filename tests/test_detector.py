@@ -148,7 +148,7 @@ def test_calibrate_labeled_f1_separated():
     model = MlpModel([LayerSpec(1, 1, "identity")], [np.zeros((1, 1))], [np.zeros(1)])
     values = np.array([[1.0], [2.0], [3.0], [10.0], [11.0], [12.0]])
     labels = np.array([NORMAL_ID] * 3 + [ATTACK_ID] * 3)
-    alpha, info = calibrate_threshold(model, values, labels, method="labeled_f1")
+    alpha, info = calibrate_threshold(model, values, labels, method="labeled_f1", q=0.95)
     assert info["validation_f1"] == 1.0
     assert 9.0 <= alpha < 100.0  # any threshold between the populations
     errors = reconstruction_errors(model, values)
@@ -182,13 +182,13 @@ def test_best_f1_threshold_tie_goes_to_the_smallest_alpha():
 def test_calibrate_labeled_f1_needs_both_classes():
     model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)])
     with pytest.raises(ValueError, match="both"):
-        calibrate_threshold(model, np.ones((3, 1)), np.full(3, NORMAL_ID), method="labeled_f1")
+        calibrate_threshold(model, np.ones((3, 1)), np.full(3, NORMAL_ID), "labeled_f1", 0.95)
 
 
 def test_calibrate_empty_validation():
     model = MlpModel([LayerSpec(1, 1)], [np.eye(1)], [np.zeros(1)])
     with pytest.raises(ValueError, match="empty"):
-        calibrate_threshold(model, np.empty((0, 1)), np.array([], dtype=np.intp))
+        calibrate_threshold(model, np.empty((0, 1)), np.array([], dtype=np.intp), "quantile", 0.95)
 
 
 def _zero_model(d=1):

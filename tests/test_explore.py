@@ -73,7 +73,7 @@ def test_histogram_rejects_bad_args(taxonomy):
     with pytest.raises(ValueError):
         histogram(ds, category_ids(ds, taxonomy), "duration", bins=0)
     with pytest.raises(KeyError):
-        histogram(ds, category_ids(ds, taxonomy), "no_such_feature")
+        histogram(ds, category_ids(ds, taxonomy), "no_such_feature", bins=40)
 
 
 def test_pearson_self_and_linear():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidkit.dataset import parse_kdd_lines
+from nidkit.dataset import KddParseError, parse_kdd_lines
 from nidkit.preprocess import (
     FittedPipeline,
     LabelCountEncoder,
@@ -163,7 +163,7 @@ def test_transform_returns_the_matrix_and_rejects_a_non_finite_result(fixture_ds
     fields = kdd_line(fixture_ds.records[0]).split(",")
     fields[INDEX["serror_rate"]] = "1.7e308"  # overflows once divided by sigma
     huge = parse_kdd_lines([",".join(fields)], split="test")
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(KddParseError, match="'serror_rate' is too large to standardize"):
         pipe.transform(huge)
 
 

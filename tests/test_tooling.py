@@ -1,8 +1,9 @@
 """The benchmark tracer must still find every nidkit name it wraps, the
-count of settable values in ``src/nidkit`` only changes on purpose, every
-public name in ``src/nidkit`` has a caller outside tests, only
-``pipeline._write`` writes a file, and no command starts a process pool or
-leaves a process running once it has exited."""
+count of settable values in ``src/nidkit`` only changes on purpose, the
+README lists exactly the settings a config file takes, every public name in
+``src/nidkit`` has a caller outside tests, only ``pipeline._write`` writes a
+file, and no command starts a process pool or leaves a process running once
+it has exited."""
 
 import ast
 import json
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -160,7 +162,17 @@ def test_settable_value_count_is_pinned():
     found = []
     for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
         found += [f"{path.stem}.{name}" for name in _settable_values(ast.parse(path.read_text()))]
-    assert len(found) == 62, found
+    assert len(found) == 58, found
+
+
+def test_the_readme_lists_each_config_key():
+    # a --config file takes exactly RunConfig's fields, in this order
+    from nidkit.pipeline import RunConfig
+
+    text = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.search(r"keys are the fields of `nidkit\.pipeline\.RunConfig` \(([^)]*)\)", text)
+    assert listed, "the README no longer lists the --config keys"
+    assert re.findall(r"`(\w+)`", listed.group(1)) == [f.name for f in fields(RunConfig)]
 
 
 def _writes_a_file(call: ast.Call) -> bool:
