@@ -8,7 +8,8 @@ stderr, machine-readable outputs only to files under --out.
 Exit codes: 0 success, 1 internal failure, 2 usage/config error (a bad
 setting, before any file is touched, a path naming no file, a directory or,
 for --out, a file, or an --out whose pipeline.json was fitted on another
-train file), 3 invalid data or training that diverges.
+train file or differs from this run's fit), 3 invalid data, a damaged
+taxonomy file included, or training that diverges.
 Every command parses and checks each input file, and computes every output,
 before its first write, so invalid data, data that lacks the rows a stage
 needs, or a diverged training run exits 3 and leaves --out as it found it.

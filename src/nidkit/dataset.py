@@ -136,20 +136,17 @@ class AttackTaxonomy:
 
     mapping: dict[str, str]
 
-    def __post_init__(self) -> None:
-        for name, cat in self.mapping.items():
-            if cat not in CATEGORIES:
-                raise ValueError(f"taxonomy maps {name!r} to unknown category {cat!r}")
-        if self.mapping.get(NORMAL) != "Normal":
-            raise ValueError("taxonomy must map 'normal' to Normal")
-
 
 def load_taxonomy(path: str | Path | None = None) -> AttackTaxonomy:
-    """Load a `name,category` mapping file; defaults to the bundled one."""
+    """Load a `name,category` mapping file; defaults to the bundled one. A
+    fault in the file raises KddParseError, naming its line if it has one."""
     if path is None:
         text = resources.files("nidkit.data").joinpath("taxonomy.csv").read_text()
     else:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise KddParseError(f"taxonomy {_undecodable(path, exc)}") from None
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -159,9 +156,13 @@ def load_taxonomy(path: str | Path | None = None) -> AttackTaxonomy:
         if len(parts) != 2:
             raise KddParseError(f"taxonomy line {lineno}: expected 'name,category', got {raw!r}")
         name, cat = parts[0].strip(), parts[1].strip()
+        if cat not in CATEGORIES:
+            raise KddParseError(f"taxonomy line {lineno}: unknown category {cat!r} for {name!r}")
         if name in mapping and mapping[name] != cat:
             raise KddParseError(f"taxonomy line {lineno}: conflicting entry for {name!r}")
         mapping[name] = cat
+    if mapping.get(NORMAL) != "Normal":
+        raise KddParseError("taxonomy must map 'normal' to Normal")
     return AttackTaxonomy(mapping=mapping)
 
 

@@ -60,33 +60,18 @@ class RedundancyReport:
         )
 
 
-def _numeric_view(ds: LabeledDataset) -> np.ndarray:
-    """Encoded matrix for exploration; codes are fit on this dataset."""
-    return encode(fit_encoder(ds), ds)
-
-
-def _feature_view(ds: LabeledDataset, feature: str) -> np.ndarray:
-    """One column of the encoded matrix, without encoding the others."""
-    j = INDEX[feature]
-    if j not in CATEGORICAL_INDICES:
-        return ds.column(j)
-    k = CATEGORICAL_INDICES.index(j)
-    return fit_encoder(ds).encode_column(feature, ds.vocab[k], ds.codes[:, k])
-
-
 def histogram(
-    ds: LabeledDataset,
+    matrix: np.ndarray,
     cats: np.ndarray,
     feature: str,
     bins: int,
 ) -> HistogramReport:
-    """Uniform bins over the pooled [min, max]; the last bin is right-closed.
-    ``cats`` is the per-row category id."""
+    """Uniform bins over the pooled [min, max] of ``feature``'s column of
+    the encoded matrix; the last bin is right-closed. ``cats`` is the
+    per-row category id."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    values = _feature_view(ds, feature)
-    if values.size == 0:
-        raise ValueError("empty dataset")
+    values = matrix[:, INDEX[feature]]
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         hi = lo + 1.0
@@ -172,9 +157,11 @@ def exploration_files(
     """histograms/, correlation.csv, scatter_*.csv and redundancy.json, as
     ``{relative path: text}``. ``cats`` is the per-row category id, as from
     ``dataset.category_ids``."""
-    files = {f"histograms/{feature}.csv": histogram(ds, cats, feature, bins=bins).to_csv()
+    # codes are fit on this dataset, which is encoded once for every export
+    matrix = encode(fit_encoder(ds), ds)
+    files = {f"histograms/{feature}.csv": histogram(matrix, cats, feature, bins=bins).to_csv()
              for feature in features}
-    files["correlation.csv"] = pearson_matrix(_numeric_view(ds)).to_csv(NAMES)
+    files["correlation.csv"] = pearson_matrix(matrix).to_csv(NAMES)
     for fx, fy in scatter_pairs:
         files[f"scatter_{fx}_{fy}.csv"] = scatter_csv(scatter_rows(ds, fx, fy, cats), fx, fy)
     files["redundancy.json"] = find_constant_features(ds).to_json() + "\n"

@@ -11,9 +11,11 @@ integer ids (see ``dataset``) up to the files written. Each stage's data
 rule is one check on what was loaded. Each stage returns its outputs as
 ``{relative path: text}``, and ``_write``, the only code that writes a
 file, writes a command's outputs once all of them are computed: a refused
-or diverged run leaves the output directory as it found it. ``pipeline``
-loads and checks the train and the test file, then runs the two training
-stages and evaluate over those parsed files and the models in memory.
+or diverged run leaves the output directory as it found it. Training
+writes artifacts and only ``evaluate`` reads them: every training run fits
+pipeline.json, and one already in the output directory is only checked.
+``pipeline`` loads, checks and standardizes the train and the test file,
+then runs the two training stages and evaluate over those matrices.
 """
 
 from __future__ import annotations
@@ -242,13 +244,13 @@ def _explore_data(ds: LabeledDataset) -> None:
 
 def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset
                          ) -> tuple[FittedPipeline, np.ndarray, dict[str, str]]:
-    """The pipeline.json in the output directory and the training matrix
-    through it, fitting it when it is absent; the files are pipeline.json
-    and its manifest when fitted here, and none when reused.
+    """The pipeline fitted on the train file, its standardized matrix, and
+    its files: pipeline.json and ``manifest.json``, which records the
+    SHA-256 and row count of the train file it was fitted on.
 
-    ``manifest.json`` beside it records the SHA-256 and row count of the
-    train file it was fitted on; a pipeline.json whose manifest is missing
-    or names another file is refused, never reused."""
+    A pipeline.json already in the output directory is only checked, never
+    read back: one whose manifest is missing or names another file, or
+    whose text differs from this fit, is refused, never replaced."""
     train_path = Path(cfg.train_path)
     path = Path(cfg.out_dir) / "pipeline.json"
     manifest = {"train_rows": len(train_ds), "train_sha256": _sha256(train_path)}
@@ -264,13 +266,21 @@ def _standardized_train(cfg: RunConfig, train_ds: LabeledDataset
                 f"{path} {why}, not on {train_path} (sha256 {manifest['train_sha256']}); "
                 "use a fresh --out"
             )
-        log.info("reusing fitted pipeline at %s", path)
-        pipe = FittedPipeline.from_json(path.read_text())
-        return pipe, pipe.transform(train_ds), {}
     pipe, values = fit_transform(train_ds)
     log.info("fitted preprocessing pipeline")
+    fitted = pipe.to_json() + "\n"
+    if path.exists() and path.read_bytes() != fitted.encode():
+        raise StaleArtifactError(f"{path} differs from the pipeline fitted on {train_path}; "
+                                 "use a fresh --out")
     return pipe, values, {"manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                          "pipeline.json": pipe.to_json() + "\n"}
+                          "pipeline.json": fitted}
+
+
+def _standardized_test(pipe: FittedPipeline, test: LabeledDataset) -> tuple[np.ndarray, float]:
+    """The test matrix through ``pipe``, and the seconds that took."""
+    t0 = time.perf_counter()
+    values = pipe.transform(test)
+    return values, time.perf_counter() - t0
 
 
 # --- commands: load, check, compute, write ------------------------------------
@@ -413,18 +423,16 @@ def run_evaluate(cfg: RunConfig) -> Path:
     """Score the test file with the artifacts in the output directory. Every
     input is read and checked, and every output computed, before the first
     write, so a refused run leaves the files of an earlier one untouched."""
-    artifacts = _artifacts(cfg)
+    pipe, det, classifiers = _artifacts(cfg)
     test, cats = _load(cfg, "test")
     _test_data(cats)
-    return _write(cfg, _evaluate(test, cats, *artifacts)) / "report.json"
+    values, seconds = _standardized_test(pipe, test)
+    return _write(cfg, _evaluate(values, cats, det, classifiers, seconds)) / "report.json"
 
 
-def _evaluate(test: LabeledDataset, cats: np.ndarray, pipe: FittedPipeline,
-              det: det_mod.AnomalyDetector, classifiers: dict) -> dict[str, str]:
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    values = pipe.transform(test)
-    timings["preprocess"] = time.perf_counter() - t0
+def _evaluate(values: np.ndarray, cats: np.ndarray, det: det_mod.AnomalyDetector,
+              classifiers: dict, preprocess_seconds: float) -> dict[str, str]:
+    timings = {"preprocess": preprocess_seconds}
     true_bin = _binary_ids(cats)
     is_attack_true = true_bin == ATTACK_ID
 
@@ -547,15 +555,17 @@ def run_baselines(cfg: RunConfig) -> Path:
 
 def run_pipeline(cfg: RunConfig) -> Path:
     """train-binary, train-multiclass and evaluate over the train and test
-    files parsed once, both checked before pipeline.json is fitted, and the
-    outputs of all three written together."""
+    files parsed once, both checked before pipeline.json is fitted and both
+    standardized before any model trains, and the outputs of all three
+    written together."""
     train, train_cats = _load(cfg, "train")
     _detector_data(cfg, train_cats)
     _typer_data(cfg, train_cats)
     test, test_cats = _load(cfg, "test")
     _test_data(test_cats)
     pipe, values, files = _standardized_train(cfg, train)
+    test_values, seconds = _standardized_test(pipe, test)
     det, trained = _train_binary(cfg, train_cats, values)
     classifiers, typed = _train_multiclass(cfg, train_cats, values)
-    scored = _evaluate(test, test_cats, pipe, det, classifiers)
+    scored = _evaluate(test_values, test_cats, det, classifiers, seconds)
     return _write(cfg, {**files, **trained, **typed, **scored}) / "report.json"

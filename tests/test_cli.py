@@ -319,12 +319,12 @@ def test_pipeline_parses_and_transforms_each_file_once(tmp_path, data_files, mon
         assert parsed == ["train", "test"]
         assert encoded == ["train", "test"]
 
-    # a fresh fit standardizes the train matrix it encoded
+    # a fit standardizes the train matrix it encoded
     run("pipeline", "--out", tmp_path / "one")
     assert transformed == ["test"]
-    # a reused pipeline.json transforms the train file
+    # a pipeline.json already in --out is checked, not read back
     run("pipeline", "--out", tmp_path / "one")
-    assert transformed == ["train", "test"]
+    assert transformed == ["test"]
     run("baselines", "--baselines", "naive_bayes", "--out", tmp_path / "two")
     assert transformed == ["test"]
 
@@ -474,6 +474,26 @@ def test_a_file_that_is_not_utf8_exits_3_naming_its_line(
     assert _files_under(out) == before and out.exists() == (command == "evaluate")
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"normal,Normal\nneptune,Foo\n",
+     "taxonomy line 2: unknown category 'Foo' for 'neptune'\n"),
+    (b"normal,Normal\nneptune,DoS\xe9\n", "taxonomy line 2: not UTF-8 text: "),
+    (b"normal,DoS\n", "taxonomy must map 'normal' to Normal\n"),
+], ids=["unknown_category", "not_utf8", "no_normal"])
+def test_a_damaged_taxonomy_file_exits_3(tmp_path, data_files, capsys, content, message):
+    train, _ = data_files
+    out = tmp_path / "out"
+    assert _run("explore", "--train", train, "--out", out) == 0
+    before = _files_under(out)
+    taxonomy = tmp_path / "taxonomy.csv"
+    taxonomy.write_bytes(content)
+    capsys.readouterr()
+    assert _run("explore", "--train", train, "--taxonomy", taxonomy, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"nidkit: invalid data: {message}") and err.count("\n") == 1
+    assert _files_under(out) == before
+
+
 @pytest.mark.parametrize("test_name, message", [
     (None, "missing required test path"),
     ("missing.txt", "test file not found"),
@@ -609,7 +629,7 @@ def test_an_overflowing_reconstruction_error_scores_inf_attack(tmp_path, data_fi
 
 @pytest.mark.parametrize("command", ["evaluate", "baselines", "pipeline"])
 def test_a_test_cell_too_large_to_standardize_exits_3(
-        tmp_path, data_files, trained_out, capsys, command):
+        tmp_path, data_files, trained_out, capsys, monkeypatch, command):
     # unlike the duration above, whose z stays finite and whose squared
     # error overflows, serror_rate's training deviation is below 1, so
     # 1e308 has no finite z
@@ -619,12 +639,17 @@ def test_a_test_cell_too_large_to_standardize_exits_3(
     if command == "evaluate":
         shutil.copytree(trained_out, out)
     before = _files_under(out) if out.exists() else None
+    trained, train_network = [], neural.train
+    monkeypatch.setattr(neural, "train",
+                        lambda *a, **k: trained.append(1) or train_network(*a, **k))
     capsys.readouterr()
     assert _run(command, "--train", train, "--test", far, "--out", out, *FAST) == 3
     assert capsys.readouterr().err == (
         "nidkit: invalid data: feature 'serror_rate' is too large to standardize: "
         "a standardized value is not finite\n")
     assert (_files_under(out) if out.exists() else None) == before
+    # the test file is standardized before any network trains
+    assert trained == []
 
 
 def _other_train_file(tmp_path):
@@ -658,19 +683,53 @@ def test_pipeline_without_manifest_is_not_reused(tmp_path, data_files, capsys):
     assert "no readable manifest.json" in capsys.readouterr().err
 
 
-def test_same_train_file_reuses_pipeline(tmp_path, data_files, caplog):
+def test_same_train_file_refits_identical_pipeline(tmp_path, data_files, monkeypatch):
     train, _ = data_files
     out = tmp_path / "out"
     assert _run("train-binary", "--train", train, "--out", out, *FAST) == 0
     fitted = (out / "pipeline.json").read_bytes()
-    caplog.clear()
-    with caplog.at_level("INFO", logger="nidkit"):
-        assert _run("train-binary", "--train", train, "--out", out, *FAST) == 0
-        assert any("reusing fitted pipeline" in r.message for r in caplog.records)
-        caplog.clear()
-        assert _run("train-multiclass", "--train", train, "--out", out, *FAST) == 0
-        assert any("reusing fitted pipeline" in r.message for r in caplog.records)
+    written = []
+    to_json = preprocess.FittedPipeline.to_json
+    monkeypatch.setattr(preprocess.FittedPipeline, "to_json",
+                        lambda self: written.append(to_json(self)) or written[-1])
+    assert _run("train-binary", "--train", train, "--out", out, *FAST) == 0
+    assert _run("train-multiclass", "--train", train, "--out", out, *FAST) == 0
+    # each run fits again and gets the same bytes
+    assert [(text + "\n").encode() for text in written] == [fitted, fitted]
     assert (out / "pipeline.json").read_bytes() == fitted
+
+
+def test_a_pipeline_json_that_differs_from_the_fit_exits_2(tmp_path, data_files, capsys):
+    train, _ = data_files
+    out = tmp_path / "out"
+    assert _run("train-binary", "--train", train, "--out", out, *FAST) == 0
+    text = (out / "pipeline.json").read_text()
+    (out / "pipeline.json").write_text(text.replace('"format_version": 1', '"format_version": 7'))
+    before = _files_under(out)
+    capsys.readouterr()
+    assert _run("train-multiclass", "--train", train, "--out", out, *FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nidkit: stale artifact: ") and err.count("\n") == 1
+    assert "differs from the pipeline fitted on" in err
+    assert _files_under(out) == before
+
+
+def test_training_never_reads_an_artifact(tmp_path, data_files, trained_out, monkeypatch):
+    from nidkit.classifier import AttackClassifier
+    from nidkit.detector import AnomalyDetector
+
+    def refuse(cls, text):
+        raise AssertionError(f"training read a {cls.__name__} artifact")
+
+    for cls in (preprocess.FittedPipeline, AnomalyDetector, AttackClassifier):
+        monkeypatch.setattr(cls, "from_json", classmethod(refuse))
+    train, test = data_files
+    out = tmp_path / "out"
+    shutil.copytree(trained_out, out)
+    fitted = (out / "pipeline.json").read_bytes()
+    for command in ("train-binary", "train-multiclass", "pipeline"):
+        assert _run(command, "--train", train, "--test", test, "--out", out, *FAST) == 0, command
+        assert (out / "pipeline.json").read_bytes() == fitted, command
 
 
 def test_reports_hold_per_epoch_loss_curves(tmp_path, data_files):

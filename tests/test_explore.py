@@ -14,6 +14,7 @@ from nidkit.explore import (
     scatter_csv,
     scatter_rows,
 )
+from nidkit.preprocess import encode, fit_encoder
 from nidkit.schema import CATEGORICAL_INDICES, INDEX, NAMES
 
 from .pearson_oracle import pearson_pairs
@@ -39,9 +40,14 @@ def _ds(duration_values, labels=None):
     return parse_kdd_lines(_lines(duration_values, labels), split="train")
 
 
+def _matrix(ds):
+    """The encoded matrix that ``exploration_files`` bins, codes fit on ``ds``."""
+    return encode(fit_encoder(ds), ds)
+
+
 def test_histogram_single_value_one_bin(taxonomy):
     ds = _ds([5, 5, 5, 5])
-    report = histogram(ds, category_ids(ds, taxonomy), "duration", bins=3)
+    report = histogram(_matrix(ds), category_ids(ds, taxonomy), "duration", bins=3)
     total = sum(c.sum() for c in report.counts.values())
     per_bin = sum(report.counts.values())
     assert total == 4
@@ -51,19 +57,19 @@ def test_histogram_single_value_one_bin(taxonomy):
 
 def test_histogram_hand_binning(taxonomy):
     ds = _ds([0, 1, 2, 3])
-    report = histogram(ds, category_ids(ds, taxonomy), "duration", bins=2)
+    report = histogram(_matrix(ds), category_ids(ds, taxonomy), "duration", bins=2)
     assert report.edges.tolist() == [0.0, 1.5, 3.0]
     assert report.counts["Normal"].tolist() == [2, 2]
 
 
 def test_histogram_last_bin_right_closed(taxonomy):
     ds = _ds([0, 10])
-    report = histogram(ds, category_ids(ds, taxonomy), "duration", bins=5)
+    report = histogram(_matrix(ds), category_ids(ds, taxonomy), "duration", bins=5)
     assert report.counts["Normal"][-1] == 1  # the max lands inside, not past, the last bin
 
 
 def test_histogram_per_class_conservation(taxonomy, fixture_ds):
-    report = histogram(fixture_ds, category_ids(fixture_ds, taxonomy), "count", bins=7)
+    report = histogram(_matrix(fixture_ds), category_ids(fixture_ds, taxonomy), "count", bins=7)
     for cat, counts in report.counts.items():
         assert counts.sum() == 30  # fixture rows per category
 
@@ -71,9 +77,9 @@ def test_histogram_per_class_conservation(taxonomy, fixture_ds):
 def test_histogram_rejects_bad_args(taxonomy):
     ds = _ds([1, 2])
     with pytest.raises(ValueError):
-        histogram(ds, category_ids(ds, taxonomy), "duration", bins=0)
+        histogram(_matrix(ds), category_ids(ds, taxonomy), "duration", bins=0)
     with pytest.raises(KeyError):
-        histogram(ds, category_ids(ds, taxonomy), "no_such_feature", bins=40)
+        histogram(_matrix(ds), category_ids(ds, taxonomy), "no_such_feature", bins=40)
 
 
 def test_pearson_self_and_linear():
@@ -182,13 +188,18 @@ def test_exploration_files_outputs(taxonomy, fixture_ds):
     assert _exploration_files(fixture_ds, taxonomy) == files
 
 
-def test_feature_view_matches_the_encoded_matrix(fixture_ds):
-    from nidkit import explore
-
-    full = explore._numeric_view(fixture_ds)
-    for j, name in enumerate(NAMES):
-        assert explore._feature_view(fixture_ds, name).tobytes() == (
-            full[:, j].tobytes()), name
+def test_histogram_bins_the_parsed_values_and_the_label_count_codes(taxonomy, fixture_ds):
+    cats = category_ids(fixture_ds, taxonomy)
+    files = _exploration_files(fixture_ds, taxonomy)
+    enc = fit_encoder(fixture_ds)
+    for name in DEFAULT_HISTOGRAM_FEATURES:
+        j = INDEX[name]
+        column = fixture_ds.column(j)
+        if j in CATEGORICAL_INDICES:
+            column = np.array([enc.code(name, c) for c in column.tolist()], dtype=np.float64)
+        report = histogram(_matrix(fixture_ds), cats, name, bins=40)
+        assert (report.edges[0], report.edges[-1]) == (column.min(), column.max()), name
+        assert files[f"histograms/{name}.csv"] == report.to_csv(), name
 
 
 def test_exploration_files_encodes_at_most_once(taxonomy, fixture_ds, monkeypatch):
