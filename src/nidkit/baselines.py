@@ -43,8 +43,11 @@ binary ids only, with id 1 the positive class.
 
 The linear SVM doubles as the borderline detector for SVM-SMOTE via
 its ``margin_violators`` (training rows with positive hinge loss at
-the final iterate). The MLP baseline is the stage-2 network, trained
-through ``classifier.train_network``.
+the final iterate). ``fit_linear_svm`` fits one label row, or a stack of
+k label rows together: one centering, one batch order and a (k, d)
+weight matrix, so SVM-SMOTE's one-vs-rest SVMs cost one walk over the
+rows. The MLP baseline is the stage-2 network, trained through
+``classifier.train_network``.
 """
 
 from __future__ import annotations
@@ -711,39 +714,42 @@ class LinearSvm:
         return (self.decision(data) > 0).astype(np.intp)
 
 
-def fit_linear_svm(data: np.ndarray, labels, cfg: LinearSvmConfig = LinearSvmConfig()) -> LinearSvm:
+def fit_linear_svm(data: np.ndarray, labels, cfg: LinearSvmConfig = LinearSvmConfig()
+                   ) -> LinearSvm | list[LinearSvm]:
     """Primal hinge loss + lam*||w||^2, minibatch subgradient, epoch-decayed step,
     on binary ids with id 1 on the positive side.
 
+    ``labels`` is one array of ids, giving one ``LinearSvm``, or a (k, n)
+    stack of label rows, giving a list of k: the rows share one centering
+    and one batch order, and each step updates a (k, d) weight matrix.
     Optimizes on mean-centered features (the bias dimension conditions
     badly otherwise); the shift is folded back into the stored intercept.
     """
     data = np.asarray(data, dtype=np.float64)
-    y = np.where(_binary_ids(labels) == 1, 1.0, -1.0)
+    labels = np.asarray(labels)
+    rows = labels if labels.ndim == 2 else labels[None]
+    y = np.where(np.array([_binary_ids(row) for row in rows]) == 1, 1.0, -1.0)
     n, d = data.shape
     center = data.mean(axis=0)
     centered = data - center
     rng = np.random.default_rng(cfg.seed)
-    w = np.zeros(d)
-    b = 0.0
+    w = np.zeros((len(y), d))
+    b = np.zeros(len(y))
     for epoch in range(cfg.epochs):
         eta = cfg.learning_rate / (1.0 + epoch)
         order = rng.permutation(n)
         for start in range(0, n, SVM_BATCH_SIZE):
             idx = order[start : start + SVM_BATCH_SIZE]
-            xb, yb = centered[idx], y[idx]
-            margin = 1.0 - yb * (xb @ w + b)
-            viol = margin > 0
-            grad_w = 2.0 * cfg.lam * w
-            grad_b = 0.0
-            if viol.any():
-                grad_w = grad_w - (yb[viol, None] * xb[viol]).sum(axis=0) / len(idx)
-                grad_b = -yb[viol].sum() / len(idx)
-            w = w - eta * grad_w
-            b = b - eta * grad_b
-    b = b - float(w @ center)
-    hinge = 1.0 - y * (data @ w + b)
-    return LinearSvm(w=w, b=b, margin_violators=np.nonzero(hinge > 0)[0])
+            xb, yb = centered[idx], y[:, idx]
+            # a violator's subgradient term is -y x; every other row adds 0
+            coef = np.where(yb * (w @ xb.T + b[:, None]) < 1.0, yb, 0.0)
+            w = w - eta * (2.0 * cfg.lam * w - coef @ xb / len(idx))
+            b = b + eta * (coef.sum(axis=1) / len(idx))
+    b = b - w @ center
+    hinge = 1.0 - y * (w @ data.T + b[:, None])
+    svms = [LinearSvm(w=w_j, b=float(b_j), margin_violators=np.flatnonzero(h_j > 0))
+            for w_j, b_j, h_j in zip(w, b, hinge)]
+    return svms if labels.ndim == 2 else svms[0]
 
 
 # --- AdaBoost ----------------------------------------------------------------

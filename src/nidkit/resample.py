@@ -12,6 +12,7 @@ deterministic per seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,8 @@ from .baselines import CELLS, LinearSvmConfig, fit_linear_svm
 
 # Fraction of the seed-to-neighbour distance an extrapolating seed steps out.
 OUT_STEP = 0.5
+# Queries per block of the neighbour search (fewer when ``cells`` is small).
+QUERY_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -61,36 +64,59 @@ def _batch_knn(
     """Indices of the k nearest pool rows of each query by squared Euclidean
     distance; ties break toward the lower pool index. ``exclude[i]``, when
     given, is a pool row query i may not return (itself, when it belongs to
-    the pool). Queries go in blocks of ``cells // len(pool)`` rows (at least
-    one), and the result does not depend on the block size.
+    the pool). Queries go in blocks of ``min(QUERY_BLOCK, isqrt(cells))``
+    rows, and each block walks the pool in chunks of ``cells // block``
+    rows, so the screen buffer holds at most ``cells`` values whatever the
+    pool and query counts; the result depends on neither size.
 
-    A matrix product screens the pool. Its last bits depend on how BLAS
-    tiles the block, so it only keeps every row it cannot rule out of the
-    k nearest; those candidates are ranked by their distance summed
-    directly, which each (query, row) pair computes the same way."""
+    A matrix product screens each chunk. Its last bits depend on how BLAS
+    tiles the chunk, so it only keeps every row it cannot rule out of the
+    k nearest: a row stays a candidate while its screen value is within a
+    slack of the k-th smallest seen so far, a bound that only falls, so the
+    candidates hold every row the whole pool's k-th value would keep. They
+    are ranked by their distance summed directly, which each (query, row)
+    pair computes the same way."""
     n_q, d = queries.shape
     n_pool = pool.shape[0]
     out = np.empty((n_q, k), dtype=np.int64)
-    pool_sq = (pool * pool).sum(axis=1)
+    pool_sq = np.einsum("ij,ij->i", pool, pool)
     # rounding keeps the screen and the direct sum within
     # 2 (d + 2) eps (|q|^2 + |p|^2) of each other, so a row among the k
     # nearest by the direct sum screens within twice that of the k-th
     # screened row; the slack doubles that margin again
     slack = 8 * (d + 2) * np.finfo(np.float64).eps
     pool_sq_max = pool_sq.max()
-    block = max(1, cells // n_pool)
-    buffer = np.empty((min(block, n_q), n_pool))
+    block = max(1, min(QUERY_BLOCK, math.isqrt(cells)))
+    width = max(1, cells // block)
+    buffer = np.empty(min(block, n_q) * min(width, n_pool))
     for start in range(0, n_q, block):
         stop = min(start + block, n_q)
         q = queries[start:stop]
-        # |p|^2 - 2 q.p: the squared distance less the query's own |q|^2
-        screen = np.matmul(-2.0 * q, pool.T, out=buffer[: stop - start])
-        screen += pool_sq
-        if exclude is not None:
-            screen[np.arange(stop - start), exclude[start:stop]] = np.inf
-        limit = slack * ((q * q).sum(axis=1) + pool_sq_max)
-        limit += np.partition(screen, k - 1, axis=1)[:, k - 1]
-        row, col = np.divmod(np.flatnonzero(screen <= limit[:, None]), n_pool)
+        margin = slack * ((q * q).sum(axis=1) + pool_sq_max)
+        # each query's k smallest screen values so far; while fewer than k
+        # rows are in, the bound is the largest float, which admits every
+        # row but an excluded one (screened at inf)
+        smallest = np.full((stop - start, k), np.inf)
+        row = col = np.empty(0, dtype=np.intp)
+        value = np.empty(0)
+        for lo in range(0, n_pool, width):
+            hi = min(lo + width, n_pool)
+            # |p|^2 - 2 q.p: the squared distance less the query's own |q|^2
+            screen = np.matmul(-2.0 * q, pool[lo:hi].T,
+                               out=buffer[: (stop - start) * (hi - lo)].reshape(stop - start, -1))
+            screen += pool_sq[lo:hi]
+            if exclude is not None:
+                own = np.flatnonzero((exclude[start:stop] >= lo) & (exclude[start:stop] < hi))
+                screen[own, exclude[start + own] - lo] = np.inf
+            # the chunk's partitioned copy is freed once its k smallest are copied out
+            smallest = np.hstack([smallest, np.partition(screen, min(k, hi - lo) - 1, axis=1)[:, :k]])
+            smallest = np.partition(smallest, k - 1, axis=1)[:, :k]
+            limit = np.minimum(smallest[:, k - 1] + margin, np.finfo(np.float64).max)
+            keep = value <= limit[row]
+            new_row, new_col = np.divmod(np.flatnonzero(screen <= limit[:, None]), hi - lo)
+            row = np.concatenate([row[keep], new_row])
+            col = np.concatenate([col[keep], new_col + lo])
+            value = np.concatenate([value[keep], screen[new_row, new_col]])
         diff = q[row] - pool[col]
         direct = (diff * diff).sum(axis=1)
         # sorted by (query, distance, pool index); each query has >= k rows
@@ -131,13 +157,16 @@ def svm_smote(values: np.ndarray, labels: np.ndarray, cfg: SvmSmoteConfig) -> Re
     """Oversample the rows ``values``, whose class ids are ``labels``, so
     every class reaches the count of the largest class.
 
-    Classes go in ascending id order, each drawing from its own child of
-    ``SeedSequence(cfg.smote.seed)``. Per class: a one-vs-rest linear SVM
-    picks the borderline rows (positive hinge loss); those seed the
-    generation. A seed with a majority-dominated m-neighbourhood
-    interpolates toward its k within-class neighbours, otherwise it
-    extrapolates away from them by ``OUT_STEP``. Classes with no violators
-    fall back to plain SMOTE over the whole class (recorded in the log).
+    A class below that count with fewer than 2 rows is refused
+    (ValueError) before any work. The one-vs-rest linear SVMs of the others
+    are fitted together, in one ``fit_linear_svm`` call. Classes then go in
+    ascending id order, each drawing from its own child of
+    ``SeedSequence(cfg.smote.seed)``. Per class: its SVM picks the
+    borderline rows (positive hinge loss); those seed the generation. A
+    seed with a majority-dominated m-neighbourhood interpolates toward its
+    k within-class neighbours, otherwise it extrapolates away from them by
+    ``OUT_STEP``. Classes with no violators fall back to plain SMOTE over
+    the whole class (recorded in the log).
     """
     counts = np.bincount(labels)
     classes = np.flatnonzero(counts)
@@ -154,20 +183,23 @@ def svm_smote(values: np.ndarray, labels: np.ndarray, cfg: SvmSmoteConfig) -> Re
     all_labels[:n] = labels
     stop = n
     log: dict[int, str] = {}
+    grown = np.flatnonzero(class_counts < target)  # positions in ``classes``
+    for i in grown.tolist():
+        if class_counts[i] < 2:
+            raise ValueError(f"class {classes[i]} has {class_counts[i]} row(s); "
+                             "need >= 2 to oversample")
+    # one joint fit of every grown class's one-vs-rest SVM, in ascending class order
+    svms = fit_linear_svm(values, labels == classes[grown, None], cfg.svm) if grown.size else []
     children = np.random.SeedSequence(cfg.smote.seed).spawn(len(classes))
-    for cls, n_cls, child in zip(classes.tolist(), class_counts.tolist(), children):
+    for i, svm in zip(grown.tolist(), svms):
+        cls, n_cls, child = int(classes[i]), int(class_counts[i]), children[i]
         need = target - n_cls
-        if need == 0:
-            continue
-        if n_cls < 2:
-            raise ValueError(f"class {cls} has {n_cls} row(s); need >= 2 to oversample")
         start, stop = stop, stop + need
         all_labels[start:stop] = cls
         rng = np.random.default_rng(child)
         member_idx = np.nonzero(labels == cls)[0]
         members = values[member_idx]
         k_eff = min(cfg.smote.k_neighbors, n_cls - 1)
-        svm = fit_linear_svm(values, labels == cls, cfg.svm)
         seed_rows = np.intersect1d(svm.margin_violators, member_idx)
         if seed_rows.size == 0:
             log[cls] = f"no margin violators, plain SMOTE fallback over {n_cls} rows"

@@ -38,7 +38,7 @@ from nidkit.classifier import (AttackClassifier, DnnConfig, _stratified_split, p
                                train_network)
 from nidkit.neural import TrainConfig
 
-from . import split_oracle, tree_oracle
+from . import split_oracle, svm_oracle, tree_oracle
 
 
 def gini_impurity(counts: np.ndarray) -> float:
@@ -490,6 +490,41 @@ def test_svm_single_class_rejected():
 def test_svm_rejects_bad_labels():
     with pytest.raises(ValueError, match="binary ids"):
         fit_linear_svm(np.ones((4, 2)), np.array([-1, 1, -1, 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_joint_svm_fit_matches_the_per_label_oracle(data):
+    # k label rows fitted together: each row gives the oracle's violators,
+    # and its weights up to the last bits the joint sums round differently
+    draw = data.draw
+    n, d, k = draw(st.integers(4, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    values = np.array(draw(st.lists(coord, min_size=n * d, max_size=n * d))).reshape(n, d)
+    rows = []
+    for _ in range(k):
+        row = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        if row.min() == row.max():  # both ids must be present
+            row[draw(st.integers(0, n - 1))] ^= 1
+        rows.append(row)
+    cfg = LinearSvmConfig(epochs=draw(st.integers(1, 3)), seed=draw(st.integers(0, 9)))
+    joint = fit_linear_svm(values, np.array(rows), cfg)
+    assert len(joint) == k
+    for row, got in zip(rows, joint):
+        want = svm_oracle.fit_linear_svm(values, row, cfg)
+        assert got.margin_violators.tolist() == want.margin_violators.tolist()
+        scale = max(np.abs(want.w).max(), abs(want.b))
+        np.testing.assert_allclose(got.w, want.w, rtol=1e-9, atol=1e-9 * scale)
+        assert abs(got.b - want.b) <= 1e-9 * scale
+        assert isinstance(got.b, float)
+
+
+def test_svm_one_label_row_gives_one_model():
+    data, labels = _two_blobs(seed=9)
+    one = fit_linear_svm(data, labels, LinearSvmConfig(seed=2))
+    (stacked,) = fit_linear_svm(data, labels[None], LinearSvmConfig(seed=2))
+    assert (one.w == stacked.w).all() and one.b == stacked.b
+    assert (one.margin_violators == stacked.margin_violators).all()
 
 
 # --- AdaBoost ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Metamorphic relations of ``evaluate``: how its outputs must move when a
-valid test file is transformed, checked in process on fixture files
-against artifacts trained once."""
+"""Metamorphic relations of the commands: how the outputs of ``evaluate``
+must move when a valid test file is transformed, checked in process on
+fixture files against artifacts trained once, and that ``pipeline`` writes
+the same artifacts whatever the BLAS thread count."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -107,3 +111,56 @@ def test_a_test_file_concatenated_with_itself_doubles_every_count(trained):
     assert doubled["report.json"] == _counts_scaled(base["report.json"], 2)
     for name in set(base) - {"scores.csv", "report.json"}:
         assert doubled[name] == _confusion_scaled(base[name], 2), name
+
+
+def _without_timings(value):
+    """``value`` less every ``seconds`` and ``timings_seconds`` entry."""
+    if isinstance(value, dict):
+        return {key: _without_timings(v) for key, v in value.items()
+                if key not in ("seconds", "timings_seconds")}
+    if isinstance(value, list):
+        return [_without_timings(v) for v in value]
+    return value
+
+
+def test_pipeline_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # SVM-SMOTE's joint fit and neighbour screen multiply matrices large
+    # enough here for BLAS to split them over threads. The minority classes
+    # each take some DoS rows under their own names, so every one of them
+    # has margin violators and runs the borderline search
+    n = 600
+    write_kdd_file(make_fixture(n, seed=3), tmp_path / "all.txt")
+    blocks = [tmp_path.joinpath("all.txt").read_text().splitlines()[i * n:(i + 1) * n]
+              for i in range(5)]  # Normal, DoS, Probe, R2L, U2R
+    moved = [line.rsplit(",", 2)[0] for line in blocks[1][-60:]]
+    lines = [*blocks[0][:300], *blocks[1][:-60], *blocks[2][:150], *blocks[3][:40],
+             *blocks[4][:10],
+             *(f"{row},{name},0" for row, name in zip(
+                 moved, ["satan"] * 30 + ["guess_passwd"] * 20 + ["rootkit"] * 10))]
+    (tmp_path / "train.txt").write_text("\n".join(lines) + "\n")
+    write_kdd_file(make_fixture(12, seed=4), tmp_path / "test.txt")
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = {}
+    for threads in (1, 2):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        runs[threads] = subprocess.Popen(
+            [sys.executable, "-m", "nidkit.cli", "pipeline", "--train", str(tmp_path / "train.txt"),
+             "--test", str(tmp_path / "test.txt"), "--out", str(tmp_path / f"out{threads}"),
+             "--oversample", "on", "--max-epochs", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    for proc in runs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    one, two = tmp_path / "out1", tmp_path / "out2"
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir())
+    report = json.loads((one / "train_multiclass_report.json").read_text())
+    log = report["oversampled"]["resample_log"]
+    assert len(log) == 3 and all("borderline seeds" in line for line in log), log
+    for name in names:
+        if name.endswith("report.json"):
+            assert (_without_timings(json.loads((one / name).read_text()))
+                    == _without_timings(json.loads((two / name).read_text()))), name
+        else:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nidkit.baselines import LinearSvmConfig
+from nidkit import resample
+from nidkit.baselines import CELLS, LinearSvmConfig
 from nidkit.resample import (
     SmoteConfig,
     SvmSmoteConfig,
@@ -133,6 +134,27 @@ def test_batch_knn_duplicate_rows_tie_to_lower_index_in_any_block():
         assert _batch_knn(queries, pool, 1, cells=rows * len(pool))[-1].tolist() == [11]
 
 
+def test_batch_knn_memory_does_not_grow_with_the_queries():
+    # one pool, 20 then 2,000 queries: past the (n_q, k) result, the traced
+    # peak may grow by no more than a few budgets of screen cells
+    rng = np.random.default_rng(5)
+    pool = rng.normal(size=(20_000, 8))
+    queries = rng.normal(size=(2_000, 8))
+    k = 10
+    peaks = []
+    for n_q in (20, 2_000):
+        tracemalloc.start()
+        try:
+            entry, _ = tracemalloc.get_traced_memory()
+            out = _batch_knn(queries[:n_q], pool, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n_q, k)
+        peaks.append(peak - entry)
+    assert peaks[1] - peaks[0] <= 2_000 * k * 8 + 4 * CELLS * 8
+
+
 # --- plain SMOTE -----------------------------------------------------------
 
 def _smote(minority, n_new, k, seed):
@@ -216,6 +238,39 @@ def test_svm_smote_tiny_class_rejected():
     values, labels = _blobs((10, 1))
     with pytest.raises(ValueError, match="need >= 2"):
         svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=1)))
+
+
+def _spy_svm_fits(monkeypatch):
+    """The label stacks of every ``fit_linear_svm`` call ``svm_smote`` makes."""
+    calls = []
+    fit = resample.fit_linear_svm
+
+    def spy(values, labels, cfg):
+        calls.append(np.array(labels))
+        return fit(values, labels, cfg)
+
+    monkeypatch.setattr(resample, "fit_linear_svm", spy)
+    return calls
+
+
+def test_svm_smote_fits_every_grown_class_in_one_call(monkeypatch):
+    # one joint fit, one label row per class that needs synthetics in
+    # ascending order; the benchmark times this call as resample.svm_fit_s
+    calls = _spy_svm_fits(monkeypatch)
+    values, labels = _blobs((40, 20, 40, 10, 5), seed=6)
+    svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=3)))
+    assert len(calls) == 1
+    assert calls[0].tolist() == [(labels == cls).tolist() for cls in (1, 3, 4)]
+
+
+def test_svm_smote_refuses_a_tiny_class_before_any_fit(monkeypatch):
+    # the one-row class comes after a larger minority class, whose fit and
+    # neighbour searches must not run first
+    calls = _spy_svm_fits(monkeypatch)
+    values, labels = _blobs((30, 10, 1))
+    with pytest.raises(ValueError, match="class 2 has 1 row.*need >= 2"):
+        svm_smote(values, labels, SvmSmoteConfig(smote=SmoteConfig(k_neighbors=1)))
+    assert calls == []
 
 
 def test_svm_smote_fallback_without_violators():
