@@ -740,7 +740,7 @@ def fit_linear_svm(data: np.ndarray, labels, cfg: LinearSvmConfig = LinearSvmCon
         order = rng.permutation(n)
         for start in range(0, n, SVM_BATCH_SIZE):
             idx = order[start : start + SVM_BATCH_SIZE]
-            xb, yb = centered[idx], y[:, idx]
+            xb, yb = np.take(centered, idx, axis=0), np.take(y, idx, axis=1)
             # a violator's subgradient term is -y x; every other row adds 0
             coef = np.where(yb * (w @ xb.T + b[:, None]) < 1.0, yb, 0.0)
             w = w - eta * (2.0 * cfg.lam * w - coef @ xb / len(idx))

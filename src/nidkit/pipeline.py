@@ -12,10 +12,21 @@ rule is one check on what was loaded. Each stage returns its outputs as
 ``{relative path: text}``, and ``_write``, the only code that writes a
 file, writes a command's outputs once all of them are computed: a refused
 or diverged run leaves the output directory as it found it. Training
-writes artifacts and only ``evaluate`` reads them: every training run fits
-pipeline.json, and one already in the output directory is only checked.
+never reads a file in the output directory: every training run fits
+pipeline.json, and one already there is only checked.
 ``pipeline`` loads, checks and standardizes the train and the test file,
 then runs the two training stages and evaluate over those matrices.
+
+The detector and each typer variant are independent jobs that return only
+their files. ``_run_jobs`` runs a command's jobs: on more than one CPU,
+every job but the last runs, in order, in one forked worker that pickles
+its files (or its error) back through a pipe, while the last (the
+oversampled typer, the longest, whenever it trains) runs in the calling
+process; on one CPU, or if no process can be forked, all run there, in
+order. Either way the models are read back from their files by the
+readers ``evaluate`` uses, the jobs' log records are handled in job order
+once all have run, and the first job to fail, in job order, raises: every
+output and log line is the same on one CPU or two.
 """
 
 from __future__ import annotations
@@ -24,9 +35,12 @@ import hashlib
 import json
 import logging
 import os
+import pickle
+import signal
 import time
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -300,12 +314,11 @@ def run_train_binary(cfg: RunConfig) -> Path:
     train, cats = _load(cfg, "train")
     _detector_data(cfg, cats)
     _, values, files = _standardized_train(cfg, train)
-    _, trained = _train_binary(cfg, cats, values)
-    return _write(cfg, {**files, **trained}) / "detector.json"
+    return _write(cfg, {**files, **_train_binary(cfg, cats, values)}) / "detector.json"
 
 
-def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray
-                  ) -> tuple[det_mod.AnomalyDetector, dict[str, str]]:
+def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> dict[str, str]:
+    """The detector's job: detector.json and train_binary_report.json."""
     t0 = time.perf_counter()
     bin_ids = _binary_ids(cats)
 
@@ -343,8 +356,8 @@ def _train_binary(cfg: RunConfig, cats: np.ndarray, values: np.ndarray
         "seconds": time.perf_counter() - t0,
     }
     log.info("trained detector (alpha=%.6g, %d epochs)", alpha, history.n_epochs)
-    return det, {"detector.json": det.to_json() + "\n",
-                 "train_binary_report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"}
+    return {"detector.json": det.to_json() + "\n",
+            "train_binary_report.json": json.dumps(report, indent=2, sort_keys=True) + "\n"}
 
 
 def _variants(cfg: RunConfig) -> list[str]:
@@ -357,44 +370,175 @@ def run_train_multiclass(cfg: RunConfig) -> list[Path]:
     train, cats = _load(cfg, "train")
     _typer_data(cfg, cats)
     _, values, files = _standardized_train(cfg, train)
-    classifiers, trained = _train_multiclass(cfg, cats, values)
-    out = _write(cfg, {**files, **trained})
-    return [out / f"classifier_{variant}.json" for variant in classifiers]
-
-
-def _train_multiclass(cfg: RunConfig, cats: np.ndarray, values: np.ndarray
-                      ) -> tuple[dict[str, clf_mod.AttackClassifier], dict[str, str]]:
     t0 = time.perf_counter()
-    attack_values, attack_labels = values[cats != NORMAL_CATEGORY], _attack_ids(cats)
+    results = _run_jobs(_typer_jobs(cfg, cats, values))
+    out = _write(cfg, {**files, **_typer_files(cfg, results, time.perf_counter() - t0)})
+    return [out / f"classifier_{variant}.json" for variant in _variants(cfg)]
 
-    classifiers: dict[str, clf_mod.AttackClassifier] = {}
-    files: dict[str, str] = {}
-    info_all: dict[str, dict] = {}
-    for variant in _variants(cfg):
-        # same init/shuffle stream for both variants: the only difference
-        # between them should be the oversampling step
-        rng = np.random.default_rng(cfg.seed + 17)
-        oversample = None
-        if variant == "oversampled":
-            oversample = SvmSmoteConfig(
-                smote=SmoteConfig(seed=cfg.seed),
-                svm=bl.LinearSvmConfig(seed=cfg.seed),
-            )
-        clf, info = clf_mod.train_fourclass(
-            attack_values, attack_labels, cfg.val_fraction,
-            oversample=oversample,
-            tcfg=cfg.train_config(),
-            rng=rng,
+
+def _typer_jobs(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> list:
+    """One job per variant, the oversampled one last, as ``_variants`` orders them."""
+    attack_values, attack_labels = values[cats != NORMAL_CATEGORY], _attack_ids(cats)
+    return [partial(_train_typer, cfg, attack_values, attack_labels, variant)
+            for variant in _variants(cfg)]
+
+
+def _train_typer(cfg: RunConfig, attack_values: np.ndarray, attack_labels: np.ndarray,
+                 variant: str) -> dict[str, str]:
+    """One variant's job: its classifier file, and under
+    train_multiclass_report.json the fields a run of this variant alone
+    would write there, less the ``total`` seconds."""
+    t0 = time.perf_counter()
+    # same init/shuffle stream for both variants: the only difference
+    # between them should be the oversampling step
+    rng = np.random.default_rng(cfg.seed + 17)
+    oversample = None
+    if variant == "oversampled":
+        oversample = SvmSmoteConfig(
+            smote=SmoteConfig(seed=cfg.seed),
+            svm=bl.LinearSvmConfig(seed=cfg.seed),
         )
-        classifiers[variant] = clf
-        files[f"classifier_{variant}.json"] = clf.to_json() + "\n"
-        info_all[variant] = info
-        if oversample is not None:
-            log.info("oversampled class counts: %s", info.get("class_counts_after"))
-        log.info("trained %s classifier (%d epochs)", variant, info["epochs"])
-    info_all["seconds"] = {"total": time.perf_counter() - t0}
-    files["train_multiclass_report.json"] = json.dumps(info_all, indent=2, sort_keys=True) + "\n"
-    return classifiers, files
+    clf, info = clf_mod.train_fourclass(
+        attack_values, attack_labels, cfg.val_fraction,
+        oversample=oversample,
+        tcfg=cfg.train_config(),
+        rng=rng,
+    )
+    if oversample is not None:
+        log.info("oversampled class counts: %s", info.get("class_counts_after"))
+    log.info("trained %s classifier (%d epochs)", variant, info["epochs"])
+    report = {variant: info, "seconds": {variant: time.perf_counter() - t0}}
+    return {f"classifier_{variant}.json": clf.to_json() + "\n",
+            "train_multiclass_report.json": json.dumps(report)}
+
+
+def _typer_files(cfg: RunConfig, results: list[dict[str, str]], seconds: float
+                 ) -> dict[str, str]:
+    """The typer jobs' files with their reports made one, whose ``seconds``
+    holds each variant's own and the ``total`` the caller waited for all the
+    command's training jobs."""
+    files: dict[str, str] = {}
+    report: dict = {"seconds": {"total": seconds}}
+    for variant, result in zip(_variants(cfg), results):
+        files[f"classifier_{variant}.json"] = result[f"classifier_{variant}.json"]
+        part = json.loads(result["train_multiclass_report.json"])
+        report["seconds"].update(part.pop("seconds"))
+        report.update(part)
+    files["train_multiclass_report.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return files
+
+
+# --- jobs: a training command's independent stages, on up to two CPUs ----------
+
+
+class _Held(logging.Handler):
+    """Holds each record, its message formatted, to be handled later."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args = record.getMessage(), None
+        self.records.append(record)
+
+
+def _held(job) -> tuple[dict[str, str] | None, Exception | None, list[logging.LogRecord]]:
+    """Runs ``job`` with the nidkit logger's records held back: (its files,
+    or None if it raised; what it raised, or None; the records it logged)."""
+    holder = _Held()
+    kept = log.handlers, log.propagate
+    log.handlers, log.propagate = [holder], False
+    try:
+        return job(), None, holder.records
+    except Exception as exc:  # noqa: BLE001 - handed to the caller in job order
+        return None, exc, holder.records
+    finally:
+        log.handlers, log.propagate = kept
+
+
+def _in_order(jobs: list) -> list[tuple]:
+    """Each job's ``_held`` outcome, in order, up to the first that raised."""
+    outcomes = []
+    for job in jobs:
+        outcomes.append(_held(job))
+        if outcomes[-1][1] is not None:
+            break
+    return outcomes
+
+
+def _sendable(outcomes: list[tuple]) -> bytes:
+    """``outcomes`` pickled; an exception that does not survive pickling
+    becomes a RuntimeError naming its type."""
+    files, error, records = outcomes[-1]
+    if error is not None:
+        try:
+            pickle.loads(pickle.dumps(error))
+        except Exception:  # noqa: BLE001 - any failure to pickle or to unpickle
+            outcomes[-1] = (files, RuntimeError(
+                f"a training job raised {type(error).__name__}, which cannot be pickled: "
+                f"{error}"), records)
+    return pickle.dumps(outcomes)
+
+
+def _forked(jobs: list) -> list[tuple]:
+    """Every job but the last in one forked worker, in order, and the last
+    here; their outcomes as ``_in_order`` gives them. The worker sends its
+    outcomes through a pipe and exits; it is always reaped, and killed
+    first if this process is interrupted."""
+    read_fd, write_fd = os.pipe()
+    try:
+        # the only other threads here are OpenBLAS's, which it shuts down
+        # around a fork (pthread_atfork) and restarts on demand
+        pid = os.fork()
+    except OSError:  # no process to spare: the jobs run here
+        os.close(read_fd)
+        os.close(write_fd)
+        return _in_order(jobs)
+    if pid == 0:  # the worker: nothing it does returns past this block
+        code = 1
+        try:
+            os.close(read_fd)
+            outcomes = _in_order(jobs[:-1])
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_sendable(outcomes))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            own = _held(jobs[-1])
+            payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    if status != 0:
+        exit_code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-exit_code}" if exit_code < 0 else f"exit code {exit_code}"
+        raise RuntimeError(f"the training worker ended without a result "
+                           f"(wait status {status}: {how})")
+    outcomes = pickle.loads(payload)
+    return outcomes if outcomes[-1][1] is not None else [*outcomes, own]
+
+
+def _run_jobs(jobs: list) -> list[dict[str, str]]:
+    """Each job's ``{path: text}`` files, in job order. On more than one CPU
+    every job but the last runs in one forked worker and the last one here;
+    elsewhere all run here, in order. Either way the records the jobs log are
+    handed to the nidkit logger once all have run, in job order, and the
+    first job to fail, in job order, raises what it raised."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    outcomes = _forked(jobs) if cpus > 1 and len(jobs) > 1 else _in_order(jobs)
+    for _, _, records in outcomes:
+        for record in records:
+            log.handle(record)
+    for _, error, _ in outcomes:
+        if error is not None:
+            raise error
+    return [files for files, _, _ in outcomes]
 
 
 def _binary_report(cm: metrics_mod.ConfusionMatrix) -> dict:
@@ -565,7 +709,13 @@ def run_pipeline(cfg: RunConfig) -> Path:
     _test_data(test_cats)
     pipe, values, files = _standardized_train(cfg, train)
     test_values, seconds = _standardized_test(pipe, test)
-    det, trained = _train_binary(cfg, train_cats, values)
-    classifiers, typed = _train_multiclass(cfg, train_cats, values)
+    t0 = time.perf_counter()
+    trained, *results = _run_jobs([partial(_train_binary, cfg, train_cats, values),
+                                   *_typer_jobs(cfg, train_cats, values)])
+    typed = _typer_files(cfg, results, time.perf_counter() - t0)
+    # the models as evaluate reads them back from these files
+    det = det_mod.AnomalyDetector.from_json(trained["detector.json"])
+    classifiers = {variant: clf_mod.AttackClassifier.from_json(typed[f"classifier_{variant}.json"])
+                   for variant in _variants(cfg)}
     scored = _evaluate(test_values, test_cats, det, classifiers, seconds)
     return _write(cfg, {**files, **trained, **typed, **scored}) / "report.json"

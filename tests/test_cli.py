@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import shutil
+import signal
 import sys
 import tempfile
 import warnings
@@ -40,6 +42,12 @@ def data_files(tmp_path_factory):
 
 def _run(*argv):
     return main([str(a) for a in argv])
+
+
+def _on_cpus(monkeypatch, n):
+    """Makes a training command see ``n`` CPUs: on one, every job runs in
+    this process, so a spy counts the calls of every job."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 FAST = ["--max-epochs", "8"]
@@ -559,6 +567,7 @@ def _diverge_on_call(monkeypatch, k):
 ])
 def test_a_run_that_fails_mid_way_leaves_out_as_it_found_it(
         tmp_path, data_files, monkeypatch, command, k):
+    _on_cpus(monkeypatch, 1)
     train, test = data_files
     finished, fresh = tmp_path / "finished", tmp_path / "fresh"
     common = ["--train", train, "--test", test, "--oversample", "both", *FAST]
@@ -572,6 +581,157 @@ def test_a_run_that_fails_mid_way_leaves_out_as_it_found_it(
         assert len(calls) == k
     assert not fresh.exists()
     assert _files_under(finished) == before
+
+
+# --- the training worker: every job but the last forks off on two CPUs --------
+
+
+def _spy_forks(monkeypatch):
+    """Counts os.fork calls: returns the list each call appends to."""
+    real, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real())
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _without_timings(root):
+    """Every file under ``root``; each report parsed, its timings removed."""
+    files = _files_under(root)
+    for name, data in files.items():
+        if name.endswith("report.json"):
+            files[name] = {key: value for key, value in json.loads(data).items()
+                           if key not in ("seconds", "timings_seconds")}
+    return files
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--oversample", "both"], ["pipeline"], ["train-multiclass", "--oversample", "both"],
+], ids=["pipeline-both", "pipeline", "train-multiclass-both"])
+def test_one_and_two_cpus_give_the_same_files_and_log_records(
+        tmp_path, data_files, monkeypatch, caplog, argv):
+    train, test = data_files
+    forks = _spy_forks(monkeypatch)
+    runs = []
+    for n in (1, 2):
+        _on_cpus(monkeypatch, n)
+        forks.clear()
+        caplog.clear()
+        out = tmp_path / f"cpus{n}"
+        with caplog.at_level(logging.INFO, logger="nidkit"):
+            assert _run(*argv, "--train", train, "--test", test, "--out", out, *FAST) == 0
+        runs.append((_without_timings(out), [(r.name, r.levelno, r.getMessage())
+                                             for r in caplog.records], len(forks)))
+        # each variant's job timed itself, beside the total
+        seconds = json.loads((out / "train_multiclass_report.json").read_text())["seconds"]
+        variants = {name[len("classifier_"):-len(".json")] for name in runs[-1][0]
+                    if name.startswith("classifier_")}
+        assert set(seconds) == {"total", *variants}
+    (one, one_logs, one_forks), (two, two_logs, two_forks) = runs
+    assert one == two
+    assert one_logs == two_logs and len(one_logs) >= 3
+    assert (one_forks, two_forks) == (0, 1)
+
+
+def test_a_fork_that_fails_runs_every_job_here(tmp_path, data_files, monkeypatch):
+    train, test = data_files
+    common = ["--train", train, "--test", test, "--oversample", "both", *FAST]
+    _on_cpus(monkeypatch, 1)
+    assert _run("pipeline", *common, "--out", tmp_path / "one") == 0
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _on_cpus(monkeypatch, 2)
+    assert _run("pipeline", *common, "--out", tmp_path / "two") == 0
+    assert _without_timings(tmp_path / "one") == _without_timings(tmp_path / "two")
+
+
+@pytest.mark.parametrize("failing", [
+    ["detector"], ["plain"], ["oversampled"],
+    ["plain", "oversampled"],  # the earlier job's error, as one CPU raises it
+], ids="+".join)
+def test_a_failing_job_exits_3_as_on_one_cpu_and_leaves_no_child(
+        tmp_path, data_files, monkeypatch, capsys, failing):
+    # a spy's count cannot cross the fork, so the failing networks are told
+    # apart by their input: the autoencoder's 41 target columns, and the
+    # row count of each typer on a file whose attack classes are skewed
+    train, test = data_files
+    skewed = _subset(train, tmp_path / "skewed.txt",
+                     {"Normal": 40, "DoS": 40, "Probe": 24, "R2L": 16, "U2R": 8})
+    common = ["--train", skewed, "--test", test, "--oversample", "both", *FAST]
+    real_train, shapes = neural.train, []
+
+    def recording_train(model, data, targets, *args, **kwargs):
+        shapes.append((targets.shape[1], len(data)))
+        return real_train(model, data, targets, *args, **kwargs)
+
+    monkeypatch.setattr(neural, "train", recording_train)
+    _on_cpus(monkeypatch, 1)
+    finished = tmp_path / "finished"
+    assert _run("pipeline", *common, "--out", finished) == 0
+    networks = dict(zip(("detector", "plain", "oversampled"), shapes))
+    assert len(shapes) == len(set(shapes)) == 3 and networks["detector"][0] == 41
+    fail_on = {networks[name]: name for name in failing}
+
+    def diverging_train(model, data, targets, *args, **kwargs):
+        name = fail_on.get((targets.shape[1], len(data)))
+        if name is not None:
+            raise TrainingDivergedError(f"validation loss is nan at epoch 0 ({name})")
+        return real_train(model, data, targets, *args, **kwargs)
+
+    monkeypatch.setattr(neural, "train", diverging_train)
+    before = _files_under(finished)
+    forks = _spy_forks(monkeypatch)
+    capsys.readouterr()
+    errors = []
+    for n in (1, 2):
+        _on_cpus(monkeypatch, n)
+        # another seed: a partial write would mix two runs' models
+        for out in (tmp_path / f"fresh{n}", finished):
+            assert _run("pipeline", *common, "--seed", 2, "--out", out) == 3
+            errors.append(capsys.readouterr().err)
+            _no_child_left()
+        assert not (tmp_path / f"fresh{n}").exists()
+    assert _files_under(finished) == before
+    assert len(forks) == 2
+    assert errors == [f"nidkit: training diverged: validation loss is nan at epoch 0 "
+                      f"({failing[0]})\n"] * 4
+
+
+@pytest.mark.parametrize("death", ["unpicklable", "killed"])
+def test_a_worker_that_cannot_report_exits_1_and_leaves_no_child(
+        tmp_path, data_files, monkeypatch, capsys, death):
+    train, test = data_files
+    caller, real_train = os.getpid(), neural.train
+
+    class Unpicklable(Exception):  # a local class, which pickle cannot name
+        pass
+
+    def train_in_worker(model, data, targets, *args, **kwargs):
+        if os.getpid() != caller:
+            if death == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise Unpicklable("cannot cross the pipe")
+        return real_train(model, data, targets, *args, **kwargs)
+
+    monkeypatch.setattr(neural, "train", train_in_worker)
+    _on_cpus(monkeypatch, 2)
+    forks = _spy_forks(monkeypatch)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run("pipeline", "--train", train, "--test", test, "--oversample", "both",
+                "--out", out, *FAST) == 1
+    err = capsys.readouterr().err
+    _no_child_left()
+    assert len(forks) == 1 and not out.exists()
+    assert err.startswith("nidkit: internal error: ") and err.count("\n") == 1
+    assert ("Unpicklable" if death == "unpicklable"
+            else f"killed by signal {int(signal.SIGKILL)}") in err
 
 
 @pytest.mark.parametrize("fails", ["write_text", "replace"])
@@ -715,20 +875,34 @@ def test_a_pipeline_json_that_differs_from_the_fit_exits_2(tmp_path, data_files,
 
 
 def test_training_never_reads_an_artifact(tmp_path, data_files, trained_out, monkeypatch):
+    # pipeline reads back the models its own jobs trained, as evaluate would
+    # read them; no training command reads a file it finds in --out
     from nidkit.classifier import AttackClassifier
     from nidkit.detector import AnomalyDetector
+
+    stored = {p.read_text() for p in trained_out.iterdir()}
 
     def refuse(cls, text):
         raise AssertionError(f"training read a {cls.__name__} artifact")
 
-    for cls in (preprocess.FittedPipeline, AnomalyDetector, AttackClassifier):
-        monkeypatch.setattr(cls, "from_json", classmethod(refuse))
+    def refuse_stored(read):
+        def from_json(cls, text):
+            if text in stored:
+                refuse(cls, text)
+            return read(text)
+        return classmethod(from_json)
+
+    monkeypatch.setattr(preprocess.FittedPipeline, "from_json", classmethod(refuse))
+    for cls in (AnomalyDetector, AttackClassifier):
+        monkeypatch.setattr(cls, "from_json", refuse_stored(cls.from_json))
     train, test = data_files
     out = tmp_path / "out"
     shutil.copytree(trained_out, out)
     fitted = (out / "pipeline.json").read_bytes()
     for command in ("train-binary", "train-multiclass", "pipeline"):
-        assert _run(command, "--train", train, "--test", test, "--out", out, *FAST) == 0, command
+        # another seed than the stored models', so this run's own models differ
+        assert _run(command, "--train", train, "--test", test, "--out", out, "--seed", 2,
+                    *FAST) == 0, command
         assert (out / "pipeline.json").read_bytes() == fitted, command
 
 
@@ -920,6 +1094,7 @@ def test_a_generated_artifact_field_exits_0_or_3(data_files, trained_out, artifa
 def test_no_label_array_of_objects_reaches_np_unique(tmp_path, data_files, monkeypatch):
     # past the parse, labels are integer ids: no stage sorts labels again, so
     # np.unique runs only where the parser codes and spells columns
+    _on_cpus(monkeypatch, 1)
     train, test = data_files
     unique = np.unique
     calls = []
@@ -948,6 +1123,7 @@ def test_every_network_trains_on_a_validation_pair_from_the_one_split(
         tmp_path, data_files, monkeypatch):
     # neural.train draws no rows of its own: every caller, the MLP baseline
     # included, hands it the validation rows of classifier._stratified_split
+    _on_cpus(monkeypatch, 1)
     train, test = data_files
     real_train = neural.train
     calls, inputs = [], []

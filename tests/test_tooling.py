@@ -105,10 +105,16 @@ def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
         "pipeline", "--train", str(train), "--test", str(test), "--out", str(tmp_path / "out"),
         "--max-epochs", "2", "--patience", "3", "--oversample", "both"]]))
     spans = tmp_path / "spans.json"
+    # on one CPU every training job runs in the traced process; on more, the
+    # spans of the forked worker's jobs never reach the tracer
+    one_cpu = None
+    if hasattr(os, "sched_setaffinity"):
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--plan", str(plan),
          "--out", str(spans), "--src", str(ROOT / "src")],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, capture_output=True, text=True, timeout=300, preexec_fn=one_cpu,
     )
     assert proc.returncode == 0, proc.stderr
     recorded = json.loads(spans.read_text())["spans"]
@@ -278,7 +284,8 @@ def _live_members(session: int) -> list[str]:
 @pytest.mark.parametrize("command", [
     ["baselines", "--baselines", "random_forest"],
     ["pipeline", "--max-epochs", "2"],
-], ids=["baselines", "pipeline"])
+    ["pipeline", "--oversample", "both", "--max-epochs", "2"],
+], ids=["baselines", "pipeline", "pipeline-both"])
 def test_command_leaves_no_process_running(tmp_path, command):
     from .fixtures import make_fixture, write_kdd_file
 
