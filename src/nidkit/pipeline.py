@@ -17,16 +17,16 @@ pipeline.json, and one already there is only checked.
 ``pipeline`` loads, checks and standardizes the train and the test file,
 then runs the two training stages and evaluate over those matrices.
 
-The detector and each typer variant are independent jobs that return only
-their files. ``_run_jobs`` runs a command's jobs: on more than one CPU,
-every job but the last runs, in order, in one forked worker that pickles
-its files (or its error) back through a pipe, while the last (the
-oversampled typer, the longest, whenever it trains) runs in the calling
-process; on one CPU, or if no process can be forked, all run there, in
-order. Either way the models are read back from their files by the
-readers ``evaluate`` uses, the jobs' log records are handled in job order
-once all have run, and the first job to fail, in job order, raises: every
-output and log line is the same on one CPU or two.
+The detector and each typer variant are independent jobs that return
+their models as text. ``_run_jobs`` runs a command's jobs: on more than
+one CPU, every job but the last runs, in order, in one forked worker that
+pickles what they return (or its error) back through a pipe, while the
+last (the oversampled typer, the longest, whenever it trains) runs in the
+calling process; on one CPU, or if no process can be forked, all run
+there, in order. Either way the models are read back from that text by
+the readers ``evaluate`` uses, the jobs' log records are handled in job
+order once all have run, and the first job to fail, in job order, raises:
+every output and log line is the same on one CPU or two.
 """
 
 from __future__ import annotations
@@ -370,9 +370,8 @@ def run_train_multiclass(cfg: RunConfig) -> list[Path]:
     train, cats = _load(cfg, "train")
     _typer_data(cfg, cats)
     _, values, files = _standardized_train(cfg, train)
-    t0 = time.perf_counter()
-    results = _run_jobs(_typer_jobs(cfg, cats, values))
-    out = _write(cfg, {**files, **_typer_files(cfg, results, time.perf_counter() - t0)})
+    typed = _typer_files(cfg, _run_jobs(_typer_jobs(cfg, cats, values)))
+    out = _write(cfg, {**files, **typed})
     return [out / f"classifier_{variant}.json" for variant in _variants(cfg)]
 
 
@@ -384,10 +383,9 @@ def _typer_jobs(cfg: RunConfig, cats: np.ndarray, values: np.ndarray) -> list:
 
 
 def _train_typer(cfg: RunConfig, attack_values: np.ndarray, attack_labels: np.ndarray,
-                 variant: str) -> dict[str, str]:
-    """One variant's job: its classifier file, and under
-    train_multiclass_report.json the fields a run of this variant alone
-    would write there, less the ``total`` seconds."""
+                 variant: str) -> tuple[str, dict, float]:
+    """One variant's job: its classifier's JSON text, its section of
+    train_multiclass_report.json, and its own seconds."""
     t0 = time.perf_counter()
     # same init/shuffle stream for both variants: the only difference
     # between them should be the oversampling step
@@ -407,23 +405,20 @@ def _train_typer(cfg: RunConfig, attack_values: np.ndarray, attack_labels: np.nd
     if oversample is not None:
         log.info("oversampled class counts: %s", info.get("class_counts_after"))
     log.info("trained %s classifier (%d epochs)", variant, info["epochs"])
-    report = {variant: info, "seconds": {variant: time.perf_counter() - t0}}
-    return {f"classifier_{variant}.json": clf.to_json() + "\n",
-            "train_multiclass_report.json": json.dumps(report)}
+    return clf.to_json() + "\n", info, time.perf_counter() - t0
 
 
-def _typer_files(cfg: RunConfig, results: list[dict[str, str]], seconds: float
-                 ) -> dict[str, str]:
-    """The typer jobs' files with their reports made one, whose ``seconds``
-    holds each variant's own and the ``total`` the caller waited for all the
-    command's training jobs."""
+def _typer_files(cfg: RunConfig, results: list[tuple[str, dict, float]]) -> dict[str, str]:
+    """Each variant's classifier file and train_multiclass_report.json, whose
+    ``seconds`` holds each variant's own, taken where its job ran, and their
+    sum as ``total``."""
     files: dict[str, str] = {}
-    report: dict = {"seconds": {"total": seconds}}
-    for variant, result in zip(_variants(cfg), results):
-        files[f"classifier_{variant}.json"] = result[f"classifier_{variant}.json"]
-        part = json.loads(result["train_multiclass_report.json"])
-        report["seconds"].update(part.pop("seconds"))
-        report.update(part)
+    report: dict = {"seconds": {}}
+    for variant, (text, info, seconds) in zip(_variants(cfg), results):
+        files[f"classifier_{variant}.json"] = text
+        report[variant] = info
+        report["seconds"][variant] = seconds
+    report["seconds"]["total"] = sum(report["seconds"].values())
     files["train_multiclass_report.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
     return files
 
@@ -443,9 +438,10 @@ class _Held(logging.Handler):
         self.records.append(record)
 
 
-def _held(job) -> tuple[dict[str, str] | None, Exception | None, list[logging.LogRecord]]:
-    """Runs ``job`` with the nidkit logger's records held back: (its files,
-    or None if it raised; what it raised, or None; the records it logged)."""
+def _held(job) -> tuple[object, Exception | None, list[logging.LogRecord]]:
+    """Runs ``job`` with the nidkit logger's records held back: (what it
+    returned, or None if it raised; what it raised, or None; the records
+    it logged)."""
     holder = _Held()
     kept = log.handlers, log.propagate
     log.handlers, log.propagate = [holder], False
@@ -470,12 +466,12 @@ def _in_order(jobs: list) -> list[tuple]:
 def _sendable(outcomes: list[tuple]) -> bytes:
     """``outcomes`` pickled; an exception that does not survive pickling
     becomes a RuntimeError naming its type."""
-    files, error, records = outcomes[-1]
+    result, error, records = outcomes[-1]
     if error is not None:
         try:
             pickle.loads(pickle.dumps(error))
         except Exception:  # noqa: BLE001 - any failure to pickle or to unpickle
-            outcomes[-1] = (files, RuntimeError(
+            outcomes[-1] = (result, RuntimeError(
                 f"a training job raised {type(error).__name__}, which cannot be pickled: "
                 f"{error}"), records)
     return pickle.dumps(outcomes)
@@ -524,9 +520,9 @@ def _forked(jobs: list) -> list[tuple]:
     return outcomes if outcomes[-1][1] is not None else [*outcomes, own]
 
 
-def _run_jobs(jobs: list) -> list[dict[str, str]]:
-    """Each job's ``{path: text}`` files, in job order. On more than one CPU
-    every job but the last runs in one forked worker and the last one here;
+def _run_jobs(jobs: list) -> list:
+    """What each job returns, in job order. On more than one CPU every job
+    but the last runs in one forked worker and the last one here;
     elsewhere all run here, in order. Either way the records the jobs log are
     handed to the nidkit logger once all have run, in job order, and the
     first job to fail, in job order, raises what it raised."""
@@ -538,7 +534,7 @@ def _run_jobs(jobs: list) -> list[dict[str, str]]:
     for _, error, _ in outcomes:
         if error is not None:
             raise error
-    return [files for files, _, _ in outcomes]
+    return [result for result, _, _ in outcomes]
 
 
 def _binary_report(cm: metrics_mod.ConfusionMatrix) -> dict:
@@ -709,10 +705,9 @@ def run_pipeline(cfg: RunConfig) -> Path:
     _test_data(test_cats)
     pipe, values, files = _standardized_train(cfg, train)
     test_values, seconds = _standardized_test(pipe, test)
-    t0 = time.perf_counter()
     trained, *results = _run_jobs([partial(_train_binary, cfg, train_cats, values),
                                    *_typer_jobs(cfg, train_cats, values)])
-    typed = _typer_files(cfg, results, time.perf_counter() - t0)
+    typed = _typer_files(cfg, results)
     # the models as evaluate reads them back from these files
     det = det_mod.AnomalyDetector.from_json(trained["detector.json"])
     classifiers = {variant: clf_mod.AttackClassifier.from_json(typed[f"classifier_{variant}.json"])

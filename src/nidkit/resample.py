@@ -93,44 +93,30 @@ def _batch_knn(
         stop = min(start + block, n_q)
         q = queries[start:stop]
         margin = slack * ((q * q).sum(axis=1) + pool_sq_max)
-        # each query's k smallest screen values so far, ascending; while
-        # fewer than k rows are in, the bound is the largest float, which
-        # admits every row but an excluded one (screened at inf)
-        n_b = stop - start
-        smallest = np.full((n_b, k), np.inf)
-        limit = np.full(n_b, np.finfo(np.float64).max)
+        # each query's k smallest screen values so far; while fewer than k
+        # rows are in, the bound is the largest float, which admits every
+        # row but an excluded one (screened at inf)
+        smallest = np.full((stop - start, k), np.inf)
         row = col = np.empty(0, dtype=np.intp)
         value = np.empty(0)
         for lo in range(0, n_pool, width):
             hi = min(lo + width, n_pool)
             # |p|^2 - 2 q.p: the squared distance less the query's own |q|^2
             screen = np.matmul(-2.0 * q, pool[lo:hi].T,
-                               out=buffer[: n_b * (hi - lo)].reshape(n_b, -1))
+                               out=buffer[: (stop - start) * (hi - lo)].reshape(stop - start, -1))
             screen += pool_sq[lo:hi]
             if exclude is not None:
                 own = np.flatnonzero((exclude[start:stop] >= lo) & (exclude[start:stop] < hi))
                 screen[own, exclude[start + own] - lo] = np.inf
-            if lo == 0:  # every cell is in: partition the chunk
-                head = np.partition(screen, min(k, hi) - 1, axis=1)[:, :k]
-                smallest[:, :head.shape[1]] = np.sort(head, axis=1)
-                limit = np.minimum(smallest[:, k - 1] + margin, limit)
-            # the cells the bound admits; the few below a query's k-th value
-            # join its k smallest, and the bound falls to the new k-th value
-            new_row, new_col = np.divmod(np.flatnonzero(screen <= limit[:, None]), hi - lo)
-            new_value = screen[new_row, new_col]
-            below = new_value < smallest[new_row, k - 1]
-            if lo and below.any():
-                owner = np.concatenate([np.repeat(np.arange(n_b), k), new_row[below]])
-                merged = np.concatenate([smallest.ravel(), new_value[below]])
-                order = np.lexsort((merged, owner))
-                counts = np.bincount(owner, minlength=n_b)
-                smallest = merged[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
-                limit = np.minimum(smallest[:, k - 1] + margin, limit)
+            # the chunk's partitioned copy is freed once its k smallest are copied out
+            smallest = np.hstack([smallest, np.partition(screen, min(k, hi - lo) - 1, axis=1)[:, :k]])
+            smallest = np.partition(smallest, k - 1, axis=1)[:, :k]
+            limit = np.minimum(smallest[:, k - 1] + margin, np.finfo(np.float64).max)
             keep = value <= limit[row]
-            admitted = new_value <= limit[new_row]
-            row = np.concatenate([row[keep], new_row[admitted]])
-            col = np.concatenate([col[keep], new_col[admitted] + lo])
-            value = np.concatenate([value[keep], new_value[admitted]])
+            new_row, new_col = np.divmod(np.flatnonzero(screen <= limit[:, None]), hi - lo)
+            row = np.concatenate([row[keep], new_row])
+            col = np.concatenate([col[keep], new_col + lo])
+            value = np.concatenate([value[keep], screen[new_row, new_col]])
         diff = q[row] - pool[col]
         direct = (diff * diff).sum(axis=1)
         # sorted by (query, distance, pool index); each query has >= k rows

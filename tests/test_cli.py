@@ -896,11 +896,13 @@ def test_training_never_reads_an_artifact(tmp_path, data_files, trained_out, mon
     for cls in (AnomalyDetector, AttackClassifier):
         monkeypatch.setattr(cls, "from_json", refuse_stored(cls.from_json))
     train, test = data_files
-    out = tmp_path / "out"
-    shutil.copytree(trained_out, out)
-    fitted = (out / "pipeline.json").read_bytes()
+    fitted = (trained_out / "pipeline.json").read_bytes()
     for command in ("train-binary", "train-multiclass", "pipeline"):
-        # another seed than the stored models', so this run's own models differ
+        # each command over a fresh copy of the finished run, so every model
+        # file in --out is one of the stored ones; another seed than theirs,
+        # so this run's own models differ from every one of them
+        out = tmp_path / command
+        shutil.copytree(trained_out, out)
         assert _run(command, "--train", train, "--test", test, "--out", out, "--seed", 2,
                     *FAST) == 0, command
         assert (out / "pipeline.json").read_bytes() == fitted, command

@@ -89,12 +89,12 @@ def _leaf_nodes(root):
             stack.extend((node.left, node.right))
 
 
-def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
-    # the tracer binds neural.train's arguments by name, reads TrainConfig
-    # fields, and puts the untraced neural.forward back while neural.train
-    # runs; a renamed parameter or field, or a caller that holds its own
-    # reference to neural.train (so per-batch forward calls are traced
-    # and no train span is recorded), fails here
+def _host_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _traced_training_spans(tmp_path, preexec_fn=None) -> list[dict]:
+    """The spans of a traced ``pipeline --oversample both`` run."""
     from .fixtures import make_fixture, write_kdd_file
 
     train, test = tmp_path / "train.txt", tmp_path / "test.txt"
@@ -105,19 +105,16 @@ def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
         "pipeline", "--train", str(train), "--test", str(test), "--out", str(tmp_path / "out"),
         "--max-epochs", "2", "--patience", "3", "--oversample", "both"]]))
     spans = tmp_path / "spans.json"
-    # on one CPU every training job runs in the traced process; on more, the
-    # spans of the forked worker's jobs never reach the tracer
-    one_cpu = None
-    if hasattr(os, "sched_setaffinity"):
-        def one_cpu():
-            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--plan", str(plan),
          "--out", str(spans), "--src", str(ROOT / "src")],
-        cwd=ROOT, capture_output=True, text=True, timeout=300, preexec_fn=one_cpu,
+        cwd=ROOT, capture_output=True, text=True, timeout=300, preexec_fn=preexec_fn,
     )
     assert proc.returncode == 0, proc.stderr
-    recorded = json.loads(spans.read_text())["spans"]
+    return json.loads(spans.read_text())["spans"]
+
+
+def _assert_every_training_run_counted(recorded: list[dict]) -> None:
     by_id = {s["id"]: s for s in recorded}
     trains = [s for s in recorded if s["name"] == "neural.train"]
     assert len(trains) == 3  # autoencoder, plain and oversampled classifiers
@@ -131,6 +128,29 @@ def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
         while parent >= 0:
             assert by_id[parent]["name"] != "neural.train"
             parent = by_id[parent]["parent"]
+
+
+def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
+    # the tracer binds neural.train's arguments by name, reads TrainConfig
+    # fields, and puts the untraced neural.forward back while neural.train
+    # runs; a renamed parameter or field, or a caller that holds its own
+    # reference to neural.train (so per-batch forward calls are traced
+    # and no train span is recorded), fails here. The traced process is
+    # pinned to one CPU, where every training job runs in it.
+    one_cpu = None
+    if hasattr(os, "sched_setaffinity"):
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    _assert_every_training_run_counted(_traced_training_spans(tmp_path, one_cpu))
+
+
+@pytest.mark.xfail(_host_cpus() > 1, strict=True, reason=(
+    "on more than one CPU the detector and the plain typer train in a forked worker, "
+    "whose spans never reach the tracer (CHANGES.md, FOUND: perfbench/tracer.py)"))
+def test_tracer_counts_every_training_run_on_all_the_hosts_cpus(tmp_path):
+    # the benchmark traces on all the host's CPUs; its per-layer training
+    # metrics are complete only where this passes
+    _assert_every_training_run_counted(_traced_training_spans(tmp_path))
 
 
 def _settable_values(tree: ast.Module) -> list[str]:
