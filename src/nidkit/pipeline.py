@@ -17,13 +17,16 @@ pipeline.json, and one already there is only checked.
 ``pipeline`` loads, checks and standardizes the train and the test file,
 then runs the two training stages and evaluate over those matrices.
 
-The detector and each typer variant are independent jobs that return
-their models as text. ``_run_jobs`` runs a command's jobs: on more than
-one CPU, every job but the last runs, in order, in one forked worker that
+The detector, each typer variant and each baseline are independent jobs
+that return their models as text, or a baseline's CSV line and report
+section. ``_run_jobs`` runs a command's jobs: on more than one CPU, the
+first half of them (rounded up) runs, in order, in one forked worker that
 pickles what they return (or its error) back through a pipe, while the
-last (the oversampled typer, the longest, whenever it trains) runs in the
-calling process; on one CPU, or if no process can be forked, all run
-there, in order. Either way the models are read back from that text by
+rest run, in order, in the calling process, which starts no further job
+once the worker has reported an error. So ``pipeline`` trains the detector
+and the plain typer in the worker and the oversampled typer, the longest,
+in the caller. On one CPU, or if no process can be forked, all run in the
+caller, in order. Either way the models are read back from that text by
 the readers ``evaluate`` uses, the jobs' log records are handled in job
 order once all have run, and the first job to fail, in job order, raises:
 every output and log line is the same on one CPU or two.
@@ -36,6 +39,7 @@ import json
 import logging
 import os
 import pickle
+import select
 import signal
 import time
 from contextlib import suppress
@@ -423,7 +427,7 @@ def _typer_files(cfg: RunConfig, results: list[tuple[str, dict, float]]) -> dict
     return files
 
 
-# --- jobs: a training command's independent stages, on up to two CPUs ----------
+# --- jobs: a command's independent stages, on up to two CPUs ------------------
 
 
 class _Held(logging.Handler):
@@ -453,10 +457,13 @@ def _held(job) -> tuple[object, Exception | None, list[logging.LogRecord]]:
         log.handlers, log.propagate = kept
 
 
-def _in_order(jobs: list) -> list[tuple]:
-    """Each job's ``_held`` outcome, in order, up to the first that raised."""
+def _in_order(jobs: list, stop=lambda: False) -> list[tuple]:
+    """Each job's ``_held`` outcome, in order, up to the first that raised;
+    before each job but the first, a true ``stop()`` ends the run."""
     outcomes = []
     for job in jobs:
+        if outcomes and stop():
+            break
         outcomes.append(_held(job))
         if outcomes[-1][1] is not None:
             break
@@ -477,11 +484,23 @@ def _sendable(outcomes: list[tuple]) -> bytes:
     return pickle.dumps(outcomes)
 
 
+def _ends_in_error(payload: bytes) -> bool:
+    """Whether a worker's payload holds outcomes that end in an error, or
+    no outcomes at all (the worker died before or while writing them)."""
+    try:
+        return pickle.loads(payload)[-1][1] is not None
+    except (EOFError, pickle.UnpicklingError):  # empty, or cut short
+        return True
+
+
 def _forked(jobs: list) -> list[tuple]:
-    """Every job but the last in one forked worker, in order, and the last
-    here; their outcomes as ``_in_order`` gives them. The worker sends its
-    outcomes through a pipe and exits; it is always reaped, and killed
-    first if this process is interrupted."""
+    """The first half of the jobs (rounded up) in one forked worker and the
+    rest here, each half in order; their outcomes as ``_in_order`` gives
+    them. The worker sends its outcomes through a pipe and exits; once it
+    has sent an error, this process starts none of its own jobs that are
+    left. The worker is always reaped, and killed first if this process is
+    interrupted."""
+    half = (len(jobs) + 1) // 2
     read_fd, write_fd = os.pipe()
     try:
         # the only other threads here are OpenBLAS's, which it shuts down
@@ -495,17 +514,26 @@ def _forked(jobs: list) -> list[tuple]:
         code = 1
         try:
             os.close(read_fd)
-            outcomes = _in_order(jobs[:-1])
+            outcomes = _in_order(jobs[:half])
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(_sendable(outcomes))
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
+    sent: list[bytes] = []  # what the worker wrote, once it has
+
+    def worker_failed() -> bool:
+        # the worker writes once, after its last job, so a pipe that polls
+        # readable holds all it will ever write
+        if not sent and select.select([pipe], [], [], 0)[0]:
+            sent.append(pipe.read())
+        return bool(sent) and _ends_in_error(sent[0])
+
     with os.fdopen(read_fd, "rb") as pipe:
         try:
-            own = _held(jobs[-1])
-            payload = pipe.read()
+            own = _in_order(jobs[half:], worker_failed)
+            payload = sent[0] if sent else pipe.read()
             _, status = os.waitpid(pid, 0)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -517,15 +545,15 @@ def _forked(jobs: list) -> list[tuple]:
         raise RuntimeError(f"the training worker ended without a result "
                            f"(wait status {status}: {how})")
     outcomes = pickle.loads(payload)
-    return outcomes if outcomes[-1][1] is not None else [*outcomes, own]
+    return outcomes if outcomes[-1][1] is not None else [*outcomes, *own]
 
 
 def _run_jobs(jobs: list) -> list:
-    """What each job returns, in job order. On more than one CPU every job
-    but the last runs in one forked worker and the last one here;
-    elsewhere all run here, in order. Either way the records the jobs log are
-    handed to the nidkit logger once all have run, in job order, and the
-    first job to fail, in job order, raises what it raised."""
+    """What each job returns, in job order. On more than one CPU the first
+    half of the jobs (rounded up) runs in one forked worker and the rest
+    here; elsewhere all run here, in order. Either way the records the jobs
+    log are handed to the nidkit logger once all have run, in job order,
+    and the first job to fail, in job order, raises what it raised."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     outcomes = _forked(jobs) if cpus > 1 and len(jobs) > 1 else _in_order(jobs)
     for _, _, records in outcomes:
@@ -664,30 +692,35 @@ def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfi
     return fit(data, labels).predict
 
 
+def _baseline(cfg: RunConfig, name: str, train_values: np.ndarray, y_train: np.ndarray,
+              test_values: np.ndarray, y_test: np.ndarray) -> tuple[str, dict]:
+    """One baseline's job: its line of baselines.csv and its section of
+    baselines.json, which holds its own seconds, taken where it ran."""
+    t0 = time.perf_counter()
+    predictor = _fit_baseline(name, train_values, y_train, cfg)
+    predicted = predictor(test_values)
+    seconds = time.perf_counter() - t0
+    cm = _binary_confusion(y_test, predicted)
+    attack_pos = metrics_mod.binary_metrics(cm, positive_class=ATTACK)
+    line = (f"{BASELINE_DISPLAY[name]},{attack_pos.accuracy:.4f},"
+            f"{attack_pos.precision:.4f},{attack_pos.recall:.4f},{attack_pos.f1:.4f}")
+    section = {**_binary_report(cm), "seconds": seconds}
+    log.info("%s: accuracy %.4f f1 %.4f (%.1fs)", BASELINE_DISPLAY[name],
+             attack_pos.accuracy, attack_pos.f1, seconds)
+    return line, section
+
+
 def run_baselines(cfg: RunConfig) -> Path:
     train, train_cats = _load(cfg, "train")
     _baseline_data(train_cats)
     test, test_cats = _load(cfg, "test")
     pipe, train_values = fit_transform(train)
     test_values = pipe.transform(test)
-    y_train = _binary_ids(train_cats)
-    y_test = _binary_ids(test_cats)
-    lines = ["model,accuracy,precision,recall,f1"]
-    details: dict[str, dict] = {}
-    for name in cfg.baselines:
-        t0 = time.perf_counter()
-        predictor = _fit_baseline(name, train_values, y_train, cfg)
-        predicted = predictor(test_values)
-        seconds = time.perf_counter() - t0
-        cm = _binary_confusion(y_test, predicted)
-        attack_pos = metrics_mod.binary_metrics(cm, positive_class=ATTACK)
-        lines.append(f"{BASELINE_DISPLAY[name]},{attack_pos.accuracy:.4f},"
-                     f"{attack_pos.precision:.4f},{attack_pos.recall:.4f},{attack_pos.f1:.4f}")
-        details[name] = _binary_report(cm)
-        details[name]["seconds"] = seconds
-        log.info("%s: accuracy %.4f f1 %.4f (%.1fs)", BASELINE_DISPLAY[name],
-                 attack_pos.accuracy, attack_pos.f1, seconds)
-
+    y_train, y_test = _binary_ids(train_cats), _binary_ids(test_cats)
+    results = _run_jobs([partial(_baseline, cfg, name, train_values, y_train, test_values, y_test)
+                         for name in cfg.baselines])
+    lines = ["model,accuracy,precision,recall,f1", *(line for line, _ in results)]
+    details = {name: section for name, (_, section) in zip(cfg.baselines, results)}
     out = _write(cfg, {"baselines.csv": "\n".join(lines) + "\n",
                        "baselines.json": json.dumps(details, indent=2, sort_keys=True) + "\n"})
     return out / "baselines.csv"

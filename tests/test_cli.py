@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import signal
 import sys
@@ -17,13 +18,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nidkit import cli, neural, pipeline, preprocess
+from nidkit import baselines, cli, neural, pipeline, preprocess
 from nidkit.classifier import DnnConfig
 from nidkit.cli import build_parser, build_config, main
 from nidkit.dataset import (CATEGORIES, NORMAL_CATEGORY, categorize, category_ids,
                             load_taxonomy, parse_kdd_file)
 from nidkit.detector import AutoencoderConfig
-from nidkit.errors import TrainingDivergedError
+from nidkit.errors import InsufficientDataError, TrainingDivergedError
 from nidkit.pipeline import RunConfig
 from nidkit.schema import INDEX
 
@@ -583,13 +584,19 @@ def test_a_run_that_fails_mid_way_leaves_out_as_it_found_it(
     assert _files_under(finished) == before
 
 
-# --- the training worker: every job but the last forks off on two CPUs --------
+# --- the worker: the first half of the jobs forks off on two CPUs -------------
 
 
 def _spy_forks(monkeypatch):
-    """Counts os.fork calls: returns the list each call appends to."""
+    """Records the pid each os.fork call returns here: returns that list."""
     real, forks = os.fork, []
-    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real())
+
+    def fork():
+        pid = real()
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
     return forks
 
 
@@ -599,18 +606,29 @@ def _no_child_left():
 
 
 def _without_timings(root):
-    """Every file under ``root``; each report parsed, its timings removed."""
+    """Every file under ``root``; each report parsed, its timings removed,
+    and each model's seconds removed from baselines.json."""
     files = _files_under(root)
     for name, data in files.items():
         if name.endswith("report.json"):
             files[name] = {key: value for key, value in json.loads(data).items()
                            if key not in ("seconds", "timings_seconds")}
+        if name == "baselines.json":
+            files[name] = {model: {key: value for key, value in section.items()
+                                   if key != "seconds"}
+                           for model, section in json.loads(data).items()}
     return files
+
+
+def _untimed(message):
+    """A log message without the seconds a baseline's line ends with."""
+    return re.sub(r" \(\d+\.\ds\)$", "", message)
 
 
 @pytest.mark.parametrize("argv", [
     ["pipeline", "--oversample", "both"], ["pipeline"], ["train-multiclass", "--oversample", "both"],
-], ids=["pipeline-both", "pipeline", "train-multiclass-both"])
+    ["baselines", "--baselines", ",".join(pipeline.BASELINE_NAMES)],
+], ids=["pipeline-both", "pipeline", "train-multiclass-both", "baselines"])
 def test_one_and_two_cpus_give_the_same_files_and_log_records(
         tmp_path, data_files, monkeypatch, caplog, argv):
     train, test = data_files
@@ -623,8 +641,14 @@ def test_one_and_two_cpus_give_the_same_files_and_log_records(
         out = tmp_path / f"cpus{n}"
         with caplog.at_level(logging.INFO, logger="nidkit"):
             assert _run(*argv, "--train", train, "--test", test, "--out", out, *FAST) == 0
-        runs.append((_without_timings(out), [(r.name, r.levelno, r.getMessage())
+        runs.append((_without_timings(out), [(r.name, r.levelno, _untimed(r.getMessage()))
                                              for r in caplog.records], len(forks)))
+        if argv[0] == "baselines":
+            # each model's job timed itself
+            details = json.loads((out / "baselines.json").read_text())
+            assert sorted(details) == sorted(pipeline.BASELINE_NAMES)
+            assert all(section["seconds"] >= 0 for section in details.values())
+            continue
         # each variant's job timed itself, beside the total
         seconds = json.loads((out / "train_multiclass_report.json").read_text())["seconds"]
         variants = {name[len("classifier_"):-len(".json")] for name in runs[-1][0]
@@ -701,6 +725,83 @@ def test_a_failing_job_exits_3_as_on_one_cpu_and_leaves_no_child(
     assert len(forks) == 2
     assert errors == [f"nidkit: training diverged: validation loss is nan at epoch 0 "
                       f"({failing[0]})\n"] * 4
+
+
+# four models: the worker fits the first two, the caller the last two
+FOUR = ("decision_tree", "naive_bayes", "svm", "adaboost")
+FITS = {"decision_tree": "fit_tree", "naive_bayes": "fit_gnb", "svm": "fit_linear_svm",
+        "adaboost": "fit_adaboost"}
+
+
+def _failing_fit(monkeypatch, model):
+    def refuse(*args, **kwargs):
+        raise InsufficientDataError(f"cannot fit {model}")
+
+    monkeypatch.setattr(baselines, FITS[model], refuse)
+
+
+@pytest.mark.parametrize("failing", [
+    ["naive_bayes"], ["svm"],
+    ["naive_bayes", "svm"],  # the earlier job's error, as one CPU raises it
+], ids="+".join)
+def test_a_failing_baseline_exits_as_on_one_cpu_and_leaves_no_child(
+        tmp_path, data_files, monkeypatch, capsys, failing):
+    train, test = data_files
+    common = ["--train", train, "--test", test, "--baselines", ",".join(FOUR)]
+    _on_cpus(monkeypatch, 1)
+    finished = tmp_path / "finished"
+    assert _run("baselines", *common, "--out", finished) == 0
+    before = _files_under(finished)
+    for model in failing:
+        _failing_fit(monkeypatch, model)
+    forks = _spy_forks(monkeypatch)
+    capsys.readouterr()
+    errors = []
+    for n in (1, 2):
+        _on_cpus(monkeypatch, n)
+        for out in (tmp_path / f"fresh{n}", finished):
+            assert _run("baselines", *common, "--seed", 2, "--out", out) == 3
+            errors.append(capsys.readouterr().err)
+            _no_child_left()
+        assert not (tmp_path / f"fresh{n}").exists()
+    assert _files_under(finished) == before
+    assert len(forks) == 2
+    assert errors == [f"nidkit: invalid data: cannot fit {failing[0]}\n"] * 4
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
+def test_the_caller_starts_no_job_once_the_worker_has_failed(
+        tmp_path, data_files, monkeypatch, capsys):
+    # the worker fails on naive_bayes; the caller's first job (svm) waits,
+    # without reaping it, until the worker has exited, so the caller's
+    # poll before adaboost always finds the worker's error
+    train, test = data_files
+    caller, fitted = os.getpid(), []
+    _failing_fit(monkeypatch, "naive_bayes")
+    forks = _spy_forks(monkeypatch)
+    real_svm, real_adaboost = baselines.fit_linear_svm, baselines.fit_adaboost
+
+    def svm_after_the_worker(*args, **kwargs):
+        if os.getpid() == caller:
+            os.waitid(os.P_PID, forks[-1], os.WEXITED | os.WNOWAIT)
+            fitted.append("svm")
+        return real_svm(*args, **kwargs)
+
+    def recorded_adaboost(*args, **kwargs):
+        if os.getpid() == caller:
+            fitted.append("adaboost")
+        return real_adaboost(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "fit_linear_svm", svm_after_the_worker)
+    monkeypatch.setattr(baselines, "fit_adaboost", recorded_adaboost)
+    _on_cpus(monkeypatch, 2)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert _run("baselines", "--train", train, "--test", test, "--out", out,
+                "--baselines", ",".join(FOUR)) == 3
+    assert capsys.readouterr().err == "nidkit: invalid data: cannot fit naive_bayes\n"
+    assert len(forks) == 1 and fitted == ["svm"] and not out.exists()
+    _no_child_left()
 
 
 @pytest.mark.parametrize("death", ["unpicklable", "killed"])

@@ -34,29 +34,45 @@ def test_tracer_installs_on_an_empty_plan(tmp_path):
     assert json.loads(spans.read_text()) == {"exit_codes": [], "spans": []}
 
 
-def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
-    # the tracer walks each tree container it knows (root, trees, stumps,
-    # (tree, leaf_values) pairs), so a reshaped container fails here
+def _host_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _one_cpu():
+    """A preexec_fn that pins the traced process to one CPU, where every
+    job of a command runs, and is traced, in that process."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+ONE_CPU = _one_cpu if hasattr(os, "sched_setaffinity") else None
+TREE_MODELS = ("decision_tree", "random_forest", "adaboost", "gradient_boosting")
+
+
+def _traced_tree_spans(tmp_path, preexec_fn=None) -> tuple[list[dict], Path]:
+    """The spans of a traced ``baselines`` run of the four tree models, and
+    its train file."""
     from .fixtures import make_fixture, write_kdd_file
 
     train, test = tmp_path / "train.txt", tmp_path / "test.txt"
     write_kdd_file(make_fixture(20, seed=3), train)
     write_kdd_file(make_fixture(6, seed=4), test)
-    models = ("decision_tree", "random_forest", "adaboost", "gradient_boosting")
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps([[
         "baselines", "--train", str(train), "--test", str(test),
-        "--out", str(tmp_path / "out"), "--baselines", ",".join(models)]]))
+        "--out", str(tmp_path / "out"), "--baselines", ",".join(TREE_MODELS)]]))
     spans = tmp_path / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--plan", str(plan),
          "--out", str(spans), "--src", str(ROOT / "src")],
-        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, capture_output=True, text=True, timeout=300, preexec_fn=preexec_fn,
     )
     assert proc.returncode == 0, proc.stderr
-    fits = {s["name"]: s["counts"] for s in json.loads(spans.read_text())["spans"]
-            if s["name"].startswith("baselines.fit.")}
-    assert sorted(fits) == sorted(f"baselines.fit.{m}" for m in models)
+    return json.loads(spans.read_text())["spans"], train
+
+
+def _assert_every_tree_counted(recorded: list[dict], train: Path) -> None:
+    fits = {s["name"]: s["counts"] for s in recorded if s["name"].startswith("baselines.fit.")}
+    assert sorted(fits) == sorted(f"baselines.fit.{m}" for m in TREE_MODELS)
     for counts in fits.values():
         assert counts["leaves"] > 0
     assert fits["baselines.fit.decision_tree"]["trees"] == 1
@@ -68,8 +84,7 @@ def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
     from nidkit.pipeline import _binary_ids
     from nidkit.preprocess import fit_transform
 
-    forest_spans = [s for s in json.loads(spans.read_text())["spans"]
-                    if s["name"] == "baselines.fit.random_forest"]
+    forest_spans = [s for s in recorded if s["name"] == "baselines.fit.random_forest"]
     assert len(forest_spans) == 1
     parsed = parse_kdd_file(train, split="train")
     _, values = fit_transform(parsed)
@@ -77,6 +92,22 @@ def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
                         ForestConfig(seed=0))
     leaves = sum(1 for t in forest.trees for _ in _leaf_nodes(t.root))
     assert forest_spans[0]["counts"] == {"leaves": leaves, "trees": 100}
+
+
+def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
+    # the tracer walks each tree container it knows (root, trees, stumps,
+    # (tree, leaf_values) pairs), so a reshaped container fails here. The
+    # traced process is pinned to one CPU, where every model fits in it.
+    _assert_every_tree_counted(*_traced_tree_spans(tmp_path, ONE_CPU))
+
+
+@pytest.mark.xfail(_host_cpus() > 1, strict=True, reason=(
+    "on more than one CPU the decision tree and the forest fit in a forked worker, "
+    "whose spans never reach the tracer (CHANGES.md, FOUND: perfbench/tracer.py)"))
+def test_tracer_counts_leaves_of_every_tree_model_on_all_the_hosts_cpus(tmp_path):
+    # the benchmark traces on all the host's CPUs; its per-layer baseline
+    # metrics are complete only where this passes
+    _assert_every_tree_counted(*_traced_tree_spans(tmp_path))
 
 
 def _leaf_nodes(root):
@@ -87,10 +118,6 @@ def _leaf_nodes(root):
             yield node
         else:
             stack.extend((node.left, node.right))
-
-
-def _host_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _traced_training_spans(tmp_path, preexec_fn=None) -> list[dict]:
@@ -137,11 +164,7 @@ def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
     # reference to neural.train (so per-batch forward calls are traced
     # and no train span is recorded), fails here. The traced process is
     # pinned to one CPU, where every training job runs in it.
-    one_cpu = None
-    if hasattr(os, "sched_setaffinity"):
-        def one_cpu():
-            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    _assert_every_training_run_counted(_traced_training_spans(tmp_path, one_cpu))
+    _assert_every_training_run_counted(_traced_training_spans(tmp_path, ONE_CPU))
 
 
 @pytest.mark.xfail(_host_cpus() > 1, strict=True, reason=(
@@ -303,9 +326,10 @@ def _live_members(session: int) -> list[str]:
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 @pytest.mark.parametrize("command", [
     ["baselines", "--baselines", "random_forest"],
+    ["baselines", "--baselines", "decision_tree,random_forest"],
     ["pipeline", "--max-epochs", "2"],
     ["pipeline", "--oversample", "both", "--max-epochs", "2"],
-], ids=["baselines", "pipeline", "pipeline-both"])
+], ids=["baselines", "baselines-forked", "pipeline", "pipeline-both"])
 def test_command_leaves_no_process_running(tmp_path, command):
     from .fixtures import make_fixture, write_kdd_file
 
