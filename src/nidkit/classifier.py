@@ -182,5 +182,5 @@ def _named_counts(labels: np.ndarray) -> dict[str, int]:
 
 def predict(clf: AttackClassifier, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(attack ids, probability matrix); argmax ties go to the lower id."""
-    probs, _ = neural.forward(clf.model, values)
+    probs = neural.forward(clf.model, values)
     return np.argmax(probs, axis=1), probs

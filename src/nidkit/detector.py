@@ -113,7 +113,7 @@ def reconstruction_errors(model: neural.MlpModel, batch: np.ndarray) -> np.ndarr
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.in_dim:
         raise ValueError(f"batch width {batch.shape} does not match model input {model.in_dim}")
-    recon, _ = neural.forward(model, batch)
+    recon = neural.forward(model, batch)
     diff = batch - recon
     with np.errstate(over="ignore"):
         return (diff * diff).sum(axis=1)

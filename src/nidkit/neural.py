@@ -1,11 +1,14 @@
 """Minimal dense neural-network engine built on numpy.
 
-Supports exactly what the two networks in this toolkit need: ReLU /
+Supports exactly what the networks in this toolkit need: ReLU /
 SeLU / softmax / identity activations, additive Gaussian input noise
-and inverted dropout (applied only when the forward pass is given an
-rng), bias-corrected Adam over one flat parameter buffer, shuffled
-mini-batches, and early stopping. ``train`` takes the training rows and
-their targets as two row-aligned float64 arrays, and the validation rows as
+and inverted dropout (applied only in training), bias-corrected Adam
+over one flat parameter buffer, shuffled mini-batches, and early
+stopping. ``train`` fits two-layer networks, the only depth the toolkit
+builds, in one straight-line step per batch; the per-layer loop it must
+equal bit for bit lives in ``tests/gradcheck.py``. ``forward`` is
+inference only. ``train`` takes the training rows and their targets as
+two row-aligned float64 arrays, and the validation rows as
 a (values, targets) pair of such arrays; the caller draws that split
 (``classifier._stratified_split``), so the validation fraction is its
 setting. The output layer picks the loss: cross-entropy after a softmax,
@@ -42,8 +45,8 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One dense layer. Noise and dropout act on the layer *input* and
-    only in a forward pass given an rng; without one it is deterministic."""
+    """One dense layer. Noise and dropout act on the layer *input*, and
+    only in training; inference is deterministic."""
 
     in_dim: int
     out_dim: int
@@ -184,9 +187,9 @@ def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "selu":
         return np.where(z > 0, SELU_LAMBDA * z, SELU_LAMBDA * SELU_ALPHA * np.expm1(np.minimum(z, 0.0)))
     if kind == "softmax":
-        shifted = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        # ndarray.max and .sum are these reductions behind a Python wrapper
+        e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+        return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
     if kind == "identity":
         return z
     raise ValueError(f"unknown activation {kind!r}")
@@ -223,84 +226,53 @@ def loss(kind: str, prediction: np.ndarray, target: np.ndarray) -> tuple[float, 
     raise ValueError(f"unknown loss {kind!r}")
 
 
-# --- forward / backward -------------------------------------------------
+# --- inference ------------------------------------------------------------
 
-@dataclass
-class ForwardCache:
-    model: MlpModel
-    inputs: list[np.ndarray]   # per layer: input after noise/dropout
-    preacts: list[np.ndarray]  # per layer: z = x W^T + b
-    masks: list[np.ndarray | None]
-
-
-def forward(
-    model: MlpModel, batch: np.ndarray, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; with an rng, applies each layer's noise then dropout."""
+def forward(model: MlpModel, batch: np.ndarray) -> np.ndarray:
+    """Run the network on a batch of rows, without noise or dropout."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != model.in_dim:
         raise ValueError(f"batch width {batch.shape} does not match input dim {model.in_dim}")
     x = batch
-    inputs, preacts, masks = [], [], []
     for spec, w, b in zip(model.layers, model.weights, model.biases):
-        mask = None
-        if rng is not None:
-            if spec.noise_sigma > 0:
-                x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
-            if spec.dropout_rate > 0:
-                mask = rng.random(x.shape) >= spec.dropout_rate
-                x = x * mask / (1.0 - spec.dropout_rate)
-        inputs.append(x)
-        z = x @ w.T + b
-        preacts.append(z)
-        masks.append(mask)
-        x = _apply_activation(spec.activation, z)
-    return x, ForwardCache(model=model, inputs=inputs, preacts=preacts, masks=masks)
-
-
-def backward(
-    model: MlpModel, cache: ForwardCache, loss_grad: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Backpropagate the gradient :func:`loss` returns: per-layer (dW, db),
-    reusing the forward masks."""
-    if cache.model is not model:
-        raise ValueError("stale cache: forward pass came from a different model")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(model.layers)  # type: ignore[list-item]
-    upstream = np.asarray(loss_grad, dtype=np.float64)
-    for i in range(len(model.layers) - 1, -1, -1):
-        spec = model.layers[i]
-        dz = _activation_backward(spec.activation, cache.preacts[i], upstream)
-        grads[i] = (dz.T @ cache.inputs[i], dz.sum(axis=0))
-        if i > 0:
-            dx = dz @ model.weights[i]
-            if cache.masks[i] is not None:
-                dx = dx * cache.masks[i] / (1.0 - spec.dropout_rate)
-            upstream = dx
-    return grads
+        x = _apply_activation(spec.activation, x @ w.T + b)
+    return x
 
 
 # --- Adam ---------------------------------------------------------------
 
 class AdamState:
-    """First/second-moment accumulators for one flat parameter vector."""
+    """First/second-moment accumulators for one flat parameter vector, and
+    the two work arrays an update writes its intermediates into."""
 
     def __init__(self, size: int) -> None:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._step = np.empty(size)
+        self._scale = np.empty(size)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        """One bias-corrected Adam update of ``params`` in place."""
+        """One bias-corrected Adam update of ``params`` in place:
+        ``params -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, operation by
+        operation in that order. A correction reaches exactly 1.0 (bc1 at
+        step 356, bc2 at step 37,412); dividing by it would copy its operand
+        bit for bit, so that division is skipped."""
         if params.shape != self.m.shape or grad.shape != self.m.shape:
             raise ValueError(f"shape mismatch: param {params.shape}, grad {grad.shape}")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
+        step, scale = self._step, self._scale
         self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * grad
+        self.m += np.multiply(grad, 1.0 - ADAM_BETA1, out=step)
         self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * (grad * grad)
-        params -= ADAM_LR * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        self.v += np.multiply(np.multiply(grad, grad, out=step), 1.0 - ADAM_BETA2, out=step)
+        np.multiply(self.m if bc1 == 1.0 else np.divide(self.m, bc1, out=step), ADAM_LR, out=step)
+        np.sqrt(self.v if bc2 == 1.0 else np.divide(self.v, bc2, out=scale), out=scale)
+        scale += ADAM_EPS
+        step /= scale
+        params -= step
 
 
 # --- training loop ------------------------------------------------------
@@ -345,6 +317,19 @@ class TrainHistory:
     n_epochs: int = 0
 
 
+def _corrupt(spec: LayerSpec, x: np.ndarray, rng: np.random.Generator
+             ) -> tuple[np.ndarray, np.ndarray | None]:
+    """A layer's training input: its noise, then its dropout, drawn from
+    ``rng`` in that order; also the dropout mask (None without dropout)."""
+    mask = None
+    if spec.noise_sigma > 0:
+        x = x + rng.normal(0.0, spec.noise_sigma, size=x.shape)
+    if spec.dropout_rate > 0:
+        mask = rng.random(x.shape) >= spec.dropout_rate
+        x = x * mask / (1.0 - spec.dropout_rate)
+    return x, mask
+
+
 def train(
     model: MlpModel,
     data: np.ndarray,
@@ -355,10 +340,17 @@ def train(
 ) -> tuple[MlpModel, TrainHistory]:
     """Mini-batch Adam with early stopping; returns the best-validation model.
 
+    ``model`` must have two layers, as every network of this toolkit has;
+    any other depth is refused (ValueError) before a random draw. Each
+    batch is one straight-line step: the noise and dropout of each layer's
+    input, the forward pass, :func:`loss`, the gradients written into one
+    flat buffer laid out as ``params``, and one Adam update.
     ``validation`` is the caller's (values, targets) pair; an empty pair
     validates on the training rows. The input model is left untouched; the
     returned model is frozen with the parameters of the best validation epoch.
     """
+    if len(model.layers) != 2:
+        raise ValueError(f"train takes a two-layer model, got {len(model.layers)} layer(s)")
     train_x = np.asarray(data, dtype=np.float64)
     train_t = np.asarray(targets, dtype=np.float64)
     if train_x.shape[0] == 0:
@@ -368,7 +360,13 @@ def train(
     val_x, val_t = validation if len(validation[0]) else (train_x, train_t)
 
     work = model.copy()
-    kind = "cross_entropy" if work.layers[-1].activation == "softmax" else "mse"
+    (spec0, spec1), (w0, w1), (b0, b1) = work.layers, work.weights, work.biases
+    act0, act1 = spec0.activation, spec1.activation
+    kind = "cross_entropy" if act1 == "softmax" else "mse"
+    # the gradients are written into a second model's views, so their flat
+    # buffer has the layout of ``params``
+    grads = work.copy()
+    (dw0, dw1), (db0, db1) = grads.weights, grads.biases
     adam = AdamState(work.params.size)
     stopper = EarlyStopper(cfg.patience)
     history = TrainHistory()
@@ -379,13 +377,24 @@ def train(
         batch_losses = []
         for start in range(0, n_train, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            out, cache = forward(work, train_x[idx], rng)
-            value, grad = loss(kind, out, train_t[idx])
-            layer_grads = backward(work, cache, grad)
-            adam.step(work.params, np.concatenate([g.ravel() for pair in layer_grads for g in pair]))
+            x0, _ = _corrupt(spec0, train_x[idx], rng)
+            z0 = x0 @ w0.T + b0
+            x1, mask1 = _corrupt(spec1, _apply_activation(act0, z0), rng)
+            z1 = x1 @ w1.T + b1
+            value, dz1 = loss(kind, _apply_activation(act1, z1), train_t[idx])
+            dz1 = _activation_backward(act1, z1, dz1)
+            np.matmul(dz1.T, x1, out=dw1)
+            # np.sum's own reduction, without its Python wrapper
+            np.add.reduce(dz1, axis=0, out=db1)
+            dx1 = dz1 @ w1
+            if mask1 is not None:
+                dx1 = dx1 * mask1 / (1.0 - spec1.dropout_rate)
+            dz0 = _activation_backward(act0, z0, dx1)
+            np.matmul(dz0.T, x0, out=dw0)
+            np.add.reduce(dz0, axis=0, out=db0)
+            adam.step(work.params, grads.params)
             batch_losses.append(value)
-        val_out, _ = forward(work, val_x)
-        val_value, _ = loss(kind, val_out, val_t)
+        val_value, _ = loss(kind, forward(work, val_x), val_t)
         if not math.isfinite(val_value) and stopper.best is None:
             raise TrainingDivergedError(
                 f"validation loss is {val_value} at epoch {epoch}, with no finite epoch to keep"

@@ -684,7 +684,7 @@ def _fit_baseline(name: str, data: np.ndarray, labels: np.ndarray, cfg: RunConfi
         model, _ = clf_mod.train_network(data[train_idx], labels[train_idx], dnn,
                                          cfg.train_config(), rng,
                                          validation=(data[val_idx], labels[val_idx]))
-        return lambda values: np.argmax(neural.forward(model, values)[0], axis=1)
+        return lambda values: np.argmax(neural.forward(model, values), axis=1)
     if name == "random_forest":
         return bl.fit_forest(data, labels, bl.ForestConfig(seed=cfg.seed)).predict
     fit = {"decision_tree": bl.fit_tree, "naive_bayes": bl.fit_gnb,

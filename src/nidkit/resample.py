@@ -108,15 +108,32 @@ def _batch_knn(
             if exclude is not None:
                 own = np.flatnonzero((exclude[start:stop] >= lo) & (exclude[start:stop] < hi))
                 screen[own, exclude[start + own] - lo] = np.inf
-            # the chunk's partitioned copy is freed once its k smallest are copied out
-            smallest = np.hstack([smallest, np.partition(screen, min(k, hi - lo) - 1, axis=1)[:, :k]])
-            smallest = np.partition(smallest, k - 1, axis=1)[:, :k]
-            limit = np.minimum(smallest[:, k - 1] + margin, np.finfo(np.float64).max)
-            keep = value <= limit[row]
+            if lo == 0:
+                # the chunk's partitioned copy is freed once its k smallest are copied out
+                smallest = np.hstack(
+                    [smallest, np.partition(screen, min(k, hi - lo) - 1, axis=1)[:, :k]])
+                smallest = np.partition(smallest, k - 1, axis=1)[:, :k]
+                limit = np.minimum(smallest[:, k - 1] + margin, np.finfo(np.float64).max)
+            # the cells within the current bound hold all a chunk can add:
+            # its candidates, and the values below a query's k-th
             new_row, new_col = np.divmod(np.flatnonzero(screen <= limit[:, None]), hi - lo)
+            new_value = screen[new_row, new_col]
+            below = new_value < smallest[new_row, k - 1]
+            if lo > 0 and below.any():
+                # sort the few values below the k-th in with each such query's k
+                hit, added = np.unique(new_row[below], return_counts=True)
+                owner = np.concatenate([np.repeat(hit, k), new_row[below]])
+                merged = np.concatenate([smallest[hit].ravel(), new_value[below]])
+                order = np.lexsort((merged, owner))
+                first = np.cumsum(added + k) - (added + k)
+                smallest[hit] = merged[order[first[:, None] + np.arange(k)]]
+                limit = np.minimum(smallest[:, k - 1] + margin, np.finfo(np.float64).max)
+                fresh = new_value <= limit[new_row]
+                new_row, new_col, new_value = new_row[fresh], new_col[fresh], new_value[fresh]
+            keep = value <= limit[row]
             row = np.concatenate([row[keep], new_row])
             col = np.concatenate([col[keep], new_col + lo])
-            value = np.concatenate([value[keep], screen[new_row, new_col]])
+            value = np.concatenate([value[keep], new_value])
         diff = q[row] - pool[col]
         direct = (diff * diff).sum(axis=1)
         # sorted by (query, distance, pool index); each query has >= k rows

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nidkit import classifier, neural
 from nidkit.classifier import CLASS_ORDER, DnnConfig, train_fourclass
@@ -15,7 +17,6 @@ from nidkit.neural import (
     MlpModel,
     TrainConfig,
     _apply_activation,
-    backward,
     forward,
     init_model,
     loss,
@@ -25,6 +26,7 @@ from nidkit.neural import (
 from nidkit.pipeline import RunConfig, _fit_baseline
 from nidkit.resample import SmoteConfig, SvmSmoteConfig
 
+from . import gradcheck as oracle
 from .gradcheck import check_model_gradients, random_small_model
 
 
@@ -85,25 +87,25 @@ def _identity_model(d=3, dropout=0.0, noise=0.0):
 def test_forward_identity_passthrough():
     model = _identity_model()
     x = np.array([[1.0, -2.0, 3.0]])
-    out, _ = forward(model, x)
+    out = forward(model, x)
     assert (out == x).all()
 
 
 def test_forward_infer_deterministic():
-    model = _identity_model(dropout=0.5, noise=0.1)  # stochastic only with an rng
+    model = _identity_model(dropout=0.5, noise=0.1)  # stochastic only in training
     x = np.random.default_rng(0).normal(size=(5, 3))
-    a, _ = forward(model, x)
-    b, _ = forward(model, x)
+    a = forward(model, x)
+    b = forward(model, x)
     assert (a == b).all()
 
 
 def test_forward_train_dropout_reproducible():
     model = _identity_model(dropout=0.5)
     x = np.ones((4, 3))
-    a, _ = forward(model, x, np.random.default_rng(42))
-    b, _ = forward(model, x, np.random.default_rng(42))
+    a, _ = oracle.forward(model, x, np.random.default_rng(42))
+    b, _ = oracle.forward(model, x, np.random.default_rng(42))
     assert (a == b).all()
-    c, _ = forward(model, x, np.random.default_rng(43))
+    c, _ = oracle.forward(model, x, np.random.default_rng(43))
     assert (a != c).any()
 
 
@@ -136,9 +138,9 @@ def test_dropout_preserves_expectation():
     spec = LayerSpec(d, d, "identity", dropout_rate=0.5)
     model = MlpModel([spec], [w], [np.zeros(d)])
     x = rng.uniform(1.0, 2.0, size=(1, d))
-    clean, _ = forward(model, x)
+    clean = forward(model, x)
     # 2e4 masks at once: each batch row draws its own mask
-    big, _ = forward(model, np.repeat(x, 20000, axis=0), np.random.default_rng(3))
+    big, _ = oracle.forward(model, np.repeat(x, 20000, axis=0), np.random.default_rng(3))
     averaged = big.mean(axis=0)
     assert np.abs(averaged - clean[0]).max() < 0.02 * np.abs(clean[0]).max()
 
@@ -149,8 +151,8 @@ def test_backward_zero_loss_grad_gives_zero_grads():
     rng = np.random.default_rng(0)
     model = random_small_model(rng)
     x = rng.normal(size=(3, model.in_dim))
-    out, cache = forward(model, x)
-    grads = backward(model, cache, np.zeros_like(out))
+    out, cache = oracle.forward(model, x)
+    grads = oracle.backward(model, cache, np.zeros_like(out))
     for dw, db in grads:
         assert (dw == 0).all() and (db == 0).all()
 
@@ -162,9 +164,9 @@ def test_backward_linear_mse_closed_form():
     y = rng.normal(size=(n, 1))
     w = rng.normal(size=(1, d))
     model = MlpModel([LayerSpec(d, 1, "identity")], [w.copy()], [np.zeros(1)])
-    out, cache = forward(model, x)
+    out, cache = oracle.forward(model, x)
     _, grad = loss("mse", out, y)
-    (dw, db), = backward(model, cache, grad)
+    (dw, db), = oracle.backward(model, cache, grad)
     expected_dw = 2.0 / n * x.T @ (x @ w.T - y)
     assert np.abs(dw - expected_dw.T).max() < 1e-12
     assert db[0] == pytest.approx(2.0 / n * (x @ w.T - y).sum(), abs=1e-12)
@@ -175,9 +177,9 @@ def test_backward_stale_cache_rejected():
     model = random_small_model(rng)
     other = model.copy()
     x = rng.normal(size=(2, model.in_dim))
-    out, cache = forward(model, x)
+    out, cache = oracle.forward(model, x)
     with pytest.raises(ValueError, match="stale"):
-        backward(other, cache, np.zeros_like(out))
+        oracle.backward(other, cache, np.zeros_like(out))
 
 
 def test_gradient_check_sample():
@@ -189,17 +191,17 @@ def test_gradient_check_sample():
 
 def test_gradient_check_with_dropout_masks_reused():
     # dropout gradients flow through the exact masks stored in the cache:
-    # scaling the mask path by hand must match backward()
+    # scaling the mask path by hand must match the oracle's backward()
     rng = np.random.default_rng(3)
     d = 4
     w = rng.normal(size=(2, d))
     spec = LayerSpec(d, 2, "identity", dropout_rate=0.5)
     model = MlpModel([spec], [w.copy()], [np.zeros(2)])
     x = rng.normal(size=(5, d))
-    out, cache = forward(model, x, np.random.default_rng(11))
+    out, cache = oracle.forward(model, x, np.random.default_rng(11))
     t = rng.normal(size=out.shape)
     _, grad = loss("mse", out, t)
-    (dw, _), = backward(model, cache, grad)
+    (dw, _), = oracle.backward(model, cache, grad)
     dropped = cache.inputs[0]  # input after mask/scaling
     assert np.abs(dw - grad.T @ dropped).max() < 1e-12
 
@@ -229,6 +231,25 @@ def test_adam_decreases_quadratic():
         state.step(w, 2.0 * w)
         losses.append(w[0] ** 2)
     assert losses[1] < losses[0] and losses[2] < losses[1]
+
+
+@pytest.mark.parametrize("t", [0, 345, 37_400])
+def test_adam_matches_the_allocating_oracle_across_the_skipped_divisions(t):
+    # the 20 steps after t cross the step where bc1 (356), then bc2
+    # (37,412), reaches 1.0 and its division is skipped
+    rng = np.random.default_rng(t)
+    m, v = rng.normal(size=7), rng.random(7)
+    got, want = AdamState(7), AdamState(7)
+    for state in (got, want):
+        state.t, state.m[:], state.v[:] = t, m, v
+    p = rng.normal(size=7)
+    q = p.copy()
+    for _ in range(20):
+        grad = rng.normal(size=7)
+        got.step(p, grad)
+        oracle.adam_step(want, q, grad)
+    assert p.tobytes() == q.tobytes()
+    assert got.m.tobytes() == want.m.tobytes() and got.v.tobytes() == want.v.tobytes()
 
 
 def test_adam_shape_mismatch():
@@ -306,7 +327,7 @@ def test_train_deterministic_per_seed():
 
 
 def test_train_empty_data_rejected():
-    model = _identity_model(2)
+    model = init_model([LayerSpec(2, 3, "relu"), LayerSpec(3, 2)], np.random.default_rng(0))
     with pytest.raises(ValueError):
         train(model, np.empty((0, 2)), np.empty((0, 2)), TrainConfig(),
               np.random.default_rng(0), (np.empty((0, 2)), np.empty((0, 2))))
@@ -322,6 +343,56 @@ def test_train_does_not_mutate_input_model():
         assert (w == s).all()
 
 
+@pytest.mark.parametrize("dims", [(3, 2), (3, 4, 4, 2)])
+def test_train_refuses_other_depths_before_any_draw(dims):
+    layers = [LayerSpec(a, b, "relu") for a, b in zip(dims, dims[1:])]
+    model = init_model(layers, np.random.default_rng(0))
+    x, t = np.ones((4, dims[0])), np.ones((4, dims[-1]))
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="two-layer"):
+        train(model, x, t, TrainConfig(), rng, (x, t))
+    assert rng.bit_generator.state == state
+
+
+_rates = st.sampled_from([0.0, 0.25, 0.5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hidden=st.sampled_from(["relu", "selu", "identity"]),
+       output=st.sampled_from(["softmax", "identity", "relu", "selu"]),
+       noise=st.tuples(_rates, _rates), dropout=st.tuples(_rates, _rates),
+       dims=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 4)),
+       batch_size=st.integers(2, 9), rows=st.integers(1, 30),
+       patience=st.integers(1, 3), own_validation=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_train_equals_the_per_layer_oracle_bit_for_bit(
+        hidden, output, noise, dropout, dims, batch_size, rows, patience,
+        own_validation, seed):
+    # neural.train's straight-line step against the per-layer loop it
+    # replaced: forward with cache, loss, backward, concatenate, allocating
+    # Adam; any reordered operation or draw changes a bit
+    rng = np.random.default_rng(seed)
+    layers = [LayerSpec(dims[0], dims[1], hidden, dropout[0], noise[0]),
+              LayerSpec(dims[1], dims[2], output, dropout[1], noise[1])]
+    model = init_model(layers, rng)
+    x = rng.normal(size=(rows, dims[0]))
+    if output == "softmax":
+        t = np.eye(dims[2])[rng.integers(0, dims[2], size=rows)]
+    else:
+        t = rng.normal(size=(rows, dims[2]))
+    val = (x[: rows // 2 + 1], t[: rows // 2 + 1]) if own_validation else (x[:0], t[:0])
+    cfg = TrainConfig(batch_size=batch_size, patience=patience, max_epochs=8)
+    got, got_history = train(model, x, t, cfg, np.random.default_rng(seed + 1), val)
+    want, want_history = oracle.train(model, x, t, cfg, np.random.default_rng(seed + 1), val)
+    assert got.params.tobytes() == want.params.tobytes()
+    for name in ("train_loss", "val_loss"):
+        got_losses, want_losses = getattr(got_history, name), getattr(want_history, name)
+        assert np.array(got_losses).tobytes() == np.array(want_losses).tobytes(), name
+    assert got_history.best_epoch == want_history.best_epoch
+    assert got_history.n_epochs == want_history.n_epochs
+
+
 # --- serialization -----------------------------------------------------------
 
 def test_model_json_roundtrip():
@@ -331,8 +402,8 @@ def test_model_json_roundtrip():
     )
     loaded = MlpModel.from_json(model.to_json())
     x = rng.normal(size=(6, 4))
-    a, _ = forward(model, x)
-    b, _ = forward(loaded, x)
+    a = forward(model, x)
+    b = forward(loaded, x)
     assert (a == b).all()
     assert loaded.layers == model.layers
 

@@ -211,7 +211,7 @@ def test_settable_value_count_is_pinned():
     found = []
     for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
         found += [f"{path.stem}.{name}" for name in _settable_values(ast.parse(path.read_text()))]
-    assert len(found) == 58, found
+    assert len(found) == 57, found
 
 
 def test_the_readme_lists_each_config_key():
