@@ -20,16 +20,16 @@ then runs the two training stages and evaluate over those matrices.
 The detector, each typer variant and each baseline are independent jobs
 that return their models as text, or a baseline's CSV line and report
 section. ``_run_jobs`` runs a command's jobs: on more than one CPU, the
-first half of them (rounded up) runs, in order, in one forked worker that
-pickles what they return (or its error) back through a pipe, while the
-rest run, in order, in the calling process, which starts no further job
-once the worker has reported an error. So ``pipeline`` trains the detector
-and the plain typer in the worker and the oversampled typer, the longest,
-in the caller. On one CPU, or if no process can be forked, all run in the
-caller, in order. Either way the models are read back from that text by
-the readers ``evaluate`` uses, the jobs' log records are handled in job
-order once all have run, and the first job to fail, in job order, raises:
-every output and log line is the same on one CPU or two.
+first half of them (rounded up) runs, in order, in the calling process,
+which logs as it goes, while one forked worker runs the rest, in order, and
+pickles what they return, its first error and its held log records back
+through a pipe. So ``pipeline`` trains the detector and the plain typer in
+the caller and the oversampled typer, the longest, in the worker. On one
+CPU, or if no pipe or process can be made, all run in the caller, in
+order. Either way the models are read back from that text by the readers
+``evaluate`` uses, and the first job to fail, in job order, raises: a
+failure in the caller ends the run at once, and every output and log line
+is the same on one CPU or two.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import json
 import logging
 import os
 import pickle
-import select
 import signal
 import time
 from contextlib import suppress
@@ -442,98 +441,70 @@ class _Held(logging.Handler):
         self.records.append(record)
 
 
-def _held(job) -> tuple[object, Exception | None, list[logging.LogRecord]]:
-    """Runs ``job`` with the nidkit logger's records held back: (what it
-    returned, or None if it raised; what it raised, or None; the records
-    it logged)."""
-    holder = _Held()
-    kept = log.handlers, log.propagate
-    log.handlers, log.propagate = [holder], False
-    try:
-        return job(), None, holder.records
-    except Exception as exc:  # noqa: BLE001 - handed to the caller in job order
-        return None, exc, holder.records
-    finally:
-        log.handlers, log.propagate = kept
-
-
-def _in_order(jobs: list, stop=lambda: False) -> list[tuple]:
-    """Each job's ``_held`` outcome, in order, up to the first that raised;
-    before each job but the first, a true ``stop()`` ends the run."""
-    outcomes = []
-    for job in jobs:
-        if outcomes and stop():
-            break
-        outcomes.append(_held(job))
-        if outcomes[-1][1] is not None:
-            break
-    return outcomes
-
-
-def _sendable(outcomes: list[tuple]) -> bytes:
-    """``outcomes`` pickled; an exception that does not survive pickling
-    becomes a RuntimeError naming its type."""
-    result, error, records = outcomes[-1]
+def _sendable(results: list, error: Exception | None, records: list) -> bytes:
+    """The worker's ``(results, error, records)`` pickled; an error that does
+    not survive pickling becomes a RuntimeError naming its type."""
     if error is not None:
         try:
             pickle.loads(pickle.dumps(error))
         except Exception:  # noqa: BLE001 - any failure to pickle or to unpickle
-            outcomes[-1] = (result, RuntimeError(
-                f"a training job raised {type(error).__name__}, which cannot be pickled: "
-                f"{error}"), records)
-    return pickle.dumps(outcomes)
+            error = RuntimeError(f"a training job raised {type(error).__name__}, which cannot "
+                                 f"be pickled: {error}")
+    return pickle.dumps((results, error, records))
 
 
-def _ends_in_error(payload: bytes) -> bool:
-    """Whether a worker's payload holds outcomes that end in an error, or
-    no outcomes at all (the worker died before or while writing them)."""
+def _worker(jobs: list, write_fd: int) -> None:
+    """The forked worker's part: runs ``jobs`` in order, up to the first that
+    raises, with the nidkit logger's records held, and writes what they
+    returned, that error (or None) and the records to ``write_fd``. The
+    worker exits after it, so the logger is left as it is."""
+    holder = _Held()
+    log.handlers, log.propagate = [holder], False
+    results, error = [], None
     try:
-        return pickle.loads(payload)[-1][1] is not None
-    except (EOFError, pickle.UnpicklingError):  # empty, or cut short
-        return True
+        for job in jobs:
+            results.append(job())
+    except Exception as exc:  # noqa: BLE001 - the caller raises it, after its own jobs
+        error = exc
+    with os.fdopen(write_fd, "wb") as pipe:
+        pipe.write(_sendable(results, error, holder.records))
 
 
-def _forked(jobs: list) -> list[tuple]:
-    """The first half of the jobs (rounded up) in one forked worker and the
-    rest here, each half in order; their outcomes as ``_in_order`` gives
-    them. The worker sends its outcomes through a pipe and exits; once it
-    has sent an error, this process starts none of its own jobs that are
-    left. The worker is always reaped, and killed first if this process is
-    interrupted."""
+def _run_jobs(jobs: list) -> list:
+    """What each job returns, in job order. On more than one CPU the first
+    half of the jobs (rounded up) runs here while one forked worker runs the
+    rest; on one CPU, or if no pipe or process can be made, all run here.
+    Either way the jobs run here log as they go, the worker's records are
+    logged after them, and the first job to fail, in job order, raises what
+    it raised: a failure here ends the run at once, and the worker, which
+    is always reaped, is killed first."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or len(jobs) < 2:
+        return [job() for job in jobs]
     half = (len(jobs) + 1) // 2
-    read_fd, write_fd = os.pipe()
+    fds = ()
     try:
+        fds = read_fd, write_fd = os.pipe()
         # the only other threads here are OpenBLAS's, which it shuts down
         # around a fork (pthread_atfork) and restarts on demand
         pid = os.fork()
-    except OSError:  # no process to spare: the jobs run here
-        os.close(read_fd)
-        os.close(write_fd)
-        return _in_order(jobs)
+    except OSError:  # no descriptor or process to spare: the jobs run here
+        for fd in fds:
+            os.close(fd)
+        return [job() for job in jobs]
     if pid == 0:  # the worker: nothing it does returns past this block
         code = 1
         try:
             os.close(read_fd)
-            outcomes = _in_order(jobs[:half])
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(_sendable(outcomes))
+            _worker(jobs[half:], write_fd)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    sent: list[bytes] = []  # what the worker wrote, once it has
-
-    def worker_failed() -> bool:
-        # the worker writes once, after its last job, so a pipe that polls
-        # readable holds all it will ever write
-        if not sent and select.select([pipe], [], [], 0)[0]:
-            sent.append(pipe.read())
-        return bool(sent) and _ends_in_error(sent[0])
-
     with os.fdopen(read_fd, "rb") as pipe:
         try:
-            own = _in_order(jobs[half:], worker_failed)
-            payload = sent[0] if sent else pipe.read()
+            results = [job() for job in jobs[:half]]
+            payload = pipe.read()
             _, status = os.waitpid(pid, 0)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -544,25 +515,12 @@ def _forked(jobs: list) -> list[tuple]:
         how = f"killed by signal {-exit_code}" if exit_code < 0 else f"exit code {exit_code}"
         raise RuntimeError(f"the training worker ended without a result "
                            f"(wait status {status}: {how})")
-    outcomes = pickle.loads(payload)
-    return outcomes if outcomes[-1][1] is not None else [*outcomes, *own]
-
-
-def _run_jobs(jobs: list) -> list:
-    """What each job returns, in job order. On more than one CPU the first
-    half of the jobs (rounded up) runs in one forked worker and the rest
-    here; elsewhere all run here, in order. Either way the records the jobs
-    log are handed to the nidkit logger once all have run, in job order,
-    and the first job to fail, in job order, raises what it raised."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    outcomes = _forked(jobs) if cpus > 1 and len(jobs) > 1 else _in_order(jobs)
-    for _, _, records in outcomes:
-        for record in records:
-            log.handle(record)
-    for _, error, _ in outcomes:
-        if error is not None:
-            raise error
-    return [result for result, _, _ in outcomes]
+    theirs, error, records = pickle.loads(payload)
+    for record in records:
+        log.handle(record)
+    if error is not None:
+        raise error
+    return results + theirs
 
 
 def _binary_report(cm: metrics_mod.ConfusionMatrix) -> dict:

@@ -8,6 +8,7 @@ import shutil
 import signal
 import sys
 import tempfile
+import time
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nidkit import baselines, cli, neural, pipeline, preprocess
+from nidkit import baselines, classifier, cli, neural, pipeline, preprocess
 from nidkit.classifier import DnnConfig
 from nidkit.cli import build_parser, build_config, main
 from nidkit.dataset import (CATEGORIES, NORMAL_CATEGORY, categorize, category_ids,
@@ -584,7 +585,7 @@ def test_a_run_that_fails_mid_way_leaves_out_as_it_found_it(
     assert _files_under(finished) == before
 
 
-# --- the worker: the first half of the jobs forks off on two CPUs -------------
+# --- the worker: the later half of the jobs forks off on two CPUs -------------
 
 
 def _spy_forks(monkeypatch):
@@ -665,14 +666,17 @@ def test_a_fork_that_fails_runs_every_job_here(tmp_path, data_files, monkeypatch
     common = ["--train", train, "--test", test, "--oversample", "both", *FAST]
     _on_cpus(monkeypatch, 1)
     assert _run("pipeline", *common, "--out", tmp_path / "one") == 0
-
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
     _on_cpus(monkeypatch, 2)
-    assert _run("pipeline", *common, "--out", tmp_path / "two") == 0
-    assert _without_timings(tmp_path / "one") == _without_timings(tmp_path / "two")
+    # no process, or no descriptor for the pipe, to spare
+    for refused, error in (("fork", BlockingIOError(11, "Resource temporarily unavailable")),
+                           ("pipe", OSError(24, "Too many open files"))):
+        def no_process(error=error):
+            raise error
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, refused, no_process)
+            assert _run("pipeline", *common, "--out", tmp_path / refused) == 0
+        assert _without_timings(tmp_path / "one") == _without_timings(tmp_path / refused)
 
 
 @pytest.mark.parametrize("failing", [
@@ -727,7 +731,7 @@ def test_a_failing_job_exits_3_as_on_one_cpu_and_leaves_no_child(
                       f"({failing[0]})\n"] * 4
 
 
-# four models: the worker fits the first two, the caller the last two
+# four models: the caller fits the first two, the worker the last two
 FOUR = ("decision_tree", "naive_bayes", "svm", "adaboost")
 FITS = {"decision_tree": "fit_tree", "naive_bayes": "fit_gnb", "svm": "fit_linear_svm",
         "adaboost": "fit_adaboost"}
@@ -769,39 +773,98 @@ def test_a_failing_baseline_exits_as_on_one_cpu_and_leaves_no_child(
     assert errors == [f"nidkit: invalid data: cannot fit {failing[0]}\n"] * 4
 
 
-@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
-def test_the_caller_starts_no_job_once_the_worker_has_failed(
-        tmp_path, data_files, monkeypatch, capsys):
-    # the worker fails on naive_bayes; the caller's first job (svm) waits,
-    # without reaping it, until the worker has exited, so the caller's
-    # poll before adaboost always finds the worker's error
+def _fail_job(monkeypatch, job):
+    """Makes one job fail: the detector diverges at epoch 0, SVM-SMOTE (the
+    oversampled typer's first step) is refused, or a baseline's fit is."""
+    if job == "detector":
+        real_train = neural.train
+
+        def train(model, data, targets, *args, **kwargs):
+            if targets.shape[1] == len(INDEX):  # the autoencoder reconstructs its input
+                raise TrainingDivergedError("validation loss is nan at epoch 0 (detector)")
+            return real_train(model, data, targets, *args, **kwargs)
+
+        monkeypatch.setattr(neural, "train", train)
+    elif job == "oversampled":
+        def refuse(*args, **kwargs):
+            raise InsufficientDataError("cannot oversample")
+
+        monkeypatch.setattr(classifier, "svm_smote", refuse)
+    else:
+        _failing_fit(monkeypatch, job)
+
+
+PIPELINE_BOTH = ["pipeline", "--oversample", "both", *FAST]
+BASELINES_FOUR = ["baselines", "--baselines", ",".join(FOUR)]
+
+
+@pytest.mark.parametrize("argv, failing", [
+    (PIPELINE_BOTH, "detector"), (PIPELINE_BOTH, "oversampled"),
+    (BASELINES_FOUR, "naive_bayes"), (BASELINES_FOUR, "adaboost"),
+], ids=["pipeline-detector", "pipeline-oversampled", "baselines-naive_bayes",
+        "baselines-adaboost"])
+def test_a_failing_run_logs_the_same_records_on_one_cpu_and_two(
+        tmp_path, data_files, monkeypatch, caplog, argv, failing):
+    # the detector and naive Bayes fail in the caller's half of the jobs,
+    # the oversampled typer and AdaBoost in the worker's
     train, test = data_files
-    caller, fitted = os.getpid(), []
-    _failing_fit(monkeypatch, "naive_bayes")
-    forks = _spy_forks(monkeypatch)
-    real_svm, real_adaboost = baselines.fit_linear_svm, baselines.fit_adaboost
+    _fail_job(monkeypatch, failing)
+    runs = []
+    for n in (1, 2):
+        _on_cpus(monkeypatch, n)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="nidkit"):
+            code = _run(*argv, "--train", train, "--test", test, "--out", tmp_path / "out")
+        runs.append((code, [(r.name, r.levelno, _untimed(r.getMessage()))
+                            for r in caplog.records]))
+        _no_child_left()
+    assert runs[0] == runs[1] and runs[0][0] == 3 and runs[0][1]
+    assert not (tmp_path / "out").exists()
 
-    def svm_after_the_worker(*args, **kwargs):
-        if os.getpid() == caller:
-            os.waitid(os.P_PID, forks[-1], os.WEXITED | os.WNOWAIT)
-            fitted.append("svm")
-        return real_svm(*args, **kwargs)
 
-    def recorded_adaboost(*args, **kwargs):
-        if os.getpid() == caller:
-            fitted.append("adaboost")
-        return real_adaboost(*args, **kwargs)
+SLEEP_S = 15.0
 
-    monkeypatch.setattr(baselines, "fit_linear_svm", svm_after_the_worker)
-    monkeypatch.setattr(baselines, "fit_adaboost", recorded_adaboost)
-    _on_cpus(monkeypatch, 2)
-    capsys.readouterr()
+
+def _ends_at_once(tmp_path, monkeypatch, capsys, argv, owner, slow):
+    """Runs ``argv`` on one CPU, then on two with ``owner.slow``, a job of
+    the worker's half, sleeping SLEEP_S first: the two-CPU run exits 3 with
+    the one-CPU error line, leaves no child, and takes well under SLEEP_S."""
     out = tmp_path / "out"
-    assert _run("baselines", "--train", train, "--test", test, "--out", out,
-                "--baselines", ",".join(FOUR)) == 3
-    assert capsys.readouterr().err == "nidkit: invalid data: cannot fit naive_bayes\n"
-    assert len(forks) == 1 and fitted == ["svm"] and not out.exists()
+    _on_cpus(monkeypatch, 1)
+    capsys.readouterr()
+    assert _run(*argv, "--out", out) == 3
+    err = capsys.readouterr().err
+    real = getattr(owner, slow)
+
+    def sleeping(*args, **kwargs):
+        time.sleep(SLEEP_S)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, slow, sleeping)
+    _on_cpus(monkeypatch, 2)
+    forks = _spy_forks(monkeypatch)
+    t0 = time.monotonic()
+    assert _run(*argv, "--out", out) == 3
+    elapsed = time.monotonic() - t0
+    assert capsys.readouterr().err == err and err.count("\n") == 1
     _no_child_left()
+    assert len(forks) == 1 and not out.exists()
+    assert elapsed < SLEEP_S / 3, elapsed
+
+
+def test_a_detector_that_diverges_ends_the_run_at_once(tmp_path, data_files, monkeypatch, capsys):
+    # stage 1 fails, so the oversampled typer, held in the worker, is moot
+    train, test = data_files
+    _fail_job(monkeypatch, "detector")
+    _ends_at_once(tmp_path, monkeypatch, capsys,
+                  [*PIPELINE_BOTH, "--train", train, "--test", test], classifier, "svm_smote")
+
+
+def test_a_refused_baseline_ends_the_run_at_once(tmp_path, data_files, monkeypatch, capsys):
+    train, test = data_files
+    _fail_job(monkeypatch, "naive_bayes")
+    _ends_at_once(tmp_path, monkeypatch, capsys,
+                  [*BASELINES_FOUR, "--train", train, "--test", test], baselines, "fit_linear_svm")
 
 
 @pytest.mark.parametrize("death", ["unpicklable", "killed"])

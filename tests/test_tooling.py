@@ -2,8 +2,9 @@
 count of settable values in ``src/nidkit`` only changes on purpose, the
 README lists exactly the settings a config file takes, every public name in
 ``src/nidkit`` has a caller outside tests, only ``pipeline._write`` writes a
-file, and no command starts a process pool or leaves a process running once
-it has exited."""
+file, only ``pipeline._run_jobs`` forks, kills, reaps or ends a process, and
+no command starts a process pool or leaves a process running once it has
+exited."""
 
 import ast
 import json
@@ -102,7 +103,7 @@ def test_tracer_counts_leaves_of_every_tree_model(tmp_path):
 
 
 @pytest.mark.xfail(_host_cpus() > 1, strict=True, reason=(
-    "on more than one CPU the decision tree and the forest fit in a forked worker, "
+    "on more than one CPU AdaBoost and gradient boosting fit in a forked worker, "
     "whose spans never reach the tracer (CHANGES.md, FOUND: perfbench/tracer.py)"))
 def test_tracer_counts_leaves_of_every_tree_model_on_all_the_hosts_cpus(tmp_path):
     # the benchmark traces on all the host's CPUs; its per-layer baseline
@@ -168,7 +169,7 @@ def test_tracer_counts_epochs_and_batches_of_every_training_run(tmp_path):
 
 
 @pytest.mark.xfail(_host_cpus() > 1, strict=True, reason=(
-    "on more than one CPU the detector and the plain typer train in a forked worker, "
+    "on more than one CPU the oversampled typer trains in a forked worker, "
     "whose spans never reach the tracer (CHANGES.md, FOUND: perfbench/tracer.py)"))
 def test_tracer_counts_every_training_run_on_all_the_hosts_cpus(tmp_path):
     # the benchmark traces on all the host's CPUs; its per-layer training
@@ -224,9 +225,11 @@ def test_the_readme_lists_each_config_key():
     assert re.findall(r"`(\w+)`", listed.group(1)) == [f.name for f in fields(RunConfig)]
 
 
-def _writes_a_file(call: ast.Call) -> bool:
+def _writes_a_file(call: ast.AST) -> bool:
     """A write_text, write_bytes, mkdir or makedirs call, or an open whose
     mode is not a plain read."""
+    if not isinstance(call, ast.Call):
+        return False
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
     if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
@@ -240,27 +243,52 @@ def _writes_a_file(call: ast.Call) -> bool:
                     and not set(mode.value) & set("wax+")) for mode in modes)
 
 
-def _file_writes(node: ast.AST, owner: str = "") -> list[str]:
-    """``owner:line`` of each call in ``node`` that writes, ``owner`` being
-    its enclosing function or class."""
+PROCESS_CALLS = ("fork", "kill", "waitpid", "_exit")
+
+
+def _manages_a_process(node: ast.AST) -> bool:
+    """A reference to os.fork, os.kill, os.waitpid or os._exit, or an import
+    of one of them from os."""
+    if isinstance(node, ast.Attribute):
+        return getattr(node.value, "id", None) == "os" and node.attr in PROCESS_CALLS
+    return isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+        alias.name in PROCESS_CALLS for alias in node.names)
+
+
+def _sites(node: ast.AST, matches, owner: str = "") -> list[str]:
+    """``owner:line`` of each node in ``node`` that ``matches``, ``owner``
+    being its enclosing function or class."""
     found = []
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            found += _file_writes(child, f"{owner}.{child.name}" if owner else child.name)
+            found += _sites(child, matches, f"{owner}.{child.name}" if owner else child.name)
             continue
-        if isinstance(child, ast.Call) and _writes_a_file(child):
+        if matches(child):
             found.append(f"{owner}:{child.lineno}")
-        found += _file_writes(child, owner)
+        found += _sites(child, matches, owner)
+    return found
+
+
+def _package_sites(matches) -> list[str]:
+    """``module.owner:line`` of each node in ``src/nidkit`` that ``matches``."""
+    found = []
+    for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
+        found += [f"{path.stem}.{site}" for site in _sites(ast.parse(path.read_text()), matches)]
     return found
 
 
 def test_only_the_write_path_writes_files():
     # every command computes all of its outputs before it hands them to
     # pipeline._write, so a refused or diverged run leaves --out as it was
-    found = []
-    for path in sorted((ROOT / "src" / "nidkit").glob("*.py")):
-        found += [f"{path.stem}.{site}" for site in _file_writes(ast.parse(path.read_text()))]
+    found = _package_sites(_writes_a_file)
     assert found and all(site.startswith("pipeline._write:") for site in found), found
+
+
+def test_only_the_job_layer_manages_processes():
+    # the one worker is forked, killed, reaped and ended in one function,
+    # so no other code can leave a process running or end the wrong one
+    found = _package_sites(_manages_a_process)
+    assert found and all(site.startswith("pipeline._run_jobs:") for site in found), found
 
 
 def _public_definitions(tree: ast.Module) -> list[tuple[str, str, int]]:
